@@ -15,39 +15,70 @@ type outcome = {
   identity : string;  (** what every replay of this job must reproduce *)
 }
 
+(* What a job records. Traced, [sink] is the job's child of the run's
+   root sink (its tid the deck element) and takes the benchmark's stage
+   spans; layer quantities read from the library are summed into
+   [sums]. Untraced, [sink] is [Telemetry.Sink.null] and nothing is
+   recorded. *)
+type probe = { sink : Telemetry.Sink.t; sums : (string, float) Hashtbl.t }
+
+let traced p = Telemetry.Sink.live p.sink
+
+let add p key v =
+  if traced p then
+    Hashtbl.replace p.sums key
+      (v +. Option.value ~default:0.0 (Hashtbl.find_opt p.sums key))
+
+(* Fold a library sink into the sums: span seconds as ["span." ^ name],
+   counters as ["counter." ^ name], and the spans its ring evicted. *)
+let absorb_library p lib =
+  List.iter
+    (fun (s : Telemetry.Tracer.span) ->
+      add p ("span." ^ s.Telemetry.Tracer.name) s.Telemetry.Tracer.dur)
+    (Telemetry.Sink.spans lib);
+  add p "span.dropped" (float_of_int (Telemetry.Sink.dropped_spans lib));
+  List.iter
+    (fun (name, v) -> add p ("counter." ^ name) (float_of_int v))
+    (Telemetry.Sink.counters lib)
+
+let now = Unix.gettimeofday
+
 (* A workload ready to run: [start]/[stop] bracket a session (the
    service workload's [Service.t]; nothing on the flows), [job] runs
    deck element [i]. *)
 type instance = {
   deck_len : int;
-  cycle : int;  (** a phase runs whole cycles of this many elements *)
-  start : Trace.t -> unit;
-  job : Trace.t -> int -> outcome;
-  stop : Trace.t -> unit;
+  start : probe -> unit;
+  job : probe -> int -> outcome;
+  stop : probe -> unit;
   finish : unit -> string list;  (** end-of-run checks *)
 }
 
-(* A per-job sink big enough that no span of the job is evicted: four
-   eval spans per cost evaluation, a round span per round, and room for
-   the router's spans. *)
-let job_sink (tr : Trace.t) (p : Anneal.Sa.params) =
-  if not tr.Trace.live then Telemetry.Sink.null
+(* The sink the library's calls in one job record into: big enough that
+   no span of the job is evicted (four eval spans per cost evaluation, a
+   round span per round, room for the router's spans). It is separate
+   from the job's stage sink, so the written trace holds the benchmark's
+   spans only. *)
+let library_sink p (params : Anneal.Sa.params) =
+  if not (traced p) then Telemetry.Sink.null
   else
     Telemetry.Sink.create
       ~trace_capacity:
-        ((4 * ((p.Anneal.Sa.max_rounds * p.Anneal.Sa.moves_per_round) + 65))
-        + p.Anneal.Sa.max_rounds + 1024)
+        ((4 * ((params.Anneal.Sa.max_rounds * params.Anneal.Sa.moves_per_round) + 65))
+        + params.Anneal.Sa.max_rounds + 1024)
       ()
 
-(* A fixed move budget: no freezing, no temperature floor, so every
-   job of a given size evaluates exactly [rounds * moves] moves whatever
-   the seed. Fast cooling lets the short walk end near-frozen. *)
-let fixed_params ~n ~rounds ~moves_per_round ~cooling =
+(* The first [rounds] rounds of the library's default anneal for a
+   circuit of [n] modules: its moves per round and cooling schedule,
+   with freezing and the temperature floor off, so every job of a given
+   size evaluates exactly [rounds * moves_per_round] moves whatever the
+   seed. A full default anneal runs until frozen (thousands of moves, a
+   few seconds per circuit here); the round counts are an assumption,
+   set so that a 40-s run completes at least two passes of a deck. *)
+let truncated_params ~n ~rounds =
   {
     (Anneal.Sa.default_params ~n) with
     Anneal.Sa.max_rounds = rounds;
-    moves_per_round;
-    schedule = Anneal.Schedule.Geometric cooling;
     frozen_rounds = max_int;
     final_temperature = 0.0;
   }
@@ -63,20 +94,20 @@ type placed = {
   evaluated : int;
 }
 
-let flow_tail (tr : Trace.t) ~sink ~ledger ~label ~engine ~seed ~schedule
+let flow_tail (pr : probe) ~sink ~ledger ~label ~engine ~seed ~schedule
     ~pitch ~groups ~verify_groups ~hierarchy ~t0 circuit (p : placed) =
   let r =
-    Trace.stage tr "route" (fun () ->
+    Telemetry.Sink.time pr.sink "route" (fun () ->
         Route.Router.route_all ~pitch ~power:false ~symmetric:groups ~telemetry:sink
           p.placement)
   in
   let diags =
-    Trace.stage tr "verify" (fun () ->
+    Telemetry.Sink.time pr.sink "verify" (fun () ->
         Analysis.Verify.placement ~groups:verify_groups ~hierarchy circuit
           p.placement.Placer.Placement.placed)
   in
   let entry =
-    Trace.stage tr "ledger" (fun () ->
+    Telemetry.Sink.time pr.sink "ledger" (fun () ->
         let move_rates =
           Telemetry.Qor.move_rates_of_counters (Telemetry.Sink.counters sink)
         in
@@ -86,7 +117,7 @@ let flow_tail (tr : Trace.t) ~sink ~ledger ~label ~engine ~seed ~schedule
             ~route_overflow:r.Route.Router.overflow
             ~route_failed:(List.length r.Route.Router.failed)
             ~route_iterations:r.Route.Router.iterations ~cost:p.cost
-            ~wall_s:(Trace.now () -. t0) ~sa_rounds:p.sa_rounds
+            ~wall_s:(now () -. t0) ~sa_rounds:p.sa_rounds
             ~evaluated:p.evaluated p.placement
         in
         let entry =
@@ -95,14 +126,14 @@ let flow_tail (tr : Trace.t) ~sink ~ledger ~label ~engine ~seed ~schedule
             ~label ~netlist_hash:(Netlist.Circuit.digest circuit) ~engine ~seed
             ~schedule ~workers:1 ~chains:1 ~qor ()
         in
-        let a0 = Trace.now () in
+        let a0 = now () in
         (match Telemetry.Ledger.append ledger entry with
         | Ok () -> ()
         | Error msg -> failwith ("ledger append: " ^ msg));
-        Trace.add tr "ledger.append" (Trace.now () -. a0);
+        add pr "ledger.append" (now () -. a0);
         entry)
   in
-  let wall = Trace.now () -. t0 in
+  let wall = now () -. t0 in
   (* checks, outside the job's time *)
   let verify_errors =
     List.filter
@@ -130,23 +161,23 @@ let flow_tail (tr : Trace.t) ~sink ~ledger ~label ~engine ~seed ~schedule
         | Error m -> [ "ledger line does not re-read: " ^ m ]);
       ]
   in
-  if tr.Trace.live then begin
-    Trace.absorb_sink tr sink;
-    Trace.add tr "anneal.moves" (float_of_int p.evaluated);
-    Trace.add tr "anneal.rounds" (float_of_int p.sa_rounds);
+  if traced pr then begin
+    absorb_library pr sink;
+    add pr "anneal.moves" (float_of_int p.evaluated);
+    add pr "anneal.rounds" (float_of_int p.sa_rounds);
     List.iter
       (fun (it : Route.Router.iteration) ->
-        Trace.add tr "route.heap_pops" (float_of_int it.Route.Router.it_pops);
-        Trace.add tr "route.ripped" (float_of_int it.Route.Router.it_ripped))
+        add pr "route.heap_pops" (float_of_int it.Route.Router.it_pops);
+        add pr "route.ripped" (float_of_int it.Route.Router.it_ripped))
       r.Route.Router.negotiation;
-    Trace.add tr "route.iterations" (float_of_int r.Route.Router.iterations);
-    Trace.add tr "route.overflow" (float_of_int r.Route.Router.overflow);
-    Trace.add tr "route.failed_nets"
+    add pr "route.iterations" (float_of_int r.Route.Router.iterations);
+    add pr "route.overflow" (float_of_int r.Route.Router.overflow);
+    add pr "route.failed_nets"
       (float_of_int (List.length r.Route.Router.failed));
-    Trace.add tr "analysis.verify_errors"
+    add pr "analysis.verify_errors"
       (float_of_int (List.length verify_errors));
-    Trace.add tr "analysis.unmet_obligations" (float_of_int (List.length unmet));
-    Trace.add tr "ledger.bytes" (float_of_int (String.length line + 1))
+    add pr "analysis.unmet_obligations" (float_of_int (List.length unmet));
+    add pr "ledger.bytes" (float_of_int (String.length line + 1))
   end;
   let hpwl = Placer.Placement.hpwl p.placement in
   {
@@ -175,7 +206,7 @@ let fresh_ledger path =
   Out_channel.with_open_bin path (fun _ -> ());
   path
 
-let no_session (_ : Trace.t) = ()
+let no_session (_ : probe) = ()
 
 (* ---- flow-sym ------------------------------------------------------- *)
 
@@ -192,7 +223,7 @@ let sym_outline circuit =
   let s = max (Gen.isqrt_ceil (4.0 *. area)) ((2 * side) + 1) in
   (s, s)
 
-let sym_rounds = function Gen.Full -> 8 | Gen.Tiny -> 3
+let sym_rounds = function Gen.Full -> 2 | Gen.Tiny -> 1
 
 (* Device-level cells sit on a 10 nm grid: route them at a 0.4 um track
    pitch rather than the synthetic circuits' default. *)
@@ -202,19 +233,20 @@ let flow_sym ~size ~seed ~ledger =
   let deck = Gen.sym_deck ~size ~seed in
   let ledger = fresh_ledger ledger in
   let jobs = ref 0 in
-  let job (tr : Trace.t) i =
+  let job pr i =
     incr jobs;
-    let t0 = Trace.now () in
+    let { Gen.input = text; anneal_seed } = deck.(i) in
+    let t0 = now () in
     let circuit =
-      Trace.stage tr "parse" (fun () ->
-          match Netlist.Parser.parse_string deck.(i) with
+      Telemetry.Sink.time pr.sink "parse" (fun () ->
+          match Netlist.Parser.parse_string text with
           | Ok devices ->
               Netlist.Parser.to_circuit ~name:(sprintf "sym%d" i) devices
           | Error e ->
               failwith (Format.asprintf "parse: %a" Netlist.Parser.pp_error e))
     in
     let recognized, groups =
-      Trace.stage tr "recognize" (fun () ->
+      Telemetry.Sink.time pr.sink "recognize" (fun () ->
           let r = Netlist.Recognize.recognize circuit in
           ( r,
             Constraints.Symmetry_group.of_hierarchy
@@ -222,23 +254,22 @@ let flow_sym ~size ~seed ~ledger =
     in
     let hierarchy = recognized.Netlist.Recognize.hierarchy in
     let lint =
-      Trace.stage tr "lint" (fun () -> Analysis.Lint.all circuit hierarchy)
+      Telemetry.Sink.time pr.sink "lint" (fun () -> Analysis.Lint.all circuit hierarchy)
     in
     let feas =
-      Trace.stage tr "feasibility" (fun () ->
+      Telemetry.Sink.time pr.sink "feasibility" (fun () ->
           Analysis.Feasibility.check ~groups ~hierarchy
             ~outline:(sym_outline circuit) circuit)
     in
     let params =
-      fixed_params ~n:(Netlist.Circuit.size circuit) ~rounds:(sym_rounds size)
-        ~moves_per_round:40 ~cooling:0.65
+      truncated_params ~n:(Netlist.Circuit.size circuit) ~rounds:(sym_rounds size)
     in
-    let sink = job_sink tr params in
+    let sink = library_sink pr params in
     let placed =
-      Trace.stage tr "place" (fun () ->
+      Telemetry.Sink.time pr.sink "place" (fun () ->
           let o =
             Placer.Sa_seqpair.place ~params ~groups ~telemetry:sink
-              ~rng:(Prelude.Rng.create (seed + i))
+              ~rng:(Prelude.Rng.create anneal_seed)
               circuit
           in
           {
@@ -249,12 +280,12 @@ let flow_sym ~size ~seed ~ledger =
           })
     in
     let o =
-      flow_tail tr ~sink ~ledger ~label:circuit.Netlist.Circuit.name ~engine:"sp"
-        ~seed:(seed + i) ~pitch:sym_pitch
+      flow_tail pr ~sink ~ledger ~label:circuit.Netlist.Circuit.name ~engine:"sp"
+        ~seed:anneal_seed ~pitch:sym_pitch
         ~schedule:(Anneal.Schedule.to_string params.Anneal.Sa.schedule)
         ~groups ~verify_groups:groups ~hierarchy ~t0 circuit placed
     in
-    Trace.add tr "netlist.structures"
+    add pr "netlist.structures"
       (float_of_int (List.length recognized.Netlist.Recognize.structures));
     let input_errors =
       List.map (fun c -> "lint " ^ c) (codes (Analysis.Diagnostic.errors lint))
@@ -266,7 +297,6 @@ let flow_sym ~size ~seed ~ledger =
   in
   {
     deck_len = Array.length deck;
-    cycle = Array.length Gen.sym_recipes;
     start = no_session;
     job;
     stop = no_session;
@@ -279,29 +309,30 @@ let flow_sym ~size ~seed ~ledger =
    comparison's, which makes it a real share of the cost. *)
 let route_weight = 60.0
 
-let route_rounds = function Gen.Full -> 12 | Gen.Tiny -> 3
+let route_rounds = function Gen.Full -> 6 | Gen.Tiny -> 1
 
 let flow_route ~size ~seed ~ledger =
   let deck = Gen.route_deck ~size ~seed in
   let ledger = fresh_ledger ledger in
   let jobs = ref 0 in
   let weights = { Placer.Cost.default with Placer.Cost.routability = route_weight } in
-  let job (tr : Trace.t) i =
+  let job pr i =
     incr jobs;
-    let { Netlist.Benchmarks.circuit; hierarchy; label } = deck.(i) in
-    let t0 = Trace.now () in
+    let { Gen.input = { Netlist.Benchmarks.circuit; hierarchy; label }; anneal_seed } =
+      deck.(i)
+    in
+    let t0 = now () in
     let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
     let params =
-      fixed_params ~n:(Netlist.Circuit.size circuit) ~rounds:(route_rounds size)
-        ~moves_per_round:(4 * Netlist.Circuit.size circuit) ~cooling:0.8
+      truncated_params ~n:(Netlist.Circuit.size circuit) ~rounds:(route_rounds size)
     in
-    let sink = job_sink tr params in
+    let sink = library_sink pr params in
     let placed =
-      Trace.stage tr "place" (fun () ->
+      Telemetry.Sink.time pr.sink "place" (fun () ->
           let o =
             Placer.Sa_bstar.place ~weights ~params
               ~estimator:(Route.Estimate.estimator circuit) ~telemetry:sink
-              ~rng:(Prelude.Rng.create (seed + i))
+              ~rng:(Prelude.Rng.create anneal_seed)
               circuit
           in
           {
@@ -312,14 +343,13 @@ let flow_route ~size ~seed ~ledger =
           })
     in
     (* B* claims no symmetry: verify geometry only *)
-    flow_tail tr ~sink ~ledger ~label ~engine:"bstar" ~seed:(seed + i)
+    flow_tail pr ~sink ~ledger ~label ~engine:"bstar" ~seed:anneal_seed
       ~pitch:Route.Router.default_pitch
       ~schedule:(Anneal.Schedule.to_string params.Anneal.Sa.schedule)
       ~groups ~verify_groups:[] ~hierarchy ~t0 circuit placed
   in
   {
     deck_len = Array.length deck;
-    cycle = Array.length Gen.route_sizes;
     start = no_session;
     job;
     stop = no_session;
@@ -334,7 +364,10 @@ let flow_route ~size ~seed ~ledger =
    miss) need every response to be reproducible. *)
 let service_workers = 1
 
-let cache_capacity = function Gen.Full -> 20 | Gen.Tiny -> 3
+(* Half the cache entries the stream touches: a run's working set is
+   then larger than the cache, so LRU evicts, while the popular designs
+   stay resident. The half is an assumption. *)
+let cache_capacity stream = max 1 (Gen.distinct_entries stream / 2)
 
 let service_counters =
   [ "service.hits"; "service.misses"; "service.neg_hits";
@@ -342,7 +375,7 @@ let service_counters =
 
 let service_mix ~size ~seed =
   let stream = Gen.service_stream ~size ~seed in
-  let svc = ref None and root = ref Telemetry.Sink.null in
+  let svc = ref None and lib = ref Telemetry.Sink.null in
   let seen = ref 0 in
   (* the first response to each distinct request: every later one
      (hit, miss after eviction, replay) must be byte-identical *)
@@ -350,53 +383,59 @@ let service_mix ~size ~seed =
   let service () =
     match !svc with Some s -> s | None -> invalid_arg "no open service session"
   in
-  (* Fold the root sink's spans recorded since the last read. *)
-  let read_spans (tr : Trace.t) =
-    if tr.Trace.live then begin
-      let spans = Telemetry.Sink.spans !root in
-      let total = List.length spans + Telemetry.Sink.dropped_spans !root in
-      let fresh = total - !seen in
+  (* Fold the spans the service's sink recorded since the last read,
+     and count the ones its ring evicted before they were read. *)
+  let read_spans pr =
+    if traced pr then begin
+      let spans = Telemetry.Sink.spans !lib in
       let kept = List.length spans in
-      if fresh > kept then Trace.add tr "span.dropped" (float_of_int (fresh - kept));
-      Trace.absorb_spans tr
-        (List.filteri (fun j _ -> j >= kept - min fresh kept) spans);
+      let total = kept + Telemetry.Sink.dropped_spans !lib in
+      let fresh = total - !seen in
+      if fresh > kept then add pr "span.dropped" (float_of_int (fresh - kept));
+      List.iteri
+        (fun j (sp : Telemetry.Tracer.span) ->
+          if j >= kept - min fresh kept then
+            add pr ("span." ^ sp.Telemetry.Tracer.name) sp.Telemetry.Tracer.dur)
+        spans;
       seen := total
     end
   in
-  let start (tr : Trace.t) =
-    root :=
-      if tr.Trace.live then Telemetry.Sink.create ~trace_capacity:(1 lsl 17) ()
+  let capacity = cache_capacity stream in
+  let start pr =
+    lib :=
+      if traced pr then Telemetry.Sink.create ~trace_capacity:(1 lsl 17) ()
       else Telemetry.Sink.null;
     seen := 0;
     svc :=
       Some
-        (Service.create ~workers:service_workers
-           ~cache_capacity:(cache_capacity size) ~validate:false
-           ~telemetry:!root ())
+        (Service.create ~workers:service_workers ~cache_capacity:capacity
+           ~validate:false ~telemetry:!lib ())
   in
-  let stop (tr : Trace.t) =
+  let stop pr =
     let s = service () in
-    if tr.Trace.live then begin
-      read_spans tr;
+    if traced pr then begin
+      read_spans pr;
       List.iter
-        (fun name -> Trace.add tr name (float_of_int (Service.counter_value s name)))
+        (fun name -> add pr name (float_of_int (Service.counter_value s name)))
         service_counters;
-      Trace.add tr "service.evictions"
+      add pr "service.evictions"
         (float_of_int (Service.Cache.evictions (Service.cache s)))
     end;
     Service.shutdown s;
     svc := None
   in
-  let job (tr : Trace.t) i =
+  let job pr i =
     let { Gen.req; feasible } = stream.(i) in
-    let t0 = Trace.now () in
-    let resp = Trace.stage tr "submit" (fun () -> Service.submit (service ()) req) in
-    let wall = Trace.now () -. t0 in
+    let t0 = now () in
+    let resp =
+      Telemetry.Sink.time pr.sink "submit" (fun () -> Service.submit (service ()) req)
+    in
+    let wall = now () -. t0 in
     let served = resp.Service.Request.served in
     let miss = served = "miss" || served = "evict-miss" in
-    if tr.Trace.live && miss then begin
-      read_spans tr;
-      Trace.add tr "service.miss_moves" (float_of_int resp.Service.Request.evaluated)
+    if traced pr && miss then begin
+      read_spans pr;
+      add pr "service.miss_moves" (float_of_int resp.Service.Request.evaluated)
     end;
     let bytes, hpwl, fit =
       match resp.Service.Request.body with
@@ -439,7 +478,6 @@ let service_mix ~size ~seed =
   in
   {
     deck_len = Array.length stream;
-    cycle = 1;
     start;
     job;
     stop;

@@ -11,12 +11,33 @@ let sprintf = Printf.sprintf
 
 type size = Full | Tiny
 
+(* The seed of every input that must not depend on the workload seed:
+   set-up's warm-up job, so set-up costs the same for every seed, and
+   the service's design catalogue. *)
+let fixed_seed = 2009
+
+(* One flow job: its input and the seed its anneal runs with. Deck
+   element 0 is set-up's warm-up and draws both from [fixed_seed]. *)
+type 'a job = { input : 'a; anneal_seed : int }
+
+let flow_deck ~len ~seed make =
+  let rng = Prelude.Rng.create seed in
+  Array.init len (fun i ->
+      let rng = Prelude.Rng.split rng in
+      if i = 0 then
+        { input = make (Prelude.Rng.create fixed_seed) ~label:"warm-up" 0;
+          anneal_seed = fixed_seed }
+      else
+        { input = make rng ~label:(sprintf "seed %d slot %d" seed i) i;
+          anneal_seed = seed + i })
+
 (* ---- flow-sym: device-level .cir text ------------------------------- *)
 
-(* (differential stages, cascode stacks, caps) recipes: 9 to 28
-   devices, one symmetry group per stage. A job's cost is set mostly by
-   its stage count, so the mix is 4 one-stage, 6 two-stage, 8
-   three-stage and 6 four-stage recipes: the median job then falls
+(* (differential stages, cascode stacks, caps) recipes: 9 to 30
+   devices, one symmetry group per stage. The mix is an assumption: the
+   repository holds no corpus of real netlists to draw it from. A job's
+   cost is set mostly by its stage count, so the mix is 4 one-stage, 6
+   two-stage, 8 three-stage and 6 four-stage recipes: the median job then falls
    inside the three-stage class and the 90th percentile inside the
    four-stage one, never on a jump between classes. Slots take the
    recipes in an interleaved fixed order, so any few dozen jobs see
@@ -102,35 +123,31 @@ let cir_text rng ~title (stages, cascodes, caps) =
   line ".end";
   Buffer.contents b
 
-(* Inputs per deck at full size: more than a run gets through, so a
-   run's jobs are all distinct and its job-time quantiles average over
-   many seeded circuits rather than a few. *)
-let deck_len ~size ~full = match size with Full -> full | Tiny -> 3
+(* A deck is the warm-up element 0 and the [pass] elements every pass
+   of a run goes through. At full size a pass has at least 100 jobs, so
+   that at least ten samples lie beyond the 90th percentile; on the
+   flows it is whole cycles of the size mix. *)
+let deck_len ~size ~pass = match size with Full -> pass + 1 | Tiny -> 3
 
 (* The flow-sym deck: one .cir text per slot, recipes in a fixed cycle. *)
 let sym_deck ~size ~seed =
-  let rng = Prelude.Rng.create seed in
   let recipes =
     match size with Full -> sym_recipes | Tiny -> [| (1, 1, 1); (2, 0, 1) |]
   in
-  Array.init (deck_len ~size ~full:800) (fun i ->
-      let rng = Prelude.Rng.split rng in
-      cir_text rng
-        ~title:(sprintf "flow-sym seed %d slot %d" seed i)
-        recipes.(i mod Array.length recipes))
+  flow_deck ~len:(deck_len ~size ~pass:(5 * Array.length sym_recipes)) ~seed (fun rng ~label i ->
+      cir_text rng ~title:("flow-sym " ^ label) recipes.(i mod Array.length recipes))
 
 (* ---- flow-route: synthetic Table-I-scale circuits ------------------- *)
 
-(* Module counts per deck slot: below the size where negotiation stops
-   converging, large enough that routing dominates the job. *)
+(* Module counts per deck slot, an assumption bounded on both sides:
+   below the size where negotiation stops converging, large enough that
+   routing dominates the job. *)
 let route_sizes = Array.init 16 (fun i -> 24 + (i * 7 mod 16))
 
 let route_deck ~size ~seed =
-  let rng = Prelude.Rng.create seed in
   let sizes = match size with Full -> route_sizes | Tiny -> [| 10; 12 |] in
-  Array.init (deck_len ~size ~full:600) (fun i ->
-      Netlist.Benchmarks.synthetic
-        ~label:(sprintf "route-%d-%d" seed i)
+  flow_deck ~len:(deck_len ~size ~pass:(7 * Array.length route_sizes)) ~seed (fun rng ~label i ->
+      Netlist.Benchmarks.synthetic ~label:("route " ^ label)
         ~n:sizes.(i mod Array.length sizes)
         ~seed:(Prelude.Rng.int rng 1_000_000_000))
 
@@ -143,18 +160,26 @@ type request = {
 
 (* The service's design catalogue: synthetic sources by popularity
    rank, small enough that a Quick miss costs a fraction of a second.
-   The catalogue and its popularity pattern are the same for every
-   workload seed, so every seed sees the same hit/miss sequence over
-   designs of the same size; the seed draws each design's anneal seed
-   and the outline jitter. *)
+   No request traces exist for the service, so the catalogue, the
+   popularity law and the outline mix below are assumptions that follow
+   the workload's qualitative description: mostly repeats, skewed
+   towards a few designs, outlines varied within a design, some boxes
+   too small. The catalogue (designs and their request seeds) and its
+   popularity pattern are the same for every workload seed, so every
+   seed sees the same hit/miss sequence over the same anneals; the seed
+   draws the outline jitter. A Quick miss anneals until frozen, so a
+   seed-drawn request seed made a run's work a draw of some 40 anneal
+   lengths, and jobs per second spread 0.29 (quartile range over
+   median) across five seeds. *)
 let source_sizes = [| 9; 12; 7; 10; 8; 11; 6; 9; 12; 7; 10; 8 |]
-
-let catalogue_seed = 2009
 
 (* Outline variants. A request's variant and jitter are drawn like its
    rank, so the stream mixes free, square, wide and tall outlines of
    one source (same outline class = same cache entry, re-instantiated)
-   with a share of boxes smaller than the module area. *)
+   with a share of boxes smaller than the module area. The weights are
+   assumed: free outlines most common, fixed outlines mostly square,
+   and 15 % too small so the negative cache sees several requests a
+   run. *)
 type variant = Free | Square | Wide | Tall | Too_small
 
 let variants =
@@ -175,6 +200,8 @@ let pick_cdf weights u =
   in
   go 0 0.0
 
+(* Popularity by rank: Zipf with exponent 1, the textbook law for
+   request popularity, assumed rather than measured. *)
 let zipf_weights k s =
   Array.init k (fun r -> 1.0 /. Float.pow (float_of_int (r + 1)) s)
 
@@ -199,7 +226,7 @@ let outline_of ~area ~side variant jitter =
 
 let service_stream ~size ~seed =
   let sizes = match size with Full -> source_sizes | Tiny -> [| 6; 8 |] in
-  let rng = Prelude.Rng.create catalogue_seed in
+  let rng = Prelude.Rng.create fixed_seed in
   let sources =
     Array.map
       (fun n ->
@@ -218,18 +245,17 @@ let service_stream ~size ~seed =
   let rank_w = zipf_weights (Array.length sources) 1.0 in
   let var_w = Array.map fst variants in
   let o1 = Prelude.Rng.float rng 1.0 and o2 = Prelude.Rng.float rng 1.0 in
-  let rng = Prelude.Rng.create seed in
   let anneal_seeds = Array.map (fun _ -> Prelude.Rng.int rng 1_000_000) sources in
-  let o3 = Prelude.Rng.float rng 1.0 in
+  let o3 = Prelude.Rng.float (Prelude.Rng.create seed) 1.0 in
   (* element 0 is the set-up's warm-up: the smallest source, free
-     outline, so set-up costs the same for every seed *)
+     outline *)
   let smallest = ref 0 in
   Array.iteri
     (fun r (n, _, _, _) ->
       let best, _, _, _ = sources.(!smallest) in
       if n < best then smallest := r)
     sources;
-  Array.init (deck_len ~size ~full:20_000) (fun i ->
+  Array.init (deck_len ~size ~pass:240) (fun i ->
       let rank, variant, jitter =
         if i = 0 then (!smallest, Free, 0)
         else
@@ -256,3 +282,17 @@ let service_stream ~size ~seed =
    byte-identical results, whichever path served them. *)
 let request_key (r : Service.Request.t) =
   Telemetry.Json.emit (Service.Request.to_json { r with Service.Request.id = "" })
+
+(* Cache entries the stream's requests touch: one per design and
+   outline class, as the service keys its cache (a box too small to fit
+   classes like any other outline). *)
+let distinct_entries stream =
+  let keys = Hashtbl.create 64 in
+  Array.iter
+    (fun { req; _ } ->
+      Hashtbl.replace keys
+        ( request_key { req with Service.Request.outline = None },
+          Service.Fingerprint.classify req.Service.Request.outline )
+        ())
+    stream;
+  Hashtbl.length keys

@@ -3,16 +3,18 @@
      main.exe --workload NAME --seed N --seconds S --trace 0|1
      main.exe --smoke BENCHMARK.json
 
-   A run sets its workload up five times (set-up time is their
-   median), then runs the workload's deck, one distinct input per job,
-   until [--seconds] have elapsed (at least 100 jobs, and whole size
-   cycles on the flows). With [--trace 0] it prints the end-to-end
-   metrics of an untraced run; with [--trace 1] it spends half the time
-   untraced and half traced over the same deck, prints the per-layer
-   metrics, checks that both halves produced identical results, and
-   writes the benchmark's spans as a Chrome trace. The last line of
-   standard output is one JSON object; the exit code is non-zero when
-   any job failed its checks. *)
+   A run makes passes over the workload's deck until another pass would
+   overrun [--seconds]. Before each pass it sets the workload up five
+   times (set-up time is the median over the untraced passes); the pass
+   then takes deck elements 1, 2, ... on a fresh session, the same
+   elements every pass. With [--trace 0] it
+   runs at least two passes and prints the end-to-end metrics of each
+   element's fastest run; with [--trace 1] it spends half the time
+   untraced and half traced (at least one pass each), prints the
+   per-layer metrics, and writes the benchmark's stage spans as a Chrome
+   trace. Every pass must reproduce the first one's results. The last
+   line of standard output is one JSON object; the exit code is
+   non-zero when any job failed its checks. *)
 
 let sprintf = Printf.sprintf
 
@@ -45,28 +47,48 @@ let workloads =
 
 (* ---- running ---------------------------------------------------------- *)
 
+(* Seconds since the clock's first reading, which is exactly 0.
+   [Telemetry.Export.chrome_json] subtracts the sink's epoch from span
+   durations as well as from start times; with an epoch of 0 both come
+   out right. *)
+let zero_epoch_clock () =
+  let t0 = ref Float.nan in
+  fun () ->
+    let t = Unix.gettimeofday () in
+    if Float.is_nan !t0 then begin
+      t0 := t;
+      0.0
+    end
+    else t -. !t0
+
+(* A phase's probe: the run's root sink (dead when untraced), which
+   absorbs each job's stage spans, and the layer sums. *)
+let phase_probe ~live =
+  {
+    Flows.sink =
+      (if live then Telemetry.Sink.create ~clock:(zero_epoch_clock ()) ()
+       else Telemetry.Sink.null);
+    sums = Hashtbl.create 64;
+  }
+
+(* A phase: passes over the same deck elements on one probe. *)
 type phase = {
-  first : int;  (** deck element of the first outcome *)
-  outcomes : Flows.outcome list;  (** in run order *)
-  wall : float;
-  tracer : Trace.t;
+  passes : Flows.outcome array list;  (** element [k + 1] at index [k] *)
+  pass_walls : float list;  (** seconds per pass *)
+  probe : Flows.probe;
 }
 
-(* Jobs every phase runs whatever the time budget: enough that at least
-   ten samples lie beyond the 90th percentile, and the set the quality
-   sums are taken over. *)
-let min_jobs = function Gen.Full -> 100 | Gen.Tiny -> 2
-
-(* Run deck element [i]: an exception is a failed job, and the result
-   must match the element's identity from the first time it ran. *)
-let run_job (inst : Flows.instance) tr ~expected i =
-  tr.Trace.job <- i;
-  let j0 = Trace.now () in
+(* Run deck element [i] with its own child sink: an exception is a
+   failed job, and the result must match the element's identity from
+   the first time it ran. *)
+let run_job (inst : Flows.instance) (pr : Flows.probe) ~expected i =
+  let sink = Telemetry.Sink.child pr.Flows.sink ~tid:i in
+  let j0 = Flows.now () in
   let o =
-    try inst.Flows.job tr i
+    try inst.Flows.job { pr with Flows.sink } i
     with e ->
       {
-        Flows.wall = Trace.now () -. j0;
+        Flows.wall = Flows.now () -. j0;
         failures = [ "exception: " ^ Printexc.to_string e ];
         hpwl = 0.0;
         routed_wl = 0;
@@ -75,57 +97,64 @@ let run_job (inst : Flows.instance) tr ~expected i =
         identity = "exception";
       }
   in
-  match expected.(i) with
+  Telemetry.Sink.absorb pr.Flows.sink sink;
+  match Hashtbl.find_opt expected i with
   | None ->
-      expected.(i) <- Some o.Flows.identity;
+      Hashtbl.replace expected i o.Flows.identity;
       o
   | Some id when String.equal id o.Flows.identity -> o
   | Some _ -> { o with Flows.failures = "replay differs" :: o.Flows.failures }
 
-(* Deck elements [first], [first + 1], ... on the open session, until
-   [budget] seconds have elapsed, every element up to [min_jobs] ran
-   and the jobs make whole cycles of the deck's size mix (or the deck
-   ends); then the session is closed. *)
-let run_phase (inst : Flows.instance) tr ~size ~first ~budget ~expected =
-  let t0 = Trace.now () in
-  let rec go i acc =
-    if
-      i >= inst.Flows.deck_len
-      || i > min_jobs size
-         && (i - first) mod inst.Flows.cycle = 0
-         && Trace.now () -. t0 >= budget
-    then List.rev acc
-    else go (i + 1) (run_job inst tr ~expected i :: acc)
+(* One pass: a fresh session runs deck elements 1 to [deck_len - 1]
+   once, in order. Every pass of a run does the same work, so each is a
+   replay of the first. *)
+let run_pass (inst : Flows.instance) pr ~expected =
+  inst.Flows.start pr;
+  let t0 = Flows.now () in
+  let outcomes =
+    Array.init (inst.Flows.deck_len - 1) (fun k -> run_job inst pr ~expected (k + 1))
   in
-  let outcomes = go first [] in
-  let wall = Trace.now () -. t0 in
-  inst.Flows.stop tr;
-  { first; outcomes; wall; tracer = tr }
+  let wall = Flows.now () -. t0 in
+  inst.Flows.stop pr;
+  (outcomes, wall)
+
+(* Passes until [min_passes] ran and another would overrun [budget]
+   seconds, going by the last pass's length. [fresh ()] sets the
+   workload up for each pass. *)
+let run_phase ~fresh pr ~budget ~min_passes ~expected =
+  let t0 = Flows.now () in
+  let rec go passes walls last =
+    if
+      List.length passes >= min_passes
+      && Flows.now () -. t0 +. last > budget
+    then { passes = List.rev passes; pass_walls = List.rev walls; probe = pr }
+    else
+      let outcomes, wall = run_pass (fresh ()) pr ~expected in
+      go (outcomes :: passes) (wall :: walls) wall
+  in
+  go [] [] 0.0
 
 (* Set-up: generate the inputs, open a session and run deck element 0
-   once, untimed. Returns the instance, still in its session, the
-   identity table the element started, and the seconds it took. *)
-let setup (w : workload) ~size ~seed ~out =
-  let t0 = Trace.now () in
+   (the same warm-up input for every seed) once. Returns the instance,
+   the seconds from start until the first job could run, and the
+   warm-up job's outcome; the warm-up session is then closed, untimed. *)
+let setup (w : workload) ~size ~seed ~out ~expected =
+  let t0 = Flows.now () in
   let inst = w.make ~size ~seed ~out in
-  let expected = Array.make inst.Flows.deck_len None in
-  let tr = Trace.create ~live:false in
-  inst.Flows.start tr;
-  ignore (run_job inst tr ~expected 0 : Flows.outcome);
-  (inst, expected, Trace.now () -. t0)
+  let pr = phase_probe ~live:false in
+  inst.Flows.start pr;
+  let warm_up = run_job inst pr ~expected 0 in
+  let dt = Flows.now () -. t0 in
+  inst.Flows.stop pr;
+  (inst, dt, warm_up)
 
-(* Set up [k] times and keep the last session open: set-up time is the
-   median, so one slow set-up does not move it. *)
-let setups w ~size ~seed ~out k =
-  let rec go k times =
-    let inst, expected, dt = setup w ~size ~seed ~out in
-    if k <= 1 then (inst, expected, Prelude.Stats.quantile (dt :: times) 0.5)
-    else begin
-      inst.Flows.stop (Trace.create ~live:false);
-      go (k - 1) (dt :: times)
-    end
-  in
-  go k []
+(* Set-ups before each pass; the pass runs on the last one. Set-up time
+   is the median of every set-up of the run's untraced passes, so it
+   samples the host across the run rather than in one burst: here the
+   same set-up took 25 ms or 41 ms depending on when it ran, switching
+   within a second. Each set-up starts from a compacted heap, so one
+   after a pass costs the same as one at process start. *)
+let setups_per_pass = 5
 
 let vm_hwm_mb () =
   try
@@ -153,34 +182,42 @@ let lookup name metrics =
 let is_miss (o : Flows.outcome) =
   o.Flows.served = "miss" || o.Flows.served = "evict-miss"
 
+let outcomes (p : phase) = List.concat_map Array.to_list p.passes
+
+(* Each element's fastest run over the phase's passes. The passes do the
+   same work, so the fastest is the one the host slowed least. *)
+let best (p : phase) =
+  List.fold_left
+    (Array.map2 (fun (a : Flows.outcome) (b : Flows.outcome) ->
+         if b.Flows.wall < a.Flows.wall then b else a))
+    (List.hd p.passes) (List.tl p.passes)
+  |> Array.to_list
+
 (* The end-to-end metrics, names and units as in BENCHMARK.json. *)
 let end_to_end ~setup_s (p : phase) =
-  let ws = walls p.outcomes in
+  let ws = walls (best p) in
   [
     ("setup_s", setup_s, "s");
     ("job_ms_p50", ms (q ws 0.5), "ms");
     ("job_ms_p90", ms (q ws 0.9), "ms");
-    ("jobs_per_s", float_of_int (List.length ws) /. p.wall, "jobs/s");
+    ( "jobs_per_s",
+      float_of_int (List.length ws) /. List.fold_left Float.min Float.infinity p.pass_walls,
+      "jobs/s" );
     ("max_rss_mb", vm_hwm_mb (), "MB");
   ]
 
-(* Outcome summaries of a phase: quality sums over deck elements 1 to
-   [min_jobs], which every phase runs (deterministic per seed), and
-   the service's hit/miss split. *)
-let summary ~size ~failed ~attempted (p : phase) =
-  let first =
-    List.filteri
-      (fun k _ -> p.first + k >= 1 && p.first + k <= min_jobs size)
-      p.outcomes
-  in
-  let served tag = List.filter (fun (o : Flows.outcome) -> o.Flows.served = tag) p.outcomes in
-  let hits = served "hit" and misses = List.filter is_miss p.outcomes in
-  let n = List.length p.outcomes in
+(* Outcome summaries of a phase: quality sums over one pass
+   (deterministic per seed), and the service's hit/miss split. *)
+let summary ~failed ~attempted (p : phase) =
+  let pass = Array.to_list (List.hd p.passes) and best = best p in
+  let served tag = List.filter (fun (o : Flows.outcome) -> o.Flows.served = tag) best in
+  let hits = served "hit" and misses = List.filter is_miss best in
+  let n = List.length pass in
   [
     ("jobs", float_of_int n, "count");
-    ("hpwl_sum", List.fold_left (fun a (o : Flows.outcome) -> a +. o.Flows.hpwl) 0.0 first, "units");
+    ("hpwl_sum", List.fold_left (fun a (o : Flows.outcome) -> a +. o.Flows.hpwl) 0.0 pass, "units");
     ( "routed_wl_sum",
-      float_of_int (List.fold_left (fun a (o : Flows.outcome) -> a + o.Flows.routed_wl) 0 first),
+      float_of_int (List.fold_left (fun a (o : Flows.outcome) -> a + o.Flows.routed_wl) 0 pass),
       "cells" );
     ("fail_ratio", float_of_int failed /. float_of_int (max 1 attempted), "ratio");
     ("hit_ratio", float_of_int (List.length hits) /. float_of_int (max 1 n), "ratio");
@@ -188,22 +225,34 @@ let summary ~size ~failed ~attempted (p : phase) =
     ("miss_ms_p50", ms (q (walls misses) 0.5), "ms");
   ]
 
+(* The traced phase's stage spans: seconds per stage name, and their
+   total. *)
+let stage_totals root =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Telemetry.Tracer.span) ->
+      let name = s.Telemetry.Tracer.name in
+      Hashtbl.replace tbl name
+        (s.Telemetry.Tracer.dur +. Option.value ~default:0.0 (Hashtbl.find_opt tbl name)))
+    (Telemetry.Sink.spans root);
+  (tbl, Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0.0)
+
 let per_layer ~(u : phase) ~(t : phase) =
-  let tr = t.tracer in
-  let stages = Trace.stage_totals tr in
+  let stages, stage_sum = stage_totals t.probe.Flows.sink in
+  let sum key = Option.value ~default:0.0 (Hashtbl.find_opt t.probe.Flows.sums key) in
   let stage name = Option.value ~default:0.0 (Hashtbl.find_opt stages name) in
-  let n = float_of_int (max 1 (List.length t.outcomes)) in
-  let per_job key = Trace.sum tr key /. n in
+  let n = float_of_int (max 1 (List.length (outcomes t))) in
+  let per_job key = sum key /. n in
   let us_per_job name = 1e6 *. stage name /. n in
   (* annealing jobs: every flow job, the service's misses *)
   let annealed =
     List.filter
       (fun (o : Flows.outcome) -> o.Flows.served = "" || is_miss o)
-      t.outcomes
+      (outcomes t)
   in
   let na = float_of_int (max 1 (List.length annealed)) in
   let place_s =
-    if Hashtbl.mem stages "place" then stage "place" else Trace.sum tr "span.sa.round"
+    if Hashtbl.mem stages "place" then stage "place" else sum "span.sa.round"
   in
   let moves_accepted, moves_total =
     Hashtbl.fold
@@ -212,25 +261,25 @@ let per_layer ~(u : phase) ~(t : phase) =
           if String.ends_with ~suffix:".accept" key then (a +. v, tot +. v)
           else (a, tot +. v)
         else (a, tot))
-      tr.Trace.sums (0.0, 0.0)
+      t.probe.Flows.sums (0.0, 0.0)
   in
   let ratio a b = if b > 0.0 then a /. b else 0.0 in
-  let pops = Trace.sum tr "route.heap_pops" in
+  let pops = sum "route.heap_pops" in
   let reported tag =
     List.filter_map
       (fun (o : Flows.outcome) ->
         if o.Flows.served = tag then Some (float_of_int o.Flows.reported_us) else None)
-      u.outcomes
+      (outcomes u)
   in
   let client_wait =
     List.filter_map
       (fun (o : Flows.outcome) ->
         if o.Flows.served = "" then None
         else Some ((1e6 *. o.Flows.wall) -. float_of_int o.Flows.reported_us))
-      u.outcomes
+      (outcomes u)
   in
-  let wall_t = List.fold_left ( +. ) 0.0 (walls t.outcomes) in
-  let misses = float_of_int (max 1 (List.length (List.filter is_miss t.outcomes))) in
+  let wall_t = List.fold_left ( +. ) 0.0 (walls (outcomes t)) in
+  let misses = float_of_int (max 1 (List.length (List.filter is_miss (outcomes t)))) in
   [
     ("netlist.parse_us", us_per_job "parse", "us");
     ("netlist.recognize_us", us_per_job "recognize", "us");
@@ -241,14 +290,14 @@ let per_layer ~(u : phase) ~(t : phase) =
     ("analysis.verify_errors", per_job "analysis.verify_errors", "count");
     ("analysis.unmet_obligations", per_job "analysis.unmet_obligations", "count");
     ("anneal.place_ms", 1e3 *. place_s /. na, "ms");
-    ("anneal.moves", Trace.sum tr "anneal.moves" /. na, "count");
-    ("anneal.moves_per_s", ratio (Trace.sum tr "anneal.moves") place_s, "1/s");
-    ("anneal.rounds", Trace.sum tr "anneal.rounds" /. na, "count");
+    ("anneal.moves", sum "anneal.moves" /. na, "count");
+    ("anneal.moves_per_s", ratio (sum "anneal.moves") place_s, "1/s");
+    ("anneal.rounds", sum "anneal.rounds" /. na, "count");
     ("anneal.accept_ratio", ratio moves_accepted moves_total, "ratio");
-    ("placer.eval_pack_us", 1e6 *. Trace.sum tr "span.eval.pack" /. na, "us");
-    ("placer.eval_hpwl_us", 1e6 *. Trace.sum tr "span.eval.hpwl" /. na, "us");
-    ("placer.eval_compose_us", 1e6 *. Trace.sum tr "span.eval.compose" /. na, "us");
-    ("placer.pack_share", ratio (Trace.sum tr "span.eval.pack") place_s, "ratio");
+    ("placer.eval_pack_us", 1e6 *. sum "span.eval.pack" /. na, "us");
+    ("placer.eval_hpwl_us", 1e6 *. sum "span.eval.hpwl" /. na, "us");
+    ("placer.eval_compose_us", 1e6 *. sum "span.eval.compose" /. na, "us");
+    ("placer.pack_share", ratio (sum "span.eval.pack") place_s, "ratio");
     ("route.route_ms", 1e3 *. stage "route" /. n, "ms");
     ("route.iterations", per_job "route.iterations", "count");
     ("route.heap_pops", per_job "route.heap_pops", "count");
@@ -256,27 +305,29 @@ let per_layer ~(u : phase) ~(t : phase) =
     ("route.pops_per_ms", ratio pops (1e3 *. stage "route"), "1/ms");
     ("route.overflow", per_job "route.overflow", "count");
     ("route.failed_nets", per_job "route.failed_nets", "count");
-    ("service.hits", Trace.sum tr "service.hits", "count");
-    ("service.misses", Trace.sum tr "service.misses", "count");
-    ("service.neg_hits", Trace.sum tr "service.neg_hits", "count");
-    ("service.verify_evictions", Trace.sum tr "service.verify_evictions", "count");
+    ("service.hits", sum "service.hits", "count");
+    ("service.misses", sum "service.misses", "count");
+    ("service.neg_hits", sum "service.neg_hits", "count");
+    ("service.verify_evictions", sum "service.verify_evictions", "count");
     ( "service.lru_evictions",
-      Trace.sum tr "service.evictions" -. Trace.sum tr "service.verify_evictions",
+      sum "service.evictions" -. sum "service.verify_evictions",
       "count" );
     ("service.reported_us.hit", q (reported "hit") 0.5, "us");
     ("service.reported_us.miss", q (reported "miss") 0.5, "us");
     ("service.reported_us.infeasible", q (reported "infeasible") 0.5, "us");
     ("service.client_wait_us", q client_wait 0.5, "us");
-    ("service.miss_moves", Trace.sum tr "service.miss_moves" /. misses, "count");
+    ("service.miss_moves", sum "service.miss_moves" /. misses, "count");
     ("telemetry.ledger_append_us", 1e6 *. per_job "ledger.append", "us");
     ("telemetry.ledger_bytes", per_job "ledger.bytes", "bytes");
     ( "bench.stage_gap_pct",
-      100.0 *. ratio (wall_t -. Trace.stage_sum tr) wall_t,
+      100.0 *. ratio (wall_t -. stage_sum) wall_t,
       "%" );
     ( "bench.trace_overhead_pct",
-      100.0 *. (ratio (q (walls t.outcomes) 0.5) (q (walls u.outcomes) 0.5) -. 1.0),
+      100.0 *. (ratio (q (walls (best t)) 0.5) (q (walls (best u)) 0.5) -. 1.0),
       "%" );
-    ("bench.dropped_spans", Trace.sum tr "span.dropped", "count");
+    ( "bench.dropped_spans",
+      sum "span.dropped" +. float_of_int (Telemetry.Sink.dropped_spans t.probe.Flows.sink),
+      "count" );
   ]
 
 (* ---- one run ---------------------------------------------------------- *)
@@ -296,9 +347,9 @@ let rec mkdir_p dir =
   end
 
 (* Where the traced jobs' time went, largest stage first. *)
-let stage_shares tr =
-  let total = Trace.stage_sum tr in
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) (Trace.stage_totals tr) []
+let stage_shares root =
+  let stages, total = stage_totals root in
+  Hashtbl.fold (fun name v acc -> (name, v) :: acc) stages []
   |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
   |> List.map (fun (name, v) -> sprintf "%s %.1f%%" name (100.0 *. v /. total))
   |> String.concat ", "
@@ -310,40 +361,52 @@ let max_stage_gap_pct = 5.0
 
 let run (w : workload) ~size ~seed ~seconds ~trace ~out =
   mkdir_p out;
-  let inst, expected, setup_s = setups w ~size ~seed ~out 5 in
-  let dead = Trace.create ~live:false in
-  let budget = if trace then seconds /. 2.0 else seconds in
-  let u = run_phase inst dead ~size ~first:1 ~budget ~expected in
-  let t, replays =
-    if trace then begin
-      (* the same deck from element 0 on a fresh, traced session *)
-      let tr = Trace.create ~live:true in
-      inst.Flows.start tr;
-      (Some (run_phase inst tr ~size ~first:0 ~budget ~expected), [])
-    end
-    else begin
-      (* replay the first elements on a fresh session, untimed *)
-      inst.Flows.start dead;
-      let replays = List.map (run_job inst dead ~expected) [ 0; 1 ] in
-      inst.Flows.stop dead;
-      (None, replays)
-    end
+  let expected = Hashtbl.create 256 in
+  let setup_times = ref [] and warm_ups = ref [] and last = ref None in
+  let fresh () =
+    for _ = 1 to setups_per_pass do
+      Gc.compact ();
+      let inst, dt, warm_up = setup w ~size ~seed ~out ~expected in
+      setup_times := dt :: !setup_times;
+      warm_ups := warm_up :: !warm_ups;
+      last := Some inst
+    done;
+    Option.get !last
   in
+  (* untraced: two passes at least, so every job is replayed and has a
+     fastest run; traced: one untraced and one traced pass at least,
+     over the same elements *)
+  let u =
+    run_phase ~fresh (phase_probe ~live:false)
+      ~budget:(if trace then seconds /. 2.0 else seconds)
+      ~min_passes:(if trace then 1 else 2) ~expected
+  in
+  let setup_s = Prelude.Stats.quantile !setup_times 0.5 in
+  let t =
+    if trace then
+      Some
+        (run_phase ~fresh (phase_probe ~live:true) ~budget:(seconds /. 2.0)
+           ~min_passes:1 ~expected)
+    else None
+  in
+  let inst = Option.get !last in
   let phases = u :: Option.to_list t in
   List.iter
     (fun p ->
-      Printf.eprintf "%s phase: %d jobs in %.2f s, p50 %.3f ms, p90 %.3f ms\n%!"
-        (if p.tracer.Trace.live then "traced" else "untraced")
-        (List.length p.outcomes) p.wall
-        (ms (q (walls p.outcomes) 0.5))
-        (ms (q (walls p.outcomes) 0.9)))
+      Printf.eprintf "%s phase: %d passes of %d jobs (%s s), fastest runs p50 %.3f ms, p90 %.3f ms\n%!"
+        (if Flows.traced p.probe then "traced" else "untraced")
+        (List.length p.passes)
+        (Array.length (List.hd p.passes))
+        (String.concat " " (List.map (sprintf "%.2f") p.pass_walls))
+        (ms (q (walls (best p)) 0.5))
+        (ms (q (walls (best p)) 0.9)))
     phases;
-  let outcomes = List.concat_map (fun p -> p.outcomes) phases @ replays in
-  let failing = List.filter (fun (o : Flows.outcome) -> o.Flows.failures <> []) outcomes in
+  let all = !warm_ups @ List.concat_map outcomes phases in
+  let failing = List.filter (fun (o : Flows.outcome) -> o.Flows.failures <> []) all in
   let finish = inst.Flows.finish () in
-  let attempted = List.length outcomes in
+  let attempted = List.length all in
   let failed = List.length failing + List.length finish in
-  let sums = summary ~size ~failed ~attempted u in
+  let sums = summary ~failed ~attempted u in
   let notes =
     List.map (fun m -> "end of run: " ^ m) finish
     @ List.filteri
@@ -365,27 +428,31 @@ let run (w : workload) ~size ~seed ~seconds ~trace ~out =
       let layers = per_layer ~u ~t @ sums in
       let gap = lookup "bench.stage_gap_pct" layers in
       let gap_ok = Float.abs gap <= max_stage_gap_pct in
-      (match open_out_bin (Filename.concat out (sprintf "trace-%s-%d.json" w.name seed)) with
-      | oc ->
-          output_string oc (Trace.chrome_json t.tracer);
-          close_out oc
-      | exception Sys_error _ -> ());
-      let traced_sums = summary ~size ~failed ~attempted t in
+      (* an evicted span leaves the eval.* sums or the stage spans short *)
+      let dropped = lookup "bench.dropped_spans" layers in
+      ignore
+        (Telemetry.Export.write_file
+           ~path:(Filename.concat out (sprintf "trace-%s-%d.json" w.name seed))
+           (Telemetry.Export.chrome_json t.probe.Flows.sink)
+          : (unit, string) Stdlib.result);
+      let traced_sums = summary ~failed ~attempted t in
       let identical =
         List.for_all
           (fun m -> lookup m traced_sums = lookup m sums)
           [ "hpwl_sum"; "routed_wl_sum" ]
       in
       {
-        correct = failed = 0 && gap_ok && identical;
+        correct = failed = 0 && gap_ok && dropped = 0.0 && identical;
         attempted;
         failed;
         metrics = layers;
         notes =
           notes
-          @ [ stage_shares t.tracer ]
+          @ [ stage_shares t.probe.Flows.sink ]
           @ (if gap_ok then []
              else [ sprintf "stage spans miss %.1f%% of job time" gap ])
+          @ (if dropped = 0.0 then []
+             else [ sprintf "%.0f spans evicted before they were read" dropped ])
           @
           if identical then []
           else [ "traced and untraced hpwl_sum / routed_wl_sum differ" ];
@@ -476,7 +543,8 @@ let smoke spec_path ~out =
   in
   let route seed =
     Array.map
-      (fun (b : Netlist.Benchmarks.bench) -> Netlist.Circuit.digest b.Netlist.Benchmarks.circuit)
+      (fun (j : Netlist.Benchmarks.bench Gen.job) ->
+        (Netlist.Circuit.digest j.Gen.input.Netlist.Benchmarks.circuit, j.Gen.anneal_seed))
       (Gen.route_deck ~size:Gen.Full ~seed)
   in
   let sym seed = Gen.sym_deck ~size:Gen.Full ~seed in
