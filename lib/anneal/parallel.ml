@@ -75,68 +75,34 @@ let record_chain_qor tel ?engine ~mode ~best_cost ~rounds ~evaluated () =
          ~wall_s:wall ~sa_rounds:rounds ~evaluated ())
   end
 
-(* The functional/mutable split is a handful of function pointers; the
-   two mode drivers below are written once against this record. *)
-type ('c, 'a) ops = {
-  finished : 'c -> bool;
-  step : 'c -> unit;
-  best_cost : 'c -> float;
-  best_view : 'c -> 'a;  (* borrowed: winner's snapshot for exchange *)
-  best_owned : 'c -> 'a;  (* safe to retain: immutable or fresh copy *)
-  adopt : 'c -> state:'a -> cost:float -> unit;
-  outcome : 'c -> 'a Sa.outcome;
-}
-
-let functional_ops =
-  {
-    finished = Sa.finished;
-    step = Sa.step_round;
-    best_cost = Sa.best_cost;
-    best_view = Sa.best;
-    best_owned = Sa.best;
-    adopt = Sa.adopt;
-    outcome = Sa.outcome_of_chain;
-  }
-
-let mutable_ops =
-  {
-    finished = Sa.mfinished;
-    step = Sa.mstep_round;
-    best_cost = Sa.mbest_cost;
-    best_view = Sa.mbest;
-    best_owned = Sa.mbest_copy;
-    adopt = Sa.madopt;
-    outcome = Sa.moutcome_of_chain;
-  }
-
-let best_index ops chains =
+let best_index chains =
   let bi = ref 0 in
   Array.iteri
-    (fun i c -> if ops.best_cost c < ops.best_cost chains.(!bi) then bi := i)
+    (fun i c -> if Sa.best_cost c < Sa.best_cost chains.(!bi) then bi := i)
     chains;
   !bi
 
 (* Advance chain [i] by up to [slice] rounds, recording the slice span
    and bumping the chain's accumulated slice wall-time counter. *)
-let advance_slice ops ~slice ~tel ~slice_us c =
+let advance_slice ~slice ~tel ~slice_us c =
   let t0 = Telemetry.Sink.span_begin tel in
   let budget = ref slice in
-  while !budget > 0 && not (ops.finished c) do
-    ops.step c;
+  while !budget > 0 && not (Sa.finished c) do
+    Sa.step_round c;
     decr budget
   done;
   let t1 = Telemetry.Sink.lap tel "chain.slice" t0 in
   Telemetry.Counter.add slice_us (int_of_float ((t1 -. t0) *. 1e6))
 
-let finish ops ?engine ~mode ~check ~telemetry ~tels chains =
-  let outcomes = Array.map ops.outcome chains in
+let finish ?engine ~mode ~check ~telemetry ~tels chains =
+  let outcomes = Array.map Sa.outcome_of_chain chains in
   Array.iteri
     (fun i (o : _ Sa.outcome) ->
       record_chain_qor tels.(i) ?engine ~mode ~best_cost:o.Sa.best_cost
         ~rounds:o.Sa.rounds ~evaluated:o.Sa.evaluated ())
     outcomes;
   Array.iter (Telemetry.Sink.absorb telemetry) tels;
-  let winner = best_index ops chains in
+  let winner = best_index chains in
   check outcomes.(winner).Sa.best;
   {
     best = outcomes.(winner).Sa.best;
@@ -156,18 +122,18 @@ let on_pool ?pool ~workers f =
    is created once per run (satellite of ISSUE 6: no more per-slice
    Domain.spawn/join churn); each Pool.run is a full barrier, so the
    exchange reduction happens-after every chain's slice. *)
-let deterministic ops ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
+let deterministic ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
     chains =
   let k = Array.length chains in
   let exchanges = Telemetry.Sink.counter telemetry "parallel.exchanges" in
-  let unfinished () = Array.exists (fun c -> not (ops.finished c)) chains in
+  let unfinished () = Array.exists (fun c -> not (Sa.finished c)) chains in
   on_pool ?pool ~workers @@ fun pool ->
   let workers = Pool.workers pool in
   let jobs =
     Array.init workers (fun d () ->
         for i = 0 to k - 1 do
           if i mod workers = d then
-            advance_slice ops ~slice ~tel:tels.(i) ~slice_us:slice_us.(i)
+            advance_slice ~slice ~tel:tels.(i) ~slice_us:slice_us.(i)
               chains.(i)
         done)
   in
@@ -175,10 +141,10 @@ let deterministic ops ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
     let t_slice = Telemetry.Sink.span_begin telemetry in
     Pool.run pool jobs;
     let t_ex = Telemetry.Sink.lap telemetry "parallel.slice" t_slice in
-    let b = chains.(best_index ops chains) in
-    let state = ops.best_view b and cost = ops.best_cost b in
+    let b = chains.(best_index chains) in
+    let state = Sa.best b and cost = Sa.best_cost b in
     check state;
-    Array.iter (fun c -> ops.adopt c ~state ~cost) chains;
+    Array.iter (fun c -> Sa.adopt c ~state ~cost) chains;
     Telemetry.Counter.incr exchanges;
     Telemetry.Sink.span_end telemetry "parallel.exchange" t_ex
   done
@@ -188,7 +154,7 @@ let deterministic ops ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
    run before any other chain can adopt it); the epilogue publish
    guarantees every chain's final best reaches the elite pool even
    when it never improved mid-run. *)
-let async ops ?pool ~workers ~slice ~check ~tels ~slice_us chains =
+let async ?pool ~workers ~slice ~check ~tels ~slice_us chains =
   let k = Array.length chains in
   let elite = Elite.create ~stripes:(min 8 k) () in
   let publishes =
@@ -208,10 +174,10 @@ let async ops ?pool ~workers ~slice ~check ~tels ~slice_us chains =
     let c = chains.(i) in
     let last_published = ref infinity in
     let publish () =
-      let bc = ops.best_cost c in
+      let bc = Sa.best_cost c in
       if bc < !last_published then begin
         last_published := bc;
-        let state = ops.best_owned c in
+        let state = Sa.best_copy c in
         check state;
         let improved = Elite.publish elite ~origin:i ~cost:bc state in
         (* the parent counter is bumped only after the drain, by the
@@ -220,12 +186,12 @@ let async ops ?pool ~workers ~slice ~check ~tels ~slice_us chains =
         Telemetry.Counter.incr publishes.(i)
       end
     in
-    while not (ops.finished c) && not (Pool.failed pool) do
-      advance_slice ops ~slice ~tel:tels.(i) ~slice_us:slice_us.(i) c;
+    while not (Sa.finished c) && not (Pool.failed pool) do
+      advance_slice ~slice ~tel:tels.(i) ~slice_us:slice_us.(i) c;
       publish ();
-      match Elite.pull elite ~than:(ops.best_cost c) with
+      match Elite.pull elite ~than:(Sa.best_cost c) with
       | Some e ->
-          ops.adopt c ~state:e.Elite.state ~cost:e.Elite.cost;
+          Sa.adopt c ~state:e.Elite.state ~cost:e.Elite.cost;
           Telemetry.Counter.incr pulls.(i)
       | None -> ()
     done;
@@ -236,8 +202,8 @@ let async ops ?pool ~workers ~slice ~check ~tels ~slice_us chains =
   done;
   Pool.drain pool
 
-let launch ops start ~mode ?pool ?workers ?(exchange_every = 32)
-    ?(check = ignore) ?(telemetry = Telemetry.Sink.null) ?engine ~seeds
+let run ?(mode = `Deterministic) ?pool ?workers ?(exchange_every = 32)
+    ?(check = ignore) ?(telemetry = Telemetry.Sink.null) ?engine ~seeds params
     problem_of =
   if seeds = [] then invalid_arg "Parallel: empty seed list";
   let seeds = Array.of_list seeds in
@@ -261,40 +227,14 @@ let launch ops start ~mode ?pool ?workers ?(exchange_every = 32)
            from the stream first, then [start] estimates t0 — the same
            order as the sequential placers *)
         let problem = problem_of tels.(i) rng in
-        start tels.(i) rng problem)
+        Sa.start ~telemetry:tels.(i) ~rng params problem)
   in
   (match mode with
   | `Deterministic ->
-      deterministic ops ?pool ~workers ~slice ~check ~telemetry ~tels
-        ~slice_us chains
-  | `Async -> async ops ?pool ~workers ~slice ~check ~tels ~slice_us chains);
+      deterministic ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
+        chains
+  | `Async -> async ?pool ~workers ~slice ~check ~tels ~slice_us chains);
   let mode_label =
     match mode with `Deterministic -> "deterministic" | `Async -> "async"
   in
-  finish ops ?engine ~mode:mode_label ~check ~telemetry ~tels chains
-
-let start_functional params tel rng problem =
-  Sa.start ~telemetry:tel ~rng params problem
-
-let start_mutable params tel rng problem =
-  Sa.mstart ~telemetry:tel ~rng params problem
-
-let run ?pool ?workers ?exchange_every ?check ?telemetry ?engine ~seeds params
-    problem_of =
-  launch functional_ops (start_functional params) ~mode:`Deterministic ?pool
-    ?workers ?exchange_every ?check ?telemetry ?engine ~seeds problem_of
-
-let run_mutable ?pool ?workers ?exchange_every ?check ?telemetry ?engine
-    ~seeds params problem_of =
-  launch mutable_ops (start_mutable params) ~mode:`Deterministic ?pool
-    ?workers ?exchange_every ?check ?telemetry ?engine ~seeds problem_of
-
-let run_async ?pool ?workers ?exchange_every ?check ?telemetry ?engine ~seeds
-    params problem_of =
-  launch functional_ops (start_functional params) ~mode:`Async ?pool ?workers
-    ?exchange_every ?check ?telemetry ?engine ~seeds problem_of
-
-let run_mutable_async ?pool ?workers ?exchange_every ?check ?telemetry ?engine
-    ~seeds params problem_of =
-  launch mutable_ops (start_mutable params) ~mode:`Async ?pool ?workers
-    ?exchange_every ?check ?telemetry ?engine ~seeds problem_of
+  finish ?engine ~mode:mode_label ~check ~telemetry ~tels chains

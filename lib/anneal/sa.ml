@@ -1,8 +1,27 @@
 type 'a problem = {
-  init : 'a;
-  neighbor : Prelude.Rng.t -> 'a -> 'a;
+  state : 'a;
+  propose : Prelude.Rng.t -> 'a -> unit;
+  undo : 'a -> unit;
   cost : 'a -> float;
+  copy : 'a -> 'a;
+  blit : src:'a -> dst:'a -> unit;
 }
+
+(* A persistent neighbor never mutates its argument, so a rejected
+   move is undone by putting the pre-propose value back. *)
+let persistent ~init ~neighbor ~cost =
+  let saved = ref init in
+  {
+    state = ref init;
+    propose =
+      (fun rng r ->
+        saved := !r;
+        r := neighbor rng !r);
+    undo = (fun r -> r := !saved);
+    cost = (fun r -> cost !r);
+    copy = (fun r -> ref !r);
+    blit = (fun ~src ~dst -> dst := !src);
+  }
 
 type params = {
   initial_temperature : float option;
@@ -31,17 +50,19 @@ type 'a outcome = {
   evaluated : int;
 }
 
-let estimate_t0 ~rng problem ~samples =
-  let state = ref problem.init in
-  let cost = ref (problem.cost !state) in
+let estimate_t0 ~rng p ~samples =
+  (* walk accepting everything and take the spread of the cost deltas,
+     then restore the working state *)
+  let snapshot = p.copy p.state in
+  let cost = ref (p.cost p.state) in
   let deltas = ref [] in
   for _ = 1 to samples do
-    let next = problem.neighbor rng !state in
-    let c = problem.cost next in
+    p.propose rng p.state;
+    let c = p.cost p.state in
     deltas := Float.abs (c -. !cost) :: !deltas;
-    state := next;
     cost := c
   done;
+  p.blit ~src:snapshot ~dst:p.state;
   let sd = Prelude.Stats.stddev !deltas in
   Float.max 1e-6 (if sd > 0.0 then sd else Prelude.Stats.mean !deltas)
 
@@ -52,14 +73,13 @@ let estimate_t0 ~rng problem ~samples =
    step until finished. *)
 type 'a chain = {
   params : params;
-  problem : 'a problem;
+  p : 'a problem;
   rng : Prelude.Rng.t;
   tel : Telemetry.Sink.t;
   acc_hist : Telemetry.Hist.t; (* resolved once; dead handle when off *)
   mutable temperature : float;
-  mutable current : 'a;
   mutable current_cost : float;
-  mutable best : 'a;
+  best_state : 'a; (* private snapshot buffer, only ever blitted into *)
   mutable best_cost : float;
   mutable round : int;
   mutable frozen : int;
@@ -67,23 +87,22 @@ type 'a chain = {
   mutable evaluated : int;
 }
 
-let start ?(telemetry = Telemetry.Sink.null) ~rng params problem =
+let start ?(telemetry = Telemetry.Sink.null) ~rng params p =
   let t0 =
     match params.initial_temperature with
     | Some t -> t
-    | None -> 20.0 *. estimate_t0 ~rng problem ~samples:64
+    | None -> 20.0 *. estimate_t0 ~rng p ~samples:64
   in
-  let cost = problem.cost problem.init in
+  let cost = p.cost p.state in
   {
     params;
-    problem;
+    p;
     rng;
     tel = telemetry;
     acc_hist = Telemetry.Sink.histogram telemetry "sa.acceptance";
     temperature = t0;
-    current = problem.init;
     current_cost = cost;
-    best = problem.init;
+    best_state = p.copy p.state;
     best_cost = cost;
     round = 0;
     frozen = 0;
@@ -103,10 +122,11 @@ let step_round c =
        null sink every call below is one predictable branch. *)
     let t0 = Telemetry.Sink.span_begin c.tel in
     let mv = Telemetry.Sink.moves c.tel in
+    let p = c.p in
     let accepted = ref 0 and improved = ref false in
     for _ = 1 to c.params.moves_per_round do
-      let next = c.problem.neighbor c.rng c.current in
-      let cost = c.problem.cost next in
+      p.propose c.rng p.state;
+      let cost = p.cost p.state in
       c.evaluated <- c.evaluated + 1;
       let delta = cost -. c.current_cost in
       let accept =
@@ -115,17 +135,19 @@ let step_round c =
       in
       if accept then begin
         Telemetry.Moves.accept mv;
-        c.current <- next;
         c.current_cost <- cost;
         incr accepted;
         c.accepted_total <- c.accepted_total + 1;
         if cost < c.best_cost then begin
-          c.best <- next;
+          p.blit ~src:p.state ~dst:c.best_state;
           c.best_cost <- cost;
           improved := true
         end
       end
-      else Telemetry.Moves.reject mv
+      else begin
+        Telemetry.Moves.reject mv;
+        p.undo p.state
+      end
     done;
     let acceptance =
       float_of_int !accepted /. float_of_int c.params.moves_per_round
@@ -143,183 +165,32 @@ let step_round c =
     Telemetry.Sink.span_end c.tel "sa.round" t0
   end
 
+let best c = c.best_state
 let best_cost c = c.best_cost
-let best c = c.best
+let best_copy c = c.p.copy c.best_state
 
 let adopt c ~state ~cost =
+  (* strict improvement only, so offering a chain its own best buffer
+     never blits a buffer onto itself *)
   if cost < c.best_cost then begin
-    c.best <- state;
+    c.p.blit ~src:state ~dst:c.best_state;
+    c.p.blit ~src:state ~dst:c.p.state;
     c.best_cost <- cost;
-    c.current <- state;
     c.current_cost <- cost
   end
 
 let outcome_of_chain c =
   {
-    best = c.best;
+    best = c.p.copy c.best_state;
     best_cost = c.best_cost;
     rounds = c.round;
     accepted = c.accepted_total;
     evaluated = c.evaluated;
   }
 
-let run ?telemetry ~rng params problem =
-  let c = start ?telemetry ~rng params problem in
+let run ?telemetry ~rng params p =
+  let c = start ?telemetry ~rng params p in
   while not (finished c) do
     step_round c
   done;
   outcome_of_chain c
-
-(* ------------------------------------------------------------------ *)
-(* In-place variant. The functional engine above copies a state per
-   accepted move and relies on persistence for rejection (the old state
-   is simply kept). Arena-backed placers ({!Placer.Eval}) want the
-   opposite contract: one working state mutated by [propose], reverted
-   by [undo] on rejection, and snapshotted only when a new best
-   appears. Control flow — Metropolis test, schedule, freezing — is
-   identical to the functional engine line for line. *)
-
-type 'a mproblem = {
-  state : 'a;
-  propose : Prelude.Rng.t -> 'a -> unit;
-  undo : 'a -> unit;
-  cost : 'a -> float;
-  copy : 'a -> 'a;
-  blit : src:'a -> dst:'a -> unit;
-}
-
-let estimate_mt0 ~rng (p : 'a mproblem) ~samples =
-  (* same heuristic as [estimate_t0]: walk accepting everything and
-     take the spread of the cost deltas — then restore the state, which
-     the functional engine gets for free from persistence *)
-  let snapshot = p.copy p.state in
-  let cost = ref (p.cost p.state) in
-  let deltas = ref [] in
-  for _ = 1 to samples do
-    p.propose rng p.state;
-    let c = p.cost p.state in
-    deltas := Float.abs (c -. !cost) :: !deltas;
-    cost := c
-  done;
-  p.blit ~src:snapshot ~dst:p.state;
-  let sd = Prelude.Stats.stddev !deltas in
-  Float.max 1e-6 (if sd > 0.0 then sd else Prelude.Stats.mean !deltas)
-
-type 'a mchain = {
-  mparams : params;
-  mp : 'a mproblem;
-  mrng : Prelude.Rng.t;
-  mtel : Telemetry.Sink.t;
-  macc_hist : Telemetry.Hist.t;
-  mutable mtemperature : float;
-  mutable mcurrent_cost : float;
-  mbest_state : 'a;  (* private snapshot buffer, only ever blitted into *)
-  mutable m_best_cost : float;
-  mutable mround : int;
-  mutable mfrozen : int;
-  mutable maccepted_total : int;
-  mutable mevaluated : int;
-}
-
-let mstart ?(telemetry = Telemetry.Sink.null) ~rng params (p : 'a mproblem) =
-  let t0 =
-    match params.initial_temperature with
-    | Some t -> t
-    | None -> 20.0 *. estimate_mt0 ~rng p ~samples:64
-  in
-  let cost = p.cost p.state in
-  {
-    mparams = params;
-    mp = p;
-    mrng = rng;
-    mtel = telemetry;
-    macc_hist = Telemetry.Sink.histogram telemetry "sa.acceptance";
-    mtemperature = t0;
-    mcurrent_cost = cost;
-    mbest_state = p.copy p.state;
-    m_best_cost = cost;
-    mround = 0;
-    mfrozen = 0;
-    maccepted_total = 0;
-    mevaluated = 0;
-  }
-
-let mfinished c =
-  c.mround >= c.mparams.max_rounds
-  || c.mtemperature <= c.mparams.final_temperature
-  || c.mfrozen >= c.mparams.frozen_rounds
-
-let mstep_round c =
-  if not (mfinished c) then begin
-    let t0 = Telemetry.Sink.span_begin c.mtel in
-    let mv = Telemetry.Sink.moves c.mtel in
-    let p = c.mp in
-    let accepted = ref 0 and improved = ref false in
-    for _ = 1 to c.mparams.moves_per_round do
-      p.propose c.mrng p.state;
-      let cost = p.cost p.state in
-      c.mevaluated <- c.mevaluated + 1;
-      let delta = cost -. c.mcurrent_cost in
-      let accept =
-        delta <= 0.0
-        || Prelude.Rng.float c.mrng 1.0 < exp (-.delta /. c.mtemperature)
-      in
-      if accept then begin
-        Telemetry.Moves.accept mv;
-        c.mcurrent_cost <- cost;
-        incr accepted;
-        c.maccepted_total <- c.maccepted_total + 1;
-        if cost < c.m_best_cost then begin
-          p.blit ~src:p.state ~dst:c.mbest_state;
-          c.m_best_cost <- cost;
-          improved := true
-        end
-      end
-      else begin
-        Telemetry.Moves.reject mv;
-        p.undo p.state
-      end
-    done;
-    let acceptance =
-      float_of_int !accepted /. float_of_int c.mparams.moves_per_round
-    in
-    Telemetry.Hist.observe c.macc_hist acceptance;
-    Telemetry.Sink.sample c.mtel ~round:c.mround ~temperature:c.mtemperature
-      ~acceptance ~best_cost:c.m_best_cost;
-    c.mtemperature <-
-      Schedule.next c.mparams.schedule ~temperature:c.mtemperature ~acceptance;
-    c.mfrozen <-
-      (if acceptance < 0.02 && not !improved then c.mfrozen + 1 else 0);
-    c.mround <- c.mround + 1;
-    Telemetry.Sink.span_end c.mtel "sa.round" t0
-  end
-
-let mbest c = c.mbest_state
-let mbest_cost c = c.m_best_cost
-let mbest_copy c = c.mp.copy c.mbest_state
-
-let madopt c ~state ~cost =
-  (* strict improvement only, so offering a chain its own best buffer
-     never blits a buffer onto itself *)
-  if cost < c.m_best_cost then begin
-    c.mp.blit ~src:state ~dst:c.mbest_state;
-    c.mp.blit ~src:state ~dst:c.mp.state;
-    c.m_best_cost <- cost;
-    c.mcurrent_cost <- cost
-  end
-
-let moutcome_of_chain c =
-  {
-    best = c.mp.copy c.mbest_state;
-    best_cost = c.m_best_cost;
-    rounds = c.mround;
-    accepted = c.maccepted_total;
-    evaluated = c.mevaluated;
-  }
-
-let run_mutable ?telemetry ~rng params p =
-  let c = mstart ?telemetry ~rng params p in
-  while not (mfinished c) do
-    mstep_round c
-  done;
-  moutcome_of_chain c

@@ -4,13 +4,38 @@
     caller; the engine owns the control loop: Metropolis acceptance,
     temperature schedule, best-so-far tracking and freezing detection.
     All placers in this repository (sequence-pair, B*-tree, HB*-tree,
-    and the layout-aware sizing optimizer of §V) instantiate it. *)
+    TCG, slicing, absolute) and the layout-aware sizing optimizer of
+    §V instantiate it.
+
+    The engine works in place: one working state is mutated by
+    [propose], reverted by [undo] on rejection, and snapshotted only
+    when a new best appears. Persistent (functional) move generators
+    run on it through {!persistent}, which keeps the value in a [ref]
+    and makes the same rng draws in the same order. *)
 
 type 'a problem = {
-  init : 'a;
-  neighbor : Prelude.Rng.t -> 'a -> 'a;
-  cost : 'a -> float;
+  state : 'a;  (** the working state, mutated by [propose] *)
+  propose : Prelude.Rng.t -> 'a -> unit;
+      (** mutate the state into a candidate *)
+  undo : 'a -> unit;
+      (** revert the {e last} [propose]; called exactly once per
+          rejected move, never twice in a row *)
+  cost : 'a -> float;  (** evaluate a state as it stands *)
+  copy : 'a -> 'a;  (** fresh snapshot, for best-so-far tracking *)
+  blit : src:'a -> dst:'a -> unit;  (** overwrite [dst] with [src] *)
 }
+
+val persistent :
+  init:'a ->
+  neighbor:(Prelude.Rng.t -> 'a -> 'a) ->
+  cost:('a -> float) ->
+  'a ref problem
+(** Lift a persistent problem onto the in-place engine: [propose]
+    saves the current value and stores [neighbor rng] of it, [undo]
+    restores the saved value, [copy] is [ref !r] and [blit] is
+    [dst := !src]. Draw for draw the same walk a copying engine would
+    take from [init]. The problem owns one saved-value cell, so build
+    one per chain. *)
 
 type params = {
   initial_temperature : float option;
@@ -30,7 +55,7 @@ val default_params : n:int -> params
     [max 64 (8n)]). *)
 
 type 'a outcome = {
-  best : 'a;
+  best : 'a;  (** a fresh [copy], independent of the working state *)
   best_cost : float;
   rounds : int;
   accepted : int;
@@ -39,7 +64,9 @@ type 'a outcome = {
 
 val run :
   ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a problem -> 'a outcome
-(** [telemetry] (default {!Telemetry.Sink.null}) receives one
+(** [start] followed by [step_round] until [finished].
+
+    [telemetry] (default {!Telemetry.Sink.null}) receives one
     ["sa.round"] span, one convergence sample (round, temperature,
     acceptance ratio, best cost) and one ["sa.acceptance"] histogram
     observation per temperature round, plus per-move accept/reject
@@ -62,8 +89,8 @@ type 'a chain
 val start :
   ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a problem -> 'a chain
 (** Evaluate the initial state (and, when [initial_temperature] is
-    [None], estimate t0 from 64 random moves, consuming the same rng
-    draws [run] would). [telemetry] as in {!run}. *)
+    [None], estimate t0 from 64 random moves, then restore the working
+    state through a snapshot). [telemetry] as in {!run}. *)
 
 val finished : 'a chain -> bool
 (** True once the round budget, final temperature, or freezing
@@ -74,81 +101,27 @@ val step_round : 'a chain -> unit
     by one schedule update). No-op when [finished]. *)
 
 val best : 'a chain -> 'a
-
-val best_cost : 'a chain -> float
-
-val adopt : 'a chain -> state:'a -> cost:float -> unit
-(** Multi-start exchange: replace the chain's current and best state
-    when [cost] strictly improves on the chain's own best; no-op
-    otherwise — in particular, re-offering a chain its own best never
-    perturbs it, so a solo chain is exactly [run]. *)
-
-val outcome_of_chain : 'a chain -> 'a outcome
-(** Snapshot of the chain's progress so far. *)
-
-val estimate_t0 : rng:Prelude.Rng.t -> 'a problem -> samples:int -> float
-(** Standard deviation of the cost change over random moves, the usual
-    starting temperature heuristic. *)
-
-(** {2 In-place chains}
-
-    The engine above copies states; arena-backed placers want one
-    working state mutated in place. An {!mproblem} supplies [propose]
-    (mutate [state] into a candidate), [undo] (revert the {e last}
-    propose — called exactly once per rejected move, never twice in a
-    row), [cost] (evaluate [state] as it stands), and [copy]/[blit]
-    for best-so-far snapshots and multi-start exchange. Control flow
-    (Metropolis test, schedule, freezing) is identical to the
-    functional engine, so both share [params] and ['a outcome]. *)
-
-type 'a mproblem = {
-  state : 'a;
-  propose : Prelude.Rng.t -> 'a -> unit;
-  undo : 'a -> unit;
-  cost : 'a -> float;
-  copy : 'a -> 'a;
-  blit : src:'a -> dst:'a -> unit;
-}
-
-val run_mutable :
-  ?telemetry:Telemetry.Sink.t ->
-  rng:Prelude.Rng.t ->
-  params ->
-  'a mproblem ->
-  'a outcome
-(** [mstart] followed by [mstep_round] to completion; the outcome's
-    [best] is a fresh [copy], independent of the working state.
-    [telemetry] as in {!run}. *)
-
-type 'a mchain
-
-val mstart :
-  ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a mproblem -> 'a mchain
-(** Like {!start}; the t0 estimate walks the working state and then
-    restores it through a snapshot. *)
-
-val mfinished : 'a mchain -> bool
-val mstep_round : 'a mchain -> unit
-
-val mbest : 'a mchain -> 'a
 (** The chain's internal best-snapshot buffer. Read-only: it is
     overwritten whenever the chain improves. *)
 
-val mbest_cost : 'a mchain -> float
+val best_cost : 'a chain -> float
 
-val mbest_copy : 'a mchain -> 'a
+val best_copy : 'a chain -> 'a
 (** A fresh [copy] of the best snapshot, safe to keep (or publish to
     an {!Elite} pool) after the chain moves on. *)
 
-val madopt : 'a mchain -> state:'a -> cost:float -> unit
-(** Multi-start exchange, as {!adopt}: when [cost] strictly improves on
-    the chain's best, [state] is blitted into both the working state
-    and the best snapshot. Strictness means offering a chain its own
-    {!mbest} buffer never aliases a blit. *)
+val adopt : 'a chain -> state:'a -> cost:float -> unit
+(** Multi-start exchange: when [cost] strictly improves on the chain's
+    best, [state] is blitted into both the working state and the best
+    snapshot; no-op otherwise. Strictness means re-offering a chain
+    its own {!best} never perturbs it (so a solo chain is exactly
+    [run]) and never blits a buffer onto itself. *)
 
-val moutcome_of_chain : 'a mchain -> 'a outcome
-(** Snapshot of the chain's progress; [best] is a fresh [copy]. *)
+val outcome_of_chain : 'a chain -> 'a outcome
+(** Snapshot of the chain's progress so far; [best] is a fresh
+    [copy]. *)
 
-val estimate_mt0 : rng:Prelude.Rng.t -> 'a mproblem -> samples:int -> float
-(** {!estimate_t0} for in-place problems; restores the working state
-    before returning. *)
+val estimate_t0 : rng:Prelude.Rng.t -> 'a problem -> samples:int -> float
+(** Standard deviation of the cost change over random moves, the usual
+    starting temperature heuristic. Walks the working state accepting
+    every move, then restores it. *)

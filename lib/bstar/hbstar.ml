@@ -380,18 +380,15 @@ let place ?(weights = default_weights) ?params ?halo ~rng circuit hierarchy =
     | None -> Anneal.Sa.default_params ~n:(Netlist.Circuit.size circuit)
   in
   let problem =
-    {
-      Anneal.Sa.init;
-      neighbor = (fun rng st -> perturb rng st);
-      cost = (fun st -> cost weights st);
-    }
+    Anneal.Sa.persistent ~init ~neighbor:perturb ~cost:(cost weights)
   in
   let result = Anneal.Sa.run ~rng params problem in
-  let placed, area, hpwl, _ = evaluate result.Anneal.Sa.best in
+  let state = !(result.Anneal.Sa.best) in
+  let placed, area, hpwl, _ = evaluate state in
   {
     placed;
     area;
     hpwl;
-    state = result.Anneal.Sa.best;
+    state;
     sa_rounds = result.Anneal.Sa.rounds;
   }

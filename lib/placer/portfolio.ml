@@ -144,8 +144,8 @@ let tree_of_placed placed =
 
 (* ---- uniform entrant interface -------------------------------------
 
-   Functional and in-place chains, plus the one-shot enumerator,
-   behind one closure record the race loop can drive. *)
+   Annealing chains and the one-shot enumerator behind one closure
+   record the race loop can drive. *)
 
 type runner = {
   r_step : int -> unit;  (* advance up to k rounds *)
@@ -164,109 +164,24 @@ let steps ~finished ~step k =
     decr budget
   done
 
-let sp_runner ~validate ?estimator ~weights ~groups ~params circuit tel seed =
-  let n = Netlist.Circuit.size circuit in
-  let rng = Prelude.Rng.create seed in
-  let problem =
-    Sa_seqpair.problem_of ~validate ?estimator ~weights ~groups circuit tel rng
-  in
+(* One annealing chain behind the runner record. [problem] is the
+   chain's problem (already holding its initial state, drawn from
+   [rng]); [materialise] turns a state into the placed list the elite
+   pool trades in, and [of_placed] re-encodes a donated placement into
+   a fresh state of the chain's own representation. *)
+let chain_runner ~params ~materialise ~of_placed tel rng problem =
   let chain = Anneal.Sa.start ~telemetry:tel ~rng params problem in
+  let finished () = Anneal.Sa.finished chain in
   let extra = ref 0 in
   {
     r_step =
-      (fun k ->
-        steps k
-          ~finished:(fun () -> Anneal.Sa.finished chain)
-          ~step:(fun () -> Anneal.Sa.step_round chain));
-    r_finished = (fun () -> Anneal.Sa.finished chain);
+      (fun k -> steps k ~finished ~step:(fun () -> Anneal.Sa.step_round chain));
+    r_finished = finished;
     r_cost = (fun () -> Anneal.Sa.best_cost chain);
-    r_placed =
-      (fun () ->
-        (Sa_seqpair.evaluate circuit groups (Anneal.Sa.best chain))
-          .Placement.placed);
+    r_placed = (fun () -> materialise (Anneal.Sa.best chain));
     r_adopt =
       (fun placed ->
-        let sp = sp_of_placed n placed in
-        let sp =
-          match groups with
-          | [] -> sp
-          | _ -> Seqpair.Symmetry.make_feasible sp groups
-        in
-        let rot = harmonize_rot groups (rot_of_placed circuit placed) in
-        let st = { Sa_seqpair.sp; rot } in
-        incr extra;
-        Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
-    r_rounds = (fun () -> (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.rounds);
-    r_evaluated =
-      (fun () ->
-        (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.evaluated + !extra);
-  }
-
-let bstar_runner ~validate ?estimator ~weights ~params circuit tel seed =
-  let rng = Prelude.Rng.create seed in
-  let tbl = Sa_bstar.dims_table circuit in
-  let problem =
-    Sa_bstar.problem_of ~validate ?estimator ~weights circuit tel rng
-  in
-  let chain = Anneal.Sa.mstart ~telemetry:tel ~rng params problem in
-  let extra = ref 0 in
-  {
-    r_step =
-      (fun k ->
-        steps k
-          ~finished:(fun () -> Anneal.Sa.mfinished chain)
-          ~step:(fun () -> Anneal.Sa.mstep_round chain));
-    r_finished = (fun () -> Anneal.Sa.mfinished chain);
-    r_cost = (fun () -> Anneal.Sa.mbest_cost chain);
-    r_placed =
-      (fun () ->
-        (Sa_bstar.evaluate circuit tbl (Anneal.Sa.mbest chain))
-          .Placement.placed);
-    r_adopt =
-      (fun placed ->
-        let st =
-          {
-            Sa_bstar.flat = Bstar.Flat.of_tree (tree_of_placed placed);
-            rot = rot_of_placed circuit placed;
-            last = Sa_bstar.L_none;
-          }
-        in
-        incr extra;
-        Anneal.Sa.madopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
-    r_rounds =
-      (fun () -> (Anneal.Sa.moutcome_of_chain chain).Anneal.Sa.rounds);
-    r_evaluated =
-      (fun () ->
-        (Anneal.Sa.moutcome_of_chain chain).Anneal.Sa.evaluated + !extra);
-  }
-
-let tcg_runner ~validate ?estimator ~weights ~params circuit tel seed =
-  let n = Netlist.Circuit.size circuit in
-  let rng = Prelude.Rng.create seed in
-  let problem =
-    Sa_tcg.problem_of ~validate ?estimator ~weights circuit tel rng
-  in
-  let chain = Anneal.Sa.start ~telemetry:tel ~rng params problem in
-  let extra = ref 0 in
-  {
-    r_step =
-      (fun k ->
-        steps k
-          ~finished:(fun () -> Anneal.Sa.finished chain)
-          ~step:(fun () -> Anneal.Sa.step_round chain));
-    r_finished = (fun () -> Anneal.Sa.finished chain);
-    r_cost = (fun () -> Anneal.Sa.best_cost chain);
-    r_placed =
-      (fun () ->
-        (Sa_tcg.evaluate circuit (Anneal.Sa.best chain)).Placement.placed);
-    r_adopt =
-      (fun placed ->
-        let st =
-          {
-            Sa_tcg.tcg = Seqpair.Tcg.of_seqpair (sp_of_placed n placed);
-            rot = rot_of_placed circuit placed;
-          }
-        in
+        let st = of_placed placed in
         incr extra;
         Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
     r_rounds = (fun () -> (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.rounds);
@@ -382,21 +297,54 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
   let pulls =
     Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.pulls")
   in
+  let bstar_dims = Sa_bstar.dims_table circuit in
   let runners =
     Array.init k (fun i ->
+        let tel = tels.(i) and rng = Prelude.Rng.create seeds.(i) in
+        let chain problem_of =
+          chain_runner ~params tel rng (problem_of tel rng)
+        in
         match spec.(i) with
         | Sp ->
-            sp_runner ~validate ?estimator ~weights ~groups ~params circuit
-              tels.(i) seeds.(i)
+            chain
+              (Sa_seqpair.problem_of ~validate ?estimator ~weights ~groups
+                 circuit)
+              ~materialise:(fun st ->
+                (Sa_seqpair.evaluate circuit groups !st).Placement.placed)
+              ~of_placed:(fun placed ->
+                let sp = sp_of_placed n placed in
+                let sp =
+                  match groups with
+                  | [] -> sp
+                  | _ -> Seqpair.Symmetry.make_feasible sp groups
+                in
+                let rot = harmonize_rot groups (rot_of_placed circuit placed) in
+                ref { Sa_seqpair.sp; rot })
         | Bstar ->
-            bstar_runner ~validate ?estimator ~weights ~params circuit tels.(i)
-              seeds.(i)
+            chain
+              (Sa_bstar.problem_of ~validate ?estimator ~weights circuit)
+              ~materialise:(fun st ->
+                (Sa_bstar.evaluate circuit bstar_dims st).Placement.placed)
+              ~of_placed:(fun placed ->
+                {
+                  Sa_bstar.flat = Bstar.Flat.of_tree (tree_of_placed placed);
+                  rot = rot_of_placed circuit placed;
+                  last = Sa_bstar.L_none;
+                })
         | Tcg ->
-            tcg_runner ~validate ?estimator ~weights ~params circuit tels.(i)
-              seeds.(i)
+            chain
+              (Sa_tcg.problem_of ~validate ?estimator ~weights circuit)
+              ~materialise:(fun st ->
+                (Sa_tcg.evaluate circuit !st).Placement.placed)
+              ~of_placed:(fun placed ->
+                ref
+                  {
+                    Sa_tcg.tcg = Seqpair.Tcg.of_seqpair (sp_of_placed n placed);
+                    rot = rot_of_placed circuit placed;
+                  })
         | Esf -> (
             match hierarchy with
-            | Some h -> esf_runner ~weights circuit h tels.(i)
+            | Some h -> esf_runner ~weights circuit h tel
             | None ->
                 invalid_arg "Portfolio.race: Esf entrant needs ?hierarchy"))
   in

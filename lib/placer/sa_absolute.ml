@@ -109,8 +109,12 @@ let place ?(weights = Cost.default) ?(overlap_weight = 4.0) ?params ~rng
     +. (overlap_weight
         *. float_of_int (total_overlap placement.Placement.placed))
   in
-  let result = Anneal.Sa.run ~rng params { Anneal.Sa.init; neighbor; cost } in
-  let raw = Placement.make circuit (to_placed circuit result.Anneal.Sa.best) in
+  let result =
+    Anneal.Sa.run ~rng params (Anneal.Sa.persistent ~init ~neighbor ~cost)
+  in
+  let raw =
+    Placement.make circuit (to_placed circuit !(result.Anneal.Sa.best))
+  in
   let raw_overlap = total_overlap raw.Placement.placed in
   {
     placement = legalize raw;

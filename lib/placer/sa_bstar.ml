@@ -1,6 +1,6 @@
 (* The B*-tree annealer on the in-place engine: one flat-array tree and
    rotation vector per chain, mutated by O(1) perturbations and
-   reverted in O(1) on rejection ({!Anneal.Sa.mproblem}), with costs
+   reverted in O(1) on rejection ({!Anneal.Sa.problem}), with costs
    through the arena's contour packer ({!Eval.cost_bstar}). Nothing on
    the hot path allocates. The pointer {!Bstar.Tree} representation is
    only used to seed the initial state and to materialize the final
@@ -135,7 +135,7 @@ let place ?(weights = Cost.default) ?params ?workers ?chains
   match (workers, chains) with
   | None, None ->
       let result =
-        Anneal.Sa.run_mutable ~telemetry ~rng params
+        Anneal.Sa.run ~telemetry ~rng params
           (problem_of ~validate ?estimator ~weights circuit telemetry rng)
       in
       {
@@ -155,13 +155,9 @@ let place ?(weights = Cost.default) ?params ?workers ?chains
       in
       let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
       let check = if validate then Some (audit circuit tbl) else None in
-      let runner =
-        match mode with
-        | `Deterministic -> Anneal.Parallel.run_mutable
-        | `Async -> Anneal.Parallel.run_mutable_async
-      in
       let result =
-        runner ?workers ?check ~telemetry ~engine:"bstar" ~seeds params
+        Anneal.Parallel.run ~mode ?workers ?check ~telemetry ~engine:"bstar"
+          ~seeds params
           (problem_of ~validate ?estimator ~weights circuit)
       in
       {

@@ -34,7 +34,7 @@ val problem_of :
   Netlist.Circuit.t ->
   Telemetry.Sink.t ->
   Prelude.Rng.t ->
-  state Anneal.Sa.mproblem
+  state Anneal.Sa.problem
 (** One in-place annealing problem for one chain (private flat tree,
     rotation vector and {!Eval} arena); see
     {!Sa_seqpair.problem_of}, including the per-chain [estimator]
@@ -56,13 +56,13 @@ val place :
   Netlist.Circuit.t ->
   outcome
 (** The annealer runs on flat-array trees ({!Bstar.Flat}) under the
-    in-place engine ({!Anneal.Sa.run_mutable}): O(1) perturbations,
+    in-place engine ({!Anneal.Sa.run}): O(1) perturbations,
     O(1) undo of rejected moves, and allocation-free contour packing
     through the {!Eval} arena ({!Eval.cost_bstar}). [workers]/[chains]
     enable {!Anneal.Parallel} multi-start annealing with the same
     semantics as {!Sa_seqpair.place}, and [mode] selects the
     deterministic barrier schedule or the free-running elite-pool
-    exchange ({!Anneal.Parallel.run_mutable_async}), as there.
+    exchange of {!Anneal.Parallel.run}, as there.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch,
     see {!Analysis.Invariant}) audits the flat tree

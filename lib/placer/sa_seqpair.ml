@@ -112,18 +112,19 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
     end
   in
   let cost st = Eval.cost_seqpair arena weights ~groups st.sp ~rot:st.rot in
-  if not validate then { Anneal.Sa.init; neighbor; cost }
-  else begin
-    (* Debug mode: audit the initial state and the result of every
-       move. When off, the closures above run untouched. *)
-    audit ~groups circuit init;
-    let neighbor rng st =
-      let st' = neighbor rng st in
-      audit ~groups circuit st';
-      st'
-    in
-    { Anneal.Sa.init; neighbor; cost }
-  end
+  let neighbor =
+    if not validate then neighbor
+    else begin
+      (* Debug mode: audit the initial state and the result of every
+         move. When off, the closures above run untouched. *)
+      audit ~groups circuit init;
+      fun rng st ->
+        let st' = neighbor rng st in
+        audit ~groups circuit st';
+        st'
+    end
+  in
+  Anneal.Sa.persistent ~init ~neighbor ~cost
 
 let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
     ?(mode = `Deterministic) ?validate ?estimator
@@ -144,7 +145,7 @@ let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
       in
       let result = Anneal.Sa.run ~telemetry ~rng params problem in
       {
-        placement = evaluate circuit groups result.Anneal.Sa.best;
+        placement = evaluate circuit groups !(result.Anneal.Sa.best);
         cost = result.Anneal.Sa.best_cost;
         sa_rounds = result.Anneal.Sa.rounds;
         evaluated = result.Anneal.Sa.evaluated;
@@ -162,19 +163,15 @@ let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
          seed, distinct streams per chain. *)
       let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
       let check =
-        if validate then Some (audit ~groups circuit) else None
-      in
-      let runner =
-        match mode with
-        | `Deterministic -> Anneal.Parallel.run
-        | `Async -> Anneal.Parallel.run_async
+        if validate then Some (fun st -> audit ~groups circuit !st) else None
       in
       let result =
-        runner ?workers ?check ~telemetry ~engine:"sp" ~seeds params
+        Anneal.Parallel.run ~mode ?workers ?check ~telemetry ~engine:"sp"
+          ~seeds params
           (problem_of ~validate ?estimator ~weights ~groups circuit)
       in
       {
-        placement = evaluate circuit groups result.Anneal.Parallel.best;
+        placement = evaluate circuit groups !(result.Anneal.Parallel.best);
         cost = result.Anneal.Parallel.best_cost;
         sa_rounds =
           result.Anneal.Parallel.chains.(result.Anneal.Parallel.winner)

@@ -30,11 +30,13 @@ val problem_of :
   Netlist.Circuit.t ->
   Telemetry.Sink.t ->
   Prelude.Rng.t ->
-  state Anneal.Sa.problem
+  state ref Anneal.Sa.problem
 (** One annealing problem for one chain: its own initial code drawn
     from [rng], its own {!Eval} arena, its own move tallies in the
-    given sink. This is what {!place} hands to {!Anneal.Parallel};
-    {!Portfolio} uses it to enter sequence-pair chains in a race.
+    given sink. Moves are persistent, so the problem is built with
+    {!Anneal.Sa.persistent}. This is what {!place} hands to
+    {!Anneal.Parallel}; {!Portfolio} uses it to enter sequence-pair
+    chains in a race.
     [estimator] is a factory for per-chain congestion estimators
     (called once here, so every chain owns its scratch — see
     {!Eval.estimator}); it only affects costs under a non-zero
@@ -82,11 +84,11 @@ val place :
     single-chain path runs on [rng] directly.
 
     [mode] (default [`Deterministic]) selects the parallel exchange
-    discipline: [`Deterministic] is the worker-count-invariant
-    barrier schedule above; [`Async] is
-    {!Anneal.Parallel.run_async} — free-running chains coupled
-    through an elite pool, faster on real cores but dependent on
-    domain interleaving. Ignored on the single-chain path.
+    discipline of {!Anneal.Parallel.run}: [`Deterministic] is the
+    worker-count-invariant barrier schedule above; [`Async] runs
+    free-running chains coupled through an elite pool, faster on real
+    cores but dependent on domain interleaving. Ignored on the
+    single-chain path.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch,
     see {!Analysis.Invariant}) audits every SA move and every parallel

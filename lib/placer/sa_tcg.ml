@@ -83,16 +83,17 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
         Cost.compose_routed weights ~route ~width:(Placement.width p)
           ~height:(Placement.height p) ~hpwl:(Placement.hpwl p))
   in
-  if not validate then { Anneal.Sa.init; neighbor; cost }
-  else begin
-    audit circuit init;
-    let neighbor rng st =
-      let st' = neighbor rng st in
-      audit circuit st';
-      st'
-    in
-    { Anneal.Sa.init; neighbor; cost }
-  end
+  let neighbor =
+    if not validate then neighbor
+    else begin
+      audit circuit init;
+      fun rng st ->
+        let st' = neighbor rng st in
+        audit circuit st';
+        st'
+    end
+  in
+  Anneal.Sa.persistent ~init ~neighbor ~cost
 
 let place ?(weights = Cost.default) ?params ?workers ?chains
     ?(mode = `Deterministic) ?validate ?estimator
@@ -113,7 +114,7 @@ let place ?(weights = Cost.default) ?params ?workers ?chains
       in
       let result = Anneal.Sa.run ~telemetry ~rng params problem in
       {
-        placement = evaluate circuit result.Anneal.Sa.best;
+        placement = evaluate circuit !(result.Anneal.Sa.best);
         cost = result.Anneal.Sa.best_cost;
         sa_rounds = result.Anneal.Sa.rounds;
         evaluated = result.Anneal.Sa.evaluated;
@@ -128,18 +129,16 @@ let place ?(weights = Cost.default) ?params ?workers ?chains
             | None -> Anneal.Parallel.default_workers ())
       in
       let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
-      let check = if validate then Some (audit circuit) else None in
-      let runner =
-        match mode with
-        | `Deterministic -> Anneal.Parallel.run
-        | `Async -> Anneal.Parallel.run_async
+      let check =
+        if validate then Some (fun st -> audit circuit !st) else None
       in
       let result =
-        runner ?workers ?check ~telemetry ~engine:"tcg" ~seeds params
+        Anneal.Parallel.run ~mode ?workers ?check ~telemetry ~engine:"tcg"
+          ~seeds params
           (problem_of ~validate ?estimator ~weights circuit)
       in
       {
-        placement = evaluate circuit result.Anneal.Parallel.best;
+        placement = evaluate circuit !(result.Anneal.Parallel.best);
         cost = result.Anneal.Parallel.best_cost;
         sa_rounds =
           result.Anneal.Parallel.chains.(result.Anneal.Parallel.winner)

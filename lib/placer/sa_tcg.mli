@@ -20,7 +20,7 @@ val problem_of :
   Netlist.Circuit.t ->
   Telemetry.Sink.t ->
   Prelude.Rng.t ->
-  state Anneal.Sa.problem
+  state ref Anneal.Sa.problem
 (** One annealing problem for one chain; see
     {!Sa_seqpair.problem_of}, including the per-chain [estimator]
     factory. The TCG arm evaluates through the list path, so a
@@ -44,7 +44,8 @@ val place :
   outcome
 (** [workers]/[chains]/[mode] enable {!Anneal.Parallel} multi-start
     annealing with the same semantics as {!Sa_seqpair.place} (the TCG
-    problem is functional, so chains exchange whole graphs); without
+    problem is persistent, lifted with {!Anneal.Sa.persistent}, so
+    chains exchange whole graphs); without
     either parameter the classic single-chain path runs on [rng]
     directly.
 

@@ -177,9 +177,9 @@ let place ?(weights = Cost.default) ?params ~rng circuit =
   let init = initial n in
   assert (is_normalized init);
   let cost tokens = Cost.evaluate weights (evaluate ~cap circuit tokens) in
-  let problem = { Anneal.Sa.init; neighbor; cost } in
+  let problem = Anneal.Sa.persistent ~init ~neighbor ~cost in
   let result = Anneal.Sa.run ~rng params problem in
-  let placement = evaluate ~cap circuit result.Anneal.Sa.best in
+  let placement = evaluate ~cap circuit !(result.Anneal.Sa.best) in
   {
     placement;
     cost = result.Anneal.Sa.best_cost;

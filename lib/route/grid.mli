@@ -3,8 +3,8 @@
     Routing runs on a coarse grid over the placement (one track per
     [pitch] layout units) on a single metal layer above the cells:
     wires block each other but not the devices below. Obstacles are
-    marked cells; the maze router claims the cells of finished routes
-    so later nets must avoid them. *)
+    marked cells; the blocked cells become zero-capacity cells of the
+    {!Negotiate} congestion grid. *)
 
 type t
 

@@ -213,8 +213,8 @@ let mirror_idx t ~axis i =
 (* One Dijkstra wave from the current tree to [target]. [mirror]
    prices (and gates) the reflected cell as well, so the path found
    for the reference net is simultaneously legal and equally costed
-   for its twin. Terminal cells of this net are always enterable, as
-   in Maze. Returns the target's parent chain or None. *)
+   for its twin. Terminal cells of this net are always enterable, even
+   when impassable. Returns the target's parent chain or None. *)
 let search t ~pres_fac ~mirror ~terminals ~tree ~target =
   t.epoch <- t.epoch + 1;
   let ep = t.epoch in

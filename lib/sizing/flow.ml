@@ -113,9 +113,9 @@ let run_driver driver ?(config = default_config) ~rng mode =
   let neighbor rng design =
     driver.perturb rng ~fold_moves:(mode = Layout_aware) design
   in
-  let problem = { Anneal.Sa.init = driver.initial; neighbor; cost } in
+  let problem = Anneal.Sa.persistent ~init:driver.initial ~neighbor ~cost in
   let result = Anneal.Sa.run ~rng config.sa problem in
-  let design = result.Anneal.Sa.best in
+  let design = !(result.Anneal.Sa.best) in
   let layout, perf_extracted = extracted_perf design in
   let perf_nominal = driver.evaluate config.env design in
   {

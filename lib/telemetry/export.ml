@@ -31,6 +31,7 @@ let num v =
   else if Float.abs v = Float.infinity then if v > 0.0 then "1e308" else "-1e308"
   else Printf.sprintf "%.17g" v
 
+(* timestamps are relative to the sink's epoch; durations are not *)
 let usec epoch t = (t -. epoch) *. 1e6
 
 let chrome_json sink =
@@ -46,7 +47,7 @@ let chrome_json sink =
         "{\"name\":\"%s\",\"cat\":\"analog_place\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d}"
         (escape s.Tracer.name)
         (num (usec epoch s.Tracer.ts))
-        (num (usec epoch s.Tracer.dur))
+        (num (s.Tracer.dur *. 1e6))
         s.Tracer.tid)
     (Sink.spans sink);
   List.iter

@@ -173,22 +173,24 @@ let append path e =
       r
 
 let read path =
-  match open_in path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> go (lineno + 1) acc
-        | line -> (
+  | text ->
+      (* A crash part-way through an append leaves a last line with no
+         terminating newline. [split_on_char] yields "" after a final
+         newline, so a non-empty last segment is exactly that torn
+         tail: skip it when it does not parse, fail on any other bad
+         line. *)
+      let rec go lineno acc = function
+        | [] -> Ok (List.rev acc)
+        | "" :: rest -> go (lineno + 1) acc rest
+        | line :: rest -> (
             match of_line line with
-            | Ok e -> go (lineno + 1) (e :: acc)
-            | Error msg ->
-                Error (Printf.sprintf "%s:%d: %s" path lineno msg))
+            | Ok e -> go (lineno + 1) (e :: acc) rest
+            | Error _ when rest = [] -> Ok (List.rev acc)
+            | Error msg -> Error (Printf.sprintf "%s:%d: %s" path lineno msg))
       in
-      let r = go 1 [] in
-      close_in ic;
-      r
+      go 1 [] (String.split_on_char '\n' text)
 
 let last ?(n = 1) path =
   match read path with

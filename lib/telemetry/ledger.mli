@@ -69,8 +69,10 @@ val append : string -> entry -> (unit, string) result
     missing. Errors are returned, never raised. *)
 
 val read : string -> (entry list, string) result
-(** All entries, oldest first. Blank lines are skipped; a malformed
-    line fails the whole read with its line number. *)
+(** All entries, oldest first. Blank lines are skipped. A last line
+    with no terminating newline that does not parse — the torn tail a
+    crash part-way through {!append} leaves — is skipped too; any other
+    malformed line fails the whole read as [path:lineno: msg]. *)
 
 val last : ?n:int -> string -> (entry list, string) result
 (** The last [n] entries (default 1), oldest first. *)

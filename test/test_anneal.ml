@@ -13,45 +13,49 @@ let test_schedule_adaptive () =
   Alcotest.(check bool) "hot cools faster" true (hot < mid);
   Alcotest.(check bool) "cold cools slower" true (cold > mid)
 
-(* A rugged 1-D landscape the walker must cross barriers on. *)
-let problem =
-  {
-    Anneal.Sa.init = 80;
-    neighbor =
-      (fun rng x ->
-        let step = Prelude.Rng.int_in rng (-3) 3 in
-        max (-100) (min 100 (x + step)));
-    cost =
-      (fun x ->
-        let fx = float_of_int x in
-        (0.01 *. fx *. fx) +. (3.0 *. sin (fx /. 4.0)));
-  }
+(* A rugged 1-D landscape the walker must cross barriers on, as a
+   persistent problem lifted onto the in-place engine. Each call builds
+   a fresh problem: the lift owns its working state, so chains must not
+   share one. *)
+let landscape x =
+  let fx = float_of_int x in
+  (0.01 *. fx *. fx) +. (3.0 *. sin (fx /. 4.0))
+
+let problem () =
+  Anneal.Sa.persistent ~init:80
+    ~neighbor:(fun rng x ->
+      let step = Prelude.Rng.int_in rng (-3) 3 in
+      max (-100) (min 100 (x + step)))
+    ~cost:landscape
 
 let test_sa_minimizes () =
   let rng = Prelude.Rng.create 17 in
   let params =
     { (Anneal.Sa.default_params ~n:10) with Anneal.Sa.max_rounds = 200 }
   in
-  let out = Anneal.Sa.run ~rng params problem in
+  let out = Anneal.Sa.run ~rng params (problem ()) in
   (* global minimum is near x = -6 .. 0 with cost around -2.7 *)
   Alcotest.(check bool)
-    (Printf.sprintf "found near-optimum (best %d cost %.2f)" out.Anneal.Sa.best
-       out.Anneal.Sa.best_cost)
+    (Printf.sprintf "found near-optimum (best %d cost %.2f)"
+       !(out.Anneal.Sa.best) out.Anneal.Sa.best_cost)
     true
     (out.Anneal.Sa.best_cost < -2.0);
   Alcotest.(check bool) "improved on init" true
-    (out.Anneal.Sa.best_cost < problem.Anneal.Sa.cost problem.Anneal.Sa.init);
+    (out.Anneal.Sa.best_cost < landscape 80);
   Alcotest.(check bool) "counted evaluations" true (out.Anneal.Sa.evaluated > 0)
 
 let test_estimate_t0 () =
   let rng = Prelude.Rng.create 5 in
-  let t0 = Anneal.Sa.estimate_t0 ~rng problem ~samples:50 in
-  Alcotest.(check bool) "positive" true (t0 > 0.0)
+  let p = problem () in
+  let t0 = Anneal.Sa.estimate_t0 ~rng p ~samples:50 in
+  Alcotest.(check bool) "positive" true (t0 > 0.0);
+  Alcotest.(check int) "working state restored" 80 !(p.Anneal.Sa.state)
 
 let test_deterministic () =
   let run () =
     let rng = Prelude.Rng.create 17 in
-    (Anneal.Sa.run ~rng (Anneal.Sa.default_params ~n:10) problem).Anneal.Sa.best
+    !((Anneal.Sa.run ~rng (Anneal.Sa.default_params ~n:10) (problem ()))
+        .Anneal.Sa.best)
   in
   Alcotest.(check int) "same seed same best" (run ()) (run ())
 
@@ -61,11 +65,15 @@ let par_params =
 (* A single chain with no rivals must replay [Sa.run] on the same seed
    exactly: same best, same cost, same evaluation count. *)
 let test_parallel_solo_matches_run () =
-  let seq = Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params problem in
-  let par =
-    Anneal.Parallel.run ~workers:1 ~seeds:[ 17 ] par_params (fun _ _ -> problem)
+  let seq =
+    Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params (problem ())
   in
-  Alcotest.(check int) "same best" seq.Anneal.Sa.best par.Anneal.Parallel.best;
+  let par =
+    Anneal.Parallel.run ~workers:1 ~seeds:[ 17 ] par_params (fun _ _ ->
+        problem ())
+  in
+  Alcotest.(check int)
+    "same best" !(seq.Anneal.Sa.best) !(par.Anneal.Parallel.best);
   Alcotest.(check (float 0.0))
     "same cost" seq.Anneal.Sa.best_cost par.Anneal.Parallel.best_cost;
   Alcotest.(check int)
@@ -76,13 +84,13 @@ let test_parallel_worker_count_invariant () =
   let seeds = [ 3; 11; 42; 99 ] in
   let go workers =
     Anneal.Parallel.run ~workers ~exchange_every:8 ~seeds par_params (fun _ _ ->
-        problem)
+        problem ())
   in
   let a = go 1 and b = go 2 and c = go 4 in
   Alcotest.(check int)
-    "1 vs 2 best" a.Anneal.Parallel.best b.Anneal.Parallel.best;
+    "1 vs 2 best" !(a.Anneal.Parallel.best) !(b.Anneal.Parallel.best);
   Alcotest.(check int)
-    "1 vs 4 best" a.Anneal.Parallel.best c.Anneal.Parallel.best;
+    "1 vs 4 best" !(a.Anneal.Parallel.best) !(c.Anneal.Parallel.best);
   Alcotest.(check (float 0.0))
     "1 vs 2 cost" a.Anneal.Parallel.best_cost b.Anneal.Parallel.best_cost;
   Alcotest.(check (float 0.0))
@@ -96,7 +104,7 @@ let test_parallel_worker_count_invariant () =
 let test_parallel_deterministic () =
   let go () =
     (Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds:[ 5; 6; 7 ]
-       par_params (fun _ _ -> problem))
+       par_params (fun _ _ -> problem ()))
       .Anneal.Parallel.best_cost
   in
   Alcotest.(check (float 0.0)) "same seeds same cost" (go ()) (go ())
@@ -104,7 +112,7 @@ let test_parallel_deterministic () =
 let test_parallel_multistart_minimizes () =
   let out =
     Anneal.Parallel.run ~workers:2 ~seeds:[ 1; 2; 3 ] par_params (fun _ _ ->
-        problem)
+        problem ())
   in
   Alcotest.(check bool)
     "found near-optimum" true
@@ -114,14 +122,16 @@ let test_parallel_multistart_minimizes () =
     (Array.length out.Anneal.Parallel.chains);
   Alcotest.(check bool) "winner is the argmin" true
     (Array.for_all
-       (fun (o : int Anneal.Sa.outcome) ->
+       (fun (o : int ref Anneal.Sa.outcome) ->
          out.Anneal.Parallel.best_cost <= o.Anneal.Sa.best_cost)
        out.Anneal.Parallel.chains)
 
-(* The in-place engine on the same landscape: state is [| value; prev |]
-   so [undo] restores the pre-propose value. Draw-for-draw the same rng
-   consumption as [problem], so the two engines must agree exactly. *)
-let mproblem () =
+(* The same landscape written directly as an in-place problem: state is
+   [| value; prev |] so [undo] restores the pre-propose value.
+   Draw-for-draw the same rng consumption as the persistent [problem],
+   so the lift must replay it exactly — the cases below pin that down
+   at the engine, deterministic-parallel and async levels. *)
+let in_place () =
   {
     Anneal.Sa.state = [| 80; 80 |];
     propose =
@@ -130,20 +140,19 @@ let mproblem () =
         s.(1) <- s.(0);
         s.(0) <- max (-100) (min 100 (s.(0) + step)));
     undo = (fun s -> s.(0) <- s.(1));
-    cost =
-      (fun s ->
-        let fx = float_of_int s.(0) in
-        (0.01 *. fx *. fx) +. (3.0 *. sin (fx /. 4.0)));
+    cost = (fun s -> landscape s.(0));
     copy = Array.copy;
     blit = (fun ~src ~dst -> Array.blit src 0 dst 0 2);
   }
 
 let test_mutable_matches_functional () =
-  let seq = Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params problem in
-  let m =
-    Anneal.Sa.run_mutable ~rng:(Prelude.Rng.create 17) par_params (mproblem ())
+  let seq =
+    Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params (problem ())
   in
-  Alcotest.(check int) "same best" seq.Anneal.Sa.best m.Anneal.Sa.best.(0);
+  let m =
+    Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params (in_place ())
+  in
+  Alcotest.(check int) "same best" !(seq.Anneal.Sa.best) m.Anneal.Sa.best.(0);
   Alcotest.(check (float 0.0))
     "same cost" seq.Anneal.Sa.best_cost m.Anneal.Sa.best_cost;
   Alcotest.(check int) "same rounds" seq.Anneal.Sa.rounds m.Anneal.Sa.rounds;
@@ -156,14 +165,14 @@ let test_parallel_mutable_matches_functional () =
   let seeds = [ 3; 11; 42; 99 ] in
   let f =
     Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds par_params
-      (fun _ _ -> problem)
+      (fun _ _ -> problem ())
   in
   let m =
-    Anneal.Parallel.run_mutable ~workers:2 ~exchange_every:8 ~seeds par_params
-      (fun _ _ -> mproblem ())
+    Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds par_params
+      (fun _ _ -> in_place ())
   in
   Alcotest.(check int)
-    "same best" f.Anneal.Parallel.best m.Anneal.Parallel.best.(0);
+    "same best" !(f.Anneal.Parallel.best) m.Anneal.Parallel.best.(0);
   Alcotest.(check (float 0.0))
     "same cost" f.Anneal.Parallel.best_cost m.Anneal.Parallel.best_cost;
   Alcotest.(check int) "same winner" f.Anneal.Parallel.winner
@@ -174,8 +183,8 @@ let test_parallel_mutable_matches_functional () =
 let test_parallel_mutable_worker_invariant () =
   let seeds = [ 3; 11; 42; 99 ] in
   let go workers =
-    Anneal.Parallel.run_mutable ~workers ~exchange_every:8 ~seeds par_params
-      (fun _ _ -> mproblem ())
+    Anneal.Parallel.run ~workers ~exchange_every:8 ~seeds par_params
+      (fun _ _ -> in_place ())
   in
   let a = go 1 and b = go 2 and c = go 4 in
   Alcotest.(check int)
@@ -204,10 +213,10 @@ let prop_parallel_worker_invariant =
     (fun (seeds, workers, exchange_every) ->
       let go workers =
         Anneal.Parallel.run ~workers ~exchange_every ~seeds par_params
-          (fun _ _ -> problem)
+          (fun _ _ -> problem ())
       in
       let a = go 1 and b = go workers in
-      a.Anneal.Parallel.best = b.Anneal.Parallel.best
+      !(a.Anneal.Parallel.best) = !(b.Anneal.Parallel.best)
       && a.Anneal.Parallel.best_cost = b.Anneal.Parallel.best_cost
       && a.Anneal.Parallel.winner = b.Anneal.Parallel.winner
       && a.Anneal.Parallel.evaluated = b.Anneal.Parallel.evaluated)
@@ -219,22 +228,24 @@ let test_async_restarts_match_solo () =
   let seeds = [ 3; 11; 42; 99 ] in
   let solo =
     List.map
-      (fun s -> Anneal.Sa.run ~rng:(Prelude.Rng.create s) par_params problem)
+      (fun s ->
+        Anneal.Sa.run ~rng:(Prelude.Rng.create s) par_params (problem ()))
       seeds
   in
   let out =
-    Anneal.Parallel.run_async ~workers:2 ~exchange_every:0 ~seeds par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~mode:`Async ~workers:2 ~exchange_every:0 ~seeds
+      par_params
+      (fun _ _ -> problem ())
   in
   let best_solo =
     List.fold_left
-      (fun acc (o : int Anneal.Sa.outcome) -> min acc o.Anneal.Sa.best_cost)
+      (fun acc (o : int ref Anneal.Sa.outcome) -> min acc o.Anneal.Sa.best_cost)
       infinity solo
   in
   Alcotest.(check (float 0.0))
     "best = min over solo restarts" best_solo out.Anneal.Parallel.best_cost;
   List.iteri
-    (fun i (o : int Anneal.Sa.outcome) ->
+    (fun i (o : int ref Anneal.Sa.outcome) ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "chain %d replays its solo walk" i)
         o.Anneal.Sa.best_cost
@@ -243,7 +254,7 @@ let test_async_restarts_match_solo () =
   Alcotest.(check int)
     "same total evaluations"
     (List.fold_left
-       (fun acc (o : int Anneal.Sa.outcome) -> acc + o.Anneal.Sa.evaluated)
+       (fun acc (o : int ref Anneal.Sa.outcome) -> acc + o.Anneal.Sa.evaluated)
        0 solo)
     out.Anneal.Parallel.evaluated
 
@@ -255,16 +266,16 @@ let test_async_exchange_sane () =
   let checks = Atomic.make 0 in
   let check x =
     Atomic.incr checks;
-    if x < -100 || x > 100 then failwith "state escaped the domain"
+    if !x < -100 || !x > 100 then failwith "state escaped the domain"
   in
   let out =
-    Anneal.Parallel.run_async ~workers:4 ~exchange_every:8 ~check
+    Anneal.Parallel.run ~mode:`Async ~workers:4 ~exchange_every:8 ~check
       ~seeds:[ 3; 11; 42; 99 ] par_params
-      (fun _ _ -> problem)
+      (fun _ _ -> problem ())
   in
   let chain_min =
     Array.fold_left
-      (fun acc (o : int Anneal.Sa.outcome) -> min acc o.Anneal.Sa.best_cost)
+      (fun acc (o : int ref Anneal.Sa.outcome) -> min acc o.Anneal.Sa.best_cost)
       infinity out.Anneal.Parallel.chains
   in
   Alcotest.(check (float 0.0))
@@ -281,9 +292,9 @@ let test_async_exchange_sane () =
    even with exchange on the race is a pure function of the seeds. *)
 let test_async_single_worker_deterministic () =
   let go () =
-    Anneal.Parallel.run_async ~workers:1 ~exchange_every:8 ~seeds:[ 5; 6; 7 ]
-      par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~mode:`Async ~workers:1 ~exchange_every:8
+      ~seeds:[ 5; 6; 7 ] par_params
+      (fun _ _ -> problem ())
   in
   let a = go () and b = go () in
   Alcotest.(check (float 0.0))
@@ -292,22 +303,18 @@ let test_async_single_worker_deterministic () =
   Alcotest.(check int)
     "same winner" a.Anneal.Parallel.winner b.Anneal.Parallel.winner
 
-(* The draw-equivalent mutable problem must agree with the functional
-   one in async mode too, where exchange publishes mbest_copy
-   snapshots instead of immutable states. *)
+(* The draw-equivalent in-place problem must agree with the lifted
+   persistent one in async mode too, where exchange publishes
+   best_copy snapshots. *)
 let test_async_mutable_matches_functional () =
   let seeds = [ 3; 11; 42; 99 ] in
-  let f =
-    Anneal.Parallel.run_async ~workers:2 ~exchange_every:0 ~seeds par_params
-      (fun _ _ -> problem)
+  let go problem_of =
+    Anneal.Parallel.run ~mode:`Async ~workers:2 ~exchange_every:0 ~seeds
+      par_params problem_of
   in
-  let m =
-    Anneal.Parallel.run_mutable_async ~workers:2 ~exchange_every:0 ~seeds
-      par_params
-      (fun _ _ -> mproblem ())
-  in
+  let f = go (fun _ _ -> problem ()) and m = go (fun _ _ -> in_place ()) in
   Alcotest.(check int)
-    "same best" f.Anneal.Parallel.best m.Anneal.Parallel.best.(0);
+    "same best" !(f.Anneal.Parallel.best) m.Anneal.Parallel.best.(0);
   Alcotest.(check (float 0.0))
     "same cost" f.Anneal.Parallel.best_cost m.Anneal.Parallel.best_cost;
   Alcotest.(check int)

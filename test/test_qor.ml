@@ -238,6 +238,37 @@ let test_ledger_rejects_bad_lines () =
   | Ok _ -> Alcotest.fail "accepted malformed line");
   Sys.remove path
 
+(* A crash part-way through an append leaves a torn, unterminated last
+   line: read skips exactly that line and nothing else. *)
+let test_ledger_torn_tail () =
+  let path = tmp_path "torn.jsonl" in
+  let line seed = T.Ledger.to_line (sample_entry ~seed ()) in
+  let read_back contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    let r = T.Ledger.read path in
+    Sys.remove path;
+    r
+  in
+  let torn = String.sub (line 3) 0 (String.length (line 3) / 2) in
+  (match read_back (line 1 ^ "\n" ^ line 2 ^ "\n" ^ torn) with
+  | Ok es -> Alcotest.(check int) "torn tail skipped" 2 (List.length es)
+  | Error m -> Alcotest.failf "torn tail rejected: %s" m);
+  (match read_back (line 1 ^ "\n" ^ torn ^ "\n" ^ line 2 ^ "\n") with
+  | Error m ->
+      Alcotest.(check bool) "bad middle line names line 2" true
+        (contains m ":2:")
+  | Ok _ -> Alcotest.fail "accepted a bad middle line");
+  (match read_back (line 1 ^ "\n" ^ torn ^ "\n") with
+  | Error m ->
+      Alcotest.(check bool) "terminated bad last line still fails" true
+        (contains m ":2:")
+  | Ok _ -> Alcotest.fail "accepted a terminated bad last line");
+  match read_back (line 1 ^ "\n" ^ line 2) with
+  | Ok es ->
+      Alcotest.(check int) "good unterminated last line kept" 2
+        (List.length es)
+  | Error m -> Alcotest.failf "good unterminated line rejected: %s" m
+
 (* ---- Prom ----------------------------------------------------------- *)
 
 let test_prom_render_and_check () =
@@ -551,6 +582,7 @@ let () =
             test_ledger_file_roundtrip;
           Alcotest.test_case "bad lines rejected" `Quick
             test_ledger_rejects_bad_lines;
+          Alcotest.test_case "torn tail skipped" `Quick test_ledger_torn_tail;
         ] );
       ( "prom",
         [

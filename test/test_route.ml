@@ -11,63 +11,6 @@ let test_grid_basics () =
   Route.Grid.block copy (0, 0);
   Alcotest.(check bool) "copy independent" false (Route.Grid.blocked g (0, 0))
 
-let test_path_straight () =
-  let g = Route.Grid.create ~cols:10 ~rows:10 in
-  match Route.Maze.path g ~src:[ (0, 0) ] ~dst:[ (5, 0) ] with
-  | None -> Alcotest.fail "no path on empty grid"
-  | Some pts ->
-      Alcotest.(check int) "shortest length" 6 (List.length pts);
-      Alcotest.(check bool) "starts at src" true (List.hd pts = (0, 0));
-      Alcotest.(check bool) "ends at dst" true
-        (List.nth pts (List.length pts - 1) = (5, 0))
-
-let test_path_detour () =
-  let g = Route.Grid.create ~cols:10 ~rows:10 in
-  (* wall across column 3 except row 9 *)
-  for r = 0 to 8 do
-    Route.Grid.block g (3, r)
-  done;
-  match Route.Maze.path g ~src:[ (0, 0) ] ~dst:[ (6, 0) ] with
-  | None -> Alcotest.fail "detour exists"
-  | Some pts ->
-      (* must climb to row 9 and back: 6 right + 18 vertical + 1 = 25 *)
-      Alcotest.(check int) "detour length" 25 (List.length pts);
-      Alcotest.(check bool) "avoids wall" true
-        (List.for_all (fun (c, r) -> not (c = 3 && r <= 8)) pts)
-
-let test_path_blocked () =
-  let g = Route.Grid.create ~cols:10 ~rows:10 in
-  for r = 0 to 9 do
-    Route.Grid.block g (3, r)
-  done;
-  Alcotest.(check bool) "fully walled" true
-    (Route.Maze.path g ~src:[ (0, 0) ] ~dst:[ (6, 0) ] = None)
-
-let test_multi_terminal () =
-  let g = Route.Grid.create ~cols:20 ~rows:20 in
-  let terminals = [ (0, 0); (10, 0); (5, 9) ] in
-  match Route.Maze.route_net g ~terminals with
-  | None -> Alcotest.fail "routable"
-  | Some tree ->
-      List.iter
-        (fun t ->
-          Alcotest.(check bool) "terminal covered" true (List.mem t tree))
-        terminals;
-      (* tree is connected: BFS over the tree cells *)
-      let tbl = Hashtbl.create 64 in
-      List.iter (fun p -> Hashtbl.replace tbl p ()) tree;
-      let seen = Hashtbl.create 64 in
-      let rec visit p =
-        if Hashtbl.mem tbl p && not (Hashtbl.mem seen p) then begin
-          Hashtbl.replace seen p ();
-          let c, r = p in
-          List.iter visit [ (c + 1, r); (c - 1, r); (c, r + 1); (c, r - 1) ]
-        end
-      in
-      visit (List.hd tree);
-      Alcotest.(check int) "connected" (List.length tree)
-        (Hashtbl.length seen)
-
 let sym_placement () =
   (* a mirrored pair + an on-axis tail, nets mirroring each other *)
   let circuit =
@@ -483,13 +426,6 @@ let () =
   Alcotest.run "route"
     [
       ("grid", [ Alcotest.test_case "basics" `Quick test_grid_basics ]);
-      ( "maze",
-        [
-          Alcotest.test_case "straight" `Quick test_path_straight;
-          Alcotest.test_case "detour" `Quick test_path_detour;
-          Alcotest.test_case "walled" `Quick test_path_blocked;
-          Alcotest.test_case "multi-terminal" `Quick test_multi_terminal;
-        ] );
       ( "router",
         [
           Alcotest.test_case "mirrored routing" `Quick test_mirrored_routing;

@@ -179,7 +179,21 @@ let test_chrome_json_roundtrip () =
   Alcotest.(check bool) "has C sample" true (contains json {|"ph":"C"|});
   Alcotest.(check bool) "span name" true (contains json {|"name":"pack"|});
   Alcotest.(check bool) "counter escaped into otherData" true
-    (contains json {|"n\"quoted":3|})
+    (contains json {|"n\"quoted":3|});
+  (* a wall-clock epoch: timestamps are shifted by it, durations are
+     not (the span below lasts 0.25 s and starts 2 s after the epoch) *)
+  let readings = ref [ 1e9; 1e9 +. 2.0; 1e9 +. 2.25 ] in
+  let clock () =
+    match !readings with
+    | t :: rest ->
+        readings := rest;
+        t
+    | [] -> Alcotest.fail "clock read too often"
+  in
+  let s = T.Sink.create ~clock () in
+  T.Sink.span_end s "route" (T.Sink.span_begin s);
+  Alcotest.(check bool) "ts shifted by the epoch, dur not" true
+    (contains (T.Export.chrome_json s) {|"ts":2000000,"dur":250000,|})
 
 let test_conv_csv () =
   let s = populated_sink () in
