@@ -1005,6 +1005,64 @@ let perf ?(smoke = false) () =
     ns;
   Buffer.add_string buf "  ],\n";
   hr ();
+  (* symmetric SA move throughput: Sa_seqpair's own problem -- S-F
+     moves and pair-coupled rotations, each evaluated on the arena by
+     the symmetric packer -- walked (every move kept, so more codes
+     fall back than in an anneal) on the Table-I circuits with groups
+     from their hierarchies. The fallback share is eval.sym_fallbacks
+     over eval.costs on a separate, untimed walk of fixed length. *)
+  Printf.printf "%-16s %4s %6s %5s | %15s %14s\n" "circuit" "n" "groups"
+    "pairs" "arena moves/s" "fallback share";
+  hr ();
+  let table1 = Netlist.Benchmarks.table1_suite () in
+  let last_t1 = List.length table1 - 1 in
+  Buffer.add_string buf "  \"sym_moves\": [\n";
+  List.iteri
+    (fun i (b : Netlist.Benchmarks.bench) ->
+      let c = b.Netlist.Benchmarks.circuit in
+      let n = Netlist.Circuit.size c in
+      let groups =
+        Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
+      in
+      let pairs =
+        List.fold_left
+          (fun acc (g : Constraints.Symmetry_group.t) ->
+            acc + List.length g.Constraints.Symmetry_group.pairs)
+          0 groups
+      in
+      let walk telemetry =
+        let rng = Prelude.Rng.create (46 + i) in
+        let p =
+          Placer.Sa_seqpair.problem_of ~weights ~groups c telemetry rng
+        in
+        fun () ->
+          p.Anneal.Sa.propose rng p.Anneal.Sa.state;
+          ignore (p.Anneal.Sa.cost p.Anneal.Sa.state)
+      in
+      let r_sym = time_ops (walk Telemetry.Sink.null) in
+      let counted = Telemetry.Sink.create () in
+      let move = walk counted in
+      for _ = 1 to if smoke then 100 else 2000 do
+        move ()
+      done;
+      let count name =
+        Option.value ~default:0
+          (List.assoc_opt name (Telemetry.Sink.counters counted))
+      in
+      let share =
+        float_of_int (count "eval.sym_fallbacks")
+        /. float_of_int (max 1 (count "eval.costs"))
+      in
+      Printf.printf "%-16s %4d %6d %5d | %15.0f %14.3f\n"
+        b.Netlist.Benchmarks.label n (List.length groups) pairs r_sym share;
+      Printf.bprintf buf
+        "    {\"circuit\": \"%s\", \"n\": %d, \"groups\": %d, \"pairs\": \
+         %d, \"arena_moves_per_s\": %.0f, \"fallback_share\": %.3f}%s\n"
+        b.Netlist.Benchmarks.label n (List.length groups) pairs r_sym share
+        (if i = last_t1 then "" else ","))
+    table1;
+  Buffer.add_string buf "  ],\n";
+  hr ();
   (* telemetry overhead: the same arena SA move loop threaded through a
      no-op sink and through a live sink (counters + histograms + span
      ring).  The zero-cost-when-off claim is the no-op column staying

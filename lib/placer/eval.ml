@@ -29,6 +29,7 @@ type t = {
   tel : Telemetry.Sink.t;
   evals : Telemetry.Counter.t;  (* pre-resolved handles; dead when off *)
   bstar_packs : Telemetry.Counter.t;
+  sym_fallbacks : Telemetry.Counter.t;
   mutable last_w : int;  (* extents of the last evaluated packing *)
   mutable last_h : int;
   mutable last_hpwl : float;
@@ -60,6 +61,7 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     tel = telemetry;
     evals = Telemetry.Sink.counter telemetry "eval.costs";
     bstar_packs = Telemetry.Sink.counter telemetry "bstar.packs";
+    sym_fallbacks = Telemetry.Sink.counter telemetry "eval.sym_fallbacks";
     last_w = 0;
     last_h = 0;
     last_hpwl = 0.0;
@@ -124,8 +126,8 @@ let cost_seqpair t weights ?(groups = []) sp ~rot =
       Seqpair.Pack.pack_fast_into t.scratch sp ~w:t.w ~h:t.h ~x:t.x ~y:t.y
   | _ -> (
       match
-        Seqpair.Symmetry.pack_symmetric_into ~x:t.x ~y:t.y ~w:t.w ~h:t.h sp
-          (dims_of t rot) groups
+        Seqpair.Symmetry.pack_symmetric_into ~tally:t.sym_fallbacks ~x:t.x
+          ~y:t.y ~w:t.w ~h:t.h sp (dims_of t rot) groups
       with
       | Ok () -> ()
       | Error msg -> invalid_arg ("Sa_seqpair: " ^ msg)));

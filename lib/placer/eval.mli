@@ -38,7 +38,9 @@ val create :
     With a live [telemetry] sink (default {!Telemetry.Sink.null}) every
     cost query records nested spans — [eval.cost] over [eval.pack],
     [eval.hpwl] and [eval.compose] — and bumps [eval.costs] plus the
-    packer counters ([seqpair.packs]/[seqpair.cells] or [bstar.packs]).
+    packer counters ([seqpair.packs]/[seqpair.cells] or [bstar.packs];
+    [eval.sym_fallbacks] counts symmetric packs that took
+    {!Seqpair.Symmetry.pack_symmetric_into}'s segregated fallback).
     All handles are resolved here, once; with the null sink each hook
     is a single predictable branch on the hot path. *)
 

@@ -131,11 +131,26 @@ exception Infeasible of string
 exception Diverged
 
 (* Minimal coupled packing: longest-path lower bounds alternating with
-   per-group axis lifting. Allows free cells to interleave with group
-   cells, but the monotone iteration cannot inject slack on the left
-   cells, so certain cross-pair chains make the axis grow without
-   bound; those raise [Diverged] and the caller falls back to
-   symmetry-island segregation.
+   per-group axis lifting, one fixpoint per axis.
+
+   Vertical: "below" edges [y_b >= y_a + h_a] form a DAG that one
+   [propagate] sweep in reverse-alpha order closes; each mirrored pair
+   adds a zero-weight equality, and one [lift_y] closes one hop of each
+   (pairs are disjoint). The least solution is a longest path. Without
+   a positive cycle that path can be taken simple, so it crosses each
+   of the [P] pairs at most once: pass [P] is the last that can change
+   anything and pass [P + 1] reports no change. A positive cycle --
+   below-edges that, joined through pair equalities, climb from a cell
+   back above itself, as when [b] is below [a'] and [a] below [b'] for
+   pairs [(a, a')] and [(b, b')] -- never settles, so the cap [P + 1]
+   raises [Diverged] on exactly those codes.
+
+   Horizontal: a group's shared axis couples all its pairs, so no exact
+   bound is claimed and the generous cap stays. The two fixpoints are
+   independent (the vertical one reads only [h]; the horizontal one
+   writes only [x] and padded [w]), so the cheap-to-refute vertical one
+   runs first. On [Diverged] the caller falls back to symmetry-island
+   segregation.
 
    The [_into] core writes coordinates (and possibly parity-padded
    widths) into caller buffers and returns the cells placed on the
@@ -269,24 +284,25 @@ let pack_coupled_into ~x ~y ~w ~h sp dims groups =
         oriented_pairs;
       !changed
     in
-    let max_iter = (10 * (n + List.length groups)) + 20 in
-    let rec fix pass iter =
-      if iter > max_iter then raise Diverged
-      else begin
-        let p = pass () in
-        if p then fix pass (iter + 1)
-      end
+    let rec fix ~cap pass iter =
+      if iter > cap then raise Diverged
+      else if pass () then fix ~cap pass (iter + 1)
     in
-    fix
-      (fun () ->
-        let a = propagate x w alpha_order in
-        let b = lift_x () in
-        a || b)
-      0;
-    fix
+    let n_pairs =
+      List.fold_left (fun acc (_, pairs) -> acc + List.length pairs) 0
+        oriented_pairs
+    in
+    fix ~cap:(n_pairs + 1)
       (fun () ->
         let a = propagate y h rev_alpha_order in
         let b = lift_y () in
+        a || b)
+      0;
+    fix
+      ~cap:((10 * (n + List.length groups)) + 20)
+      (fun () ->
+        let a = propagate x w alpha_order in
+        let b = lift_x () in
         a || b)
       0;
     List.concat_map (fun (_, pairs) -> List.map snd pairs) oriented_pairs
@@ -478,13 +494,16 @@ let pack_symmetric sp dims groups =
 
 (* Buffer variant for the annealing arena: identical coordinates to
    {!pack_symmetric} (tested), but written into caller arrays. The
-   coupled core writes in place; only the rare [Diverged] fallback
-   still materializes a list, whose coordinates are then copied. *)
-let pack_symmetric_into ~x ~y ~w ~h sp dims groups =
+   coupled core writes in place; only the [Diverged] fallback still
+   materializes a list, whose coordinates are then copied, and bumps
+   [tally]. *)
+let pack_symmetric_into ?(tally = Telemetry.Counter.null) ~x ~y ~w ~h sp dims
+    groups =
   match pack_coupled_into ~x ~y ~w ~h sp dims groups with
   | (_ : int list) -> Ok ()
   | exception Infeasible msg -> Error msg
   | exception Diverged -> (
+      Telemetry.Counter.incr tally;
       match pack_segregated sp dims groups with
       | placed ->
           List.iter

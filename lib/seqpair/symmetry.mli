@@ -47,18 +47,32 @@ val pack_symmetric :
 (** Build the minimum packing that satisfies every symmetry group
     {e exactly}: symmetric pairs mirror about their group's common
     vertical axis at equal [y]; self-symmetric cells are centered on
-    it. Uses a coupled constraint-graph fixpoint: longest-path lower
-    bounds alternate with per-group axis lifting until stable.
+    it. Uses a coupled constraint-graph fixpoint per axis: longest-path
+    lower bounds alternate with per-group axis lifting until stable.
+
+    The vertical system (below-edges plus one zero-weight equality per
+    mirrored pair) stops changing after at most [P + 1] passes, [P] the
+    number of pairs over all groups, unless it has a positive cycle:
+    below-edges that, joined through the pair equalities, lead from a
+    cell back above itself (e.g. [b] below [a'] and [a] below [b'] for
+    pairs [(a, a')] and [(b, b')]). Such codes are S-F yet have no
+    coupled packing, and they are common on multi-group circuits. They
+    — and any code whose horizontal fixpoint exceeds its cap — are
+    packed by segregation instead: each group becomes a symmetry island
+    packed from its own sub-code, and the islands plus the free cells
+    are packed from the reduced code. The result is still exactly
+    symmetric and overlap-free, so this path never returns [Error].
 
     Self-symmetric cells whose width parity disagrees with the group
     axis are padded by one grid unit so the axis falls on the integer
     half-grid (documented substitution; pads are visible in the
     returned widths). Pair cells are mirrored with orientation [MY].
 
-    Errors if the code is not symmetric-feasible or (never observed for
-    S-F codes) the fixpoint fails to converge. *)
+    Errors only if the code is not symmetric-feasible or a pair's cells
+    differ in dimensions. *)
 
 val pack_symmetric_into :
+  ?tally:Telemetry.Counter.t ->
   x:int array ->
   y:int array ->
   w:int array ->
@@ -72,7 +86,10 @@ val pack_symmetric_into :
     documented above) and writes the packed coordinates into [x]/[y],
     all indexed by cell. Coordinates are identical to
     {!pack_symmetric} (tested); per-pair mirror orientations are not
-    reported, as cost evaluation does not need them. *)
+    reported, as cost evaluation does not need them. [tally] (default
+    {!Telemetry.Counter.null}, one dead branch) is bumped once per pack
+    that takes the segregated fallback — {!Placer.Eval} passes its
+    [eval.sym_fallbacks] counter. *)
 
 val axis2_of : Geometry.Transform.placed list -> group -> int option
 (** The doubled axis the group actually sits on, if it is symmetric. *)

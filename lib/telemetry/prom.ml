@@ -68,6 +68,8 @@ let help raw =
   | "service.miss_us" -> "Cache-miss service latency in microseconds."
   | "service.instantiate_us" ->
       "Family instantiation latency in microseconds."
+  | "eval.sym_fallbacks" ->
+      "Symmetric packs that fell back to segregated symmetry islands."
   | "route.iterations" -> "Negotiation passes run by the router."
   | "route.nets.routed" -> "Nets successfully routed."
   | "route.nets.failed" -> "Nets the router could not connect."

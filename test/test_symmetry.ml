@@ -230,6 +230,189 @@ let test_self_padding () =
       Alcotest.(check bool) "symmetric with padding" true
         (Result.is_ok (Check.symmetry ~group:grp placed))
 
+(* ---- pinned packer outputs -------------------------------------- *)
+
+(* The pinned values come from the packer as it was when the vertical
+   fixpoint was capped at 10(n+G)+20 passes; its exact [P + 1] cap must
+   reproduce every one of them. *)
+
+let rects_of placed =
+  List.sort
+    (fun (a : Geometry.Transform.placed) b ->
+      Int.compare a.Geometry.Transform.cell b.Geometry.Transform.cell)
+    placed
+  |> List.map (fun (p : Geometry.Transform.placed) -> p.Geometry.Transform.rect)
+
+(* [pack_symmetric_into] on fresh buffers: how many packs fell back
+   (0 or 1) and the packed rectangles by cell *)
+let pack_into_rects ~n sp dims groups =
+  let fallbacks = Telemetry.Counter.make "fallbacks" in
+  let x = Array.make n 0 and y = Array.make n 0 in
+  let w = Array.make n 0 and h = Array.make n 0 in
+  ignore
+    (Symmetry.pack_symmetric_into ~tally:fallbacks ~x ~y ~w ~h sp dims groups);
+  ( Telemetry.Counter.value fallbacks,
+    List.init n (fun c ->
+        Geometry.Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c)) )
+
+(* n in 4..24 and 1..4 disjoint groups mixing pairs and selfs, dealt
+   from a shuffled cell list; random dims, pairs matched except in one
+   circuit out of twenty, so the sweep also pins the error path. *)
+let sweep_circuit rng =
+  let n = Prelude.Rng.int_in rng 4 24 in
+  let rec split pairs selfs = function
+    | a :: b :: tl when Prelude.Rng.int rng 4 > 0 ->
+        split ((a, b) :: pairs) selfs tl
+    | a :: tl -> split pairs (a :: selfs) tl
+    | [] -> (List.rev pairs, List.rev selfs)
+  in
+  let rec deal gi cells =
+    if gi = 0 || cells = [] then []
+    else
+      let k = Prelude.Rng.int_in rng 1 (min 6 (List.length cells)) in
+      let members = List.filteri (fun i _ -> i < k) cells in
+      let pairs, selfs = split [] [] members in
+      G.make ~name:(Printf.sprintf "g%d" gi) ~pairs ~selfs ()
+      :: deal (gi - 1) (List.filteri (fun i _ -> i >= k) cells)
+  in
+  let cells = Array.to_list (Prelude.Rng.permutation rng n) in
+  let groups = deal (Prelude.Rng.int_in rng 1 4) cells in
+  let base =
+    Array.init n (fun _ ->
+        (Prelude.Rng.int_in rng 1 30, Prelude.Rng.int_in rng 1 30))
+  in
+  if Prelude.Rng.int rng 20 > 0 then
+    List.iter
+      (fun (g : G.t) ->
+        List.iter (fun (a, b) -> base.(b) <- base.(a)) g.G.pairs)
+      groups;
+  (n, groups, fun c -> base.(c))
+
+(* Per circuit, a random S-F code and the codes a walk of S-F moves
+   reaches from it. Returns the digest of every [pack_symmetric] result
+   and how many packs fell back; [pack_symmetric_into] must agree on
+   every one. *)
+let sweep () =
+  let rng = Prelude.Rng.create 2010 in
+  let buf = Buffer.create (1 lsl 16) in
+  let fallbacks = Telemetry.Counter.make "fallbacks" in
+  for _ = 1 to 150 do
+    let n, groups, dims = sweep_circuit rng in
+    let sp = ref (Symmetry.random_feasible rng ~n groups) in
+    let x = Array.make n 0 and y = Array.make n 0 in
+    let w = Array.make n 0 and h = Array.make n 0 in
+    for step = 0 to 7 do
+      if step > 0 then sp := Moves.random_neighbor_sf rng !sp groups;
+      let into =
+        Symmetry.pack_symmetric_into ~tally:fallbacks ~x ~y ~w ~h !sp dims
+          groups
+      in
+      match Symmetry.pack_symmetric !sp dims groups with
+      | Error msg ->
+          if into <> Error msg then Alcotest.failf "into disagrees: %s" msg;
+          Printf.bprintf buf "E%s;" msg
+      | Ok placed ->
+          if Result.is_error into then Alcotest.fail "into failed alone";
+          List.iteri
+            (fun c (r : Geometry.Rect.t) ->
+              if r <> Geometry.Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c)
+              then Alcotest.failf "into disagrees on cell %d" c;
+              Printf.bprintf buf "%d,%d,%d,%d;" r.Geometry.Rect.x
+                r.Geometry.Rect.y r.Geometry.Rect.w r.Geometry.Rect.h)
+            (rects_of placed);
+          Buffer.add_char buf '|'
+    done
+  done;
+  ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+    Telemetry.Counter.value fallbacks )
+
+let test_pack_digest () =
+  let digest, fallbacks = sweep () in
+  Alcotest.(check string)
+    "digest of every result" "bd2f3a89ec65798efdb75f2e5e51ef87" digest;
+  Alcotest.(check int) "packs that fell back" 155 fallbacks
+
+(* [p] single-pair groups arranged as a staircase of columns: column
+   [c] holds [r_(c-1)] below [l_c], with a free cell [f0] as [r_0] and
+   another [f1] as [l_(p+1)]; cell [2i - 1] is [l_i] and cell [2i] is
+   [r_i]. The only vertical path climbs f0, l_1 =
+   r_1, l_2 = r_2, ..., r_p, f1, and each pair equality costs one pass,
+   so the fixpoint changes on passes 0..p: exactly [p + 1] of them. A
+   bound one pass shorter would fall back and lose the coupled
+   packing. *)
+let test_staircase () =
+  let p = 6 in
+  let n = (2 * p) + 2 in
+  let l i = (2 * i) - 1 and r i = 2 * i in
+  (* column c, left to right: l_c above r_(c-1) *)
+  let columns f =
+    Perm.of_array
+      (Array.of_list (List.concat_map f (List.init (p + 1) succ)))
+  in
+  let sp =
+    Sp.make
+      ~alpha:(columns (fun c -> [ l c; r (c - 1) ]))
+      ~beta:(columns (fun c -> [ r (c - 1); l c ]))
+  in
+  let groups =
+    List.init p (fun i ->
+        G.make ~name:(Printf.sprintf "p%d" (i + 1))
+          ~pairs:[ (l (i + 1), r (i + 1)) ]
+          ~selfs:[] ())
+  in
+  let dims _ = (2, 3) in
+  (* l_i sits on column i, r_i on column i + 1, both on step i *)
+  let expected =
+    List.init n (fun c ->
+        let i = (c + 1) / 2 in
+        Geometry.Rect.make ~x:(2 * (i - (c land 1))) ~y:(3 * i) ~w:2 ~h:3)
+  in
+  (match Symmetry.pack_symmetric sp dims groups with
+  | Error msg -> Alcotest.fail msg
+  | Ok placed ->
+      Alcotest.(check bool) "coupled staircase coordinates" true
+        (rects_of placed = expected));
+  let fallbacks, rects = pack_into_rects ~n sp dims groups in
+  Alcotest.(check int) "no fallback" 0 fallbacks;
+  Alcotest.(check bool) "into agrees" true (rects = expected)
+
+(* Pairs (0,1) and (2,3) in groups of their own and a free cell 4 with
+   2 below 4 below 0 and 1 below 3: through y0 = y1 and y2 = y3 the
+   below-edges climb from 0 back above 0, a positive cycle no coupled
+   packing satisfies. The code is S-F, so it packs by segregation:
+   island B, then 4, then island A, stacked from the reduced code. *)
+let test_vertical_cycle () =
+  let sp =
+    Sp.make
+      ~alpha:(Perm.of_array [| 0; 4; 2; 3; 1 |])
+      ~beta:(Perm.of_array [| 2; 4; 0; 1; 3 |])
+  in
+  let groups =
+    [ G.make ~name:"a" ~pairs:[ (0, 1) ] ~selfs:[] ();
+      G.make ~name:"b" ~pairs:[ (2, 3) ] ~selfs:[] () ]
+  in
+  let dims = function 0 | 1 -> (4, 2) | 2 | 3 -> (3, 3) | _ -> (2, 5) in
+  let expected =
+    Geometry.Rect.
+      [ make ~x:0 ~y:8 ~w:4 ~h:2; make ~x:4 ~y:8 ~w:4 ~h:2;
+        make ~x:0 ~y:0 ~w:3 ~h:3; make ~x:3 ~y:0 ~w:3 ~h:3;
+        make ~x:0 ~y:3 ~w:2 ~h:5 ]
+  in
+  Alcotest.(check bool) "S-F" true (Symmetry.is_feasible_all sp groups);
+  (match Symmetry.pack_symmetric sp dims groups with
+  | Error msg -> Alcotest.fail msg
+  | Ok placed ->
+      Alcotest.(check bool) "segregated-island coordinates" true
+        (rects_of placed = expected);
+      List.iter
+        (fun g ->
+          Alcotest.(check bool) "symmetric" true
+            (Result.is_ok (Check.symmetry ~group:g placed)))
+        groups);
+  let fallbacks, rects = pack_into_rects ~n:5 sp dims groups in
+  Alcotest.(check int) "one fallback" 1 fallbacks;
+  Alcotest.(check bool) "into agrees" true (rects = expected)
+
 let () =
   Alcotest.run "symmetry"
     [
@@ -258,6 +441,11 @@ let () =
           Alcotest.test_case "rejects non-S-F" `Quick
             test_pack_symmetric_rejects_non_sf;
           Alcotest.test_case "self padding" `Quick test_self_padding;
+          Alcotest.test_case "pinned sweep digest" `Quick test_pack_digest;
+          Alcotest.test_case "staircase needs P + 1 passes" `Quick
+            test_staircase;
+          Alcotest.test_case "vertical cycle falls back" `Quick
+            test_vertical_cycle;
         ] );
       ( "moves",
         [ Alcotest.test_case "stay S-F" `Quick test_sf_moves_preserve ] );

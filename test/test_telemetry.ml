@@ -276,6 +276,9 @@ let circuit () =
         Netlist.Net.make ~name:"n2" ~pins:[ 2; 3; 4 ] ();
       ]
 
+let assoc name l =
+  match List.assoc_opt name l with Some v -> v | None -> 0
+
 (* The load-bearing property: a live sink observes the search without
    perturbing it. *)
 let test_on_off_identical () =
@@ -300,10 +303,31 @@ let test_on_off_identical () =
   Alcotest.(check (pair (float 0.0) int))
     "bstar identical with telemetry on"
     (run_b None)
-    (run_b (Some (live_sink ())))
-
-let assoc name l =
-  match List.assoc_opt name l with Some v -> v | None -> 0
+    (run_b (Some (live_sink ())));
+  (* symmetric packing, including the segregated fallback and its
+     eval.sym_fallbacks tally *)
+  let table1 = Netlist.Benchmarks.table1_suite () in
+  let b = List.nth table1 2 in
+  let groups =
+    Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
+  in
+  let run_sym telemetry =
+    let out =
+      Placer.Sa_seqpair.place ?telemetry ~groups ~params:small_params
+        ~rng:(Prelude.Rng.create 42) b.Netlist.Benchmarks.circuit
+    in
+    (out.Placer.Sa_seqpair.cost, out.Placer.Sa_seqpair.evaluated)
+  in
+  let live = live_sink () in
+  Alcotest.(check (pair (float 0.0) int))
+    "symmetric seqpair identical with telemetry on"
+    (run_sym None)
+    (run_sym (Some live));
+  let counters = T.Sink.counters live in
+  let fallbacks = assoc "eval.sym_fallbacks" counters in
+  Alcotest.(check bool) "fallbacks counted" true (fallbacks > 0);
+  Alcotest.(check bool) "fallbacks within evaluations" true
+    (fallbacks < assoc "eval.costs" counters)
 
 let test_pipeline_coverage () =
   let s = live_sink ~trace_capacity:4096 () in
