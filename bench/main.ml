@@ -1251,93 +1251,39 @@ let qor () =
     let telemetry = Telemetry.Sink.create () in
     let rng = Prelude.Rng.create seed in
     let w0 = Unix.gettimeofday () in
-    let placement, cost, sa_rounds, evaluated =
-      match engine with
-      | "sp" ->
-          let o =
-            Placer.Sa_seqpair.place ~groups ?chains ~telemetry ~rng circuit
-          in
-          ( o.Placer.Sa_seqpair.placement,
-            o.Placer.Sa_seqpair.cost,
-            o.Placer.Sa_seqpair.sa_rounds,
-            o.Placer.Sa_seqpair.evaluated )
-      | "bstar" ->
-          let o = Placer.Sa_bstar.place ?chains ~telemetry ~rng circuit in
-          ( o.Placer.Sa_bstar.placement,
-            o.Placer.Sa_bstar.cost,
-            o.Placer.Sa_bstar.sa_rounds,
-            o.Placer.Sa_bstar.evaluated )
-      | "esf" ->
-          (* deterministic enumeration: the seed only labels the row *)
-          let r =
-            Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy
-          in
-          let placement =
-            Placer.Placement.make circuit r.Shapefn.Combine.placed
-          in
-          (placement, Placer.Cost.evaluate Placer.Cost.default placement, 0, 0)
-      | "rsf" ->
-          let r =
-            Shapefn.Combine.place ~mode:Shapefn.Combine.Rsf circuit hierarchy
-          in
-          let placement =
-            Placer.Placement.make circuit r.Shapefn.Combine.placed
-          in
-          (placement, Placer.Cost.evaluate Placer.Cost.default placement, 0, 0)
-      | "hbstar" ->
-          let o = Bstar.Hbstar.place ~rng circuit hierarchy in
-          let placement = Placer.Placement.make circuit o.Bstar.Hbstar.placed in
-          ( placement,
-            Placer.Cost.evaluate Placer.Cost.default placement,
-            o.Bstar.Hbstar.sa_rounds,
-            0 )
-      | e -> failwith ("qor: unknown engine " ^ e)
+    (* the shape-function engines are deterministic: the seed only
+       labels their rows *)
+    let o =
+      Placer.Engine.run ~groups ?chains ~telemetry ~rng engine circuit hierarchy
     in
     let wall_s = Unix.gettimeofday () -. w0 in
-    let move_rates =
-      Telemetry.Qor.move_rates_of_counters (Telemetry.Sink.counters telemetry)
-    in
     (* routed entries carry the router's QoR so the regression gate
        covers routed wirelength and overflow alongside HPWL *)
-    let routed_wl, route_overflow, route_failed, route_iterations =
-      if not route then (None, None, None, None)
-      else
-        let r = Route.Router.route_all ~symmetric:groups ~telemetry placement in
-        ( Some r.Route.Router.wirelength,
-          Some r.Route.Router.overflow,
-          Some (List.length r.Route.Router.failed),
-          Some r.Route.Router.iterations )
+    let r =
+      if route then
+        Some
+          (Route.Router.route_all ~symmetric:groups ~telemetry
+             o.Placer.Placement.placement)
+      else None
     in
-    let q =
-      Placer.Qor.extract ~groups ~hierarchy ~move_rates ?routed_wl
-        ?route_overflow ?route_failed ?route_iterations ~cost ~wall_s
-        ~sa_rounds ~evaluated placement
-    in
-    let chain_qors =
-      List.filter
-        (fun (cq : Telemetry.Qor.t) -> String.equal cq.Telemetry.Qor.kind "chain")
-        (Telemetry.Sink.qors telemetry)
-    in
+    let routed f = Option.map f r in
+    let name = Placer.Engine.name engine in
     let entry =
-      Telemetry.Ledger.make ~chain_qors
-        ~placement:(Placer.Qor.rects placement)
-        ~label:b.Netlist.Benchmarks.label
-        ~netlist_hash:(Netlist.Circuit.digest circuit)
-        ~engine:(if route then engine ^ "+route" else engine)
-        ~seed
-        ~schedule:(Anneal.Schedule.to_string Anneal.Schedule.default)
-        ~workers:
-          (match chains with
-          | None -> 1
-          | Some _ -> Anneal.Parallel.default_workers ())
-        ~chains:(Option.value chains ~default:1)
-        ~qor:q ()
+      Placer.Engine.entry
+        ?routed_wl:(routed (fun r -> r.Route.Router.wirelength))
+        ?route_overflow:(routed (fun r -> r.Route.Router.overflow))
+        ?route_failed:(routed (fun r -> List.length r.Route.Router.failed))
+        ?route_iterations:(routed (fun r -> r.Route.Router.iterations))
+        ~groups ~hierarchy ~telemetry ~label:b.Netlist.Benchmarks.label
+        ~engine:(if route then name ^ "+route" else name)
+        ~seed ~wall_s o
     in
+    let q = entry.Telemetry.Ledger.qor in
     match Telemetry.Ledger.append path entry with
     | Ok () ->
         Printf.printf "  %-24s cost %-12.6g hpwl %-8.0f area %-10d viol %d\n"
           (Telemetry.Regress.key_of entry)
-          cost q.Telemetry.Qor.hpwl q.Telemetry.Qor.area
+          o.Placer.Placement.cost q.Telemetry.Qor.hpwl q.Telemetry.Qor.area
           (Telemetry.Qor.violation_total q)
     | Error msg ->
         Printf.eprintf "error: cannot write %s: %s\n" path msg;
@@ -1345,18 +1291,18 @@ let qor () =
   in
   let miller = Netlist.Benchmarks.miller () in
   let fig2 = Netlist.Benchmarks.fig2_design () in
-  run_entry miller "sp" 1 None;
-  run_entry miller "bstar" 1 None;
-  run_entry fig2 "sp" 2 (Some 2);
-  run_entry miller "esf" 1 None;
-  run_entry miller "rsf" 1 None;
-  run_entry miller "hbstar" 1 None;
+  run_entry miller Placer.Engine.Sp 1 None;
+  run_entry miller Placer.Engine.Bstar 1 None;
+  run_entry fig2 Placer.Engine.Sp 2 (Some 2);
+  run_entry miller Placer.Engine.Esf 1 None;
+  run_entry miller Placer.Engine.Rsf 1 None;
+  run_entry miller Placer.Engine.Hbstar 1 None;
   (* the routed suite: deterministic esf placements of the six Table-I
      circuits, routed to completion — the ledger entries carry
      routed_wl / route_overflow / route_failed, so `analog_place
      report` gates routed wirelength and overflow alongside HPWL *)
   let suite = Netlist.Benchmarks.table1_suite () in
-  List.iter (fun b -> run_entry ~route:true b "esf" 1 None) suite;
+  List.iter (fun b -> run_entry ~route:true b Placer.Engine.Esf 1 None) suite;
   Printf.printf "appended %d entries to %s\n" (6 + List.length suite) path
 
 (* ------------------------------------------------------------------ *)

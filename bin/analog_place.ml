@@ -1,30 +1,56 @@
 (* Command-line front end.
 
      analog_place place     -- place a netlist (or a built-in benchmark)
+     analog_place route     -- place, then route every net
+     analog_place report    -- diff QoR ledgers, gate regressions
      analog_place size      -- layout-aware sizing of the Miller op amp
      analog_place info      -- parse + recognize only
      analog_place lint      -- static constraint/netlist diagnostics
      analog_place verify    -- re-verify recorded placements, DRC style
+     analog_place batch     -- serve a JSONL request file
+     analog_place serve     -- long-lived JSONL placement service
      analog_place dashboard -- the flight recorder: one-page HTML telemetry
 
    Examples:
      analog_place place --netlist opamp.cir --engine hbstar --svg out.svg
      analog_place place --bench lnamixbias --engine esf
      analog_place place --bench miller-v2 --infeasible-check --outline 10x10
+     analog_place route --bench miller --engine sp --ledger runs.jsonl
+     analog_place report runs.jsonl --baseline bench/qor_baseline.jsonl
      analog_place size --mode aware
      analog_place lint opamp.cir --json
      analog_place verify --ledger runs.jsonl --all --sarif verify.sarif
+     analog_place batch requests.jsonl -o responses.jsonl
      analog_place dashboard runs.jsonl --out flight.html --bench miller --route
 *)
 
 open Cmdliner
 
+(* ---- files ------------------------------------------------------- *)
+
 let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error msg -> Error msg
+
+(* All CLI-facing file reads and writes go through these two: an I/O
+   failure prints one clean line and exits 2 instead of dying on a raw
+   Sys_error. [read_or_die "-"] reads stdin. *)
+let read_or_die path =
+  if path = "-" then In_channel.input_all stdin
+  else
+    match read_file path with
+    | Ok s -> s
+    | Error msg ->
+        Printf.eprintf "error: cannot read %s: %s\n" path msg;
+        exit 2
+
+let write_or_die path contents =
+  match Telemetry.Export.write_file ~path contents with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "error: cannot write %s: %s\n" path msg;
+      exit 2
 
 (* Everything that can go wrong between a path and a recognized bench,
    as one AL000 diagnostic: unreadable file, parse error (with its
@@ -32,8 +58,8 @@ let read_file path =
    netlist has no hierarchy root, for instance). *)
 let try_load_netlist path =
   match read_file path with
-  | exception Sys_error msg -> Error (Analysis.Lint.parse_failure ~file:path msg)
-  | contents -> (
+  | Error msg -> Error (Analysis.Lint.parse_failure ~file:path msg)
+  | Ok contents -> (
       match Netlist.Parser.parse_string contents with
       | Error (e : Netlist.Parser.error) ->
           Error
@@ -77,14 +103,39 @@ let load_bench name =
             name;
           exit 1)
 
-(* All CLI-facing file writes go through this: I/O failures print one
-   clean line and exit 2 instead of dying on a raw Sys_error. *)
-let write_or_die path contents =
-  match Telemetry.Export.write_file ~path contents with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "error: cannot write %s: %s\n" path msg;
+(* The --netlist/--bench pair: a netlist path wins over a bench name;
+   neither is a one-line usage error, exit 1. *)
+let resolve_input ?(usage = "need --netlist FILE or --bench NAME") netlist
+    bench =
+  match (netlist, bench) with
+  | Some path, _ -> `Netlist path
+  | None, Some name -> `Bench (load_bench name)
+  | None, None ->
+      prerr_endline usage;
+      exit 1
+
+let load_input netlist bench =
+  match resolve_input netlist bench with
+  | `Netlist path -> load_netlist path
+  | `Bench b -> b
+
+let read_ledger path =
+  match Telemetry.Ledger.read path with
+  | Ok [] ->
+      Printf.eprintf "error: %s holds no ledger entries\n" path;
       exit 2
+  | Ok es -> es
+  | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
+
+(* --last N: the newest N entries, all of them without the flag. *)
+let trim_last last entries =
+  match last with
+  | None -> entries
+  | Some n ->
+      let len = List.length entries in
+      List.filteri (fun i _ -> i >= len - n) entries
 
 (* Every SARIF file ships through the emitter's own structural check
    first — a malformed report is a bug here, not data for CI. *)
@@ -97,6 +148,8 @@ let write_sarif ?uri path diags =
       exit 2);
   write_or_die path s;
   Printf.printf "wrote %s\n" path
+
+(* ---- shared flags ------------------------------------------------ *)
 
 let outline_conv =
   let fail s = Error (`Msg (Printf.sprintf "bad outline %S (expected WxH)" s)) in
@@ -111,46 +164,51 @@ let outline_conv =
   let print ppf (w, h) = Format.fprintf ppf "%dx%d" w h in
   Arg.conv (parse, print)
 
-(* ---- place ------------------------------------------------------- *)
-
-type engine = Sp | Bstar_flat | Tcg | Hbstar | Esf | Rsf | Slicing
-
-let engine_name = function
-  | Sp -> "sp"
-  | Bstar_flat -> "bstar"
-  | Tcg -> "tcg"
-  | Hbstar -> "hbstar"
-  | Esf -> "esf"
-  | Rsf -> "rsf"
-  | Slicing -> "slicing"
-
 let engine_conv =
-  let parse = function
-    | "sp" | "seqpair" -> Ok Sp
-    | "bstar" -> Ok Bstar_flat
-    | "tcg" -> Ok Tcg
-    | "hbstar" -> Ok Hbstar
-    | "esf" -> Ok Esf
-    | "rsf" -> Ok Rsf
-    | "slicing" -> Ok Slicing
-    | s -> Error (`Msg ("unknown engine " ^ s))
+  let parse s =
+    match Placer.Engine.of_string s with
+    | Some e -> Ok e
+    | None -> Error (`Msg ("unknown engine " ^ s))
   in
-  let print ppf e = Format.pp_print_string ppf (engine_name e) in
+  let print ppf e = Format.pp_print_string ppf (Placer.Engine.name e) in
   Arg.conv (parse, print)
+
+(* The engines that take the annealing-only flags, for help and notes:
+   "sp, bstar, tcg". *)
+let annealed_engines =
+  String.concat ", "
+    (List.map Placer.Engine.name
+       (List.filter Placer.Engine.annealed Placer.Engine.all))
+
+let netlist_arg doc =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "netlist"; "n" ] ~docv:"FILE" ~doc)
+
+let bench_arg doc =
+  Arg.(value & opt (some string) None & info [ "bench"; "b" ] ~docv:"NAME" ~doc)
+
+let engine_arg default doc =
+  Arg.(value & opt engine_conv default & info [ "engine"; "e" ] ~docv:"ENGINE" ~doc)
+
+let seed_arg doc = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc)
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let sarif_arg doc =
+  Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
+
+let last_arg doc =
+  Arg.(value & opt (some int) None & info [ "last" ] ~docv:"N" ~doc)
+
+(* ---- place ------------------------------------------------------- *)
 
 (* [do_route] comes first so the `route` subcommand is a partial
    application of the same runner the `--route` flag drives. *)
 let run_place do_route netlist bench engine seed svg quiet cluster validate
     trace conv metrics workers chains async portfolio ledger infeasible_check
     outline route_weight =
-  let b =
-    match (netlist, bench) with
-    | Some path, _ -> load_netlist path
-    | None, Some name -> load_bench name
-    | None, None ->
-        prerr_endline "need --netlist FILE or --bench NAME";
-        exit 1
-  in
+  let b = load_input netlist bench in
   let circuit = b.Netlist.Benchmarks.circuit in
   let hierarchy =
     if cluster then Netlist.Cluster.by_connectivity circuit
@@ -167,13 +225,12 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
     if want_telemetry then Telemetry.Sink.create ~trace_capacity:65536 ()
     else Telemetry.Sink.null
   in
-  let instrumented =
-    portfolio || match engine with Sp | Bstar_flat | Tcg -> true | _ -> false
-  in
-  if want_telemetry && not instrumented then
+  let annealed = portfolio || Placer.Engine.annealed engine in
+  if want_telemetry && not annealed then
     Printf.eprintf
       "note: engine is not annealing-instrumented; the trace will only \
-       contain the place.total span (sp and bstar carry full telemetry)\n";
+       contain the place.total span (%s carry full telemetry)\n"
+      annealed_engines;
   let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
   (* The prover runs before any annealing; its errors are proofs, so a
      rejected input exits 1 without burning a single SA round. The
@@ -191,8 +248,8 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
   end;
   (* Routability-driven annealing: a non-zero --route-weight folds the
      probabilistic congestion estimate into the cost of the annealing
-     engines (sp, bstar, tcg, portfolio). Each chain builds its own
-     estimator instance, so parallel chains share nothing mutable. *)
+     engines. Each chain builds its own estimator instance, so parallel
+     chains share nothing mutable. *)
   let weights =
     if route_weight > 0.0 then
       { Placer.Cost.default with Placer.Cost.routability = route_weight }
@@ -202,14 +259,12 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
     if route_weight > 0.0 then Some (Route.Estimate.estimator circuit)
     else None
   in
-  if
-    route_weight > 0.0 && (not portfolio)
-    && match engine with Sp | Bstar_flat | Tcg -> false | _ -> true
-  then
+  if route_weight > 0.0 && not annealed then
     Printf.eprintf
-      "note: --route-weight only drives the annealing engines (sp, bstar, \
-       tcg, --portfolio); %s ignores it\n"
-      (engine_name engine);
+      "note: --route-weight only drives the annealing engines (%s, \
+       --portfolio); %s ignores it\n"
+      annealed_engines
+      (Placer.Engine.name engine);
   let mode = if async then `Async else `Deterministic in
   (* --async with no explicit geometry still means the parallel path:
      default to one chain per available worker *)
@@ -221,9 +276,7 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
   let t0 = Sys.time () in
   let w0 = Unix.gettimeofday () in
   let t_total = Telemetry.Sink.span_begin telemetry in
-  (* Each engine reports (placed cells, SA cost if it annealed, rounds,
-     evaluations) so a ledger entry can carry the real search effort. *)
-  let placed, sa_cost, sa_rounds, evaluated =
+  let o =
     if portfolio then (
       let o =
         try
@@ -244,67 +297,27 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
                   (Placer.Portfolio.engine_name e.Placer.Portfolio.engine)
                   e.Placer.Portfolio.cost)
               o.Placer.Portfolio.entrants));
-      ( o.Placer.Portfolio.placement.Placer.Placement.placed,
-        Some o.Placer.Portfolio.cost,
-        List.fold_left
-          (fun acc (e : Placer.Portfolio.entrant) ->
-            max acc e.Placer.Portfolio.sa_rounds)
-          0 o.Placer.Portfolio.entrants,
-        o.Placer.Portfolio.evaluated ))
+      {
+        Placer.Placement.placement = o.Placer.Portfolio.placement;
+        cost = o.Placer.Portfolio.cost;
+        sa_rounds =
+          List.fold_left
+            (fun acc (e : Placer.Portfolio.entrant) ->
+              max acc e.Placer.Portfolio.sa_rounds)
+            0 o.Placer.Portfolio.entrants;
+        evaluated = o.Placer.Portfolio.evaluated;
+        workers = o.Placer.Portfolio.workers;
+        chains = Option.value chains ~default:1;
+      })
     else
-      match engine with
-      | Sp ->
-          let o =
-            Placer.Sa_seqpair.place ~weights ~groups ?validate ?workers
-              ?chains ~mode ?estimator ~telemetry ~rng circuit
-          in
-          ( o.Placer.Sa_seqpair.placement.Placer.Placement.placed,
-            Some o.Placer.Sa_seqpair.cost,
-            o.Placer.Sa_seqpair.sa_rounds,
-            o.Placer.Sa_seqpair.evaluated )
-      | Bstar_flat ->
-          let o =
-            Placer.Sa_bstar.place ~weights ?validate ?workers ?chains ~mode
-              ?estimator ~telemetry ~rng circuit
-          in
-          ( o.Placer.Sa_bstar.placement.Placer.Placement.placed,
-            Some o.Placer.Sa_bstar.cost,
-            o.Placer.Sa_bstar.sa_rounds,
-            o.Placer.Sa_bstar.evaluated )
-      | Tcg ->
-          let o =
-            Placer.Sa_tcg.place ~weights ?validate ?workers ?chains ~mode
-              ?estimator ~telemetry ~rng circuit
-          in
-          ( o.Placer.Sa_tcg.placement.Placer.Placement.placed,
-            Some o.Placer.Sa_tcg.cost,
-            o.Placer.Sa_tcg.sa_rounds,
-            o.Placer.Sa_tcg.evaluated )
-      | Hbstar ->
-        ((Bstar.Hbstar.place ~rng circuit hierarchy).Bstar.Hbstar.placed, None, 0, 0)
-    | Esf ->
-        ( (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy)
-            .Shapefn.Combine.placed,
-          None,
-          0,
-          0 )
-    | Rsf ->
-        ( (Shapefn.Combine.place ~mode:Shapefn.Combine.Rsf circuit hierarchy)
-            .Shapefn.Combine.placed,
-          None,
-          0,
-          0 )
-    | Slicing ->
-        ( (Placer.Slicing.place ~rng circuit)
-            .Placer.Slicing.placement.Placer.Placement.placed,
-          None,
-          0,
-          0 )
+      Placer.Engine.run ~weights ~groups ?workers ?chains ~mode ?validate
+        ?estimator ~telemetry ~rng engine circuit hierarchy
   in
   Telemetry.Sink.span_end telemetry "place.total" t_total;
   let seconds = Sys.time () -. t0 in
   let wall_s = Unix.gettimeofday () -. w0 in
-  let placement = Placer.Placement.make circuit placed in
+  let placement = o.Placer.Placement.placement in
+  let placed = placement.Placer.Placement.placed in
   (match Placer.Placement.validate placement with
   | Ok () -> ()
   | Error m ->
@@ -390,8 +403,8 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
   | Some path ->
       let json = Telemetry.Export.chrome_json telemetry in
       (* the emitter self-checks: a malformed trace is a bug, not data *)
-      (match Telemetry.Export.check_json json with
-      | Ok () -> ()
+      (match Telemetry.Json.parse json with
+      | Ok _ -> ()
       | Error e ->
           Printf.eprintf "internal error: invalid trace JSON: %s\n" e;
           exit 2);
@@ -407,62 +420,20 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
   if metrics then print_string (Telemetry.Export.text telemetry);
   match ledger with
   | None -> ()
-  | Some path ->
-      let cost =
-        match sa_cost with
-        | Some c -> c
-        | None -> Placer.Cost.evaluate Placer.Cost.default placement
-      in
-      let move_rates =
-        Telemetry.Qor.move_rates_of_counters (Telemetry.Sink.counters telemetry)
-      in
-      let routed_wl, route_overflow, route_failed, route_iterations =
-        match route_result with
-        | None -> (None, None, None, None)
-        | Some r ->
-            ( Some r.Route.Router.wirelength,
-              Some r.Route.Router.overflow,
-              Some (List.length r.Route.Router.failed),
-              Some r.Route.Router.iterations )
-      in
-      let qor =
-        Placer.Qor.extract ~groups ~hierarchy ~move_rates ?routed_wl
-          ?route_overflow ?route_failed ?route_iterations ~cost ~wall_s
-          ~sa_rounds ~evaluated placement
-      in
-      let chain_qors =
-        List.filter
-          (fun (q : Telemetry.Qor.t) -> String.equal q.Telemetry.Qor.kind "chain")
-          (Telemetry.Sink.qors telemetry)
-      in
-      (* Record the effective parallel geometry: the defaulting below
-         mirrors Sa_seqpair.place (chains default workers and vice
-         versa; no flag at all means the single-chain path) and
-         Portfolio.race (chains default 1 per engine). *)
-      let rec_workers, rec_chains =
-        if portfolio then
-          ( (match workers with
-            | Some w -> w
-            | None -> Anneal.Parallel.default_workers ()),
-            Option.value chains ~default:1 )
-        else
-          match (workers, chains) with
-          | None, None -> (1, 1)
-          | Some w, None -> (w, w)
-          | None, Some c -> (Anneal.Parallel.default_workers (), c)
-          | Some w, Some c -> (w, c)
-      in
+  | Some path -> (
+      let routed f = Option.map f route_result in
       let entry =
-        Telemetry.Ledger.make ~chain_qors
-          ~placement:(Placer.Qor.rects placement)
-          ~label:b.Netlist.Benchmarks.label
-          ~netlist_hash:(Netlist.Circuit.digest circuit)
-          ~engine:(if portfolio then "portfolio" else engine_name engine)
-          ~seed
-          ~schedule:(Anneal.Schedule.to_string Anneal.Schedule.default)
-          ~workers:rec_workers ~chains:rec_chains ~qor ()
+        Placer.Engine.entry
+          ?routed_wl:(routed (fun r -> r.Route.Router.wirelength))
+          ?route_overflow:(routed (fun r -> r.Route.Router.overflow))
+          ?route_failed:(routed (fun r -> List.length r.Route.Router.failed))
+          ?route_iterations:(routed (fun r -> r.Route.Router.iterations))
+          ~groups ~hierarchy ~telemetry ~label:b.Netlist.Benchmarks.label
+          ~engine:
+            (if portfolio then "portfolio" else Placer.Engine.name engine)
+          ~seed ~wall_s o
       in
-      (match Telemetry.Ledger.append path entry with
+      match Telemetry.Ledger.append path entry with
       | Ok () -> Printf.printf "appended ledger entry to %s\n" path
       | Error msg ->
           Printf.eprintf "error: cannot write %s: %s\n" path msg;
@@ -473,32 +444,17 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
    leading [do_route] parameter of [run_place] is bound. *)
 let place_term ~route =
   let netlist =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "netlist"; "n" ] ~docv:"FILE"
-          ~doc:"SPICE-like netlist to place (hierarchy is auto-recognized).")
+    netlist_arg "SPICE-like netlist to place (hierarchy is auto-recognized)."
   in
-  let bench =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench"; "b" ] ~docv:"NAME"
-          ~doc:"Built-in benchmark: miller, fig2, or a Table-I circuit.")
-  in
+  let bench = bench_arg "Built-in benchmark: miller, fig2, or a Table-I circuit." in
   let engine =
-    Arg.(
-      value & opt engine_conv Hbstar
-      & info [ "engine"; "e" ] ~docv:"ENGINE"
-          ~doc:
-            "Placement engine: sp (annealed symmetric-feasible \
-             sequence-pair), bstar (flat B*-tree), hbstar (hierarchical \
-             B*-tree with constraints), esf / rsf (deterministic shape \
-             functions), slicing (baseline).")
+    engine_arg Placer.Engine.Hbstar
+      "Placement engine: sp (annealed symmetric-feasible sequence-pair), \
+       bstar (flat B*-tree), tcg (transitive closure graph), hbstar \
+       (hierarchical B*-tree with constraints), esf / rsf (deterministic \
+       shape functions), slicing (baseline)."
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc:"RNG seed.")
-  in
+  let seed = seed_arg "RNG seed." in
   let svg =
     Arg.(
       value
@@ -522,8 +478,11 @@ let place_term ~route =
       & opt (some bool) None
       & info [ "validate" ] ~docv:"BOOL"
           ~doc:
-            "Run the invariant sanitizer after every SA move (sp and bstar \
-             engines). Defaults to the ANALOG_VALIDATE environment switch.")
+            (Printf.sprintf
+               "Run the invariant sanitizer after every SA move (%s \
+                engines). Defaults to the ANALOG_VALIDATE environment \
+                switch."
+               annealed_engines))
   in
   let trace =
     Arg.(
@@ -558,9 +517,11 @@ let place_term ~route =
       & opt (some int) None
       & info [ "workers" ] ~docv:"INT"
           ~doc:
-            "Worker domains for multi-start annealing (sp and bstar \
-             engines). Results are identical for any value; this only \
-             chooses how much hardware the same computation uses.")
+            (Printf.sprintf
+               "Worker domains for multi-start annealing (%s engines). \
+                Results are identical for any value; this only chooses how \
+                much hardware the same computation uses."
+               annealed_engines))
   in
   let chains =
     Arg.(
@@ -568,9 +529,10 @@ let place_term ~route =
       & opt (some int) None
       & info [ "chains" ] ~docv:"INT"
           ~doc:
-            "Independent annealing chains for multi-start (sp and bstar \
-             engines); defaults to the worker count when --workers is \
-             given.")
+            (Printf.sprintf
+               "Independent annealing chains for multi-start (%s engines); \
+                defaults to the worker count when --workers is given."
+               annealed_engines))
   in
   let async =
     Arg.(
@@ -647,10 +609,12 @@ let place_term ~route =
       value & opt float 0.0
       & info [ "route-weight" ] ~docv:"W"
           ~doc:
-            "Fold the probabilistic congestion estimate into the annealing \
-             cost with this weight (sp, bstar, tcg and --portfolio \
-             engines): the anneal becomes routability-driven. 0 keeps the \
-             classic three-term cost.")
+            (Printf.sprintf
+               "Fold the probabilistic congestion estimate into the \
+                annealing cost with this weight (%s and --portfolio \
+                engines): the anneal becomes routability-driven. 0 keeps \
+                the classic three-term cost."
+               annealed_engines))
   in
   Term.(
     const run_place $ do_route $ netlist $ bench $ engine $ seed $ svg $ quiet
@@ -745,27 +709,10 @@ let sanitize_key k =
   String.map (function '/' | ' ' | '.' -> '_' | c -> c) k
 
 let run_report ledger baseline last svg_dir cost_tol hpwl_tol area_tol json =
-  let read_or_die path =
-    match Telemetry.Ledger.read path with
-    | Ok [] ->
-        Printf.eprintf "error: %s holds no ledger entries\n" path;
-        exit 2
-    | Ok es -> es
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-  in
-  let entries = read_or_die ledger in
-  let entries =
-    match last with
-    | None -> entries
-    | Some n ->
-        let len = List.length entries in
-        List.filteri (fun i _ -> i >= len - n) entries
-  in
+  let entries = trim_last last (read_ledger ledger) in
   let base_entries, cand_entries =
     match baseline with
-    | Some bpath -> (read_or_die bpath, entries)
+    | Some bpath -> (read_ledger bpath, entries)
     | None ->
         (* trend mode on one ledger: each key's latest entry is the
            candidate, its earlier entries are the baseline *)
@@ -849,13 +796,7 @@ let report_cmd =
              latest entry is compared against its own earlier history \
              (trend mode).")
   in
-  let last =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "last" ] ~docv:"N"
-          ~doc:"Consider only the last N entries of LEDGER.")
-  in
+  let last = last_arg "Consider only the last N entries of LEDGER." in
   let svg_dir =
     Arg.(
       value
@@ -874,14 +815,10 @@ let report_cmd =
   let hpwl_tol = tol "hpwl-tol" 2.0 "HPWL regression tolerance, percent." in
   let area_tol = tol "area-tol" 2.0 "Area regression tolerance, percent." in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the verdict as one machine-readable JSON object \
-             (verdict, per-configuration comparisons, per-metric \
-             baselines and deltas) instead of the text table. The exit \
-             status gates the same way.")
+    json_arg
+      "Emit the verdict as one machine-readable JSON object (verdict, \
+       per-configuration comparisons, per-metric baselines and deltas) \
+       instead of the text table. The exit status gates the same way."
   in
   Cmd.v
     (Cmd.info "report"
@@ -943,9 +880,7 @@ let size_cmd =
       & info [ "mode"; "m" ] ~docv:"MODE"
           ~doc:"Sizing mode: electrical (layout-blind) or aware.")
   in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"INT" ~doc:"RNG seed.")
-  in
+  let seed = seed_arg "RNG seed." in
   Cmd.v
     (Cmd.info "size" ~doc:"Layout-aware sizing of the Miller op amp")
     Term.(const run_size $ mode $ seed)
@@ -983,31 +918,24 @@ let info_cmd =
 let run_lint netlist bench json sarif threshold =
   (* exit status: 0 clean, 1 lint findings, 2 the input never became a
      circuit (AL000) — so CI can tell "bad constraints" from "bad file" *)
+  let loaded =
+    match
+      resolve_input ~usage:"need a netlist FILE or --bench NAME" netlist bench
+    with
+    | `Netlist path -> try_load_netlist path
+    | `Bench b -> Ok b
+  in
   let label, diags, status =
-    match (netlist, bench) with
-    | Some path, _ -> (
-        match try_load_netlist path with
-        | Error d -> (path, [ d ], 2)
-        | Ok b ->
-            let diags =
-              Analysis.Lint.all ~sf_threshold:threshold
-                b.Netlist.Benchmarks.circuit b.Netlist.Benchmarks.hierarchy
-            in
-            ( b.Netlist.Benchmarks.label,
-              diags,
-              if Analysis.Diagnostic.has_errors diags then 1 else 0 ))
-    | None, Some name ->
-        let b = load_bench name in
+    match loaded with
+    | Error d -> (Option.get netlist, [ d ], 2)
+    | Ok b ->
         let diags =
-          Analysis.Lint.all ~sf_threshold:threshold
-            b.Netlist.Benchmarks.circuit b.Netlist.Benchmarks.hierarchy
+          Analysis.Lint.all ~sf_threshold:threshold b.Netlist.Benchmarks.circuit
+            b.Netlist.Benchmarks.hierarchy
         in
         ( b.Netlist.Benchmarks.label,
           diags,
           if Analysis.Diagnostic.has_errors diags then 1 else 0 )
-    | None, None ->
-        prerr_endline "need a netlist FILE or --bench NAME";
-        exit 1
   in
   if json then print_endline (Analysis.Diagnostic.list_to_json diags)
   else begin
@@ -1027,25 +955,9 @@ let lint_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Netlist to lint.")
   in
-  let bench =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench"; "b" ] ~docv:"NAME"
-          ~doc:"Lint a built-in benchmark instead of a file.")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit diagnostics as a JSON array.")
-  in
-  let sarif =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:"Also write the diagnostics as a SARIF 2.1.0 report.")
-  in
+  let bench = bench_arg "Lint a built-in benchmark instead of a file." in
+  let json = json_arg "Emit diagnostics as a JSON array." in
+  let sarif = sarif_arg "Also write the diagnostics as a SARIF 2.1.0 report." in
   let threshold =
     Arg.(
       value & opt int 1000
@@ -1063,22 +975,8 @@ let lint_cmd =
 (* ---- verify ------------------------------------------------------ *)
 
 let run_verify ledger last all sarif outline =
-  let entries =
-    match Telemetry.Ledger.read ledger with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    | Ok [] ->
-        Printf.eprintf "error: %s holds no ledger entries\n" ledger;
-        exit 2
-    | Ok es -> es
-  in
-  let entries =
-    if all then entries
-    else
-      let len = List.length entries in
-      List.filteri (fun i _ -> i >= len - max 1 last) entries
-  in
+  let entries = read_ledger ledger in
+  let entries = if all then entries else trim_last (Some (max 1 last)) entries in
   let skipped = ref 0 in
   let all_diags =
     List.concat_map
@@ -1132,13 +1030,7 @@ let verify_cmd =
       value & flag
       & info [ "all" ] ~doc:"Verify every entry in the ledger.")
   in
-  let sarif =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:"Write the findings as a SARIF 2.1.0 report.")
-  in
+  let sarif = sarif_arg "Write the findings as a SARIF 2.1.0 report." in
   let outline =
     Arg.(
       value
@@ -1186,34 +1078,26 @@ let service_prom =
            instantiation counters, latency summaries) to $(docv) on \
            exit; $(b,-) for stderr.")
 
-let emit_prom svc = function
+let emit_prom metrics = function
   | None -> ()
-  | Some "-" -> prerr_string (Service.metrics svc)
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Service.metrics svc);
-      close_out oc
+  | Some "-" -> prerr_string metrics
+  | Some path -> write_or_die path metrics
 
-let read_request_lines ic =
-  let rec go acc n =
-    match input_line ic with
-    | exception End_of_file -> List.rev acc
-    | line ->
-        let acc =
-          if String.trim line = "" then acc
-          else
-            match Service.Request.of_line line with
-            | Ok r -> Ok r :: acc
-            | Error msg -> Error (n, msg) :: acc
-        in
-        go acc (n + 1)
-  in
-  go [] 1
+(* The requests of a JSONL file ("-" for stdin), blank lines skipped,
+   each parsed or paired with its 1-based line number. *)
+let read_requests path =
+  List.concat
+    (List.mapi
+       (fun i line ->
+         if String.trim line = "" then []
+         else
+           match Service.Request.of_line line with
+           | Ok r -> [ Ok r ]
+           | Error msg -> [ Error (i + 1, msg) ])
+       (String.split_on_char '\n' (read_or_die path)))
 
 let run_batch input output in_flight workers cache_size quiet prom =
-  let ic = if input = "-" then stdin else open_in input in
-  let lines = read_request_lines ic in
-  if ic != stdin then close_in ic;
+  let lines = read_requests input in
   let bad =
     List.filter_map (function Error e -> Some e | Ok _ -> None) lines
   in
@@ -1223,30 +1107,35 @@ let run_batch input output in_flight workers cache_size quiet prom =
   let requests =
     List.filter_map (function Ok r -> Some r | Error _ -> None) lines
   in
-  let oc = match output with None | Some "-" -> stdout | Some p -> open_out p in
-  Service.with_service ?workers ~cache_capacity:cache_size (fun svc ->
-      let t0 = Unix.gettimeofday () in
-      let responses = Service.run_batch ?in_flight svc requests in
-      let t1 = Unix.gettimeofday () in
-      List.iter
-        (fun r ->
-          output_string oc (Service.Request.response_line r);
-          output_char oc '\n')
-        responses;
-      if oc != stdout then close_out oc else flush oc;
-      if not quiet then begin
+  let responses, summary, metrics =
+    Service.with_service ?workers ~cache_capacity:cache_size (fun svc ->
+        let t0 = Unix.gettimeofday () in
+        let responses = Service.run_batch ?in_flight svc requests in
+        let t1 = Unix.gettimeofday () in
         let v = Service.counter_value svc in
-        Printf.eprintf
-          "served %d requests in %.2fs: %d hits, %d misses, %d evictions \
-           (hit rate %.1f%%)\n%!"
-          (v "service.requests") (t1 -. t0) (v "service.hits")
-          (v "service.misses")
-          (v "service.verify_evictions")
-          (let total = v "service.hits" + v "service.misses" in
-           if total = 0 then 0.0
-           else 100.0 *. float_of_int (v "service.hits") /. float_of_int total)
-      end;
-      emit_prom svc prom);
+        let summary =
+          Printf.sprintf
+            "served %d requests in %.2fs: %d hits, %d misses, %d evictions \
+             (hit rate %.1f%%)\n"
+            (v "service.requests") (t1 -. t0) (v "service.hits")
+            (v "service.misses")
+            (v "service.verify_evictions")
+            (let total = v "service.hits" + v "service.misses" in
+             if total = 0 then 0.0
+             else
+               100.0 *. float_of_int (v "service.hits") /. float_of_int total)
+        in
+        (responses, summary, Service.metrics svc))
+  in
+  let text =
+    String.concat ""
+      (List.map (fun r -> Service.Request.response_line r ^ "\n") responses)
+  in
+  (match output with
+  | None | Some "-" -> print_string text
+  | Some path -> write_or_die path text);
+  if not quiet then prerr_string summary;
+  emit_prom metrics prom;
   if bad <> [] then exit 1
 
 let batch_cmd =
@@ -1294,27 +1183,30 @@ let batch_cmd =
       $ service_cache_size $ quiet $ service_prom)
 
 let run_serve workers cache_size prom =
-  Service.with_service ?workers ~cache_capacity:cache_size (fun svc ->
-      let rec loop () =
-        match input_line stdin with
-        | exception End_of_file -> ()
-        | line when String.trim line = "" -> loop ()
-        | line ->
-            (match Service.Request.of_line line with
-            | Error msg ->
-                print_string
-                  (Telemetry.Json.emit
-                     (Telemetry.Json.Obj
-                        [ ("error", Telemetry.Json.Str msg) ]))
-            | Ok req ->
-                print_string
-                  (Service.Request.response_line (Service.submit svc req)));
-            print_newline ();
-            flush stdout;
-            loop ()
-      in
-      loop ();
-      emit_prom svc prom)
+  let metrics =
+    Service.with_service ?workers ~cache_capacity:cache_size (fun svc ->
+        let rec loop () =
+          match input_line stdin with
+          | exception End_of_file -> ()
+          | line when String.trim line = "" -> loop ()
+          | line ->
+              (match Service.Request.of_line line with
+              | Error msg ->
+                  print_string
+                    (Telemetry.Json.emit
+                       (Telemetry.Json.Obj
+                          [ ("error", Telemetry.Json.Str msg) ]))
+              | Ok req ->
+                  print_string
+                    (Service.Request.response_line (Service.submit svc req)));
+              print_newline ();
+              flush stdout;
+              loop ()
+        in
+        loop ();
+        Service.metrics svc)
+  in
+  emit_prom metrics prom
 
 let serve_cmd =
   Cmd.v
@@ -1339,23 +1231,7 @@ let serve_cmd =
    touches disk — a malformed document is a bug here, not data. *)
 let run_dashboard ledger out title last netlist bench engine seed do_route
     requests =
-  let entries =
-    match Telemetry.Ledger.read ledger with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit 2
-    | Ok [] ->
-        Printf.eprintf "error: %s holds no ledger entries\n" ledger;
-        exit 2
-    | Ok es -> es
-  in
-  let entries =
-    match last with
-    | None -> entries
-    | Some n ->
-        let len = List.length entries in
-        List.filteri (fun i _ -> i >= len - n) entries
-  in
+  let entries = trim_last last (read_ledger ledger) in
   let sink, route_iters, heatmaps =
     match (netlist, bench) with
     | None, None ->
@@ -1365,43 +1241,16 @@ let run_dashboard ledger out title last netlist bench engine seed do_route
         end;
         (None, [], [])
     | _ ->
-        let b =
-          match (netlist, bench) with
-          | Some path, _ -> load_netlist path
-          | None, Some name -> load_bench name
-          | None, None -> assert false
-        in
+        let b = load_input netlist bench in
         let circuit = b.Netlist.Benchmarks.circuit in
         let hierarchy = b.Netlist.Benchmarks.hierarchy in
         let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
         let rng = Prelude.Rng.create seed in
         let telemetry = Telemetry.Sink.create ~trace_capacity:65536 () in
-        let placed =
-          match engine with
-          | Sp ->
-              (Placer.Sa_seqpair.place ~groups ~telemetry ~rng circuit)
-                .Placer.Sa_seqpair.placement.Placer.Placement.placed
-          | Bstar_flat ->
-              (Placer.Sa_bstar.place ~telemetry ~rng circuit)
-                .Placer.Sa_bstar.placement.Placer.Placement.placed
-          | Tcg ->
-              (Placer.Sa_tcg.place ~telemetry ~rng circuit)
-                .Placer.Sa_tcg.placement.Placer.Placement.placed
-          | Hbstar ->
-              (Bstar.Hbstar.place ~rng circuit hierarchy).Bstar.Hbstar.placed
-          | Esf ->
-              (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit
-                 hierarchy)
-                .Shapefn.Combine.placed
-          | Rsf ->
-              (Shapefn.Combine.place ~mode:Shapefn.Combine.Rsf circuit
-                 hierarchy)
-                .Shapefn.Combine.placed
-          | Slicing ->
-              (Placer.Slicing.place ~rng circuit)
-                .Placer.Slicing.placement.Placer.Placement.placed
+        let placement =
+          (Placer.Engine.run ~groups ~telemetry ~rng engine circuit hierarchy)
+            .Placer.Placement.placement
         in
-        let placement = Placer.Placement.make circuit placed in
         let route_iters, heatmaps =
           if not do_route then ([], [])
           else begin
@@ -1441,9 +1290,7 @@ let run_dashboard ledger out title last netlist bench engine seed do_route
     match requests with
     | None -> []
     | Some path ->
-        let ic = if path = "-" then stdin else open_in path in
-        let lines = read_request_lines ic in
-        if ic != stdin then close_in ic;
+        let lines = read_requests path in
         List.iter
           (function
             | Error (n, msg) ->
@@ -1509,42 +1356,19 @@ let dashboard_cmd =
       & opt (some string) None
       & info [ "title" ] ~docv:"TEXT" ~doc:"Dashboard heading.")
   in
-  let last =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "last" ] ~docv:"N"
-          ~doc:"Render only the last N entries of LEDGER.")
-  in
+  let last = last_arg "Render only the last N entries of LEDGER." in
   let netlist =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "netlist"; "n" ] ~docv:"FILE"
-          ~doc:
-            "Also run a live instrumented placement of this netlist: \
-             adds the SA convergence, acceptance and counter panels.")
+    netlist_arg
+      "Also run a live instrumented placement of this netlist: adds the SA \
+       convergence, acceptance and counter panels."
   in
-  let bench =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench"; "b" ] ~docv:"NAME"
-          ~doc:"Live-run a built-in benchmark instead of a netlist file.")
-  in
+  let bench = bench_arg "Live-run a built-in benchmark instead of a netlist file." in
   let engine =
-    Arg.(
-      value & opt engine_conv Sp
-      & info [ "engine"; "e" ] ~docv:"ENGINE"
-          ~doc:
-            "Engine for the live run (default sp, which carries full \
-             annealing telemetry).")
+    engine_arg Placer.Engine.Sp
+      "Engine for the live run (default sp, which carries full annealing \
+       telemetry)."
   in
-  let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"INT" ~doc:"RNG seed for the live run.")
-  in
+  let seed = seed_arg "RNG seed for the live run." in
   let route =
     Arg.(
       value & flag

@@ -202,15 +202,18 @@ let async ?pool ~workers ~slice ~check ~tels ~slice_us chains =
   done;
   Pool.drain pool
 
+(* The pool width [k] chains run on: the requested worker count
+   (default {!default_workers}), capped at one domain per chain. *)
+let width ?workers k =
+  max 1 (min k (match workers with Some w -> w | None -> default_workers ()))
+
 let run ?(mode = `Deterministic) ?pool ?workers ?(exchange_every = 32)
     ?(check = ignore) ?(telemetry = Telemetry.Sink.null) ?engine ~seeds params
     problem_of =
   if seeds = [] then invalid_arg "Parallel: empty seed list";
   let seeds = Array.of_list seeds in
   let k = Array.length seeds in
-  let workers =
-    max 1 (min k (match workers with Some w -> w | None -> default_workers ()))
-  in
+  let workers = width ?workers k in
   let slice = if exchange_every <= 0 then max_int else exchange_every in
   let tels =
     Array.init k (fun i -> Telemetry.Sink.child telemetry ~tid:(i + 1))
@@ -238,3 +241,46 @@ let run ?(mode = `Deterministic) ?pool ?workers ?(exchange_every = 32)
     match mode with `Deterministic -> "deterministic" | `Async -> "async"
   in
   finish ?engine ~mode:mode_label ~check ~telemetry ~tels chains
+
+type 'a multi_start = {
+  state : 'a;
+  cost : float;
+  rounds : int;
+  evaluated : int;
+  workers : int;
+  chains : int;
+}
+
+(* The multi-start policy every placer shares: no geometry at all is
+   the classic single chain on the caller's stream; otherwise [chains]
+   (default [workers], default the hardware) chains whose seeds are
+   drawn from that stream, so a fixed caller seed gives the same result
+   at any worker count. *)
+let multi_start ?workers ?chains ?mode ?check ?telemetry ~engine ~rng params
+    problem_of =
+  match (chains, workers) with
+  | None, None ->
+      let tel = Option.value telemetry ~default:Telemetry.Sink.null in
+      let o = Sa.run ~telemetry:tel ~rng params (problem_of tel rng) in
+      {
+        state = o.Sa.best;
+        cost = o.Sa.best_cost;
+        rounds = o.Sa.rounds;
+        evaluated = o.Sa.evaluated;
+        workers = 1;
+        chains = 1;
+      }
+  | Some k, _ | None, Some k ->
+      let k = max 1 k in
+      let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
+      let r =
+        run ?mode ?workers ?check ?telemetry ~engine ~seeds params problem_of
+      in
+      {
+        state = r.best;
+        cost = r.best_cost;
+        rounds = r.chains.(r.winner).Sa.rounds;
+        evaluated = r.evaluated;
+        workers = width ?workers k;
+        chains = k;
+      }

@@ -53,6 +53,10 @@ val default_workers : unit -> int
     [Domain.recommended_domain_count ()]. Unparsable values fall back
     to the hardware count. *)
 
+val width : ?workers:int -> int -> int
+(** [width ?workers k]: the pool width [k] chains run on — [workers]
+    (default {!default_workers}) capped at [k], at least 1. *)
+
 val parse_workers : string -> int option
 (** The parser behind [ANALOG_WORKERS]: [int_of_string] after trimming,
     clamped to at least 1; [None] when unparsable. Exposed for
@@ -125,3 +129,32 @@ val run :
     final drain. Telemetry draws nothing from any rng, so
     deterministic results remain a pure function of
     seeds/params/exchange and worker-count invariant. *)
+
+type 'a multi_start = {
+  state : 'a;  (** the best state found *)
+  cost : float;  (** its cost *)
+  rounds : int;  (** rounds of the winning chain *)
+  evaluated : int;  (** total cost evaluations across chains *)
+  workers : int;  (** domains that ran the chains *)
+  chains : int;  (** chains run *)
+}
+
+val multi_start :
+  ?workers:int ->
+  ?chains:int ->
+  ?mode:[ `Deterministic | `Async ] ->
+  ?check:('a -> unit) ->
+  ?telemetry:Telemetry.Sink.t ->
+  engine:string ->
+  rng:Prelude.Rng.t ->
+  Sa.params ->
+  (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.problem) ->
+  'a multi_start
+(** The multi-start policy of every placer. With neither [workers]
+    nor [chains], one {!Sa.run} chain on [rng] itself (one worker, one
+    chain; [mode], [check] and [engine] are unused). Otherwise [chains]
+    chains (default [workers], default {!default_workers}; at least 1)
+    whose seeds are drawn from [rng], handed to {!run} with the other
+    arguments — so a fixed caller seed gives identical results for any
+    [workers] value in deterministic mode. [workers] in the result is
+    the width that ran: [min chains (workers or default_workers ())]. *)

@@ -6,6 +6,15 @@ type t = {
   by_cell : Transform.placed option array;
 }
 
+type outcome = {
+  placement : t;
+  cost : float;
+  sa_rounds : int;
+  evaluated : int;
+  workers : int;
+  chains : int;
+}
+
 (* [by_cell] indexes placements by cell id so [rect_of] (and through it
    the per-pin lookups of [hpwl]) is O(1) instead of an O(n) list scan.
    Out-of-range or duplicate cells keep the list as source of truth and
@@ -19,6 +28,16 @@ let make circuit placed =
         by_cell.(p.cell) <- Some p)
     placed;
   { circuit; placed; by_cell }
+
+let outcome_of placement (r : _ Anneal.Parallel.multi_start) =
+  {
+    placement;
+    cost = r.cost;
+    sa_rounds = r.rounds;
+    evaluated = r.evaluated;
+    workers = r.workers;
+    chains = r.chains;
+  }
 
 let bbox t =
   match t.placed with

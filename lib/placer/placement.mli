@@ -10,6 +10,21 @@ type t = private {
 
 val make : Netlist.Circuit.t -> Geometry.Transform.placed list -> t
 
+type outcome = {
+  placement : t;
+  cost : float;  (** the engine's own best cost *)
+  sa_rounds : int;  (** rounds of the winning chain; 0 if nothing annealed *)
+  evaluated : int;  (** cost evaluations over all chains *)
+  workers : int;  (** domains the search ran on *)
+  chains : int;  (** annealing chains run *)
+}
+(** What every placer returns: {!Sa_seqpair}, {!Sa_bstar}, {!Sa_tcg}
+    and {!Slicing} re-export it with its fields, and {!Engine.run}
+    returns it for all seven engines. *)
+
+val outcome_of : t -> _ Anneal.Parallel.multi_start -> outcome
+(** A search's outcome around its materialized best state. *)
+
 val bbox : t -> Geometry.Rect.t
 (** Bounding box anchored at the origin (covers (0,0) .. max extents). *)
 

@@ -52,6 +52,7 @@ type outcome = {
   winner : engine;
   entrants : entrant list;
   evaluated : int;
+  workers : int;
 }
 
 (* ---- re-encoding converters ----------------------------------------
@@ -278,11 +279,9 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
      for a fixed caller seed *)
   let seeds = Array.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
   let workers =
-    max 1
-      (min k
-         (match workers with
-         | Some w -> w
-         | None -> Anneal.Parallel.default_workers ()))
+    match pool with
+    | Some p -> Anneal.Pool.workers p
+    | None -> Anneal.Parallel.width ?workers k
   in
   let slice = if exchange_every <= 0 then max_int else exchange_every in
   let tels =
@@ -439,4 +438,5 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
         entrants;
         evaluated =
           List.fold_left (fun acc (e : entrant) -> acc + e.evaluated) 0 entrants;
+        workers;
       }

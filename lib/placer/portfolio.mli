@@ -38,6 +38,7 @@ type outcome = {
           publisher of the best solution *)
   entrants : entrant list;  (** per-entrant results, race order *)
   evaluated : int;  (** total cost evaluations, adoptions included *)
+  workers : int;  (** width of the pool the race ran on *)
 }
 
 val rot_of_placed :

@@ -14,11 +14,13 @@ type state = {
 
 and last_move = L_none | L_tree of Bstar.Flat.undo | L_rot of int
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
   evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 (* Per-cell dimensions for both orientations, read once from the
@@ -119,52 +121,20 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
     { Anneal.Sa.state; propose; undo; cost; copy; blit }
   end
 
-let place ?(weights = Cost.default) ?params ?workers ?chains
-    ?(mode = `Deterministic) ?validate ?estimator
-    ?(telemetry = Telemetry.Sink.null) ~rng circuit =
+let place ?(weights = Cost.default) ?params ?workers ?chains ?mode ?validate
+    ?estimator ?telemetry ~rng circuit =
   let validate =
-    match validate with
-    | Some v -> v
-    | None -> Analysis.Invariant.enabled_from_env ()
+    Option.value validate ~default:(Analysis.Invariant.enabled_from_env ())
   in
-  let n = Netlist.Circuit.size circuit in
-  let tbl = dims_table circuit in
   let params =
-    match params with Some p -> p | None -> Anneal.Sa.default_params ~n
+    Option.value params
+      ~default:(Anneal.Sa.default_params ~n:(Netlist.Circuit.size circuit))
   in
-  match (workers, chains) with
-  | None, None ->
-      let result =
-        Anneal.Sa.run ~telemetry ~rng params
-          (problem_of ~validate ?estimator ~weights circuit telemetry rng)
-      in
-      {
-        placement = evaluate circuit tbl result.Anneal.Sa.best;
-        cost = result.Anneal.Sa.best_cost;
-        sa_rounds = result.Anneal.Sa.rounds;
-        evaluated = result.Anneal.Sa.evaluated;
-      }
-  | _ ->
-      let k =
-        match chains with
-        | Some k -> max 1 k
-        | None -> (
-            match workers with
-            | Some w -> max 1 w
-            | None -> Anneal.Parallel.default_workers ())
-      in
-      let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
-      let check = if validate then Some (audit circuit tbl) else None in
-      let result =
-        Anneal.Parallel.run ~mode ?workers ?check ~telemetry ~engine:"bstar"
-          ~seeds params
-          (problem_of ~validate ?estimator ~weights circuit)
-      in
-      {
-        placement = evaluate circuit tbl result.Anneal.Parallel.best;
-        cost = result.Anneal.Parallel.best_cost;
-        sa_rounds =
-          result.Anneal.Parallel.chains.(result.Anneal.Parallel.winner)
-            .Anneal.Sa.rounds;
-        evaluated = result.Anneal.Parallel.evaluated;
-      }
+  let tbl = dims_table circuit in
+  let check = if validate then Some (audit circuit tbl) else None in
+  let r =
+    Anneal.Parallel.multi_start ?workers ?chains ?mode ?check ?telemetry
+      ~engine:"bstar" ~rng params
+      (problem_of ~validate ?estimator ~weights circuit)
+  in
+  Placement.outcome_of (evaluate circuit tbl r.Anneal.Parallel.state) r

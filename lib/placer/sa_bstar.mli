@@ -16,11 +16,13 @@ type state = {
 
 and last_move = L_none | L_tree of Bstar.Flat.undo | L_rot of int
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
   evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 val dims_table : Netlist.Circuit.t -> (int * int) array array

@@ -15,11 +15,13 @@ type state = { sp : Seqpair.Sp.t; rot : bool array }
 (** One annealing state: a sequence-pair plus per-cell rotation flags.
     Exposed so {!Portfolio} can build and convert chain states. *)
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
-  sa_rounds : int;  (** rounds of the winning chain *)
-  evaluated : int;  (** total cost evaluations, all chains *)
+  sa_rounds : int;
+  evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 val problem_of :
@@ -75,13 +77,14 @@ val place :
     the circuit size. [estimator] makes the anneal routability-driven
     under a non-zero [weights.routability] — see {!problem_of}.
 
-    When [workers] or [chains] is given, runs {!Anneal.Parallel}
-    multi-start annealing: [chains] independent seeded chains (default
+    [workers]/[chains] follow {!Anneal.Parallel.multi_start}: with
+    either one given, [chains] independent seeded chains (default
     [workers], default {!Anneal.Parallel.default_workers}) spread over
-    [workers] domains with periodic best-exchange. Chain seeds are
-    drawn from [rng], so a fixed caller seed gives identical results
-    for any [workers] value. Without either parameter the classic
-    single-chain path runs on [rng] directly.
+    [workers] domains with periodic best-exchange, chain seeds drawn
+    from [rng], so a fixed caller seed gives identical results for any
+    [workers] value. Without either parameter the classic single-chain
+    path runs on [rng] directly. The outcome records the width and
+    chain count that ran.
 
     [mode] (default [`Deterministic]) selects the parallel exchange
     discipline of {!Anneal.Parallel.run}: [`Deterministic] is the

@@ -1,10 +1,12 @@
 type state = { tcg : Seqpair.Tcg.t; rot : bool array }
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
   evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 let evaluate circuit st =
@@ -95,53 +97,19 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
   in
   Anneal.Sa.persistent ~init ~neighbor ~cost
 
-let place ?(weights = Cost.default) ?params ?workers ?chains
-    ?(mode = `Deterministic) ?validate ?estimator
-    ?(telemetry = Telemetry.Sink.null) ~rng circuit =
+let place ?(weights = Cost.default) ?params ?workers ?chains ?mode ?validate
+    ?estimator ?telemetry ~rng circuit =
   let validate =
-    match validate with
-    | Some v -> v
-    | None -> Analysis.Invariant.enabled_from_env ()
+    Option.value validate ~default:(Analysis.Invariant.enabled_from_env ())
   in
-  let n = Netlist.Circuit.size circuit in
   let params =
-    match params with Some p -> p | None -> Anneal.Sa.default_params ~n
+    Option.value params
+      ~default:(Anneal.Sa.default_params ~n:(Netlist.Circuit.size circuit))
   in
-  match (workers, chains) with
-  | None, None ->
-      let problem =
-        problem_of ~validate ?estimator ~weights circuit telemetry rng
-      in
-      let result = Anneal.Sa.run ~telemetry ~rng params problem in
-      {
-        placement = evaluate circuit !(result.Anneal.Sa.best);
-        cost = result.Anneal.Sa.best_cost;
-        sa_rounds = result.Anneal.Sa.rounds;
-        evaluated = result.Anneal.Sa.evaluated;
-      }
-  | _ ->
-      let k =
-        match chains with
-        | Some k -> max 1 k
-        | None -> (
-            match workers with
-            | Some w -> max 1 w
-            | None -> Anneal.Parallel.default_workers ())
-      in
-      let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
-      let check =
-        if validate then Some (fun st -> audit circuit !st) else None
-      in
-      let result =
-        Anneal.Parallel.run ~mode ?workers ?check ~telemetry ~engine:"tcg"
-          ~seeds params
-          (problem_of ~validate ?estimator ~weights circuit)
-      in
-      {
-        placement = evaluate circuit !(result.Anneal.Parallel.best);
-        cost = result.Anneal.Parallel.best_cost;
-        sa_rounds =
-          result.Anneal.Parallel.chains.(result.Anneal.Parallel.winner)
-            .Anneal.Sa.rounds;
-        evaluated = result.Anneal.Parallel.evaluated;
-      }
+  let check = if validate then Some (fun st -> audit circuit !st) else None in
+  let r =
+    Anneal.Parallel.multi_start ?workers ?chains ?mode ?check ?telemetry
+      ~engine:"tcg" ~rng params
+      (problem_of ~validate ?estimator ~weights circuit)
+  in
+  Placement.outcome_of (evaluate circuit !(r.Anneal.Parallel.state)) r

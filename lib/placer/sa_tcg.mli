@@ -6,11 +6,13 @@ type state = { tcg : Seqpair.Tcg.t; rot : bool array }
 (** One annealing state. Exposed so {!Portfolio} can build and
     convert chain states. *)
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
   evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 val problem_of :

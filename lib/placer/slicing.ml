@@ -148,11 +148,13 @@ let neighbor rng tokens =
   | 1 -> m2 rng tokens
   | _ -> m3 rng tokens
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
   evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 let initial n =
@@ -178,11 +180,8 @@ let place ?(weights = Cost.default) ?params ~rng circuit =
   assert (is_normalized init);
   let cost tokens = Cost.evaluate weights (evaluate ~cap circuit tokens) in
   let problem = Anneal.Sa.persistent ~init ~neighbor ~cost in
-  let result = Anneal.Sa.run ~rng params problem in
-  let placement = evaluate ~cap circuit !(result.Anneal.Sa.best) in
-  {
-    placement;
-    cost = result.Anneal.Sa.best_cost;
-    sa_rounds = result.Anneal.Sa.rounds;
-    evaluated = result.Anneal.Sa.evaluated;
-  }
+  let r =
+    Anneal.Parallel.multi_start ~engine:"slicing" ~rng params (fun _ _ ->
+        problem)
+  in
+  Placement.outcome_of (evaluate ~cap circuit !(r.Anneal.Parallel.state)) r

@@ -23,11 +23,13 @@ val neighbor : Prelude.Rng.t -> token list -> token list
 (** One Wong–Liu move (operand swap, chain complement, or
     operand/operator swap); normalization-preserving. *)
 
-type outcome = {
+type outcome = Placement.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
   evaluated : int;
+  workers : int;
+  chains : int;
 }
 
 val place :

@@ -2,11 +2,12 @@
 
 val chrome_json : Sink.t -> string
 (** Chrome trace_event format: a [{"traceEvents":[...]}] document with
-    one ["ph":"X"] (complete) event per retained span — [ts]/[dur] in
-    microseconds relative to the sink's epoch, [pid] 1, [tid] the span's
-    chain id — and one ["ph":"C"] (counter) event named ["convergence"]
+    one ["ph":"X"] (complete) event per retained span — [ts] in
+    microseconds since the sink's epoch, [dur] in microseconds, [pid] 1,
+    [tid] the span's chain id — and one ["ph":"C"] (counter) event named ["convergence"]
     per SA sample carrying temperature / acceptance / best_cost args.
-    Counter totals ride in ["otherData"]. Load the file in
+    Counter totals ride in ["otherData"]. Built as a {!Json.t} and
+    emitted by {!Json.emit}, so {!Json.parse} reads it back. Load the file in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}. *)
 
 val text : Sink.t -> string
@@ -28,9 +29,3 @@ val write_file : path:string -> string -> (unit, string) result
     directory, permission denied, disk full) come back as
     [Error strerror] instead of a raised [Sys_error], so CLI callers
     can report one clean line and pick an exit code. *)
-
-val check_json : string -> (unit, string) result
-(** Syntax-check a complete JSON document (RFC 8259 grammar; does not
-    decode escapes or build a tree). The environment has no JSON
-    library, and the test suite and CLI both want to assert that
-    {!chrome_json} output actually parses. *)

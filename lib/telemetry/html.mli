@@ -7,8 +7,8 @@
     string builders that escape everything they interpolate, and
     {!check}, an independent scanner that re-parses a finished document
     and rejects unbalanced tags, unquoted attributes and stray
-    [&]/[<] — the same self-audit arrangement as {!Export.check_json}
-    for traces and {!Prom.check} for metric text. *)
+    [&]/[<] — the same self-audit arrangement as {!Json.parse} for
+    traces and {!Prom.check} for metric text. *)
 
 val escape : string -> string
 (** Escape the five HTML metacharacters (ampersand, angle brackets,

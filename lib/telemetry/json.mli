@@ -1,12 +1,12 @@
 (** A minimal JSON value tree — parser, canonical emitter, accessors.
 
-    The environment carries no JSON library; {!Export.check_json}
-    already hand-rolls a syntax checker, and the QoR run ledger
-    ({!Ledger}) additionally needs to {e read} its own records back.
-    This module is the shared value layer: numbers are kept as their
-    validated source lexemes, so [parse] followed by {!emit} reproduces
-    a document emitted by this module byte for byte — the property the
-    ledger's deterministic round-trip rests on. *)
+    The environment carries no JSON library, so this is the one codec:
+    the QoR run ledger ({!Ledger}) reads its own records back, and the
+    CLI and tests check emitted documents (Chrome traces, reports) by
+    parsing them. Numbers are kept as their validated source lexemes,
+    so [parse] followed by {!emit} reproduces a document emitted by
+    this module byte for byte — the property the ledger's
+    deterministic round-trip rests on. *)
 
 type t =
   | Null

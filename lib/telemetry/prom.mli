@@ -9,7 +9,7 @@
 
     [check] is a hand-rolled validator for the same format — the test
     suite asserts that what we emit actually conforms, the same
-    arrangement as {!Export.check_json} for the Chrome trace. *)
+    arrangement as {!Json.parse} re-reading the Chrome trace. *)
 
 val metric_name : string -> string
 (** [analog_] + the sink-registry name with every character outside

@@ -586,6 +586,87 @@ let prop_slicing_moves_normalized =
       done;
       !ok)
 
+(* ---- the engine runner and Anneal.Parallel.multi_start ---- *)
+
+(* Every engine through [Engine.run] places and costs exactly as its
+   own entry point does on the same seed. *)
+let test_engine_run () =
+  let b = Netlist.Benchmarks.miller () in
+  let circuit = b.Netlist.Benchmarks.circuit
+  and hierarchy = b.Netlist.Benchmarks.hierarchy in
+  let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
+  let rng () = Prelude.Rng.create 1 in
+  let one_shot placed =
+    let p = Placer.Placement.make circuit placed in
+    (placed, Placer.Cost.evaluate Placer.Cost.default p)
+  in
+  let of_outcome (o : Placer.Placement.outcome) =
+    (o.Placer.Placement.placement.Placer.Placement.placed, o.Placer.Placement.cost)
+  in
+  let direct = function
+    | Placer.Engine.Sp ->
+        of_outcome (Placer.Sa_seqpair.place ~groups ~rng:(rng ()) circuit)
+    | Bstar -> of_outcome (Placer.Sa_bstar.place ~rng:(rng ()) circuit)
+    | Tcg -> of_outcome (Placer.Sa_tcg.place ~rng:(rng ()) circuit)
+    | Slicing -> of_outcome (Placer.Slicing.place ~rng:(rng ()) circuit)
+    | Hbstar ->
+        one_shot
+          (Bstar.Hbstar.place ~rng:(rng ()) circuit hierarchy).Bstar.Hbstar.placed
+    | Esf ->
+        one_shot
+          (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy)
+            .Shapefn.Combine.placed
+    | Rsf ->
+        one_shot
+          (Shapefn.Combine.place ~mode:Shapefn.Combine.Rsf circuit hierarchy)
+            .Shapefn.Combine.placed
+  in
+  List.iter
+    (fun e ->
+      let name = Placer.Engine.name e in
+      Alcotest.(check bool) (name ^ " name round-trips") true
+        (Placer.Engine.of_string name = Some e);
+      let placed, cost = direct e in
+      let placed', cost' =
+        of_outcome (Placer.Engine.run ~groups ~rng:(rng ()) e circuit hierarchy)
+      in
+      Alcotest.(check bool) (name ^ " same placed list") true (placed = placed');
+      Alcotest.(check int64) (name ^ " same cost bits")
+        (Int64.bits_of_float cost) (Int64.bits_of_float cost'))
+    Placer.Engine.all;
+  Alcotest.(check bool) "seqpair alias" true
+    (Placer.Engine.of_string "seqpair" = Some Placer.Engine.Sp);
+  Alcotest.(check bool) "unknown engine" true
+    (Placer.Engine.of_string "anneal" = None)
+
+(* The (workers, chains) multi_start reports: the width that ran, not
+   the width asked for. *)
+let test_multi_start_geometry () =
+  let geometry ?workers ?chains () =
+    let r =
+      Anneal.Parallel.multi_start ?workers ?chains ~engine:"sp"
+        ~rng:(Prelude.Rng.create 5) small_params
+        (Placer.Sa_seqpair.problem_of ~weights:Placer.Cost.default ~groups:[]
+           (tiny_circuit ()))
+    in
+    (r.Anneal.Parallel.workers, r.Anneal.Parallel.chains)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "single chain" (1, 1) (geometry ());
+  Alcotest.check pair "2 workers, 3 chains" (2, 3)
+    (geometry ~workers:2 ~chains:3 ());
+  Alcotest.check pair "8 workers capped at 2 chains" (2, 2)
+    (geometry ~workers:8 ~chains:2 ());
+  Alcotest.check pair "4 chains on the default width"
+    (min 4 (Anneal.Parallel.default_workers ()), 4)
+    (geometry ~chains:4 ());
+  let o =
+    Placer.Sa_bstar.place ~params:small_params ~workers:8 ~chains:2
+      ~rng:(Prelude.Rng.create 5) (tiny_circuit ())
+  in
+  Alcotest.check pair "placer outcome carries the geometry" (2, 2)
+    (o.Placer.Sa_bstar.workers, o.Placer.Sa_bstar.chains)
+
 let () =
   Alcotest.run "placer"
     [
@@ -634,6 +715,12 @@ let () =
         [
           Alcotest.test_case "normalized" `Quick test_slicing_normalized;
           Alcotest.test_case "place" `Quick test_slicing_place;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "run matches each placer" `Quick test_engine_run;
+          Alcotest.test_case "multi-start geometry" `Quick
+            test_multi_start_geometry;
         ] );
       ( "plot",
         [ Alcotest.test_case "ascii/svg" `Quick test_plot_ascii ] );

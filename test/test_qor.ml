@@ -28,8 +28,8 @@ let test_json_roundtrip () =
       ]
   in
   let s = T.Json.emit doc in
-  (match T.Export.check_json s with
-  | Ok () -> ()
+  (match T.Json.parse s with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "emit not valid JSON: %s" e);
   match T.Json.parse s with
   | Error e -> Alcotest.failf "parse failed: %s" e
@@ -89,8 +89,8 @@ let test_qor_roundtrip () =
   let q = sample_qor () in
   let j = T.Qor.to_json q in
   let s = T.Json.emit j in
-  (match T.Export.check_json s with
-  | Ok () -> ()
+  (match T.Json.parse s with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "qor json invalid: %s" e);
   match T.Qor.of_json j with
   | Error e -> Alcotest.failf "of_json failed: %s" e
@@ -178,8 +178,8 @@ let test_ledger_routed_roundtrip () =
   in
   let e = sample_entry ~qor:routed () in
   let line = T.Ledger.to_line e in
-  (match T.Export.check_json line with
-  | Ok () -> ()
+  (match T.Json.parse line with
+  | Ok _ -> ()
   | Error err -> Alcotest.failf "routed line invalid JSON: %s" err);
   match T.Ledger.of_line line with
   | Error err -> Alcotest.failf "of_line: %s" err
@@ -191,8 +191,8 @@ let test_ledger_routed_roundtrip () =
 let test_ledger_roundtrip () =
   let e = sample_entry () in
   let line = T.Ledger.to_line e in
-  (match T.Export.check_json line with
-  | Ok () -> ()
+  (match T.Json.parse line with
+  | Ok _ -> ()
   | Error err -> Alcotest.failf "ledger line invalid JSON: %s" err);
   match T.Ledger.of_line line with
   | Error err -> Alcotest.failf "of_line: %s" err
