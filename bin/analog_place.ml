@@ -201,6 +201,11 @@ let sarif_arg doc =
 let last_arg doc =
   Arg.(value & opt (some int) None & info [ "last" ] ~docv:"N" ~doc)
 
+let workers_arg doc =
+  Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
+
+let route_arg doc = Arg.(value & flag & info [ "route" ] ~doc)
+
 (* ---- place ------------------------------------------------------- *)
 
 (* [do_route] comes first so the `route` subcommand is a partial
@@ -512,16 +517,13 @@ let place_term ~route =
              histograms and span statistics.")
   in
   let workers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"INT"
-          ~doc:
-            (Printf.sprintf
-               "Worker domains for multi-start annealing (%s engines). \
-                Results are identical for any value; this only chooses how \
-                much hardware the same computation uses."
-               annealed_engines))
+    workers_arg
+      (Printf.sprintf
+         "Worker domains for multi-start annealing (%s engines) and the \
+          --portfolio race. Results are identical for any value (except \
+          under --async); this only chooses how much hardware the same \
+          computation uses."
+         annealed_engines)
   in
   let chains =
     Arg.(
@@ -554,10 +556,10 @@ let place_term ~route =
             "Race a heterogeneous portfolio instead of a single engine: \
              sequence-pair, B*-tree and TCG chains (plus the \
              deterministic shape-function enumerator on small \
-             hierarchical circuits) run asynchronously under one cost \
-             scale and trade solutions through the elite pool; the best \
-             published placement wins. Overrides --engine and --async; \
-             --chains counts chains per representation.")
+             hierarchical circuits) advance in lock-step under one cost \
+             scale and trade the best placement at every barrier; the \
+             entrant holding the best placement wins. Overrides --engine \
+             and --async; --chains counts chains per representation.")
   in
   let ledger =
     Arg.(
@@ -594,15 +596,11 @@ let place_term ~route =
   let do_route =
     if route then Term.const true
     else
-      Arg.(
-        value & flag
-        & info [ "route" ]
-            ~doc:
-              "Route every net after placing: power comb first, then \
-               negotiated rip-up-and-reroute with mirrored symmetric \
-               twins. Prints routed wirelength / overflow / failures, \
-               records them in the ledger, and layers the wiring into \
-               --svg output.")
+      route_arg
+        "Route every net after placing: power comb first, then negotiated \
+         rip-up-and-reroute with mirrored symmetric twins. Prints routed \
+         wirelength / overflow / failures, records them in the ledger, and \
+         layers the wiring into --svg output."
   in
   let route_weight =
     Arg.(
@@ -1051,14 +1049,10 @@ let verify_cmd =
 
 (* Shared flags of the two service front ends. *)
 let service_workers =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Domains in the shared annealing/instantiation pool (default: \
-           ANALOG_WORKERS or the available cores). The pool is spawned \
-           once and reused by every request.")
+  workers_arg
+    "Domains in the shared annealing/instantiation pool (default: \
+     ANALOG_WORKERS or the available cores). The pool is spawned once and \
+     reused by every request; responses do not depend on N."
 
 let service_cache_size =
   Arg.(
@@ -1370,13 +1364,9 @@ let dashboard_cmd =
   in
   let seed = seed_arg "RNG seed for the live run." in
   let route =
-    Arg.(
-      value & flag
-      & info [ "route" ]
-          ~doc:
-            "Route the live placement too: adds the negotiation \
-             convergence panel and the occupancy / history congestion \
-             heatmaps.")
+    route_arg
+      "Route the live placement too: adds the negotiation convergence panel \
+       and the occupancy / history congestion heatmaps."
   in
   let requests =
     Arg.(

@@ -5,14 +5,16 @@
    shared). Two modes share the chain setup and differ only in how
    bests travel between chains:
 
-   - Deterministic: chains are partitioned over workers round-robin
-     and advanced in slices of [exchange_every] rounds; each slice is
-     a {!Pool.run} barrier (the happens-before edge a spawn/join pair
+   - Deterministic: the chains run on [lockstep], the one barrier
+     schedule (Placer.Portfolio races its heterogeneous entrants on it
+     too). Entrants are partitioned over workers round-robin and
+     advanced in slices of [exchange_every] rounds; each slice is a
+     {!Pool.run} barrier (the happens-before edge a spawn/join pair
      used to give, minus the spawn), and at the boundary the globally
-     best state is offered to every chain. The slice counter is the
-     logical clock: boundaries, reduction order and every chain's
-     stream are fixed by the seed list alone, so the result is
-     identical for any worker count.
+     best entrant's exchange value is offered to every entrant. The
+     slice counter is the logical clock: boundaries, reduction order
+     and every chain's stream are fixed by the seed list alone, so the
+     result is identical for any worker count.
 
    - Async (free-running): each chain is one pool job that runs to
      completion at its own pace, publishing its best to a shared
@@ -56,120 +58,153 @@ let default_workers () =
       | None -> Domain.recommended_domain_count ())
   | _ -> Domain.recommended_domain_count ()
 
-(* One Qor.chain record per chain, written into the chain's own child
-   sink just before absorb so it rides into the parent like every other
-   telemetry stream. Wall time comes from the chain.slice_us counter
-   accumulated as slices close — O(1) to read, and immune to the span
-   ring overwriting old slices on long runs. *)
-let record_chain_qor tel ?engine ~mode ~best_cost ~rounds ~evaluated () =
-  if Telemetry.Sink.live tel then begin
-    let counters = Telemetry.Sink.counters tel in
-    let wall =
-      match List.assoc_opt "chain.slice_us" counters with
-      | Some us -> float_of_int us /. 1e6
-      | None -> 0.0
-    in
-    let move_rates = Telemetry.Qor.move_rates_of_counters counters in
-    Telemetry.Sink.record_qor tel
-      (Telemetry.Qor.chain ?engine ~mode ~move_rates ~cost:best_cost
-         ~wall_s:wall ~sa_rounds:rounds ~evaluated ())
-  end
+(* The pool width [k] chains run on: the requested worker count
+   (default {!default_workers}), capped at one domain per chain. *)
+let width ?workers k =
+  max 1 (min k (match workers with Some w -> w | None -> default_workers ()))
 
-let best_index chains =
-  let bi = ref 0 in
-  Array.iteri
-    (fun i c -> if Sa.best_cost c < Sa.best_cost chains.(!bi) then bi := i)
-    chains;
-  !bi
+type 'x entrant = {
+  tel : Telemetry.Sink.t;
+  engine : string option;
+  step : unit -> unit;
+  finished : unit -> bool;
+  best_cost : unit -> float;
+  best : unit -> 'x;
+  offer : 'x -> float -> unit;
+  effort : unit -> int * int;
+}
 
-(* Advance chain [i] by up to [slice] rounds, recording the slice span
-   and bumping the chain's accumulated slice wall-time counter. *)
-let advance_slice ~slice ~tel ~slice_us c =
-  let t0 = Telemetry.Sink.span_begin tel in
-  let budget = ref slice in
-  while !budget > 0 && not (Sa.finished c) do
-    Sa.step_round c;
-    decr budget
-  done;
-  let t1 = Telemetry.Sink.lap tel "chain.slice" t0 in
-  Telemetry.Counter.add slice_us (int_of_float ((t1 -. t0) *. 1e6))
-
-let finish ?engine ~mode ~check ~telemetry ~tels chains =
-  let outcomes = Array.map Sa.outcome_of_chain chains in
-  Array.iteri
-    (fun i (o : _ Sa.outcome) ->
-      record_chain_qor tels.(i) ?engine ~mode ~best_cost:o.Sa.best_cost
-        ~rounds:o.Sa.rounds ~evaluated:o.Sa.evaluated ())
-    outcomes;
-  Array.iter (Telemetry.Sink.absorb telemetry) tels;
-  let winner = best_index chains in
-  check outcomes.(winner).Sa.best;
+(* An Sa chain as an entrant: the exchange value is the chain's own
+   best-snapshot buffer, and [Sa.adopt] keeps only strict improvements,
+   so offering the winner its own best never perturbs it. *)
+let sa_entrant ?engine tel c =
   {
-    best = outcomes.(winner).Sa.best;
-    best_cost = outcomes.(winner).Sa.best_cost;
-    winner;
-    chains = outcomes;
-    evaluated = Array.fold_left (fun acc o -> acc + o.Sa.evaluated) 0 outcomes;
+    tel;
+    engine;
+    step = (fun () -> Sa.step_round c);
+    finished = (fun () -> Sa.finished c);
+    best_cost = (fun () -> Sa.best_cost c);
+    best = (fun () -> Sa.best c);
+    offer = (fun state cost -> Sa.adopt c ~state ~cost);
+    effort =
+      (fun () ->
+        let o = Sa.outcome_of_chain c in
+        (o.Sa.rounds, o.Sa.evaluated));
   }
 
-(* Run on a caller-supplied pool (left running for its next request —
-   how the placement service amortizes domain spawns across requests)
-   or on a private one created and shut down here. *)
-let on_pool ?pool ~workers f =
-  match pool with Some p -> f p | None -> Pool.with_pool ~workers f
+let best_index entrants =
+  let bi = ref 0 in
+  Array.iteri
+    (fun i e ->
+      if e.best_cost () < entrants.(!bi).best_cost () then bi := i)
+    entrants;
+  !bi
 
-(* Deterministic mode: barrier slices on the persistent pool. The pool
-   is created once per run (satellite of ISSUE 6: no more per-slice
-   Domain.spawn/join churn); each Pool.run is a full barrier, so the
-   exchange reduction happens-after every chain's slice. *)
-let deterministic ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
-    chains =
-  let k = Array.length chains in
+(* Rounds per slice; a non-positive exchange period is one slice to
+   completion, i.e. no exchange. *)
+let slice_of exchange_every =
+  if exchange_every <= 0 then max_int else exchange_every
+
+(* Advance an entrant by up to [slice] rounds, recording the slice span
+   and bumping its accumulated slice wall-time counter. *)
+let advance_slice ~slice e =
+  let t0 = Telemetry.Sink.span_begin e.tel in
+  let budget = ref slice in
+  while !budget > 0 && not (e.finished ()) do
+    e.step ();
+    decr budget
+  done;
+  let t1 = Telemetry.Sink.lap e.tel "chain.slice" t0 in
+  Telemetry.Counter.add
+    (Telemetry.Sink.counter e.tel "chain.slice_us")
+    (int_of_float ((t1 -. t0) *. 1e6))
+
+(* Report every entrant, merge the child sinks and pick the winner:
+   the first entrant holding the lowest best cost, checked once more on
+   the calling domain. The report is one Qor.chain record per entrant,
+   written into its own child sink just before absorb so it rides into
+   the parent like every other telemetry stream. Wall time comes from
+   the chain.slice_us counter accumulated as slices close — O(1) to
+   read, and immune to the span ring overwriting old slices on long
+   runs. *)
+let close ~mode ~check ~telemetry entrants =
+  Array.iter
+    (fun e ->
+      if Telemetry.Sink.live e.tel then begin
+        let counters = Telemetry.Sink.counters e.tel in
+        let wall =
+          match List.assoc_opt "chain.slice_us" counters with
+          | Some us -> float_of_int us /. 1e6
+          | None -> 0.0
+        in
+        let move_rates = Telemetry.Qor.move_rates_of_counters counters in
+        let sa_rounds, evaluated = e.effort () in
+        Telemetry.Sink.record_qor e.tel
+          (Telemetry.Qor.chain ?engine:e.engine ~mode ~move_rates
+             ~cost:(e.best_cost ()) ~wall_s:wall ~sa_rounds ~evaluated ())
+      end)
+    entrants;
+  Array.iter (fun e -> Telemetry.Sink.absorb telemetry e.tel) entrants;
+  let winner = best_index entrants in
+  check (entrants.(winner).best ());
+  winner
+
+(* The lockstep schedule: barrier slices on a persistent pool, created
+   once per run unless the caller lends one. Each Pool.run is a full
+   barrier, so the exchange reduction happens-after every entrant's
+   slice; the partition (entrant i on domain i mod workers) only
+   decides where a slice runs, never what it computes. *)
+let lockstep ?pool ?workers ?(exchange_every = 32) ?(check = ignore)
+    ?(telemetry = Telemetry.Sink.null) entrants =
+  let k = Array.length entrants in
+  if k = 0 then invalid_arg "Parallel.lockstep: no entrants";
+  let slice = slice_of exchange_every in
   let exchanges = Telemetry.Sink.counter telemetry "parallel.exchanges" in
-  let unfinished () = Array.exists (fun c -> not (Sa.finished c)) chains in
-  on_pool ?pool ~workers @@ fun pool ->
-  let workers = Pool.workers pool in
-  let jobs =
-    Array.init workers (fun d () ->
-        for i = 0 to k - 1 do
-          if i mod workers = d then
-            advance_slice ~slice ~tel:tels.(i) ~slice_us:slice_us.(i)
-              chains.(i)
-        done)
+  let unfinished () = Array.exists (fun e -> not (e.finished ())) entrants in
+  let barriers pool =
+    let workers = Pool.workers pool in
+    let jobs =
+      Array.init workers (fun d () ->
+          for i = 0 to k - 1 do
+            if i mod workers = d then
+              advance_slice ~slice entrants.(i)
+          done)
+    in
+    while unfinished () do
+      let t_slice = Telemetry.Sink.span_begin telemetry in
+      Pool.run pool jobs;
+      let t_ex = Telemetry.Sink.lap telemetry "parallel.slice" t_slice in
+      let b = entrants.(best_index entrants) in
+      let x = b.best () and cost = b.best_cost () in
+      check x;
+      Array.iter (fun e -> e.offer x cost) entrants;
+      Telemetry.Counter.incr exchanges;
+      Telemetry.Sink.span_end telemetry "parallel.exchange" t_ex
+    done
   in
-  while unfinished () do
-    let t_slice = Telemetry.Sink.span_begin telemetry in
-    Pool.run pool jobs;
-    let t_ex = Telemetry.Sink.lap telemetry "parallel.slice" t_slice in
-    let b = chains.(best_index chains) in
-    let state = Sa.best b and cost = Sa.best_cost b in
-    check state;
-    Array.iter (fun c -> Sa.adopt c ~state ~cost) chains;
-    Telemetry.Counter.incr exchanges;
-    Telemetry.Sink.span_end telemetry "parallel.exchange" t_ex
-  done
+  (match pool with
+  | Some p -> barriers p
+  | None -> Pool.with_pool ~workers:(width ?workers k) barriers);
+  close ~mode:"deterministic" ~check ~telemetry entrants
 
 (* Async mode: one job per chain, free-running. Publishes go through
    [check] on the publishing domain (so a corrupted state aborts the
    run before any other chain can adopt it); the epilogue publish
    guarantees every chain's final best reaches the elite pool even
    when it never improved mid-run. *)
-let async ?pool ~workers ~slice ~check ~tels ~slice_us chains =
+let async ~workers ~exchange_every ~check entrants chains =
   let k = Array.length chains in
+  let slice = slice_of exchange_every in
   let elite = Elite.create ~stripes:(min 8 k) () in
-  let publishes =
-    Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.publishes")
+  let counters name =
+    Array.map (fun e -> Telemetry.Sink.counter e.tel name) entrants
   in
-  let pulls =
-    Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.pulls")
-  in
+  let publishes = counters "chain.publishes" in
+  let pulls = counters "chain.pulls" in
   (* worker domains must not touch the parent sink: all async-mode
      tallies live in child sinks and merge by name at absorb *)
-  let global_improvements =
-    Array.init k (fun i ->
-        Telemetry.Sink.counter tels.(i) "chain.elite_improvements")
-  in
-  on_pool ?pool ~workers @@ fun pool ->
+  let global_improvements = counters "chain.elite_improvements" in
+  Pool.with_pool ~workers @@ fun pool ->
   let job i () =
     let c = chains.(i) in
     let last_published = ref infinity in
@@ -180,14 +215,12 @@ let async ?pool ~workers ~slice ~check ~tels ~slice_us chains =
         let state = Sa.best_copy c in
         check state;
         let improved = Elite.publish elite ~origin:i ~cost:bc state in
-        (* the parent counter is bumped only after the drain, by the
-           caller — worker domains must not touch the parent sink *)
         if improved then Telemetry.Counter.incr global_improvements.(i);
         Telemetry.Counter.incr publishes.(i)
       end
     in
     while not (Sa.finished c) && not (Pool.failed pool) do
-      advance_slice ~slice ~tel:tels.(i) ~slice_us:slice_us.(i) c;
+      advance_slice ~slice entrants.(i);
       publish ();
       match Elite.pull elite ~than:(Sa.best_cost c) with
       | Some e ->
@@ -202,45 +235,45 @@ let async ?pool ~workers ~slice ~check ~tels ~slice_us chains =
   done;
   Pool.drain pool
 
-(* The pool width [k] chains run on: the requested worker count
-   (default {!default_workers}), capped at one domain per chain. *)
-let width ?workers k =
-  max 1 (min k (match workers with Some w -> w | None -> default_workers ()))
-
-let run ?(mode = `Deterministic) ?pool ?workers ?(exchange_every = 32)
+let run ?(mode = `Deterministic) ?workers ?(exchange_every = 32)
     ?(check = ignore) ?(telemetry = Telemetry.Sink.null) ?engine ~seeds params
     problem_of =
   if seeds = [] then invalid_arg "Parallel: empty seed list";
-  let seeds = Array.of_list seeds in
-  let k = Array.length seeds in
-  let workers = width ?workers k in
-  let slice = if exchange_every <= 0 then max_int else exchange_every in
-  let tels =
-    Array.init k (fun i -> Telemetry.Sink.child telemetry ~tid:(i + 1))
-  in
-  let slice_us =
-    Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.slice_us")
-  in
   (* Chain creation draws from each chain's own stream only, so order
      does not matter; build them up front on the calling domain. *)
   let chains =
-    Array.init k (fun i ->
-        let rng = Prelude.Rng.create seeds.(i) in
-        (* bind before [start]: the problem draws its initial state
-           from the stream first, then [start] estimates t0 — the same
-           order as the sequential placers *)
-        let problem = problem_of tels.(i) rng in
-        Sa.start ~telemetry:tels.(i) ~rng params problem)
+    Array.of_list
+      (List.mapi
+         (fun i seed ->
+           let tel = Telemetry.Sink.child telemetry ~tid:(i + 1) in
+           let rng = Prelude.Rng.create seed in
+           (* bind before [start]: the problem draws its initial state
+              from the stream first, then [start] estimates t0 — the
+              same order as the sequential placers *)
+           let problem = problem_of tel rng in
+           (tel, Sa.start ~telemetry:tel ~rng params problem))
+         seeds)
   in
-  (match mode with
-  | `Deterministic ->
-      deterministic ?pool ~workers ~slice ~check ~telemetry ~tels ~slice_us
-        chains
-  | `Async -> async ?pool ~workers ~slice ~check ~tels ~slice_us chains);
-  let mode_label =
-    match mode with `Deterministic -> "deterministic" | `Async -> "async"
+  let entrants = Array.map (fun (tel, c) -> sa_entrant ?engine tel c) chains in
+  let chains = Array.map snd chains in
+  let winner =
+    match mode with
+    | `Deterministic ->
+        lockstep ?workers ~exchange_every ~check ~telemetry entrants
+    | `Async ->
+        async
+          ~workers:(width ?workers (Array.length chains))
+          ~exchange_every ~check entrants chains;
+        close ~mode:"async" ~check ~telemetry entrants
   in
-  finish ?engine ~mode:mode_label ~check ~telemetry ~tels chains
+  let outcomes = Array.map Sa.outcome_of_chain chains in
+  {
+    best = outcomes.(winner).Sa.best;
+    best_cost = outcomes.(winner).Sa.best_cost;
+    winner;
+    chains = outcomes;
+    evaluated = Array.fold_left (fun acc o -> acc + o.Sa.evaluated) 0 outcomes;
+  }
 
 type 'a multi_start = {
   state : 'a;

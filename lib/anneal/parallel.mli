@@ -4,17 +4,16 @@
     Runs one {!Sa} chain per seed on a {!Pool} spawned once per call,
     in one of two modes:
 
-    - {b Deterministic} (the default): chains advance in lock-step
-      slices of [exchange_every] rounds; each slice is a pool barrier
-      and at the boundary the globally best state is offered to every
-      chain ({!Sa.adopt} — taken only when strictly better than the
-      chain's own best). The slice counter is a logical clock shared
-      by all chains, so the outcome is a pure function of [seeds],
-      [params] and [exchange_every]: the worker count only distributes
-      the same computation over more cores — [workers = 1] and
-      [workers = 8] yield identical results, and a single seed with
-      any worker count reproduces [Sa.run ~rng:(Rng.create seed)]
-      exactly (both tested).
+    - {b Deterministic} (the default): the chains are entrants of
+      {!lockstep}, the one barrier schedule (which also races
+      {!Placer.Portfolio}'s heterogeneous entrants). At each slice
+      boundary the globally best state is offered to every chain
+      ({!Sa.adopt}: taken only when strictly better than the chain's
+      own best). The outcome is a pure function of [seeds], [params]
+      and [exchange_every]: [workers = 1] and [workers = 8] yield
+      identical results, and a single seed with any worker count
+      reproduces [Sa.run ~rng:(Rng.create seed)] exactly (both
+      tested).
 
     - {b Async / free-running}: each chain is one pool job running to
       completion at its own pace; there is no join barrier. Chains
@@ -62,24 +61,62 @@ val parse_workers : string -> int option
     clamped to at least 1; [None] when unparsable. Exposed for
     testing. *)
 
-val record_chain_qor :
-  Telemetry.Sink.t ->
-  ?engine:string ->
-  mode:string ->
-  best_cost:float ->
-  rounds:int ->
-  evaluated:int ->
-  unit ->
-  unit
-(** Write one {!Telemetry.Qor.chain} record into a chain's child sink:
-    best cost, effort, wall time read from the ["chain.slice_us"]
-    counter, move tallies from the sink's counters, tagged with
-    [engine] and [mode]. Exposed for {!Placer.Portfolio}, which runs
-    its own race loop but reports chains the same way. *)
+type 'x entrant = {
+  tel : Telemetry.Sink.t;
+      (** the entrant's private child sink of the schedule's
+          [telemetry] (tid = entrant index + 1 by convention) *)
+  engine : string option;  (** QoR tag, e.g. ["sp"] *)
+  step : unit -> unit;  (** advance one round; no-op once finished *)
+  finished : unit -> bool;
+  best_cost : unit -> float;
+  best : unit -> 'x;
+      (** the exchange value of the entrant's best; called only on the
+          globally best entrant at a barrier and on the final winner *)
+  offer : 'x -> float -> unit;
+      (** the barrier's global best and its cost; the entrant decides
+          whether to take it *)
+  effort : unit -> int * int;  (** rounds and cost evaluations so far *)
+}
+(** One participant of the {!lockstep} schedule, behind closures so
+    that different representations race on one schedule. The exchange
+    value ['x] is a chain's state for {!run} and the placed list for
+    {!Placer.Portfolio}. *)
+
+val lockstep :
+  ?pool:Pool.t ->
+  ?workers:int ->
+  ?exchange_every:int ->
+  ?check:('x -> unit) ->
+  ?telemetry:Telemetry.Sink.t ->
+  'x entrant array ->
+  int
+(** The deterministic barrier schedule. Entrants advance in slices of
+    [exchange_every] rounds (default 32; non-positive: one slice to
+    completion, no exchange), entrant [i] on pool domain
+    [i mod workers]; each slice is a {!Pool.run} barrier. At the
+    boundary the first entrant holding the lowest [best_cost] is
+    materialized once ([best]), passed to [check] on the calling
+    domain, then offered to every entrant in index order. Returns the
+    index of the final winner — the first entrant holding the lowest
+    best cost — after [check] has run on it once more.
+
+    The schedule decides by slice count and entrant order only, so
+    with deterministic entrants the result is identical for any
+    [workers] (default {!default_workers}, capped at the entrant
+    count) or [pool] (a caller-owned {!Pool}, left running afterwards;
+    [workers] is then ignored).
+
+    [telemetry] receives ["parallel.slice"] / ["parallel.exchange"]
+    spans and a ["parallel.exchanges"] counter from the calling
+    domain. Each entrant's sink receives per-slice ["chain.slice"]
+    spans, a ["chain.slice_us"] counter accumulating slice wall time,
+    and one final {!Telemetry.Qor.chain} record (best cost, [effort],
+    wall time, move-class tallies, [engine] and mode
+    ["deterministic"]); the entrant sinks are then merged into
+    [telemetry]. Raises [Invalid_argument] on an empty array. *)
 
 val run :
   ?mode:[ `Deterministic | `Async ] ->
-  ?pool:Pool.t ->
   ?workers:int ->
   ?exchange_every:int ->
   ?check:('a -> unit) ->
@@ -90,45 +127,34 @@ val run :
   (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.problem) ->
   'a outcome
 (** [mode] (default [`Deterministic]) selects the exchange discipline
-    described above. [pool] reuses a caller-owned {!Pool} (left
-    running afterwards — how a long-lived service amortizes domain
-    spawns across requests; [workers] is then ignored in favor of the
-    pool's width); without it a private pool is created and shut down
-    per call. [workers] defaults to {!default_workers}, capped at the
-    number of seeds; [exchange_every] defaults to 32 rounds, and any
+    described above. A private pool is created and shut down per call;
+    [workers] defaults to {!default_workers}, capped at the number of
+    seeds; [exchange_every] defaults to 32 rounds, and any
     non-positive value disables exchange entirely (fully independent
     restarts). Raises [Invalid_argument] on an empty seed list.
 
     [check] is a sanitizer hook; a raise from it aborts the run. In
-    deterministic mode it runs on the globally best state at every
-    exchange boundary (after the barrier, before the state is offered
-    to the chains — the winner's best-snapshot buffer, treat it as
-    read-only), on the calling domain. In async mode it runs on every
-    state {e before} it is published, on the publishing chain's
-    domain; other chains notice a raise at their next slice boundary
-    and the first exception is re-raised on the caller. Published
-    states are fresh {!Sa.best_copy} snapshots, never mutated
-    afterwards, so cross-domain adoption blits read from immutable
-    buffers. Either way [check] runs once more on the final winner, on
-    the calling domain. The default does nothing.
+    deterministic mode it runs as in {!lockstep}, on the winner's
+    best-snapshot buffer (treat it as read-only). In async mode it
+    runs on every state {e before} it is published, on the publishing
+    chain's domain; other chains notice a raise at their next slice
+    boundary and the first exception is re-raised on the caller.
+    Published states are fresh {!Sa.best_copy} snapshots, never
+    mutated afterwards, so cross-domain adoption blits read from
+    immutable buffers. Either way [check] runs once more on the final
+    winner, on the calling domain. The default does nothing.
 
-    [engine] tags the per-chain QoR records (see below) with the
-    engine name — placers pass ["sp"], ["bstar"], ["tcg"].
+    [engine] tags the per-chain QoR records with the engine name —
+    placers pass ["sp"], ["bstar"], ["tcg"].
 
-    [telemetry] (default {!Telemetry.Sink.null}) receives, in
-    deterministic mode, ["parallel.slice"] / ["parallel.exchange"]
-    spans and a ["parallel.exchanges"] counter from the coordinating
-    domain; each chain records into a private child sink (tid = seed
-    index + 1): per-round ["sa.round"] and per-slice ["chain.slice"]
-    spans, a ["chain.slice_us"] counter accumulating slice wall time
-    as slices close, and one final {!Telemetry.Qor.chain} record
-    carrying the chain's best cost, rounds, evaluations, accumulated
-    wall time, move-class tallies and the engine/mode tags. In async
-    mode each child sink additionally counts ["chain.publishes"] /
-    ["chain.pulls"]. Children are merged into [telemetry] after the
-    final drain. Telemetry draws nothing from any rng, so
-    deterministic results remain a pure function of
-    seeds/params/exchange and worker-count invariant. *)
+    [telemetry] (default {!Telemetry.Sink.null}) receives the
+    {!lockstep} streams; each chain's child sink (tid = seed index + 1)
+    also carries per-round ["sa.round"] spans. Async mode records the
+    same per-chain streams (QoR mode ["async"]) and additionally counts
+    ["chain.publishes"] / ["chain.pulls"] in each child sink.
+    Telemetry draws nothing from any rng, so deterministic results
+    remain a pure function of seeds/params/exchange and worker-count
+    invariant. *)
 
 type 'a multi_start = {
   state : 'a;  (** the best state found *)

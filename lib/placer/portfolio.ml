@@ -3,30 +3,22 @@
 
    Every entrant — sequence-pair arena chains, flat-B*-tree arena
    chains, TCG chains, and optionally the deterministic shape-function
-   enumerator — runs free on the persistent domain pool and trades
-   solutions through an elite pool whose currency is the placed list:
-   the one form every representation can both produce (materialize its
-   best) and consume (re-encode as a warm state). All annealing
-   entrants cost through Cost.compose with the same weights (the arena
-   evaluators are bit-identical to the list path, tested), and the
-   enumerator's output is costed with the same weights at publish
-   time, so elite costs are comparable across representations.
+   enumerator — is an Anneal.Parallel.lockstep entrant whose exchange
+   value is the placed list: the one form every representation can
+   both produce (materialize its best) and consume (re-encode as a warm
+   state). All annealing entrants cost through Cost.compose with the
+   same weights (the arena evaluators are bit-identical to the list
+   path, tested), and the enumerator's output is costed with the same
+   weights, so best costs are comparable across representations.
 
-   Donation: when a chain pulls an elite entry that beats its own
-   best, it re-encodes the placement into its own representation,
-   re-costs it with its own evaluator (re-encoding is lossy — packing
-   a converted code moves cells), and adopts only on strict
-   improvement. A finished (frozen) entrant's final publish stays in
-   the pool, so losing engines donate restart seeds to the survivors
-   for free.
-
-   With ?bar, the first entrant to publish a cost <= bar wins and
-   raises the stop flag; everyone else exits at its next slice
-   boundary. The race is free-running only: outcomes depend on domain
-   interleaving (use the engines' deterministic mode when CI needs
-   bit-identical results). With workers:1 the pool degenerates to
-   sequential execution in entrant order, which is deterministic — the
-   property the tests pin down. *)
+   At each barrier the schedule materializes the globally best entrant
+   and offers its placement to every entrant in order; an annealing
+   entrant that is still running and strictly worse re-encodes it,
+   re-costs it with its own evaluator and adopts only on strict
+   improvement. A finished entrant — a frozen chain, the one-shot
+   enumerator — keeps donating its best for as long as it leads. The
+   schedule decides everything by slice count and entrant order, so
+   the race is a pure function of the caller seed at any pool width. *)
 
 module G = Constraints.Symmetry_group
 
@@ -57,7 +49,7 @@ type outcome = {
 
 (* ---- re-encoding converters ----------------------------------------
 
-   placed list -> each representation, for elite adoption. Geometry
+   placed list -> each representation, for adoption. Geometry
    drives the codes; centers are kept in doubled coordinates to stay
    in integers. *)
 
@@ -143,62 +135,55 @@ let tree_of_placed placed =
   in
   stack rows_bottom_first
 
-(* ---- uniform entrant interface -------------------------------------
+(* ---- entrants ------------------------------------------------------
 
-   Annealing chains and the one-shot enumerator behind one closure
-   record the race loop can drive. *)
+   Annealing chains and the one-shot enumerator as lockstep entrants
+   whose exchange value is the placed list. *)
 
-type runner = {
-  r_step : int -> unit;  (* advance up to k rounds *)
-  r_finished : unit -> bool;
-  r_cost : unit -> float;
-  r_placed : unit -> Geometry.Transform.placed list;
-  r_adopt : Geometry.Transform.placed list -> unit;
-  r_rounds : unit -> int;
-  r_evaluated : unit -> int;
-}
-
-let steps ~finished ~step k =
-  let budget = ref k in
-  while !budget > 0 && not (finished ()) do
-    step ();
-    decr budget
-  done
-
-(* One annealing chain behind the runner record. [problem] is the
-   chain's problem (already holding its initial state, drawn from
-   [rng]); [materialise] turns a state into the placed list the elite
-   pool trades in, and [of_placed] re-encodes a donated placement into
-   a fresh state of the chain's own representation. *)
-let chain_runner ~params ~materialise ~of_placed tel rng problem =
+(* One annealing chain as an entrant. [problem] is the chain's problem
+   (already holding its initial state, drawn from [rng]); [materialise]
+   turns a state into a placed list, and [of_placed] re-encodes a
+   donated placement into a fresh state of the chain's own
+   representation. Re-encoding is lossy (packing a converted code moves
+   cells), so a donation is re-costed by the chain's own evaluator and
+   adopted only on strict improvement; a finished chain, or one whose
+   own best is not worse, skips the re-encoding altogether. *)
+let chain_entrant ~engine ~params ~materialise ~of_placed tel rng problem =
   let chain = Anneal.Sa.start ~telemetry:tel ~rng params problem in
-  let finished () = Anneal.Sa.finished chain in
   let extra = ref 0 in
   {
-    r_step =
-      (fun k -> steps k ~finished ~step:(fun () -> Anneal.Sa.step_round chain));
-    r_finished = finished;
-    r_cost = (fun () -> Anneal.Sa.best_cost chain);
-    r_placed = (fun () -> materialise (Anneal.Sa.best chain));
-    r_adopt =
-      (fun placed ->
-        let st = of_placed placed in
-        incr extra;
-        Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
-    r_rounds = (fun () -> (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.rounds);
-    r_evaluated =
+    Anneal.Parallel.tel;
+    engine = Some (engine_name engine);
+    step = (fun () -> Anneal.Sa.step_round chain);
+    finished = (fun () -> Anneal.Sa.finished chain);
+    best_cost = (fun () -> Anneal.Sa.best_cost chain);
+    best = (fun () -> materialise (Anneal.Sa.best chain));
+    offer =
+      (fun placed cost ->
+        if
+          (not (Anneal.Sa.finished chain))
+          && cost < Anneal.Sa.best_cost chain
+        then begin
+          let st = of_placed placed in
+          incr extra;
+          Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st)
+        end);
+    effort =
       (fun () ->
-        (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.evaluated + !extra);
+        let o = Anneal.Sa.outcome_of_chain chain in
+        (o.Anneal.Sa.rounds, o.Anneal.Sa.evaluated + !extra));
   }
 
-(* The deterministic enumerator: one shot, no adoption (it cannot
-   restart), publishes its result under the shared cost scale. *)
-let esf_runner ~weights circuit hierarchy tel =
+(* The deterministic enumerator: one shot in the first slice, costed
+   under the shared weights, never adopts (it cannot restart). *)
+let esf_entrant ~weights circuit hierarchy tel =
   let result = ref None in
   let cost = ref infinity in
   {
-    r_step =
-      (fun _ ->
+    Anneal.Parallel.tel;
+    engine = Some (engine_name Esf);
+    step =
+      (fun () ->
         if Option.is_none !result then begin
           let r =
             Telemetry.Sink.time tel "esf.place" (fun () ->
@@ -210,13 +195,11 @@ let esf_runner ~weights circuit hierarchy tel =
               (Placement.make circuit r.Shapefn.Combine.placed);
           result := Some r.Shapefn.Combine.placed
         end);
-    r_finished = (fun () -> Option.is_some !result);
-    r_cost = (fun () -> !cost);
-    r_placed =
-      (fun () -> match !result with Some p -> p | None -> []);
-    r_adopt = (fun _ -> ());
-    r_rounds = (fun () -> 0);
-    r_evaluated = (fun () -> if Option.is_none !result then 0 else 1);
+    finished = (fun () -> Option.is_some !result);
+    best_cost = (fun () -> !cost);
+    best = (fun () -> Option.value !result ~default:[]);
+    offer = (fun _ _ -> ());
+    effort = (fun () -> (0, if Option.is_none !result then 0 else 1));
   }
 
 (* ---- the race ------------------------------------------------------ *)
@@ -234,9 +217,8 @@ let default_engines ~n ~groups ~hierarchy =
   sa @ (match hierarchy with Some _ when n <= 40 -> [ Esf ] | _ -> [])
 
 let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
-    ?(chains = 1) ?engines ?hierarchy ?bar ?(exchange_every = 32) ?validate
-    ?(feasibility_check = false) ?outline ?estimator
-    ?(telemetry = Telemetry.Sink.null) ~rng circuit =
+    ?(chains = 1) ?engines ?hierarchy ?validate ?(feasibility_check = false)
+    ?outline ?estimator ?(telemetry = Telemetry.Sink.null) ~rng circuit =
   let validate =
     match validate with
     | Some v -> v
@@ -283,25 +265,13 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
     | Some p -> Anneal.Pool.workers p
     | None -> Anneal.Parallel.width ?workers k
   in
-  let slice = if exchange_every <= 0 then max_int else exchange_every in
-  let tels =
-    Array.init k (fun i -> Telemetry.Sink.child telemetry ~tid:(i + 1))
-  in
-  let slice_us =
-    Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.slice_us")
-  in
-  let publishes =
-    Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.publishes")
-  in
-  let pulls =
-    Array.init k (fun i -> Telemetry.Sink.counter tels.(i) "chain.pulls")
-  in
   let bstar_dims = Sa_bstar.dims_table circuit in
-  let runners =
+  let entrants =
     Array.init k (fun i ->
-        let tel = tels.(i) and rng = Prelude.Rng.create seeds.(i) in
+        let tel = Telemetry.Sink.child telemetry ~tid:(i + 1)
+        and rng = Prelude.Rng.create seeds.(i) in
         let chain problem_of =
-          chain_runner ~params tel rng (problem_of tel rng)
+          chain_entrant ~engine:spec.(i) ~params tel rng (problem_of tel rng)
         in
         match spec.(i) with
         | Sp ->
@@ -343,100 +313,37 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
                   })
         | Esf -> (
             match hierarchy with
-            | Some h -> esf_runner ~weights circuit h tel
+            | Some h -> esf_entrant ~weights circuit h tel
             | None ->
                 invalid_arg "Portfolio.race: Esf entrant needs ?hierarchy"))
   in
-  let audit_published =
+  (* under validate, the barrier's best placement is audited before any
+     entrant may adopt it *)
+  let check =
     if validate then fun placed ->
-      Analysis.Invariant.raise_if_any ~context:"Portfolio publish"
+      Analysis.Invariant.raise_if_any ~context:"Portfolio exchange"
         (Analysis.Invariant.audit_placed ~n placed)
-    else fun _ -> ()
+    else ignore
   in
-  let elite = Anneal.Elite.create ~stripes:(min 8 k) () in
-  let stop = Atomic.make false in
-  let first_past = Atomic.make (-1) in
-  (* reuse a caller-owned pool when given (the placement service keeps
-     one across requests), else create and tear down a private one *)
-  (match pool with
-   | Some p -> fun f -> f p
-   | None -> fun f -> Anneal.Pool.with_pool ~workers f)
-    (fun pool ->
-      let job i () =
-        let r = runners.(i) in
-        let last_published = ref infinity in
-        let publish () =
-          let c = r.r_cost () in
-          if c < !last_published then begin
-            last_published := c;
-            let placed = r.r_placed () in
-            audit_published placed;
-            ignore (Anneal.Elite.publish elite ~origin:i ~cost:c placed);
-            Telemetry.Counter.incr publishes.(i);
-            match bar with
-            | Some b when c <= b ->
-                ignore (Atomic.compare_and_set first_past (-1) i);
-                Atomic.set stop true
-            | _ -> ()
-          end
-        in
-        while
-          (not (r.r_finished ()))
-          && (not (Atomic.get stop))
-          && not (Anneal.Pool.failed pool)
-        do
-          let t0 = Telemetry.Sink.span_begin tels.(i) in
-          r.r_step slice;
-          let t1 = Telemetry.Sink.lap tels.(i) "chain.slice" t0 in
-          Telemetry.Counter.add slice_us.(i)
-            (int_of_float ((t1 -. t0) *. 1e6));
-          publish ();
-          match Anneal.Elite.pull elite ~than:(r.r_cost ()) with
-          | Some e ->
-              r.r_adopt e.Anneal.Elite.state;
-              Telemetry.Counter.incr pulls.(i)
-          | None -> ()
-        done;
-        publish ()
-      in
-      for i = 0 to k - 1 do
-        Anneal.Pool.submit pool (job i)
-      done;
-      Anneal.Pool.drain pool);
-  let entrants =
+  let w = Anneal.Parallel.lockstep ?pool ~workers ~check ~telemetry entrants in
+  let results =
     List.init k (fun i ->
+        let e = entrants.(i) in
+        let sa_rounds, evaluated = e.Anneal.Parallel.effort () in
         {
           engine = spec.(i);
           seed = seeds.(i);
-          cost = runners.(i).r_cost ();
-          sa_rounds = runners.(i).r_rounds ();
-          evaluated = runners.(i).r_evaluated ();
+          cost = e.Anneal.Parallel.best_cost ();
+          sa_rounds;
+          evaluated;
         })
   in
-  List.iteri
-    (fun i (e : entrant) ->
-      Anneal.Parallel.record_chain_qor tels.(i)
-        ~engine:(engine_name e.engine) ~mode:"async" ~best_cost:e.cost
-        ~rounds:e.sa_rounds ~evaluated:e.evaluated ())
-    entrants;
-  Array.iter (Telemetry.Sink.absorb telemetry) tels;
-  match Anneal.Elite.best elite with
-  | None ->
-      (* every entrant was stopped before its first publish — cannot
-         happen: the stop flag is only ever raised after a publish *)
-      invalid_arg "Portfolio.race: no entrant published a solution"
-  | Some best ->
-      let widx =
-        match Atomic.get first_past with
-        | -1 -> best.Anneal.Elite.origin
-        | i -> i
-      in
-      {
-        placement = Placement.make circuit best.Anneal.Elite.state;
-        cost = best.Anneal.Elite.cost;
-        winner = spec.(widx);
-        entrants;
-        evaluated =
-          List.fold_left (fun acc (e : entrant) -> acc + e.evaluated) 0 entrants;
-        workers;
-      }
+  {
+    placement = Placement.make circuit (entrants.(w).Anneal.Parallel.best ());
+    cost = entrants.(w).Anneal.Parallel.best_cost ();
+    winner = spec.(w);
+    entrants = results;
+    evaluated =
+      List.fold_left (fun acc (e : entrant) -> acc + e.evaluated) 0 results;
+    workers;
+  }

@@ -1,21 +1,19 @@
 (** Heterogeneous portfolio annealing: race the survey's topological
     representations — sequence-pair, flat B*-tree, TCG, and optionally
     the deterministic shape-function enumerator (§IV) — on one circuit
-    under one cost scale, free-running on a persistent domain pool.
+    under one cost scale, on {!Anneal.Parallel.lockstep}, the same
+    barrier schedule multi-start annealing runs on.
 
-    The entrants trade solutions through an {!Anneal.Elite} pool whose
-    currency is the placed list: each engine materializes its best to
-    publish and re-encodes pulled placements into its own
-    representation to adopt (strict improvement only, re-costed by its
-    own evaluator). Losing engines — frozen chains, the one-shot
-    enumerator — leave their final publishes in the pool as restart
-    seeds for the survivors.
+    Entrants advance in lock-step slices of 32 rounds and trade
+    solutions at the barriers in the one form every representation can
+    produce and consume, the placed list: the globally best entrant is
+    materialized once and offered to the others in entrant order; each
+    re-encodes it into its own representation and adopts it only on
+    strict improvement, re-costed by its own evaluator. The one-shot
+    enumerator finishes in the first slice and stays on as a donor.
 
-    The race is asynchronous by construction; results depend on domain
-    interleaving except at [workers:1], where entrants run
-    sequentially in order and the outcome is a pure function of the
-    caller seed. For bit-identical CI placement, use the individual
-    engines' deterministic mode instead. *)
+    The outcome is a pure function of the caller seed and the
+    arguments: identical for any [workers] or [pool] width. *)
 
 type engine = Sp | Bstar | Tcg | Esf
 
@@ -24,18 +22,18 @@ val engine_name : engine -> string
 
 type entrant = {
   engine : engine;
-  seed : int;  (** chain seed drawn from the caller rng (0 for Esf) *)
+  seed : int;  (** chain seed drawn from the caller rng (drawn, unused, for Esf) *)
   cost : float;  (** the entrant's own final best cost *)
   sa_rounds : int;
   evaluated : int;
 }
 
 type outcome = {
-  placement : Placement.t;  (** globally best published solution *)
+  placement : Placement.t;  (** the winner's best solution *)
   cost : float;
   winner : engine;
-      (** with [?bar]: the first entrant past the bar; otherwise the
-          publisher of the best solution *)
+      (** the entrant that owns the best solution (the first, in race
+          order, on a tie) *)
   entrants : entrant list;  (** per-entrant results, race order *)
   evaluated : int;  (** total cost evaluations, adoptions included *)
   workers : int;  (** width of the pool the race ran on *)
@@ -45,7 +43,7 @@ val rot_of_placed :
   Netlist.Circuit.t -> Geometry.Transform.placed list -> bool array
 (** Per-cell rotation flags recovered from placed rectangle dimensions
     (true where a rect's dims differ from the module's intrinsic
-    ones). One of the placed-list re-encoders the race uses for elite
+    ones). One of the placed-list re-encoders the race uses for
     adoption, exposed so the placement service can derive a cached
     topology from a winning placement. *)
 
@@ -73,8 +71,6 @@ val race :
   ?chains:int ->
   ?engines:engine list ->
   ?hierarchy:Netlist.Hierarchy.t ->
-  ?bar:float ->
-  ?exchange_every:int ->
   ?validate:bool ->
   ?feasibility_check:bool ->
   ?outline:int * int ->
@@ -89,7 +85,8 @@ val race :
     running afterwards; [workers] is then ignored in favor of the
     pool's width) — the placement service's miss path shares one pool
     across every request this way, so a request never pays a domain
-    spawn.
+    spawn. Neither changes the outcome, only how many domains compute
+    it.
 
     [engines] defaults to [Sp; Bstar] plus [Tcg] when the circuit has
     at most 62 modules and [Esf] when [hierarchy] is given and the
@@ -100,11 +97,8 @@ val race :
     eligible. An explicit [Esf] entrant without [hierarchy], or an
     explicit empty list, raises [Invalid_argument].
 
-    [bar] is the QoR bar: the first entrant to publish a cost at or
-    below it wins and stops the race; without it every entrant runs to
-    freezing and the best publish wins. [exchange_every] (default 32)
-    is each chain's publish/pull slice length; non-positive disables
-    mid-run exchange (independent restarts).
+    Every entrant runs to freezing; the winner is the entrant that
+    holds the lowest best cost at the end.
 
     [feasibility_check] (default false) runs the {!Analysis.Feasibility}
     prover before any entrant starts and raises
@@ -119,12 +113,14 @@ val race :
     one-shot Esf enumerator ignores it.
 
     [validate] (default the [ANALOG_VALIDATE=1] switch) runs each
-    engine's own move-level sanitizer {e and} audits every published
-    placement (overlap, coverage) on the publishing domain.
+    engine's own move-level sanitizer {e and} audits the placement
+    offered at every barrier, and the final winner's (overlap,
+    coverage), on the calling domain.
 
     [telemetry]: per-entrant child sinks (tid = entrant index + 1)
-    carry the engine's usual streams plus ["chain.slice"] spans,
-    ["chain.slice_us"] / ["chain.publishes"] / ["chain.pulls"]
-    counters and one {!Telemetry.Qor.chain} record tagged with the
-    engine name and mode ["async"]; children merge into [telemetry]
-    after the race. *)
+    carry the engine's usual streams plus ["chain.slice"] spans, a
+    ["chain.slice_us"] counter and one {!Telemetry.Qor.chain} record
+    tagged with the engine name and mode ["deterministic"]; children
+    merge into [telemetry] after the race, which itself receives the
+    schedule's ["parallel.slice"] / ["parallel.exchange"] spans and
+    ["parallel.exchanges"] counter. *)

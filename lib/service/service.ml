@@ -22,6 +22,11 @@
    Every response — miss or hit — is materialized from the cache entry
    by the same deterministic selection, so identical requests return
    byte-identical result objects regardless of which path served them.
+   The race runs on Anneal.Parallel's lockstep schedule, so a miss is a
+   pure function of its request: every response but its latency is
+   byte-identical at any pool width, a re-miss after eviction
+   reproduces the first miss, and a traced session answers exactly as
+   an untraced one.
 
    Telemetry: each request records into a private Sink.child (tid =
    running request ordinal); service.* counters and latency histograms

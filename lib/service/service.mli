@@ -14,7 +14,8 @@
     failed re-check evicts the entry and the request re-anneals
     ([served = "evict-miss"]). Every response is materialized from the
     cache entry by the same deterministic selection, so identical
-    requests return byte-identical [result] objects on either path.
+    requests return byte-identical [result] objects on either path —
+    and, since the race is itself deterministic, at any pool width.
 
     Telemetry (merged into the root sink per wave, never touched by
     workers directly): [service.requests] / [.hits] / [.misses] /

@@ -492,14 +492,46 @@ let test_sa_tcg_parallel () =
   | Error m -> Alcotest.fail m
 
 (* The heterogeneous portfolio race. *)
+
+(* Run [go workers] at one, two and four pool domains and require the
+   same outcome each time: cost bits, winner, every entrant's seed,
+   cost bits, rounds and evaluations, and the placed list. *)
+let same_at_widths label go =
+  let summary (o : Placer.Portfolio.outcome) =
+    ( Placer.Portfolio.engine_name o.Placer.Portfolio.winner,
+      List.map
+        (fun (e : Placer.Portfolio.entrant) ->
+          ( Placer.Portfolio.engine_name e.Placer.Portfolio.engine,
+            e.Placer.Portfolio.seed,
+            Int64.bits_of_float e.Placer.Portfolio.cost,
+            e.Placer.Portfolio.sa_rounds,
+            e.Placer.Portfolio.evaluated ))
+        o.Placer.Portfolio.entrants,
+      o.Placer.Portfolio.evaluated,
+      o.Placer.Portfolio.placement.Placer.Placement.placed )
+  in
+  let base = go 1 in
+  List.iter
+    (fun workers ->
+      let o = go workers in
+      Alcotest.(check int64)
+        (Printf.sprintf "%s: cost bits at %d workers" label workers)
+        (Int64.bits_of_float base.Placer.Portfolio.cost)
+        (Int64.bits_of_float o.Placer.Portfolio.cost);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: identical race at %d workers" label workers)
+        true
+        (summary base = summary o))
+    [ 2; 4 ]
+
 let test_portfolio_race () =
   let b = Netlist.Benchmarks.synthetic ~label:"pf" ~n:10 ~seed:55 in
   let c = b.Netlist.Benchmarks.circuit in
-  let go () =
-    Placer.Portfolio.race ~params:small_params ~workers:1 ~validate:true
+  let go workers =
+    Placer.Portfolio.race ~params:small_params ~workers ~validate:true
       ~rng:(Prelude.Rng.create 13) c
   in
-  let out = go () in
+  let out = go 1 in
   (match Placer.Placement.validate out.Placer.Portfolio.placement with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
@@ -520,27 +552,39 @@ let test_portfolio_race () =
        out.Placer.Portfolio.entrants);
   Alcotest.(check bool) "evaluations counted" true
     (out.Placer.Portfolio.evaluated > 0);
-  (* at workers:1 the race is sequential in entrant order, so the
-     outcome is a pure function of the caller seed *)
-  let again = go () in
-  Alcotest.(check (float 0.0))
-    "deterministic at workers:1" out.Placer.Portfolio.cost
-    again.Placer.Portfolio.cost
+  (* the race runs on the lockstep schedule: the outcome is a pure
+     function of the caller seed at any pool width *)
+  same_at_widths "flat" go
 
-let test_portfolio_bar () =
-  let b = Netlist.Benchmarks.synthetic ~label:"pb" ~n:8 ~seed:66 in
-  let c = b.Netlist.Benchmarks.circuit in
-  (* an infinitely generous QoR bar: the first publish wins the race —
-     at workers:1 that is the first entrant, sequence-pair *)
-  let out =
-    Placer.Portfolio.race ~params:small_params ~workers:1 ~bar:infinity
-      ~rng:(Prelude.Rng.create 3) c
+(* Flat SP/B*-tree/TCG at two chains each, a hierarchical circuit with
+   the ESF entrant, and a symmetric circuit: each race reproduces bit
+   for bit at one, two and four pool domains. *)
+let test_portfolio_widths () =
+  let flat =
+    (Netlist.Benchmarks.synthetic ~label:"pw" ~n:10 ~seed:56)
+      .Netlist.Benchmarks.circuit
   in
-  Alcotest.(check bool) "first past the bar wins" true
-    (out.Placer.Portfolio.winner = Placer.Portfolio.Sp);
-  match Placer.Placement.validate out.Placer.Portfolio.placement with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  same_at_widths "flat, two chains" (fun workers ->
+      Placer.Portfolio.race ~params:small_params ~workers ~chains:2
+        ~validate:true ~rng:(Prelude.Rng.create 14) flat);
+  let fig2 = Netlist.Benchmarks.fig2_design () in
+  same_at_widths "hierarchical with esf" (fun workers ->
+      let out =
+        Placer.Portfolio.race ~params:small_params ~workers ~validate:true
+          ~hierarchy:fig2.Netlist.Benchmarks.hierarchy
+          ~rng:(Prelude.Rng.create 15) fig2.Netlist.Benchmarks.circuit
+      in
+      Alcotest.(check bool) "esf entered" true
+        (List.exists
+           (fun (e : Placer.Portfolio.entrant) ->
+             e.Placer.Portfolio.engine = Placer.Portfolio.Esf)
+           out.Placer.Portfolio.entrants);
+      out);
+  let grp = Constraints.Symmetry_group.make ~pairs:[ (0, 1) ] ~selfs:[ 2 ] () in
+  same_at_widths "symmetric" (fun workers ->
+      Placer.Portfolio.race ~params:small_params ~groups:[ grp ] ~workers
+        ~chains:2 ~validate:true ~rng:(Prelude.Rng.create 16)
+        (tiny_circuit ()))
 
 let test_portfolio_symmetric () =
   let c = tiny_circuit () in
@@ -706,7 +750,8 @@ let () =
       ( "portfolio",
         [
           Alcotest.test_case "race" `Quick test_portfolio_race;
-          Alcotest.test_case "QoR bar" `Quick test_portfolio_bar;
+          Alcotest.test_case "reproduces at any width" `Quick
+            test_portfolio_widths;
           Alcotest.test_case "symmetric" `Quick test_portfolio_symmetric;
           Alcotest.test_case "bad configs" `Quick
             test_portfolio_rejects_bad_configs;

@@ -459,6 +459,72 @@ let test_request_json_roundtrip () =
       in
       Alcotest.(check bool) "round-trips" true (again = Ok r)
 
+(* ---- pool-width identity ------------------------------------------ *)
+
+(* Misses (one of them a two-chain Thorough race with the ESF
+   entrant), repeats that hit, and an outline variant. *)
+let width_requests =
+  let syn = Service.Request.Synthetic { n = 10; seed = 1 } in
+  let fig2 id =
+    {
+      (quick_req ~id ~seed:2 (Service.Request.Bench "fig2")) with
+      Service.Request.effort = Service.Fingerprint.Thorough;
+    }
+  in
+  let miller = Service.Request.Bench "miller" in
+  [
+    quick_req ~id:"m1" miller;
+    quick_req ~id:"s1" syn;
+    fig2 "f1";
+    quick_req ~id:"m2" miller;
+    quick_req ~id:"o1" ~outline:(100_000, 80_000) miller;
+    quick_req ~id:"o2" ~outline:(90_000, 95_000) miller;
+    quick_req ~id:"s2" syn;
+    fig2 "f2";
+  ]
+
+(* Everything in a response but its latency. *)
+let response_key (r : Service.Request.response) =
+  Printf.sprintf "%s %s %d %d %s" r.Service.Request.request_id
+    r.Service.Request.served r.Service.Request.sa_rounds
+    r.Service.Request.evaluated (result_string r)
+
+let batch_at ?telemetry workers =
+  Service.with_service ~workers ?telemetry (fun svc ->
+      Service.run_batch svc width_requests)
+
+let test_service_any_width () =
+  let base = batch_at 1 in
+  Alcotest.(check (list string))
+    "misses, hits and the outline variant"
+    [ "miss"; "miss"; "miss"; "hit"; "miss"; "hit"; "hit"; "hit" ]
+    (List.map (fun (r : Service.Request.response) -> r.Service.Request.served)
+       base);
+  let keys rs = List.map response_key rs in
+  List.iter
+    (fun w ->
+      List.iter2
+        (Alcotest.(check string) (Printf.sprintf "identical at %d workers" w))
+        (keys base) (keys (batch_at w)))
+    [ 2; 4 ];
+  Alcotest.(check (list string))
+    "traced session equals untraced" (keys (batch_at 2))
+    (keys (batch_at ~telemetry:Telemetry.Sink.null 2));
+  (* a one-entry cache evicts the first miss; re-requesting it anneals
+     again and must reproduce the first response *)
+  Service.with_service ~workers:2 ~cache_capacity:1 (fun svc ->
+      let first = quick_req ~id:"a" (Service.Request.Bench "miller") in
+      let other =
+        quick_req ~id:"b" (Service.Request.Synthetic { n = 10; seed = 1 })
+      in
+      let r1 = Service.submit svc first in
+      ignore (Service.submit svc other);
+      let r2 = Service.submit svc first in
+      Alcotest.(check string) "evicted entry misses again" "miss"
+        r2.Service.Request.served;
+      Alcotest.(check string) "re-miss equals the first miss"
+        (response_key r1) (response_key r2))
+
 (* ---- concurrent mixed traffic (CI runs this under real cores) ------ *)
 
 let test_concurrent_stress () =
@@ -568,6 +634,7 @@ let () =
           Alcotest.test_case "negative cache" `Quick
             test_service_negative_cache;
           Alcotest.test_case "request json" `Quick test_request_json_roundtrip;
+          Alcotest.test_case "any pool width" `Quick test_service_any_width;
         ] );
       ( "concurrent",
         [ Alcotest.test_case "mixed traffic" `Quick test_concurrent_stress ] );

@@ -140,7 +140,8 @@ let sizing mode () =
   (o.Sizing.Flow.layout.Sizing.Template.area_um2, -1, -1,
    o.Sizing.Flow.evaluations)
 
-(* at workers:1 the race runs its entrants in order: deterministic *)
+(* the race runs on the lockstep schedule, so it is deterministic at any
+   width; its four pins were recorded on that schedule *)
 let race =
   lazy
     (Placer.Portfolio.race ~params ~workers:1 ~rng:(Prelude.Rng.create 12) cc)
@@ -183,13 +184,13 @@ let cases =
      (4656818044287444216L, -1, -1, 4000));
     ("sizing electrical-only", sizing Sizing.Flow.Electrical_only,
      (4665320416852040693L, -1, -1, 4000));
-    ("portfolio race", portfolio, (4691266826645851341L, -1, -1, 65593));
+    ("portfolio race", portfolio, (4691260353271142810L, -1, -1, 65602));
     ("portfolio sp entrant", entrant Placer.Portfolio.Sp,
-     (4691356916161865318L, 370, -1, 22200));
+     (4691260353271142810L, 370, -1, 22203));
     ("portfolio bstar entrant", entrant Placer.Portfolio.Bstar,
-     (4691591244423574323L, 359, -1, 21552));
+     (4691591244423574323L, 359, -1, 21549));
     ("portfolio tcg entrant", entrant Placer.Portfolio.Tcg,
-     (4691266826645851341L, 364, -1, 21841));
+     (4691333457050494566L, 364, -1, 21850));
   ]
 
 let check_case (run, (bits, rounds, accepted, evaluated)) () =
