@@ -862,6 +862,8 @@ let time_ops ?(budget = 0.25) f =
   done;
   float_of_int !reps /. !elapsed
 
+module J = Telemetry.Json
+
 let perf ?(smoke = false) () =
   section
     (if smoke then
@@ -871,54 +873,66 @@ let perf ?(smoke = false) () =
   let ns = if smoke then [ 8; 16 ] else [ 20; 50; 100; 200 ] in
   let budget = if smoke then 0.02 else 0.25 in
   let time_ops f = time_ops ~budget f in
-  let last = List.length ns - 1 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
+  (* a measured figure rounded to [d] decimals, as the report prints it *)
+  let num d x =
+    let scale = 10.0 ** float_of_int d in
+    J.float (Float.round (x *. scale) /. scale)
+  in
   (* provenance header: schema version, the revision that produced the
      numbers, and when — so a committed BENCH_perf.json is
      self-describing *)
-  Printf.bprintf buf "  \"schema_version\": 1,\n";
-  Printf.bprintf buf "  \"git_rev\": \"%s\",\n" (Telemetry.Ledger.git_rev ());
-  Printf.bprintf buf "  \"generated_at\": \"%s\",\n"
-    (Telemetry.Ledger.timestamp ());
-  Printf.bprintf buf "  \"domains_available\": %d,\n"
-    (Domain.recommended_domain_count ());
+  let header =
+    [
+      ("schema_version", J.int 1);
+      ("git_rev", J.str (Telemetry.Ledger.git_rev ()));
+      ("generated_at", J.str (Telemetry.Ledger.timestamp ()));
+      ("domains_available", J.int (Domain.recommended_domain_count ()));
+    ]
+  in
   (* packing throughput: list evaluators vs the buffer evaluator *)
   Printf.printf "%5s | %11s %11s %11s %14s\n" "n" "pack/s" "fast/s" "veb/s"
     "fast_into/s";
   hr ();
-  Buffer.add_string buf "  \"packing\": [\n";
-  List.iteri
-    (fun i n ->
-      let rng = Prelude.Rng.create (9000 + n) in
-      let sp = Seqpair.Sp.random rng n in
-      let d =
-        Array.init n (fun _ ->
-            (1 + Prelude.Rng.int rng 100, 1 + Prelude.Rng.int rng 100))
-      in
-      let dims c = d.(c) in
-      let scratch = Seqpair.Pack.scratch n in
-      let w = Array.init n (fun c -> fst d.(c))
-      and h = Array.init n (fun c -> snd d.(c))
-      and x = Array.make n 0
-      and y = Array.make n 0 in
-      let r_pack = time_ops (fun () -> ignore (Seqpair.Pack.pack sp dims)) in
-      let r_fast =
-        time_ops (fun () -> ignore (Seqpair.Pack.pack_fast sp dims))
-      in
-      let r_veb = time_ops (fun () -> ignore (Seqpair.Pack.pack_veb sp dims)) in
-      let r_into =
-        time_ops (fun () -> Seqpair.Pack.pack_fast_into scratch sp ~w ~h ~x ~y)
-      in
-      Printf.printf "%5d | %11.0f %11.0f %11.0f %14.0f\n" n r_pack r_fast r_veb
-        r_into;
-      Printf.bprintf buf
-        "    {\"n\": %d, \"pack_per_s\": %.0f, \"pack_fast_per_s\": %.0f, \
-         \"pack_veb_per_s\": %.0f, \"pack_fast_into_per_s\": %.0f}%s\n"
-        n r_pack r_fast r_veb r_into
-        (if i = last then "" else ","))
-    ns;
-  Buffer.add_string buf "  ],\n";
+  let packing =
+    List.map
+      (fun n ->
+        let rng = Prelude.Rng.create (9000 + n) in
+        let sp = Seqpair.Sp.random rng n in
+        let d =
+          Array.init n (fun _ ->
+              (1 + Prelude.Rng.int rng 100, 1 + Prelude.Rng.int rng 100))
+        in
+        let dims c = d.(c) in
+        let scratch = Seqpair.Pack.scratch n in
+        let w = Array.init n (fun c -> fst d.(c))
+        and h = Array.init n (fun c -> snd d.(c))
+        and x = Array.make n 0
+        and y = Array.make n 0 in
+        let r_pack =
+          time_ops (fun () -> ignore (Seqpair.Pack.pack sp dims))
+        in
+        let r_fast =
+          time_ops (fun () -> ignore (Seqpair.Pack.pack_fast sp dims))
+        in
+        let r_veb =
+          time_ops (fun () -> ignore (Seqpair.Pack.pack_veb sp dims))
+        in
+        let r_into =
+          time_ops (fun () ->
+              Seqpair.Pack.pack_fast_into scratch sp ~w ~h ~x ~y)
+        in
+        Printf.printf "%5d | %11.0f %11.0f %11.0f %14.0f\n" n r_pack r_fast
+          r_veb r_into;
+        J.Obj
+          [
+            ("n", J.int n);
+            ("pack_per_s", num 0 r_pack);
+            ("pack_fast_per_s", num 0 r_fast);
+            ("pack_veb_per_s", num 0 r_veb);
+            ("pack_fast_into_per_s", num 0 r_into);
+          ])
+      ns
+  in
   hr ();
   (* SA move throughput: the pre-arena list path (pack to a fresh list,
      build a Placement, walk the nets) against the arena *)
@@ -929,40 +943,45 @@ let perf ?(smoke = false) () =
      uninstrumented arena rate measured at that size in this same run *)
   let tn = if smoke then 16 else 100 in
   let arena_at_tn = ref 0.0 in
-  Buffer.add_string buf "  \"sa_moves\": [\n";
-  List.iteri
-    (fun i n ->
-      let b = Netlist.Benchmarks.synthetic ~label:"perf" ~n ~seed:(n + 1) in
-      let c = b.Netlist.Benchmarks.circuit in
-      let arena = Placer.Eval.create c in
-      let rng_list = Prelude.Rng.create 42
-      and rng_arena = Prelude.Rng.create 42 in
-      let sp_list = ref (Seqpair.Sp.random rng_list n)
-      and sp_arena = ref (Seqpair.Sp.random rng_arena n) in
-      let rot = Array.make n false in
-      let dims = Netlist.Circuit.dims c in
-      let list_move () =
-        sp_list := Seqpair.Moves.random_neighbor rng_list !sp_list;
-        ignore
-          (Placer.Cost.evaluate weights
-             (Placer.Placement.make c (Seqpair.Pack.pack_fast !sp_list dims)))
-      in
-      let arena_move () =
-        sp_arena := Seqpair.Moves.random_neighbor rng_arena !sp_arena;
-        ignore (Placer.Eval.cost_seqpair arena weights !sp_arena ~rot)
-      in
-      let r_list = time_ops list_move in
-      let r_arena = time_ops arena_move in
-      if n = tn then arena_at_tn := r_arena;
-      Printf.printf "%5d | %14.0f %15.0f %8.2fx\n" n r_list r_arena
-        (r_arena /. r_list);
-      Printf.bprintf buf
-        "    {\"n\": %d, \"list_moves_per_s\": %.0f, \"arena_moves_per_s\": \
-         %.0f, \"speedup\": %.2f}%s\n"
-        n r_list r_arena (r_arena /. r_list)
-        (if i = last then "" else ","))
-    ns;
-  Buffer.add_string buf "  ],\n";
+  let moves_row n r_list r_arena =
+    J.Obj
+      [
+        ("n", J.int n);
+        ("list_moves_per_s", num 0 r_list);
+        ("arena_moves_per_s", num 0 r_arena);
+        ("speedup", num 2 (r_arena /. r_list));
+      ]
+  in
+  let sa_moves =
+    List.map
+      (fun n ->
+        let b = Netlist.Benchmarks.synthetic ~label:"perf" ~n ~seed:(n + 1) in
+        let c = b.Netlist.Benchmarks.circuit in
+        let arena = Placer.Eval.create c in
+        let rng_list = Prelude.Rng.create 42
+        and rng_arena = Prelude.Rng.create 42 in
+        let sp_list = ref (Seqpair.Sp.random rng_list n)
+        and sp_arena = ref (Seqpair.Sp.random rng_arena n) in
+        let rot = Array.make n false in
+        let dims = Netlist.Circuit.dims c in
+        let list_move () =
+          sp_list := Seqpair.Moves.random_neighbor rng_list !sp_list;
+          ignore
+            (Placer.Cost.evaluate weights
+               (Placer.Placement.make c (Seqpair.Pack.pack_fast !sp_list dims)))
+        in
+        let arena_move () =
+          sp_arena := Seqpair.Moves.random_neighbor rng_arena !sp_arena;
+          ignore (Placer.Eval.cost_seqpair arena weights !sp_arena ~rot)
+        in
+        let r_list = time_ops list_move in
+        let r_arena = time_ops arena_move in
+        if n = tn then arena_at_tn := r_arena;
+        Printf.printf "%5d | %14.0f %15.0f %8.2fx\n" n r_list r_arena
+          (r_arena /. r_list);
+        moves_row n r_list r_arena)
+      ns
+  in
   hr ();
   (* B*-tree SA move throughput: the pointer-tree list path (perturb a
      persistent tree, pack to a fresh list, build a Placement, walk the
@@ -970,40 +989,36 @@ let perf ?(smoke = false) () =
   Printf.printf "%5s | %14s %15s %9s\n" "n" "list moves/s" "arena moves/s"
     "speedup";
   hr ();
-  Buffer.add_string buf "  \"bstar_moves\": [\n";
-  List.iteri
-    (fun i n ->
-      let b = Netlist.Benchmarks.synthetic ~label:"perf" ~n ~seed:(n + 2) in
-      let c = b.Netlist.Benchmarks.circuit in
-      let arena = Placer.Eval.create c in
-      let rng_list = Prelude.Rng.create 43
-      and rng_arena = Prelude.Rng.create 43 in
-      let cells = List.init n Fun.id in
-      let tree = ref (Bstar.Tree.random rng_list cells) in
-      let flat = Bstar.Flat.of_tree (Bstar.Tree.random rng_arena cells) in
-      let rot = Array.make n false in
-      let dims = Netlist.Circuit.dims c in
-      let list_move () =
-        tree := Bstar.Perturb.random rng_list !tree;
-        ignore
-          (Placer.Cost.evaluate weights
-             (Placer.Placement.make c (Bstar.Tree.pack !tree dims)))
-      in
-      let arena_move () =
-        ignore (Bstar.Flat.perturb rng_arena flat);
-        ignore (Placer.Eval.cost_bstar arena weights flat ~rot)
-      in
-      let r_list = time_ops list_move in
-      let r_arena = time_ops arena_move in
-      Printf.printf "%5d | %14.0f %15.0f %8.2fx\n" n r_list r_arena
-        (r_arena /. r_list);
-      Printf.bprintf buf
-        "    {\"n\": %d, \"list_moves_per_s\": %.0f, \"arena_moves_per_s\": \
-         %.0f, \"speedup\": %.2f}%s\n"
-        n r_list r_arena (r_arena /. r_list)
-        (if i = last then "" else ","))
-    ns;
-  Buffer.add_string buf "  ],\n";
+  let bstar_moves =
+    List.map
+      (fun n ->
+        let b = Netlist.Benchmarks.synthetic ~label:"perf" ~n ~seed:(n + 2) in
+        let c = b.Netlist.Benchmarks.circuit in
+        let arena = Placer.Eval.create c in
+        let rng_list = Prelude.Rng.create 43
+        and rng_arena = Prelude.Rng.create 43 in
+        let cells = List.init n Fun.id in
+        let tree = ref (Bstar.Tree.random rng_list cells) in
+        let flat = Bstar.Flat.of_tree (Bstar.Tree.random rng_arena cells) in
+        let rot = Array.make n false in
+        let dims = Netlist.Circuit.dims c in
+        let list_move () =
+          tree := Bstar.Perturb.random rng_list !tree;
+          ignore
+            (Placer.Cost.evaluate weights
+               (Placer.Placement.make c (Bstar.Tree.pack !tree dims)))
+        in
+        let arena_move () =
+          ignore (Bstar.Flat.perturb rng_arena flat);
+          ignore (Placer.Eval.cost_bstar arena weights flat ~rot)
+        in
+        let r_list = time_ops list_move in
+        let r_arena = time_ops arena_move in
+        Printf.printf "%5d | %14.0f %15.0f %8.2fx\n" n r_list r_arena
+          (r_arena /. r_list);
+        moves_row n r_list r_arena)
+      ns
+  in
   hr ();
   (* symmetric SA move throughput: Sa_seqpair's own problem -- S-F
      moves and pair-coupled rotations, each evaluated on the arena by
@@ -1015,53 +1030,56 @@ let perf ?(smoke = false) () =
     "pairs" "arena moves/s" "fallback share";
   hr ();
   let table1 = Netlist.Benchmarks.table1_suite () in
-  let last_t1 = List.length table1 - 1 in
-  Buffer.add_string buf "  \"sym_moves\": [\n";
-  List.iteri
-    (fun i (b : Netlist.Benchmarks.bench) ->
-      let c = b.Netlist.Benchmarks.circuit in
-      let n = Netlist.Circuit.size c in
-      let groups =
-        Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
-      in
-      let pairs =
-        List.fold_left
-          (fun acc (g : Constraints.Symmetry_group.t) ->
-            acc + List.length g.Constraints.Symmetry_group.pairs)
-          0 groups
-      in
-      let walk telemetry =
-        let rng = Prelude.Rng.create (46 + i) in
-        let p =
-          Placer.Sa_seqpair.problem_of ~weights ~groups c telemetry rng
+  let sym_moves =
+    List.mapi
+      (fun i (b : Netlist.Benchmarks.bench) ->
+        let c = b.Netlist.Benchmarks.circuit in
+        let n = Netlist.Circuit.size c in
+        let groups =
+          Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
         in
-        fun () ->
-          p.Anneal.Sa.propose rng p.Anneal.Sa.state;
-          ignore (p.Anneal.Sa.cost p.Anneal.Sa.state)
-      in
-      let r_sym = time_ops (walk Telemetry.Sink.null) in
-      let counted = Telemetry.Sink.create () in
-      let move = walk counted in
-      for _ = 1 to if smoke then 100 else 2000 do
-        move ()
-      done;
-      let count name =
-        Option.value ~default:0
-          (List.assoc_opt name (Telemetry.Sink.counters counted))
-      in
-      let share =
-        float_of_int (count "eval.sym_fallbacks")
-        /. float_of_int (max 1 (count "eval.costs"))
-      in
-      Printf.printf "%-16s %4d %6d %5d | %15.0f %14.3f\n"
-        b.Netlist.Benchmarks.label n (List.length groups) pairs r_sym share;
-      Printf.bprintf buf
-        "    {\"circuit\": \"%s\", \"n\": %d, \"groups\": %d, \"pairs\": \
-         %d, \"arena_moves_per_s\": %.0f, \"fallback_share\": %.3f}%s\n"
-        b.Netlist.Benchmarks.label n (List.length groups) pairs r_sym share
-        (if i = last_t1 then "" else ","))
-    table1;
-  Buffer.add_string buf "  ],\n";
+        let pairs =
+          List.fold_left
+            (fun acc (g : Constraints.Symmetry_group.t) ->
+              acc + List.length g.Constraints.Symmetry_group.pairs)
+            0 groups
+        in
+        let walk telemetry =
+          let rng = Prelude.Rng.create (46 + i) in
+          let p =
+            Placer.Sa_seqpair.problem_of ~weights ~groups c telemetry rng
+          in
+          fun () ->
+            p.Anneal.Sa.propose rng p.Anneal.Sa.state;
+            ignore (p.Anneal.Sa.cost p.Anneal.Sa.state)
+        in
+        let r_sym = time_ops (walk Telemetry.Sink.null) in
+        let counted = Telemetry.Sink.create () in
+        let move = walk counted in
+        for _ = 1 to if smoke then 100 else 2000 do
+          move ()
+        done;
+        let count name =
+          Option.value ~default:0
+            (List.assoc_opt name (Telemetry.Sink.counters counted))
+        in
+        let share =
+          float_of_int (count "eval.sym_fallbacks")
+          /. float_of_int (max 1 (count "eval.costs"))
+        in
+        Printf.printf "%-16s %4d %6d %5d | %15.0f %14.3f\n"
+          b.Netlist.Benchmarks.label n (List.length groups) pairs r_sym share;
+        J.Obj
+          [
+            ("circuit", J.str b.Netlist.Benchmarks.label);
+            ("n", J.int n);
+            ("groups", J.int (List.length groups));
+            ("pairs", J.int pairs);
+            ("arena_moves_per_s", num 0 r_sym);
+            ("fallback_share", num 3 share);
+          ])
+      table1
+  in
   hr ();
   (* telemetry overhead: the same arena SA move loop threaded through a
      no-op sink and through a live sink (counters + histograms + span
@@ -1088,11 +1106,16 @@ let perf ?(smoke = false) () =
     "telemetry (n=%d): off %.0f moves/s (%+.1f%% vs bare), on %.0f moves/s \
      (%+.1f%% vs bare)\n"
     tn r_off off_pct r_on on_pct;
-  Printf.bprintf buf
-    "  \"telemetry_overhead\": {\"n\": %d, \"moves_per_s_off\": %.0f, \
-     \"moves_per_s_on\": %.0f, \"off_overhead_pct\": %.1f, \
-     \"on_overhead_pct\": %.1f},\n"
-    tn r_off r_on off_pct on_pct;
+  let telemetry_overhead =
+    J.Obj
+      [
+        ("n", J.int tn);
+        ("moves_per_s_off", num 0 r_off);
+        ("moves_per_s_on", num 0 r_on);
+        ("off_overhead_pct", num 1 off_pct);
+        ("on_overhead_pct", num 1 on_pct);
+      ]
+  in
   (* per-move latency quantiles: time small batches of arena moves and
      report type-7 percentiles of the per-move cost via Stats.quantile *)
   let batches = if smoke then 40 else 200 in
@@ -1110,10 +1133,15 @@ let perf ?(smoke = false) () =
   Printf.printf
     "sa move latency (n=%d): p50 %.2fus  p90 %.2fus  p99 %.2fus\n" tn (q 0.5)
     (q 0.9) (q 0.99);
-  Printf.bprintf buf
-    "  \"sa_move_latency_us\": {\"n\": %d, \"p50\": %.3f, \"p90\": %.3f, \
-     \"p99\": %.3f},\n"
-    tn (q 0.5) (q 0.9) (q 0.99);
+  let sa_move_latency_us =
+    J.Obj
+      [
+        ("n", J.int tn);
+        ("p50", num 3 (q 0.5));
+        ("p90", num 3 (q 0.9));
+        ("p99", num 3 (q 0.99));
+      ]
+  in
   hr ();
   (* routability estimate overhead: the same arena SA move loop with
      the RUDY congestion estimator folded into the cost (non-zero
@@ -1141,19 +1169,21 @@ let perf ?(smoke = false) () =
     "route estimate (n=%d): plain %.0f moves/s, routed %.0f moves/s \
      (%.2fx the plain query; budget 2x)\n"
     tn r_plain r_routed slowdown;
-  Printf.bprintf buf
-    "  \"route_estimate\": {\"n\": %d, \"moves_per_s_plain\": %.0f, \
-     \"moves_per_s_routed\": %.0f, \"slowdown\": %.2f, \"budget\": 2.0},\n"
-    tn r_plain r_routed slowdown;
+  let route_estimate =
+    J.Obj
+      [
+        ("n", J.int tn);
+        ("moves_per_s_plain", num 0 r_plain);
+        ("moves_per_s_routed", num 0 r_routed);
+        ("slowdown", num 2 slowdown);
+        ("budget", J.float 2.0);
+      ]
+  in
   hr ();
   (* parallel multi-start on the persistent pool: 4 chains spread over
-     1/2/4 domains, for both annealing-instrumented engines and both
-     exchange disciplines. Deterministic rows must produce the same
-     best cost at every worker count (gated in CI); async rows are the
-     free-running elite-pool mode, whose speedup at 2 and 4 workers is
-     the whole point of the pool — CI gates those on a multicore host.
-     Each async row also reports how far its best cost landed from the
-     deterministic schedule's (quality drift, not gated). *)
+     1/2/4 domains, for both annealing-instrumented engines. Each row
+     must produce the same best cost at every worker count, and on a
+     multicore host must scale (both gated in CI). *)
   let n = if smoke then 12 else 40 in
   let b = Netlist.Benchmarks.synthetic ~label:"par" ~n ~seed:5 in
   let c = b.Netlist.Benchmarks.circuit in
@@ -1165,66 +1195,69 @@ let perf ?(smoke = false) () =
       frozen_rounds = 5;
     }
   in
-  let place_sp ~mode ~workers rng =
-    (Placer.Sa_seqpair.place ~params ~workers ~chains:4 ~mode ~rng c)
+  let place_sp ~workers rng =
+    (Placer.Sa_seqpair.place ~params ~workers ~chains:4 ~rng c)
       .Placer.Sa_seqpair.cost
-  and place_bstar ~mode ~workers rng =
-    (Placer.Sa_bstar.place ~params ~workers ~chains:4 ~mode ~rng c)
+  and place_bstar ~workers rng =
+    (Placer.Sa_bstar.place ~params ~workers ~chains:4 ~rng c)
       .Placer.Sa_bstar.cost
   in
-  Printf.printf "%5s %-13s | %18s | %15s | %s\n" "" "" "seconds 1/2/4w"
-    "speedup 2/4w" "same cost across workers";
+  Printf.printf "%5s | %18s | %15s | %s\n" "" "seconds 1/2/4w" "speedup 2/4w"
+    "same cost across workers";
   hr ();
-  Buffer.add_string buf "  \"parallel\": [\n";
-  let engines = [ ("sp", place_sp); ("bstar", place_bstar) ] in
-  let det_costs = Hashtbl.create 4 in
-  List.iteri
-    (fun ei (engine, place) ->
-      List.iteri
-        (fun mi (mode_label, mode) ->
-          let run workers =
-            let rng = Prelude.Rng.create 99 in
-            let t0 = Unix.gettimeofday () in
-            let cost = place ~mode ~workers rng in
-            (Unix.gettimeofday () -. t0, cost)
-          in
-          let t1, c1 = run 1 in
-          let t2, c2 = run 2 in
-          let t4, c4 = run 4 in
-          let deterministic = c1 = c2 && c2 = c4 in
-          let best = min c1 (min c2 c4) in
-          if mode = `Deterministic then Hashtbl.replace det_costs engine c1;
-          let delta_json, delta_text =
-            match (mode, Hashtbl.find_opt det_costs engine) with
-            | `Async, Some det when det <> 0.0 ->
-                let pct = 100.0 *. (c4 -. det) /. det in
-                ( Printf.sprintf ", \"cost_delta_vs_det_pct\": %.2f" pct,
-                  Printf.sprintf "  (4w cost %+.2f%% vs deterministic)" pct )
-            | _ -> ("", "")
-          in
-          Printf.printf
-            "%5s %-13s | %5.2f %5.2f %5.2fs | %6.2fx %6.2fx | %b%s\n" engine
-            mode_label t1 t2 t4 (t1 /. t2) (t1 /. t4) deterministic delta_text;
-          Printf.bprintf buf
-            "    {\"engine\": \"%s\", \"mode\": \"%s\", \"chains\": 4, \"n\": \
-             %d, \"seconds_1w\": %.3f, \"seconds_2w\": %.3f, \"seconds_4w\": \
-             %.3f, \"speedup_2w\": %.2f, \"speedup_4w\": %.2f, \
-             \"deterministic\": %b, \"best_cost\": %.6f%s}%s\n"
-            engine mode_label n t1 t2 t4 (t1 /. t2) (t1 /. t4) deterministic
-            best delta_json
-            (if ei = List.length engines - 1 && mi = 1 then "" else ","))
-        [ ("deterministic", `Deterministic); ("async", `Async) ])
-    engines;
-  Buffer.add_string buf "  ]\n";
+  let parallel =
+    List.map
+      (fun (engine, place) ->
+        let run workers =
+          let rng = Prelude.Rng.create 99 in
+          let t0 = Unix.gettimeofday () in
+          let cost = place ~workers rng in
+          (Unix.gettimeofday () -. t0, cost)
+        in
+        let t1, c1 = run 1 in
+        let t2, c2 = run 2 in
+        let t4, c4 = run 4 in
+        let deterministic = c1 = c2 && c2 = c4 in
+        Printf.printf "%5s | %5.2f %5.2f %5.2fs | %6.2fx %6.2fx | %b\n" engine
+          t1 t2 t4 (t1 /. t2) (t1 /. t4) deterministic;
+        J.Obj
+          [
+            ("engine", J.str engine);
+            ("mode", J.str "deterministic");
+            ("chains", J.int 4);
+            ("n", J.int n);
+            ("seconds_1w", num 3 t1);
+            ("seconds_2w", num 3 t2);
+            ("seconds_4w", num 3 t4);
+            ("speedup_2w", num 2 (t1 /. t2));
+            ("speedup_4w", num 2 (t1 /. t4));
+            ("deterministic", J.bool deterministic);
+            ("best_cost", num 6 (min c1 (min c2 c4)));
+          ])
+      [ ("sp", place_sp); ("bstar", place_bstar) ]
+  in
   Printf.printf
     "note: this host reports %d core(s) to the runtime; wall-clock scaling \
      tops out there.\n"
     (Domain.recommended_domain_count ());
-  Buffer.add_string buf "}\n";
   if smoke then print_endline "smoke mode: BENCH_perf.json left untouched"
   else begin
+    let doc =
+      J.Obj
+        (header
+        @ [
+            ("packing", J.Arr packing);
+            ("sa_moves", J.Arr sa_moves);
+            ("bstar_moves", J.Arr bstar_moves);
+            ("sym_moves", J.Arr sym_moves);
+            ("telemetry_overhead", telemetry_overhead);
+            ("sa_move_latency_us", sa_move_latency_us);
+            ("route_estimate", route_estimate);
+            ("parallel", J.Arr parallel);
+          ])
+    in
     let oc = open_out "BENCH_perf.json" in
-    output_string oc (Buffer.contents buf);
+    output_string oc (J.emit doc ^ "\n");
     close_out oc;
     print_endline "wrote BENCH_perf.json"
   end

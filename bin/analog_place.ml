@@ -211,7 +211,7 @@ let route_arg doc = Arg.(value & flag & info [ "route" ] ~doc)
 (* [do_route] comes first so the `route` subcommand is a partial
    application of the same runner the `--route` flag drives. *)
 let run_place do_route netlist bench engine seed svg quiet cluster validate
-    trace conv metrics workers chains async portfolio ledger infeasible_check
+    trace conv metrics workers chains portfolio ledger infeasible_check
     outline route_weight =
   let b = load_input netlist bench in
   let circuit = b.Netlist.Benchmarks.circuit in
@@ -270,14 +270,6 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
        --portfolio); %s ignores it\n"
       annealed_engines
       (Placer.Engine.name engine);
-  let mode = if async then `Async else `Deterministic in
-  (* --async with no explicit geometry still means the parallel path:
-     default to one chain per available worker *)
-  let chains =
-    if async && workers = None && chains = None then
-      Some (Anneal.Parallel.default_workers ())
-    else chains
-  in
   let t0 = Sys.time () in
   let w0 = Unix.gettimeofday () in
   let t_total = Telemetry.Sink.span_begin telemetry in
@@ -315,7 +307,7 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
         chains = Option.value chains ~default:1;
       })
     else
-      Placer.Engine.run ~weights ~groups ?workers ?chains ~mode ?validate
+      Placer.Engine.run ~weights ~groups ?workers ?chains ?validate
         ?estimator ~telemetry ~rng engine circuit hierarchy
   in
   Telemetry.Sink.span_end telemetry "place.total" t_total;
@@ -520,9 +512,8 @@ let place_term ~route =
     workers_arg
       (Printf.sprintf
          "Worker domains for multi-start annealing (%s engines) and the \
-          --portfolio race. Results are identical for any value (except \
-          under --async); this only chooses how much hardware the same \
-          computation uses."
+          --portfolio race. Results are identical for any value; this only \
+          chooses how much hardware the same computation uses."
          annealed_engines)
   in
   let chains =
@@ -536,18 +527,6 @@ let place_term ~route =
                 defaults to the worker count when --workers is given."
                annealed_engines))
   in
-  let async =
-    Arg.(
-      value & flag
-      & info [ "async" ]
-          ~doc:
-            "Free-running parallel annealing (sp, bstar and tcg engines): \
-             chains trade bests through a shared elite pool at their own \
-             pace instead of meeting at a join barrier — the throughput \
-             mode on real cores. Results depend on domain interleaving; \
-             omit it for the bit-reproducible deterministic schedule. \
-             Alone it implies one chain per available worker.")
-  in
   let portfolio =
     Arg.(
       value & flag
@@ -558,8 +537,8 @@ let place_term ~route =
              deterministic shape-function enumerator on small \
              hierarchical circuits) advance in lock-step under one cost \
              scale and trade the best placement at every barrier; the \
-             entrant holding the best placement wins. Overrides --engine \
-             and --async; --chains counts chains per representation.")
+             entrant holding the best placement wins. Overrides --engine; \
+             --chains counts chains per representation.")
   in
   let ledger =
     Arg.(
@@ -616,7 +595,7 @@ let place_term ~route =
   in
   Term.(
     const run_place $ do_route $ netlist $ bench $ engine $ seed $ svg $ quiet
-    $ cluster $ validate $ trace $ conv $ metrics $ workers $ chains $ async
+    $ cluster $ validate $ trace $ conv $ metrics $ workers $ chains
     $ portfolio $ ledger $ infeasible_check $ outline $ route_weight)
 
 let place_cmd =

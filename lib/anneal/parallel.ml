@@ -2,37 +2,21 @@
 
    One chain per seed, each with a private splitmix64 stream and
    private problem instance (so mutable evaluation arenas are never
-   shared). Two modes share the chain setup and differ only in how
-   bests travel between chains:
+   shared). The chains run on [lockstep], the one barrier schedule
+   (Placer.Portfolio races its heterogeneous entrants on it too).
+   Entrants are partitioned over workers round-robin and advanced in
+   slices of [exchange_every] rounds; each slice is a {!Pool.run}
+   barrier (the happens-before edge a spawn/join pair used to give,
+   minus the spawn), and at the boundary the globally best entrant's
+   exchange value is offered to every entrant still running. The slice
+   counter is the logical clock: boundaries, reduction order and every
+   chain's stream are fixed by the seed list alone, so the result is
+   identical for any worker count.
 
-   - Deterministic: the chains run on [lockstep], the one barrier
-     schedule (Placer.Portfolio races its heterogeneous entrants on it
-     too). Entrants are partitioned over workers round-robin and
-     advanced in slices of [exchange_every] rounds; each slice is a
-     {!Pool.run} barrier (the happens-before edge a spawn/join pair
-     used to give, minus the spawn), and at the boundary the globally
-     best entrant's exchange value is offered to every entrant. The
-     slice counter is the logical clock: boundaries, reduction order
-     and every chain's stream are fixed by the seed list alone, so the
-     result is identical for any worker count.
-
-   - Async (free-running): each chain is one pool job that runs to
-     completion at its own pace, publishing its best to a shared
-     {!Elite} pool and pulling the global best at its own slice
-     boundaries — no round synchronization, no join barrier, so the
-     slowest chain never holds the others. The result depends on
-     domain interleaving (better solutions simply arrive earlier or
-     later); what is guaranteed is that adoption is strictly
-     improving, every published state passed [check] on its
-     publishing domain, and with exchange disabled every chain
-     replays its solo walk exactly.
-
-   Telemetry keeps both stories intact: each chain writes to a private
-   child sink (tid = seed index + 1) that only one domain touches at a
-   time (exclusively per-slice in deterministic mode, for the whole
-   job in async mode), and the children are absorbed into the caller's
-   sink after the final drain — so recording is race-free and consumes
-   no rng draws. *)
+   Each entrant writes its telemetry to a private child sink (tid =
+   seed index + 1) that only one domain touches per slice, and the
+   children are absorbed into the caller's sink after the final
+   barrier — so recording is race-free and consumes no rng draws. *)
 
 type 'a outcome = {
   best : 'a;
@@ -100,11 +84,6 @@ let best_index entrants =
     entrants;
   !bi
 
-(* Rounds per slice; a non-positive exchange period is one slice to
-   completion, i.e. no exchange. *)
-let slice_of exchange_every =
-  if exchange_every <= 0 then max_int else exchange_every
-
 (* Advance an entrant by up to [slice] rounds, recording the slice span
    and bumping its accumulated slice wall-time counter. *)
 let advance_slice ~slice e =
@@ -127,7 +106,7 @@ let advance_slice ~slice e =
    the chain.slice_us counter accumulated as slices close — O(1) to
    read, and immune to the span ring overwriting old slices on long
    runs. *)
-let close ~mode ~check ~telemetry entrants =
+let close ~check ~telemetry entrants =
   Array.iter
     (fun e ->
       if Telemetry.Sink.live e.tel then begin
@@ -140,8 +119,9 @@ let close ~mode ~check ~telemetry entrants =
         let move_rates = Telemetry.Qor.move_rates_of_counters counters in
         let sa_rounds, evaluated = e.effort () in
         Telemetry.Sink.record_qor e.tel
-          (Telemetry.Qor.chain ?engine:e.engine ~mode ~move_rates
-             ~cost:(e.best_cost ()) ~wall_s:wall ~sa_rounds ~evaluated ())
+          (Telemetry.Qor.chain ?engine:e.engine ~mode:"deterministic"
+             ~move_rates ~cost:(e.best_cost ()) ~wall_s:wall ~sa_rounds
+             ~evaluated ())
       end)
     entrants;
   Array.iter (fun e -> Telemetry.Sink.absorb telemetry e.tel) entrants;
@@ -158,7 +138,9 @@ let lockstep ?pool ?workers ?(exchange_every = 32) ?(check = ignore)
     ?(telemetry = Telemetry.Sink.null) entrants =
   let k = Array.length entrants in
   if k = 0 then invalid_arg "Parallel.lockstep: no entrants";
-  let slice = slice_of exchange_every in
+  (* a non-positive exchange period is one slice to completion, i.e.
+     no exchange *)
+  let slice = if exchange_every <= 0 then max_int else exchange_every in
   let exchanges = Telemetry.Sink.counter telemetry "parallel.exchanges" in
   let unfinished () = Array.exists (fun e -> not (e.finished ())) entrants in
   let barriers pool =
@@ -177,7 +159,9 @@ let lockstep ?pool ?workers ?(exchange_every = 32) ?(check = ignore)
       let b = entrants.(best_index entrants) in
       let x = b.best () and cost = b.best_cost () in
       check x;
-      Array.iter (fun e -> e.offer x cost) entrants;
+      (* a finished entrant cannot walk on from an offer; adopting it
+         would only overwrite the best it reports and the winner *)
+      Array.iter (fun e -> if not (e.finished ()) then e.offer x cost) entrants;
       Telemetry.Counter.incr exchanges;
       Telemetry.Sink.span_end telemetry "parallel.exchange" t_ex
     done
@@ -185,59 +169,10 @@ let lockstep ?pool ?workers ?(exchange_every = 32) ?(check = ignore)
   (match pool with
   | Some p -> barriers p
   | None -> Pool.with_pool ~workers:(width ?workers k) barriers);
-  close ~mode:"deterministic" ~check ~telemetry entrants
+  close ~check ~telemetry entrants
 
-(* Async mode: one job per chain, free-running. Publishes go through
-   [check] on the publishing domain (so a corrupted state aborts the
-   run before any other chain can adopt it); the epilogue publish
-   guarantees every chain's final best reaches the elite pool even
-   when it never improved mid-run. *)
-let async ~workers ~exchange_every ~check entrants chains =
-  let k = Array.length chains in
-  let slice = slice_of exchange_every in
-  let elite = Elite.create ~stripes:(min 8 k) () in
-  let counters name =
-    Array.map (fun e -> Telemetry.Sink.counter e.tel name) entrants
-  in
-  let publishes = counters "chain.publishes" in
-  let pulls = counters "chain.pulls" in
-  (* worker domains must not touch the parent sink: all async-mode
-     tallies live in child sinks and merge by name at absorb *)
-  let global_improvements = counters "chain.elite_improvements" in
-  Pool.with_pool ~workers @@ fun pool ->
-  let job i () =
-    let c = chains.(i) in
-    let last_published = ref infinity in
-    let publish () =
-      let bc = Sa.best_cost c in
-      if bc < !last_published then begin
-        last_published := bc;
-        let state = Sa.best_copy c in
-        check state;
-        let improved = Elite.publish elite ~origin:i ~cost:bc state in
-        if improved then Telemetry.Counter.incr global_improvements.(i);
-        Telemetry.Counter.incr publishes.(i)
-      end
-    in
-    while not (Sa.finished c) && not (Pool.failed pool) do
-      advance_slice ~slice entrants.(i);
-      publish ();
-      match Elite.pull elite ~than:(Sa.best_cost c) with
-      | Some e ->
-          Sa.adopt c ~state:e.Elite.state ~cost:e.Elite.cost;
-          Telemetry.Counter.incr pulls.(i)
-      | None -> ()
-    done;
-    publish ()
-  in
-  for i = 0 to k - 1 do
-    Pool.submit pool (job i)
-  done;
-  Pool.drain pool
-
-let run ?(mode = `Deterministic) ?workers ?(exchange_every = 32)
-    ?(check = ignore) ?(telemetry = Telemetry.Sink.null) ?engine ~seeds params
-    problem_of =
+let run ?workers ?(exchange_every = 32) ?(check = ignore)
+    ?(telemetry = Telemetry.Sink.null) ?engine ~seeds params problem_of =
   if seeds = [] then invalid_arg "Parallel: empty seed list";
   (* Chain creation draws from each chain's own stream only, so order
      does not matter; build them up front on the calling domain. *)
@@ -255,18 +190,8 @@ let run ?(mode = `Deterministic) ?workers ?(exchange_every = 32)
          seeds)
   in
   let entrants = Array.map (fun (tel, c) -> sa_entrant ?engine tel c) chains in
-  let chains = Array.map snd chains in
-  let winner =
-    match mode with
-    | `Deterministic ->
-        lockstep ?workers ~exchange_every ~check ~telemetry entrants
-    | `Async ->
-        async
-          ~workers:(width ?workers (Array.length chains))
-          ~exchange_every ~check entrants chains;
-        close ~mode:"async" ~check ~telemetry entrants
-  in
-  let outcomes = Array.map Sa.outcome_of_chain chains in
+  let winner = lockstep ?workers ~exchange_every ~check ~telemetry entrants in
+  let outcomes = Array.map (fun (_, c) -> Sa.outcome_of_chain c) chains in
   {
     best = outcomes.(winner).Sa.best;
     best_cost = outcomes.(winner).Sa.best_cost;
@@ -289,7 +214,7 @@ type 'a multi_start = {
    (default [workers], default the hardware) chains whose seeds are
    drawn from that stream, so a fixed caller seed gives the same result
    at any worker count. *)
-let multi_start ?workers ?chains ?mode ?check ?telemetry ~engine ~rng params
+let multi_start ?workers ?chains ?check ?telemetry ~engine ~rng params
     problem_of =
   match (chains, workers) with
   | None, None ->
@@ -307,7 +232,7 @@ let multi_start ?workers ?chains ?mode ?check ?telemetry ~engine ~rng params
       let k = max 1 k in
       let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
       let r =
-        run ?mode ?workers ?check ?telemetry ~engine ~seeds params problem_of
+        run ?workers ?check ?telemetry ~engine ~seeds params problem_of
       in
       {
         state = r.best;

@@ -1,31 +1,18 @@
 (** Multi-start parallel annealing over a persistent domain pool
     (OCaml 5 domains).
 
-    Runs one {!Sa} chain per seed on a {!Pool} spawned once per call,
-    in one of two modes:
-
-    - {b Deterministic} (the default): the chains are entrants of
-      {!lockstep}, the one barrier schedule (which also races
-      {!Placer.Portfolio}'s heterogeneous entrants). At each slice
-      boundary the globally best state is offered to every chain
-      ({!Sa.adopt}: taken only when strictly better than the chain's
-      own best). The outcome is a pure function of [seeds], [params]
-      and [exchange_every]: [workers = 1] and [workers = 8] yield
-      identical results, and a single seed with any worker count
-      reproduces [Sa.run ~rng:(Rng.create seed)] exactly (both
-      tested).
-
-    - {b Async / free-running}: each chain is one pool job running to
-      completion at its own pace; there is no join barrier. Chains
-      publish their bests to a shared {!Elite} pool and pull the
-      global best at their own slice boundaries, so a slow chain never
-      stalls the rest — this is the throughput mode. The outcome
-      depends on domain interleaving (earlier-arriving bests change
-      adoption points), but adoption is strictly improving, every
-      adopted state passed [check] when published, and with
-      [exchange_every <= 0] every chain replays its solo walk exactly,
-      making the result [min] over independent restarts —
-      deterministic again (tested).
+    Runs one {!Sa} chain per seed on a {!Pool} spawned once per call.
+    The chains are entrants of {!lockstep}, the one barrier schedule
+    (which also races {!Placer.Portfolio}'s heterogeneous entrants).
+    At each slice boundary the globally best state is offered to every
+    chain still running ({!Sa.adopt}: taken only when strictly better
+    than the chain's own best); a finished chain keeps its own best.
+    The outcome is a pure function of [seeds], [params] and
+    [exchange_every]: [workers = 1] and [workers = 8] yield identical
+    results, a single seed with any worker count reproduces
+    [Sa.run ~rng:(Rng.create seed)] exactly, and with
+    [exchange_every <= 0] every chain replays its solo walk (all
+    tested).
 
     [problem_of] is called once per chain with the chain's private
     telemetry sink and rng (draw the initial state from the rng,
@@ -96,7 +83,7 @@ val lockstep :
     [i mod workers]; each slice is a {!Pool.run} barrier. At the
     boundary the first entrant holding the lowest [best_cost] is
     materialized once ([best]), passed to [check] on the calling
-    domain, then offered to every entrant in index order. Returns the
+    domain, then offered to every unfinished entrant in index order. Returns the
     index of the final winner — the first entrant holding the lowest
     best cost — after [check] has run on it once more.
 
@@ -116,7 +103,6 @@ val lockstep :
     [telemetry]. Raises [Invalid_argument] on an empty array. *)
 
 val run :
-  ?mode:[ `Deterministic | `Async ] ->
   ?workers:int ->
   ?exchange_every:int ->
   ?check:('a -> unit) ->
@@ -126,35 +112,26 @@ val run :
   Sa.params ->
   (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.problem) ->
   'a outcome
-(** [mode] (default [`Deterministic]) selects the exchange discipline
-    described above. A private pool is created and shut down per call;
-    [workers] defaults to {!default_workers}, capped at the number of
-    seeds; [exchange_every] defaults to 32 rounds, and any
-    non-positive value disables exchange entirely (fully independent
-    restarts). Raises [Invalid_argument] on an empty seed list.
+(** The chains of [seeds] on {!lockstep}. A private pool is created and
+    shut down per call; [workers] defaults to {!default_workers},
+    capped at the number of seeds; [exchange_every] defaults to 32
+    rounds, and any non-positive value disables exchange entirely
+    (fully independent restarts). Raises [Invalid_argument] on an
+    empty seed list.
 
-    [check] is a sanitizer hook; a raise from it aborts the run. In
-    deterministic mode it runs as in {!lockstep}, on the winner's
-    best-snapshot buffer (treat it as read-only). In async mode it
-    runs on every state {e before} it is published, on the publishing
-    chain's domain; other chains notice a raise at their next slice
-    boundary and the first exception is re-raised on the caller.
-    Published states are fresh {!Sa.best_copy} snapshots, never
-    mutated afterwards, so cross-domain adoption blits read from
-    immutable buffers. Either way [check] runs once more on the final
-    winner, on the calling domain. The default does nothing.
+    [check] is a sanitizer hook; a raise from it aborts the run. It
+    runs as in {!lockstep}, on the winner's best-snapshot buffer (treat
+    it as read-only), and once more on the final winner, on the calling
+    domain. The default does nothing.
 
     [engine] tags the per-chain QoR records with the engine name —
     placers pass ["sp"], ["bstar"], ["tcg"].
 
     [telemetry] (default {!Telemetry.Sink.null}) receives the
     {!lockstep} streams; each chain's child sink (tid = seed index + 1)
-    also carries per-round ["sa.round"] spans. Async mode records the
-    same per-chain streams (QoR mode ["async"]) and additionally counts
-    ["chain.publishes"] / ["chain.pulls"] in each child sink.
-    Telemetry draws nothing from any rng, so deterministic results
-    remain a pure function of seeds/params/exchange and worker-count
-    invariant. *)
+    also carries per-round ["sa.round"] spans. Telemetry draws nothing
+    from any rng, so results remain a pure function of
+    seeds/params/exchange and worker-count invariant. *)
 
 type 'a multi_start = {
   state : 'a;  (** the best state found *)
@@ -168,7 +145,6 @@ type 'a multi_start = {
 val multi_start :
   ?workers:int ->
   ?chains:int ->
-  ?mode:[ `Deterministic | `Async ] ->
   ?check:('a -> unit) ->
   ?telemetry:Telemetry.Sink.t ->
   engine:string ->
@@ -178,9 +154,9 @@ val multi_start :
   'a multi_start
 (** The multi-start policy of every placer. With neither [workers]
     nor [chains], one {!Sa.run} chain on [rng] itself (one worker, one
-    chain; [mode], [check] and [engine] are unused). Otherwise [chains]
+    chain; [check] and [engine] are unused). Otherwise [chains]
     chains (default [workers], default {!default_workers}; at least 1)
     whose seeds are drawn from [rng], handed to {!run} with the other
     arguments — so a fixed caller seed gives identical results for any
-    [workers] value in deterministic mode. [workers] in the result is
-    the width that ran: [min chains (workers or default_workers ())]. *)
+    [workers] value. [workers] in the result is the width that ran:
+    [min chains (workers or default_workers ())]. *)

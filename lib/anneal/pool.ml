@@ -5,9 +5,7 @@
    - [nonempty] is signalled per enqueued job and broadcast at stop.
    - [idle] is broadcast when [pending] reaches 0, waking a caller
      blocked in [drain].
-   - [failure] keeps the first job exception; [drain] re-raises it.
-     [failed] reads the flag without the lock — it is a monotonic
-     hint for early exit, not a synchronization point. *)
+   - [failure] keeps the first job exception; [drain] re-raises it. *)
 
 type t = {
   m : Mutex.t;
@@ -17,7 +15,6 @@ type t = {
   mutable pending : int;
   mutable stop : bool;
   mutable failure : exn option;
-  mutable has_failure : bool; (* lock-free mirror of [failure <> None] *)
   mutable domains : unit Domain.t list;
   nworkers : int;
 }
@@ -26,10 +23,7 @@ let execute t job =
   (try job ()
    with e ->
      Mutex.lock t.m;
-     if t.failure = None then begin
-       t.failure <- Some e;
-       t.has_failure <- true
-     end;
+     if t.failure = None then t.failure <- Some e;
      Mutex.unlock t.m);
   Mutex.lock t.m;
   t.pending <- t.pending - 1;
@@ -61,7 +55,6 @@ let create ~workers =
       pending = 0;
       stop = false;
       failure = None;
-      has_failure = false;
       domains = [];
       nworkers;
     }
@@ -70,7 +63,6 @@ let create ~workers =
   t
 
 let workers t = t.nworkers
-let failed t = t.has_failure
 
 let submit t job =
   Mutex.lock t.m;
@@ -105,7 +97,6 @@ let drain t =
   Mutex.lock t.m;
   let f = t.failure in
   t.failure <- None;
-  t.has_failure <- false;
   Mutex.unlock t.m;
   match f with Some e -> raise e | None -> ()
 

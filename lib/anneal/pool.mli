@@ -19,13 +19,12 @@
     published to its executing domain through the queue mutex, and
     everything the job wrote is visible to the caller when {!drain}
     returns — the same happens-before edges a spawn/join pair gave,
-    which is what {!Parallel}'s deterministic mode relies on at
-    logical exchange points.
+    which is what {!Parallel.lockstep} relies on at logical exchange
+    points.
 
     Exceptions raised by jobs are caught on the worker, the first one
     is kept, and {!drain} re-raises it on the caller after the queue
-    settles (remaining jobs still run; use {!failed} to poll from
-    long-running jobs that want to stop early). *)
+    settles (remaining jobs still run). *)
 
 type t
 
@@ -47,10 +46,6 @@ val drain : t -> unit
 val run : t -> (unit -> unit) array -> unit
 (** [run t jobs] = submit all, then {!drain} — a barrier: every job
     has finished (and its effects are visible) when it returns. *)
-
-val failed : t -> bool
-(** True once some job has raised and the exception is still pending
-    delivery by {!drain}. Cheap enough to poll from slice loops. *)
 
 val shutdown : t -> unit
 (** Join all worker domains. Must be called with no jobs in flight

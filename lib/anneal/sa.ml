@@ -167,7 +167,6 @@ let step_round c =
 
 let best c = c.best_state
 let best_cost c = c.best_cost
-let best_copy c = c.p.copy c.best_state
 
 let adopt c ~state ~cost =
   (* strict improvement only, so offering a chain its own best buffer

@@ -106,10 +106,6 @@ val best : 'a chain -> 'a
 
 val best_cost : 'a chain -> float
 
-val best_copy : 'a chain -> 'a
-(** A fresh [copy] of the best snapshot, safe to keep (or publish to
-    an {!Elite} pool) after the chain moves on. *)
-
 val adopt : 'a chain -> state:'a -> cost:float -> unit
 (** Multi-start exchange: when [cost] strictly improves on the chain's
     best, [state] is blitted into both the working state and the best

@@ -32,18 +32,18 @@ let one_shot ~weights ?(sa_rounds = 0) circuit placed =
     chains = 1;
   }
 
-let run ?(weights = Cost.default) ?(groups = []) ?workers ?chains ?mode
-    ?validate ?estimator ?telemetry ~rng engine circuit hierarchy =
+let run ?(weights = Cost.default) ?(groups = []) ?workers ?chains ?validate
+    ?estimator ?telemetry ~rng engine circuit hierarchy =
   match engine with
   | Sp ->
-      Sa_seqpair.place ~weights ~groups ?workers ?chains ?mode ?validate
-        ?estimator ?telemetry ~rng circuit
+      Sa_seqpair.place ~weights ~groups ?workers ?chains ?validate ?estimator
+        ?telemetry ~rng circuit
   | Bstar ->
-      Sa_bstar.place ~weights ?workers ?chains ?mode ?validate ?estimator
-        ?telemetry ~rng circuit
+      Sa_bstar.place ~weights ?workers ?chains ?validate ?estimator ?telemetry
+        ~rng circuit
   | Tcg ->
-      Sa_tcg.place ~weights ?workers ?chains ?mode ?validate ?estimator
-        ?telemetry ~rng circuit
+      Sa_tcg.place ~weights ?workers ?chains ?validate ?estimator ?telemetry
+        ~rng circuit
   | Slicing -> Slicing.place ~weights ~rng circuit
   | Hbstar ->
       let o = Bstar.Hbstar.place ~rng circuit hierarchy in

@@ -24,7 +24,7 @@ val of_string : string -> t option
 val annealed : t -> bool
 (** The engines that anneal on {!Anneal.Parallel.multi_start} with the
     full argument set — [Sp], [Bstar], [Tcg]: only they take
-    [workers]/[chains]/[mode]/[validate]/[estimator] and record
+    [workers]/[chains]/[validate]/[estimator] and record
     annealing telemetry. *)
 
 val run :
@@ -32,7 +32,6 @@ val run :
   ?groups:Constraints.Symmetry_group.t list ->
   ?workers:int ->
   ?chains:int ->
-  ?mode:[ `Deterministic | `Async ] ->
   ?validate:bool ->
   ?estimator:(unit -> Eval.estimator) ->
   ?telemetry:Telemetry.Sink.t ->

@@ -146,8 +146,9 @@ let tree_of_placed placed =
    donated placement into a fresh state of the chain's own
    representation. Re-encoding is lossy (packing a converted code moves
    cells), so a donation is re-costed by the chain's own evaluator and
-   adopted only on strict improvement; a finished chain, or one whose
-   own best is not worse, skips the re-encoding altogether. *)
+   adopted only on strict improvement; a chain whose own best is not
+   worse skips the re-encoding altogether (the schedule offers nothing
+   to a finished chain). *)
 let chain_entrant ~engine ~params ~materialise ~of_placed tel rng problem =
   let chain = Anneal.Sa.start ~telemetry:tel ~rng params problem in
   let extra = ref 0 in
@@ -160,10 +161,7 @@ let chain_entrant ~engine ~params ~materialise ~of_placed tel rng problem =
     best = (fun () -> materialise (Anneal.Sa.best chain));
     offer =
       (fun placed cost ->
-        if
-          (not (Anneal.Sa.finished chain))
-          && cost < Anneal.Sa.best_cost chain
-        then begin
+        if cost < Anneal.Sa.best_cost chain then begin
           let st = of_placed placed in
           incr extra;
           Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st)

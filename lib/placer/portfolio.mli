@@ -7,10 +7,11 @@
     Entrants advance in lock-step slices of 32 rounds and trade
     solutions at the barriers in the one form every representation can
     produce and consume, the placed list: the globally best entrant is
-    materialized once and offered to the others in entrant order; each
-    re-encodes it into its own representation and adopts it only on
-    strict improvement, re-costed by its own evaluator. The one-shot
-    enumerator finishes in the first slice and stays on as a donor.
+    materialized once and offered to the others still running, in
+    entrant order; each re-encodes it into its own representation and
+    adopts it only on strict improvement, re-costed by its own
+    evaluator. The one-shot enumerator finishes in the first slice and
+    stays on as a donor.
 
     The outcome is a pure function of the caller seed and the
     arguments: identical for any [workers] or [pool] width. *)

@@ -121,7 +121,7 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
     { Anneal.Sa.state; propose; undo; cost; copy; blit }
   end
 
-let place ?(weights = Cost.default) ?params ?workers ?chains ?mode ?validate
+let place ?(weights = Cost.default) ?params ?workers ?chains ?validate
     ?estimator ?telemetry ~rng circuit =
   let validate =
     Option.value validate ~default:(Analysis.Invariant.enabled_from_env ())
@@ -133,7 +133,7 @@ let place ?(weights = Cost.default) ?params ?workers ?chains ?mode ?validate
   let tbl = dims_table circuit in
   let check = if validate then Some (audit circuit tbl) else None in
   let r =
-    Anneal.Parallel.multi_start ?workers ?chains ?mode ?check ?telemetry
+    Anneal.Parallel.multi_start ?workers ?chains ?check ?telemetry
       ~engine:"bstar" ~rng params
       (problem_of ~validate ?estimator ~weights circuit)
   in

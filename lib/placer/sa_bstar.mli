@@ -50,7 +50,6 @@ val place :
   ?params:Anneal.Sa.params ->
   ?workers:int ->
   ?chains:int ->
-  ?mode:[ `Deterministic | `Async ] ->
   ?validate:bool ->
   ?estimator:(unit -> Eval.estimator) ->
   ?telemetry:Telemetry.Sink.t ->
@@ -62,9 +61,7 @@ val place :
     O(1) undo of rejected moves, and allocation-free contour packing
     through the {!Eval} arena ({!Eval.cost_bstar}). [workers]/[chains]
     enable {!Anneal.Parallel} multi-start annealing with the same
-    semantics as {!Sa_seqpair.place}, and [mode] selects the
-    deterministic barrier schedule or the free-running elite-pool
-    exchange of {!Anneal.Parallel.run}, as there.
+    semantics as {!Sa_seqpair.place}.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch,
     see {!Analysis.Invariant}) audits the flat tree

@@ -129,7 +129,7 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
   Anneal.Sa.persistent ~init ~neighbor ~cost
 
 let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
-    ?mode ?validate ?estimator ?telemetry ~rng circuit =
+    ?validate ?estimator ?telemetry ~rng circuit =
   let validate =
     Option.value validate ~default:(Analysis.Invariant.enabled_from_env ())
   in
@@ -141,7 +141,7 @@ let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
     if validate then Some (fun st -> audit ~groups circuit !st) else None
   in
   let r =
-    Anneal.Parallel.multi_start ?workers ?chains ?mode ?check ?telemetry
+    Anneal.Parallel.multi_start ?workers ?chains ?check ?telemetry
       ~engine:"sp" ~rng params
       (problem_of ~validate ?estimator ~weights ~groups circuit)
   in

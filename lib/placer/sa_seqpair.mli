@@ -66,7 +66,6 @@ val place :
   ?groups:Constraints.Symmetry_group.t list ->
   ?workers:int ->
   ?chains:int ->
-  ?mode:[ `Deterministic | `Async ] ->
   ?validate:bool ->
   ?estimator:(unit -> Eval.estimator) ->
   ?telemetry:Telemetry.Sink.t ->
@@ -85,13 +84,6 @@ val place :
     [workers] value. Without either parameter the classic single-chain
     path runs on [rng] directly. The outcome records the width and
     chain count that ran.
-
-    [mode] (default [`Deterministic]) selects the parallel exchange
-    discipline of {!Anneal.Parallel.run}: [`Deterministic] is the
-    worker-count-invariant barrier schedule above; [`Async] runs
-    free-running chains coupled through an elite pool, faster on real
-    cores but dependent on domain interleaving. Ignored on the
-    single-chain path.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch,
     see {!Analysis.Invariant}) audits every SA move and every parallel

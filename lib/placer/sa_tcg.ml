@@ -97,7 +97,7 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
   in
   Anneal.Sa.persistent ~init ~neighbor ~cost
 
-let place ?(weights = Cost.default) ?params ?workers ?chains ?mode ?validate
+let place ?(weights = Cost.default) ?params ?workers ?chains ?validate
     ?estimator ?telemetry ~rng circuit =
   let validate =
     Option.value validate ~default:(Analysis.Invariant.enabled_from_env ())
@@ -108,7 +108,7 @@ let place ?(weights = Cost.default) ?params ?workers ?chains ?mode ?validate
   in
   let check = if validate then Some (fun st -> audit circuit !st) else None in
   let r =
-    Anneal.Parallel.multi_start ?workers ?chains ?mode ?check ?telemetry
+    Anneal.Parallel.multi_start ?workers ?chains ?check ?telemetry
       ~engine:"tcg" ~rng params
       (problem_of ~validate ?estimator ~weights circuit)
   in

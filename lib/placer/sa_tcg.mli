@@ -37,14 +37,13 @@ val place :
   ?params:Anneal.Sa.params ->
   ?workers:int ->
   ?chains:int ->
-  ?mode:[ `Deterministic | `Async ] ->
   ?validate:bool ->
   ?estimator:(unit -> Eval.estimator) ->
   ?telemetry:Telemetry.Sink.t ->
   rng:Prelude.Rng.t ->
   Netlist.Circuit.t ->
   outcome
-(** [workers]/[chains]/[mode] enable {!Anneal.Parallel} multi-start
+(** [workers]/[chains] enable {!Anneal.Parallel} multi-start
     annealing with the same semantics as {!Sa_seqpair.place} (the TCG
     problem is persistent, lifted with {!Anneal.Sa.persistent}, so
     chains exchange whole graphs); without

@@ -43,7 +43,8 @@ type t = {
       (** which engine produced this ("sp" | "bstar" | "tcg" | …);
           [None] for records predating portfolio runs *)
   mode : string option;
-      (** "deterministic" | "async"; [None] when not a parallel run *)
+      (** "deterministic" ("async" in ledgers written while a
+          free-running mode existed); [None] when not a parallel run *)
   routed_wl : int option;
       (** routed wirelength in grid cells; [None] when the flow never
           routed — the field is then omitted from the JSON so ledgers

@@ -201,6 +201,39 @@ let test_ledger_roundtrip () =
       Alcotest.(check string) "re-emission byte-identical" line
         (T.Ledger.to_line e')
 
+(* Free-running annealing is gone, but ledgers written while it existed
+   tag their chain records mode "async": such a line must still parse,
+   keep the tag, and re-emit byte for byte. *)
+let test_ledger_async_chain_roundtrip () =
+  let line =
+    String.concat ""
+      [
+        {|{"schema":1,"generated_at":"2026-08-05T12:00:00Z",|};
+        {|"git_rev":"abc1234","label":"miller",|};
+        {|"netlist_hash":"27086a14fdb1f99d","engine":"bstar","seed":1,|};
+        {|"schedule":"geometric(0.95)","workers":2,"chains":1,|};
+        {|"qor":{"kind":"chain","cost":1.5,"wall_s":0.01,"sa_rounds":10,|};
+        {|"evaluated":100,"area":0,"width":0,"height":0,"hpwl":0,|};
+        {|"term_area":0,"term_wirelength":0,"term_aspect":0,|};
+        {|"dead_space_pct":0,"violations":[],"move_rates":[]},|};
+        {|"chain_qors":[{"kind":"chain","cost":1.5,"wall_s":0.01,|};
+        {|"sa_rounds":10,"evaluated":100,"area":0,"width":0,"height":0,|};
+        {|"hpwl":0,"term_area":0,"term_wirelength":0,"term_aspect":0,|};
+        {|"dead_space_pct":0,"engine":"bstar","mode":"async",|};
+        {|"violations":[],"move_rates":[{"class":"bstar","accepted":5,|};
+        {|"rejected":5}]}],"placement":[{"cell":"a","x":0,"y":0,"w":10,|};
+        {|"h":6}]}|};
+      ]
+  in
+  match T.Ledger.of_line line with
+  | Error err -> Alcotest.failf "of_line: %s" err
+  | Ok e ->
+      Alcotest.(check (list (option string)))
+        "chain mode kept" [ Some "async" ]
+        (List.map (fun (q : T.Qor.t) -> q.T.Qor.mode) e.T.Ledger.chain_qors);
+      Alcotest.(check string) "re-emission byte-identical" line
+        (T.Ledger.to_line e)
+
 let test_ledger_file_roundtrip () =
   let path = tmp_path "ledger.jsonl" in
   if Sys.file_exists path then Sys.remove path;
@@ -578,6 +611,8 @@ let () =
           Alcotest.test_case "line round-trip" `Quick test_ledger_roundtrip;
           Alcotest.test_case "routed line round-trip" `Quick
             test_ledger_routed_roundtrip;
+          Alcotest.test_case "async chain line round-trip" `Quick
+            test_ledger_async_chain_roundtrip;
           Alcotest.test_case "file round-trip byte-identical" `Quick
             test_ledger_file_roundtrip;
           Alcotest.test_case "bad lines rejected" `Quick

@@ -52,9 +52,9 @@ let sp ?workers ?chains ?(groups = []) seed circuit () =
     accepted_of sink,
     o.Placer.Sa_seqpair.evaluated )
 
-let sp_async () =
+let sp_no_exchange () =
   let out =
-    Anneal.Parallel.run ~mode:`Async ~workers:2 ~exchange_every:0
+    Anneal.Parallel.run ~workers:2 ~exchange_every:0
       ~seeds:[ 11; 12; 13 ] params
       (Placer.Sa_seqpair.problem_of ~weights:Placer.Cost.default
          ~groups:mgroups mc)
@@ -169,7 +169,7 @@ let cases =
      (4714258948369992909L, 400, 18104, 67140));
     ("sp deterministic 2 workers", sp ~groups:mgroups ~workers:2 ~chains:3 3 mc,
      (4714258948369992909L, 400, 18104, 67140));
-    ("sp async no exchange", sp_async,
+    ("sp no exchange", sp_no_exchange,
      (4714384024260103373L, 400, 17970, 72000));
     ("tcg", tcg, (4691247628142038221L, 366, 6464, 21960));
     ("bstar", bstar 5, (4691429836116616806L, 362, 5488, 21720));
