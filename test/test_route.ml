@@ -422,6 +422,161 @@ let test_route_random_circuits () =
         (result.Route.Router.wirelength > 0))
     [ 1; 2; 3 ]
 
+(* ---- pinned route digests ------------------------------------------ *)
+
+(* One routing run reduced to a digest of everything it reports: each
+   net's points, the failures with their reasons, the mirrored pairs,
+   wirelength, overflow, the iteration count, every negotiation pass's
+   pops / rip-ups / overflow, the power rails, the final occupancy
+   snapshot and the RUDY estimate of the same placement (floats as
+   [%h], so a single changed bit shows). A change to how the router
+   represents nets or cells must leave all of it bit for bit as it
+   was; the wirelength rides along in clear so a mismatch reads. *)
+let route_digest ?(symmetric = []) placement =
+  let r = Route.Router.route_all ~symmetric placement in
+  let b = Buffer.create 4096 in
+  let points ps = List.iter (fun (c, r) -> Printf.bprintf b " %d,%d" c r) ps in
+  List.iter
+    (fun (rt : Route.Router.route) ->
+      Printf.bprintf b "net %s:" rt.Route.Router.net;
+      points rt.Route.Router.points;
+      Buffer.add_char b '\n')
+    r.Route.Router.routed;
+  List.iter
+    (fun (f : Route.Router.failure) ->
+      Printf.bprintf b "failed %s %s\n" f.Route.Router.failed_net
+        (Route.Router.reason_to_string f.Route.Router.reason))
+    r.Route.Router.failed;
+  List.iter
+    (fun (a, c) -> Printf.bprintf b "mirrored %s %s\n" a c)
+    r.Route.Router.mirrored_pairs;
+  Printf.bprintf b "wirelength %d overflow %d iterations %d\n"
+    r.Route.Router.wirelength r.Route.Router.overflow
+    r.Route.Router.iterations;
+  List.iter
+    (fun (it : Route.Router.iteration) ->
+      Printf.bprintf b "pass %d pres %h pops %d ripped %d overflow %d\n"
+        it.Route.Router.it_index it.Route.Router.it_pres_fac
+        it.Route.Router.it_pops it.Route.Router.it_ripped
+        it.Route.Router.it_overflow)
+    r.Route.Router.negotiation;
+  List.iter
+    (fun seg ->
+      Buffer.add_string b "rail:";
+      points seg;
+      Buffer.add_char b '\n')
+    r.Route.Router.power;
+  let s = r.Route.Router.occupancy in
+  Printf.bprintf b "grid %d x %d\n" s.Route.Negotiate.Snapshot.cols
+    s.Route.Negotiate.Snapshot.rows;
+  Array.iter (Printf.bprintf b "%d ") s.Route.Negotiate.Snapshot.capacity;
+  Buffer.add_char b '\n';
+  Array.iter (Printf.bprintf b "%d ") s.Route.Negotiate.Snapshot.present;
+  Buffer.add_char b '\n';
+  Array.iter (Printf.bprintf b "%h ") s.Route.Negotiate.Snapshot.history;
+  Buffer.add_char b '\n';
+  let est =
+    Route.Estimate.create placement.Placer.Placement.circuit
+  in
+  Printf.bprintf b "estimate %h\n" (Route.Estimate.score_placement est placement);
+  (r.Route.Router.wirelength, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* E13's differential pair, placed exactly as the routing experiment
+   places it: the one input where a mirrored pair fires *)
+let e13_placement () =
+  let circuit =
+    Netlist.Circuit.make ~name:"dp"
+      ~modules:
+        [
+          Netlist.Circuit.block ~name:"Ml" ~w:120 ~h:100;
+          Netlist.Circuit.block ~name:"Mr" ~w:120 ~h:100;
+          Netlist.Circuit.block ~name:"Mtail" ~w:140 ~h:100;
+          Netlist.Circuit.block ~name:"Ll" ~w:80 ~h:80;
+          Netlist.Circuit.block ~name:"Lr" ~w:80 ~h:80;
+        ]
+      ~nets:
+        [
+          Netlist.Net.make ~name:"outl" ~pins:[ 0; 3 ] ();
+          Netlist.Net.make ~name:"outr" ~pins:[ 1; 4 ] ();
+        ]
+  in
+  let grp =
+    Constraints.Symmetry_group.make ~pairs:[ (0, 1); (3, 4) ] ~selfs:[ 2 ] ()
+  in
+  let out =
+    Placer.Sa_seqpair.place ~groups:[ grp ] ~rng:(Prelude.Rng.create 3) circuit
+  in
+  (out.Placer.Sa_seqpair.placement, grp)
+
+(* every triage outcome at once: a routable net, a single-pin net, a
+   pinless net and a net on a module left unplaced *)
+let triage_placement () =
+  let circuit =
+    Netlist.Circuit.make ~name:"triage"
+      ~modules:
+        [
+          Netlist.Circuit.block ~name:"a" ~w:80 ~h:60;
+          Netlist.Circuit.block ~name:"b" ~w:60 ~h:80;
+          Netlist.Circuit.block ~name:"c" ~w:100 ~h:40;
+          Netlist.Circuit.block ~name:"lost" ~w:40 ~h:40;
+        ]
+      ~nets:
+        [
+          Netlist.Net.make ~name:"ab" ~pins:[ 0; 1 ] ();
+          Netlist.Net.make ~name:"solo" ~pins:[ 2 ] ();
+          Netlist.Net.make ~name:"none" ~pins:[] ();
+          Netlist.Net.make ~name:"stranded" ~pins:[ 0; 3 ] ();
+          Netlist.Net.make ~name:"bc" ~pins:[ 1; 2 ] ~weight:2.0 ();
+        ]
+  in
+  let place cell x y w h =
+    Geometry.Transform.place ~cell ~x ~y ~w ~h ~orient:Geometry.Orientation.R0
+  in
+  Placer.Placement.make circuit
+    [ place 0 0 0 80 60; place 1 200 40 60 80; place 2 60 260 100 40 ]
+
+let esf_placement (b : Netlist.Benchmarks.bench) =
+  let r =
+    Shapefn.Combine.place ~mode:Shapefn.Combine.Esf b.Netlist.Benchmarks.circuit
+      b.Netlist.Benchmarks.hierarchy
+  in
+  ( Placer.Placement.make b.Netlist.Benchmarks.circuit r.Shapefn.Combine.placed,
+    Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy )
+
+(* label, input, (wirelength, digest) *)
+let pinned_routes =
+  List.map
+    (fun (b : Netlist.Benchmarks.bench) ->
+      ( b.Netlist.Benchmarks.label,
+        (fun () ->
+          let pl, groups = esf_placement b in
+          route_digest ~symmetric:groups pl),
+        List.assoc b.Netlist.Benchmarks.label
+          [
+            ("Miller V2", (243, "d52a8f2d724a9c8cc6551c37d8ef7136"));
+            ("Comparator V2", (110, "c64ec3c4f34bccd163f321e382e31097"));
+            ("Folded casc.", (543, "8c8a2a989f1d69fe9af76bfb7d704b5f"));
+            ("Buffer", (1277, "e961d4711131b4daaa236192b8f6a55d"));
+            ("biasynth", (2601, "d9f03c6a123e24c973229fa72f7a09a5"));
+            ("lnamixbias", (4900, "5763950de6b7f8a5b25da10a997f7051"));
+          ] ))
+    (Netlist.Benchmarks.table1_suite ())
+  @ [
+      ( "E13 dp",
+        (fun () ->
+          let pl, grp = e13_placement () in
+          route_digest ~symmetric:[ grp ] pl),
+        (14, "403b2114980f2dd6f257e2433aaad65b") );
+      ( "triage",
+        (fun () -> route_digest (triage_placement ())),
+        (30, "605840c8b8ce472c874b14610251473a") );
+    ]
+
+let check_pinned (run, (wl, digest)) () =
+  let wl', digest' = run () in
+  Alcotest.(check int) "wirelength" wl wl';
+  Alcotest.(check string) "digest" digest digest'
+
 let () =
   Alcotest.run "route"
     [
@@ -445,4 +600,9 @@ let () =
             test_routes_within_capacity;
           Alcotest.test_case "random circuits" `Quick test_route_random_circuits;
         ] );
+      ( "pinned route digests",
+        List.map
+          (fun (name, run, expected) ->
+            Alcotest.test_case name `Quick (check_pinned (run, expected)))
+          pinned_routes );
     ]

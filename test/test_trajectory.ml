@@ -75,16 +75,23 @@ let tcg () =
     accepted_of sink,
     o.Placer.Sa_tcg.evaluated )
 
-let bstar ?workers ?chains seed () =
+let bstar ?weights ?estimator ?workers ?chains seed () =
   let sink = Telemetry.Sink.create () in
   let o =
-    Placer.Sa_bstar.place ~params ?workers ?chains ~telemetry:sink
-      ~rng:(Prelude.Rng.create seed) cc
+    Placer.Sa_bstar.place ?weights ~params ?estimator ?workers ?chains
+      ~telemetry:sink ~rng:(Prelude.Rng.create seed) cc
   in
   ( o.Placer.Sa_bstar.cost,
     o.Placer.Sa_bstar.sa_rounds,
     accepted_of sink,
     o.Placer.Sa_bstar.evaluated )
+
+(* the routability-weighted B* anneal with the RUDY estimate folded
+   into the cost, at the weight the E20 comparison uses *)
+let bstar_routability =
+  bstar
+    ~weights:{ Placer.Cost.default with Placer.Cost.routability = 60.0 }
+    ~estimator:(Route.Estimate.estimator cc) 5
 
 let hbstar () =
   let o =
@@ -173,6 +180,8 @@ let cases =
      (4714384024260103373L, 400, 17970, 72000));
     ("tcg", tcg, (4691247628142038221L, 366, 6464, 21960));
     ("bstar", bstar 5, (4691429836116616806L, 362, 5488, 21720));
+    ("bstar routability", bstar_routability,
+     (4692465216064757766L, 362, 5127, 21720));
     ("bstar deterministic 2 workers", bstar ~workers:2 ~chains:3 6,
      (4691366392577707213L, 370, 17040, 66300));
     ("hbstar", hbstar, (4686205900036243456L, 346, -1, -1));
