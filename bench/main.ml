@@ -552,8 +552,9 @@ let thermal () =
 (* E13: symmetric routing                                              *)
 
 let render_routes result =
-  let grid = result.Route.Router.grid in
-  let cols = Route.Grid.cols grid and rows = Route.Grid.rows grid in
+  let occ = result.Route.Router.occupancy in
+  let cols = occ.Route.Negotiate.Snapshot.cols
+  and rows = occ.Route.Negotiate.Snapshot.rows in
   let canvas = Array.make_matrix rows cols '.' in
   List.iteri
     (fun i r ->
@@ -600,6 +601,13 @@ let routing () =
   let out = Placer.Sa_seqpair.place ~groups:[ grp ] ~rng circuit in
   let placement = out.Placer.Sa_seqpair.placement in
   let result = Route.Router.route_all ~pitch:20 ~symmetric:[ grp ] placement in
+  (* occupied = carrying a signal route or a rail (the only
+     capacity-0 cells) *)
+  let { Route.Negotiate.Snapshot.capacity; present; _ } =
+    result.Route.Router.occupancy
+  in
+  let used = ref 0 in
+  Array.iteri (fun i p -> if p > 0 || capacity.(i) = 0 then incr used) present;
   Printf.printf
     "nets routed %d, failed %d, mirrored pairs %d, wirelength %d tracks, \
      grid occupancy %.1f%%\n"
@@ -607,7 +615,7 @@ let routing () =
     (List.length result.Route.Router.failed)
     (List.length result.Route.Router.mirrored_pairs)
     result.Route.Router.wirelength
-    (100.0 *. Route.Grid.occupancy result.Route.Router.grid);
+    (100.0 *. (float_of_int !used /. float_of_int (Array.length present)));
   List.iter
     (fun (a, b) ->
       Printf.printf "  %s and %s routed as exact mirror images\n" a b)
@@ -864,6 +872,19 @@ let time_ops ?(budget = 0.25) f =
 
 module J = Telemetry.Json
 
+(* a measured figure rounded to [d] decimals exactly as the printed
+   tables round it *)
+let num d x = J.float (float_of_string (Printf.sprintf "%.*f" d x))
+
+(* provenance header of a committed BENCH_*.json: schema version, the
+   revision that produced the numbers, and when *)
+let provenance () =
+  [
+    ("schema_version", J.int 1);
+    ("git_rev", J.str (Telemetry.Ledger.git_rev ()));
+    ("generated_at", J.str (Telemetry.Ledger.timestamp ()));
+  ]
+
 let perf ?(smoke = false) () =
   section
     (if smoke then
@@ -873,21 +894,9 @@ let perf ?(smoke = false) () =
   let ns = if smoke then [ 8; 16 ] else [ 20; 50; 100; 200 ] in
   let budget = if smoke then 0.02 else 0.25 in
   let time_ops f = time_ops ~budget f in
-  (* a measured figure rounded to [d] decimals, as the report prints it *)
-  let num d x =
-    let scale = 10.0 ** float_of_int d in
-    J.float (Float.round (x *. scale) /. scale)
-  in
-  (* provenance header: schema version, the revision that produced the
-     numbers, and when — so a committed BENCH_perf.json is
-     self-describing *)
   let header =
-    [
-      ("schema_version", J.int 1);
-      ("git_rev", J.str (Telemetry.Ledger.git_rev ()));
-      ("generated_at", J.str (Telemetry.Ledger.timestamp ()));
-      ("domains_available", J.int (Domain.recommended_domain_count ()));
-    ]
+    provenance ()
+    @ [ ("domains_available", J.int (Domain.recommended_domain_count ())) ]
   in
   (* packing throughput: list evaluators vs the buffer evaluator *)
   Printf.printf "%5s | %11s %11s %11s %14s\n" "n" "pack/s" "fast/s" "veb/s"
@@ -939,10 +948,8 @@ let perf ?(smoke = false) () =
   Printf.printf "%5s | %14s %15s %9s\n" "n" "list moves/s" "arena moves/s"
     "speedup";
   hr ();
-  (* size the telemetry on/off comparison below runs at, and the
-     uninstrumented arena rate measured at that size in this same run *)
+  (* size the telemetry and estimate rows below run at *)
   let tn = if smoke then 16 else 100 in
-  let arena_at_tn = ref 0.0 in
   let moves_row n r_list r_arena =
     J.Obj
       [
@@ -976,7 +983,6 @@ let perf ?(smoke = false) () =
         in
         let r_list = time_ops list_move in
         let r_arena = time_ops arena_move in
-        if n = tn then arena_at_tn := r_arena;
         Printf.printf "%5d | %14.0f %15.0f %8.2fx\n" n r_list r_arena
           (r_arena /. r_list);
         moves_row n r_list r_arena)
@@ -1081,14 +1087,17 @@ let perf ?(smoke = false) () =
       table1
   in
   hr ();
-  (* telemetry overhead: the same arena SA move loop threaded through a
-     no-op sink and through a live sink (counters + histograms + span
-     ring).  The zero-cost-when-off claim is the no-op column staying
-     within noise of the uninstrumented arena rate measured above. *)
+  (* telemetry overhead: the same arena SA move loop built with no
+     sink argument (bare), with the no-op sink and with a live sink
+     (counters + histograms + span ring). One circuit, one move seed,
+     and the three rates taken in alternating rounds, each round
+     starting one variant later so no variant always runs first; each
+     figure is the median over the rounds. The zero-cost-when-off
+     claim is the no-op column staying within noise of bare. *)
   let b = Netlist.Benchmarks.synthetic ~label:"tel" ~n:tn ~seed:(tn + 1) in
   let c = b.Netlist.Benchmarks.circuit in
-  let tel_move telemetry =
-    let arena = Placer.Eval.create ~telemetry c in
+  let tel_move ?telemetry () =
+    let arena = Placer.Eval.create ?telemetry c in
     let rng = Prelude.Rng.create 44 in
     let sp = ref (Seqpair.Sp.random rng tn) in
     let rot = Array.make tn false in
@@ -1096,20 +1105,36 @@ let perf ?(smoke = false) () =
       sp := Seqpair.Moves.random_neighbor rng !sp;
       ignore (Placer.Eval.cost_seqpair arena weights !sp ~rot)
   in
-  let r_off = time_ops (tel_move Telemetry.Sink.null) in
-  let live = Telemetry.Sink.create ~trace_capacity:8192 () in
-  let r_on = time_ops (tel_move live) in
-  let base = if !arena_at_tn > 0.0 then !arena_at_tn else r_off in
-  let off_pct = 100.0 *. (1.0 -. (r_off /. base)) in
-  let on_pct = 100.0 *. (1.0 -. (r_on /. base)) in
+  let variants =
+    [|
+      (fun () -> tel_move ());
+      (fun () -> tel_move ~telemetry:Telemetry.Sink.null ());
+      (fun () ->
+        tel_move ~telemetry:(Telemetry.Sink.create ~trace_capacity:8192 ()) ());
+    |]
+  in
+  let rounds = 6 in
+  let rates = Array.make_matrix 3 rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    for j = 0 to 2 do
+      let v = (r + j) mod 3 in
+      rates.(v).(r) <- time_ops (variants.(v) ())
+    done
+  done;
+  let median v = Prelude.Stats.quantile (Array.to_list rates.(v)) 0.5 in
+  let r_bare = median 0 and r_off = median 1 and r_on = median 2 in
+  let off_pct = 100.0 *. (1.0 -. (r_off /. r_bare)) in
+  let on_pct = 100.0 *. (1.0 -. (r_on /. r_bare)) in
   Printf.printf
-    "telemetry (n=%d): off %.0f moves/s (%+.1f%% vs bare), on %.0f moves/s \
-     (%+.1f%% vs bare)\n"
-    tn r_off off_pct r_on on_pct;
+    "telemetry (n=%d, median of %d rounds): bare %.0f moves/s, off %.0f \
+     moves/s (%+.1f%% vs bare), on %.0f moves/s (%+.1f%% vs bare)\n"
+    tn rounds r_bare r_off off_pct r_on on_pct;
   let telemetry_overhead =
     J.Obj
       [
         ("n", J.int tn);
+        ("rounds", J.int rounds);
+        ("moves_per_s_bare", num 0 r_bare);
         ("moves_per_s_off", num 0 r_off);
         ("moves_per_s_on", num 0 r_on);
         ("off_overhead_pct", num 1 off_pct);
@@ -1120,7 +1145,7 @@ let perf ?(smoke = false) () =
      report type-7 percentiles of the per-move cost via Stats.quantile *)
   let batches = if smoke then 40 else 200 in
   let per_batch = 50 in
-  let lat_move = tel_move Telemetry.Sink.null in
+  let lat_move = tel_move () in
   let samples =
     List.init batches (fun _ ->
         let t0 = Unix.gettimeofday () in
@@ -1475,62 +1500,59 @@ let route_suite ?(smoke = false) () =
         annealing");
   let suite = Netlist.Benchmarks.table1_suite () in
   let suite = if smoke then [ List.hd suite ] else suite in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"schema_version\": 1,\n";
-  Printf.bprintf buf "  \"git_rev\": \"%s\",\n" (Telemetry.Ledger.git_rev ());
-  Printf.bprintf buf "  \"generated_at\": \"%s\",\n"
-    (Telemetry.Ledger.timestamp ());
+  let header = provenance () in
   Printf.printf "%-16s | %8s %9s %8s %5s %6s | %12s %12s\n" "circuit" "hpwl"
     "routed_wl" "overflow" "fail" "iters" "route_ms" "estimate_us";
   hr ();
-  let last = List.length suite - 1 in
   let hpwls = ref [] and rwls = ref [] in
-  Buffer.add_string buf "  \"circuits\": [\n";
-  List.iteri
-    (fun i (b : Netlist.Benchmarks.bench) ->
-      let circuit = b.Netlist.Benchmarks.circuit in
-      let hierarchy = b.Netlist.Benchmarks.hierarchy in
-      let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
-      let r0 =
-        Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy
-      in
-      let placement = Placer.Placement.make circuit r0.Shapefn.Combine.placed in
-      let hpwl = Placer.Placement.hpwl placement in
-      let t0 = Unix.gettimeofday () in
-      let r = Route.Router.route_all ~symmetric:groups placement in
-      let route_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-      (* the incremental estimate this full route is traded against *)
-      let est = Route.Estimate.create circuit in
-      let est_per_s =
-        time_ops ~budget:(if smoke then 0.02 else 0.1) (fun () ->
-            ignore (Route.Estimate.score_placement est placement))
-      in
-      let estimate_us = 1e6 /. est_per_s in
-      hpwls := hpwl :: !hpwls;
-      rwls := float_of_int r.Route.Router.wirelength :: !rwls;
-      Printf.printf "%-16s | %8.0f %9d %8d %5d %6d | %12.1f %12.2f\n"
-        b.Netlist.Benchmarks.label hpwl r.Route.Router.wirelength
-        r.Route.Router.overflow
-        (List.length r.Route.Router.failed)
-        r.Route.Router.iterations route_ms estimate_us;
-      Printf.bprintf buf
-        "    {\"label\": \"%s\", \"n\": %d, \"hpwl\": %.0f, \"routed_wl\": \
-         %d, \"overflow\": %d, \"failed\": %d, \"iterations\": %d, \
-         \"route_ms\": %.2f, \"estimate_us\": %.2f}%s\n"
-        b.Netlist.Benchmarks.label
-        (Netlist.Circuit.size circuit)
-        hpwl r.Route.Router.wirelength r.Route.Router.overflow
-        (List.length r.Route.Router.failed)
-        r.Route.Router.iterations route_ms estimate_us
-        (if i = last then "" else ","))
-    suite;
-  Buffer.add_string buf "  ],\n";
+  let circuits =
+    List.map
+      (fun (b : Netlist.Benchmarks.bench) ->
+        let circuit = b.Netlist.Benchmarks.circuit in
+        let hierarchy = b.Netlist.Benchmarks.hierarchy in
+        let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
+        let r0 =
+          Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy
+        in
+        let placement =
+          Placer.Placement.make circuit r0.Shapefn.Combine.placed
+        in
+        let hpwl = Placer.Placement.hpwl placement in
+        let t0 = Unix.gettimeofday () in
+        let r = Route.Router.route_all ~symmetric:groups placement in
+        let route_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+        (* the incremental estimate this full route is traded against *)
+        let est = Route.Estimate.create circuit in
+        let est_per_s =
+          time_ops ~budget:(if smoke then 0.02 else 0.1) (fun () ->
+              ignore (Route.Estimate.score_placement est placement))
+        in
+        let estimate_us = 1e6 /. est_per_s in
+        hpwls := hpwl :: !hpwls;
+        rwls := float_of_int r.Route.Router.wirelength :: !rwls;
+        let failed = List.length r.Route.Router.failed in
+        Printf.printf "%-16s | %8.0f %9d %8d %5d %6d | %12.1f %12.2f\n"
+          b.Netlist.Benchmarks.label hpwl r.Route.Router.wirelength
+          r.Route.Router.overflow failed r.Route.Router.iterations route_ms
+          estimate_us;
+        J.Obj
+          [
+            ("label", J.str b.Netlist.Benchmarks.label);
+            ("n", J.int (Netlist.Circuit.size circuit));
+            ("hpwl", num 0 hpwl);
+            ("routed_wl", J.int r.Route.Router.wirelength);
+            ("overflow", J.int r.Route.Router.overflow);
+            ("failed", J.int failed);
+            ("iterations", J.int r.Route.Router.iterations);
+            ("route_ms", num 2 route_ms);
+            ("estimate_us", num 2 estimate_us);
+          ])
+      suite
+  in
   hr ();
   let corr = pearson !hpwls !rwls in
   Printf.printf
     "routed wirelength vs HPWL across the suite: Pearson r = %.3f\n" corr;
-  Printf.bprintf buf "  \"hpwl_routed_wl_pearson\": %.4f,\n" corr;
   (* routability-driven annealing: the same sp anneal with and without
      the congestion estimate folded into the cost, both routed with
      the full negotiated router afterwards *)
@@ -1539,71 +1561,82 @@ let route_suite ?(smoke = false) () =
     "routability-weighted wins";
   hr ();
   let wins = ref 0 and total = ref 0 in
-  Buffer.add_string buf "  \"anneal_comparison\": [\n";
-  List.iteri
-    (fun i (b : Netlist.Benchmarks.bench) ->
-      let circuit = b.Netlist.Benchmarks.circuit in
-      let hierarchy = b.Netlist.Benchmarks.hierarchy in
-      let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
-      let n = Netlist.Circuit.size circuit in
-      (* per-move cost grows ~n^2, so the move budget shrinks with n
-         to keep the comparison's wall-clock bounded across the suite *)
-      let params =
-        {
-          (Anneal.Sa.default_params ~n) with
-          Anneal.Sa.max_rounds =
-            (if smoke then 10 else if n > 80 then 15 else if n > 50 then 30
-             else 60);
-          moves_per_round =
-            (if smoke then 30 else if n > 80 then 60 else 120);
-          frozen_rounds = 5;
-        }
-      in
-      let routed_wl_of weights estimator seed =
-        let rng = Prelude.Rng.create seed in
-        let o =
-          Placer.Sa_seqpair.place ~weights ~params ~groups ?estimator ~rng
-            circuit
-        in
-        let r =
-          Route.Router.route_all ~symmetric:groups
-            o.Placer.Sa_seqpair.placement
-        in
-        r.Route.Router.wirelength
-      in
-      let wl_plain = routed_wl_of Placer.Cost.default None 7 in
-      let wl_routed =
-        routed_wl_of
+  let anneal_comparison =
+    List.map
+      (fun (b : Netlist.Benchmarks.bench) ->
+        let circuit = b.Netlist.Benchmarks.circuit in
+        let hierarchy = b.Netlist.Benchmarks.hierarchy in
+        let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
+        let n = Netlist.Circuit.size circuit in
+        (* per-move cost grows ~n^2, so the move budget shrinks with n
+           to keep the comparison's wall-clock bounded across the
+           suite *)
+        let params =
           {
-            Placer.Cost.default with
-            Placer.Cost.routability = route_weight_for_comparison;
+            (Anneal.Sa.default_params ~n) with
+            Anneal.Sa.max_rounds =
+              (if smoke then 10 else if n > 80 then 15 else if n > 50 then 30
+               else 60);
+            moves_per_round =
+              (if smoke then 30 else if n > 80 then 60 else 120);
+            frozen_rounds = 5;
           }
-          (Some (Route.Estimate.estimator circuit))
-          7
-      in
-      let win = wl_routed < wl_plain in
-      if win then incr wins;
-      incr total;
-      Printf.printf "%-16s | %10d %10d | %s\n" b.Netlist.Benchmarks.label
-        wl_plain wl_routed
-        (if win then "yes" else "no");
-      Printf.bprintf buf
-        "    {\"label\": \"%s\", \"routed_wl_hpwl_only\": %d, \
-         \"routed_wl_routability\": %d, \"win\": %b}%s\n"
-        b.Netlist.Benchmarks.label wl_plain wl_routed win
-        (if i = last then "" else ","))
-    suite;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"routability_wins\": {\"wins\": %d, \"of\": %d}\n"
-    !wins !total;
-  Buffer.add_string buf "}\n";
+        in
+        let routed_wl_of weights estimator seed =
+          let rng = Prelude.Rng.create seed in
+          let o =
+            Placer.Sa_seqpair.place ~weights ~params ~groups ?estimator ~rng
+              circuit
+          in
+          let r =
+            Route.Router.route_all ~symmetric:groups
+              o.Placer.Sa_seqpair.placement
+          in
+          r.Route.Router.wirelength
+        in
+        let wl_plain = routed_wl_of Placer.Cost.default None 7 in
+        let wl_routed =
+          routed_wl_of
+            {
+              Placer.Cost.default with
+              Placer.Cost.routability = route_weight_for_comparison;
+            }
+            (Some (Route.Estimate.estimator circuit))
+            7
+        in
+        let win = wl_routed < wl_plain in
+        if win then incr wins;
+        incr total;
+        Printf.printf "%-16s | %10d %10d | %s\n" b.Netlist.Benchmarks.label
+          wl_plain wl_routed
+          (if win then "yes" else "no");
+        J.Obj
+          [
+            ("label", J.str b.Netlist.Benchmarks.label);
+            ("routed_wl_hpwl_only", J.int wl_plain);
+            ("routed_wl_routability", J.int wl_routed);
+            ("win", J.bool win);
+          ])
+      suite
+  in
   Printf.printf "routability-weighted anneal shortened routed wirelength on \
                  %d of %d circuits\n"
     !wins !total;
   if smoke then print_endline "smoke mode: BENCH_route.json left untouched"
   else begin
+    let doc =
+      J.Obj
+        (header
+        @ [
+            ("circuits", J.Arr circuits);
+            ("hpwl_routed_wl_pearson", num 4 corr);
+            ("anneal_comparison", J.Arr anneal_comparison);
+            ( "routability_wins",
+              J.Obj [ ("wins", J.int !wins); ("of", J.int !total) ] );
+          ])
+    in
     let oc = open_out "BENCH_route.json" in
-    output_string oc (Buffer.contents buf);
+    output_string oc (J.emit doc ^ "\n");
     close_out oc;
     print_endline "wrote BENCH_route.json"
   end

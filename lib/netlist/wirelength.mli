@@ -11,10 +11,21 @@ val hpwl :
     ([None] if unplaced; such pins are skipped). The result is in grid
     units (the doubling is compensated). *)
 
-type flat
-(** Nets flattened to CSR-style offset/pin/weight arrays, so the
-    annealing hot path walks every net allocation-free. Built once per
-    circuit (see {!Placer.Eval}). *)
+type flat = {
+  off : int array;
+      (** length [#nets + 1]: net [i] owns pins [off.(i)] ..
+          [off.(i+1) - 1] *)
+  pins : int array;  (** module indices, each net's in list order *)
+  weight : float array;  (** per-net weight *)
+}
+(** Nets flattened to CSR-style offset/pin/weight arrays, one slot
+    per net of the list in order (single-pin and pinless nets
+    included), so hot paths walk every net allocation-free. This is
+    the one net -> pin layout. Its readers: {!hpwl_flat}, the HPWL
+    term; [Placer.Eval], which builds one per annealing chain and
+    scores every move through {!hpwl_flat}; and [Route.Estimate],
+    the RUDY congestion score, which skips nets of fewer than two
+    pins. *)
 
 val flatten : Net.t list -> flat
 

@@ -12,11 +12,9 @@
 
 type t = {
   n : int;
-  (* CSR-flattened nets: pins of net k are pin.(off.(k)) ..
-     pin.(off.(k+1)-1), demand scale is the net weight *)
-  off : int array;
-  pin : int array;
-  weight : float array;
+  (* every net of the circuit, flattened; demand scale is the net
+     weight *)
+  nets : Netlist.Wirelength.flat;
   bins_x : int;
   bins_y : int;
   (* private scratch: 2D difference array, (bins_x+1) * (bins_y+1).
@@ -35,39 +33,10 @@ let create ?(bins = default_bins) ?(pitch = default_pitch)
     ?(utilization = default_utilization) circuit =
   if bins < 1 then invalid_arg "Estimate.create: bins < 1";
   if pitch < 1 then invalid_arg "Estimate.create: pitch < 1";
-  let nets = circuit.Netlist.Circuit.nets in
   let n = Netlist.Circuit.size circuit in
-  (* nets with fewer than two pins carry no wire demand *)
-  let routable =
-    List.filter (fun (nt : Netlist.Net.t) -> List.length nt.Netlist.Net.pins >= 2) nets
-  in
-  let k = List.length routable in
-  let off = Array.make (k + 1) 0 in
-  let total =
-    List.fold_left
-      (fun acc (nt : Netlist.Net.t) -> acc + List.length nt.Netlist.Net.pins)
-      0 routable
-  in
-  let pin = Array.make (max 1 total) 0 in
-  let weight = Array.make (max 1 k) 1.0 in
-  let i = ref 0 and p = ref 0 in
-  List.iter
-    (fun (nt : Netlist.Net.t) ->
-      off.(!i) <- !p;
-      weight.(!i) <- nt.Netlist.Net.weight;
-      List.iter
-        (fun c ->
-          pin.(!p) <- c;
-          incr p)
-        nt.Netlist.Net.pins;
-      incr i)
-    routable;
-  off.(k) <- !p;
   {
     n;
-    off;
-    pin;
-    weight;
+    nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets;
     bins_x = bins;
     bins_y = bins;
     diff = Array.make ((bins + 1) * (bins + 1)) 0.0;
@@ -125,69 +94,72 @@ let score t ~x ~y ~w ~h =
         add_box ix1 ix1 ay by (vy *. fx_hi)
       end
     in
-    let nets = Array.length t.off - 1 in
-    for k = 0 to nets - 1 do
-      let lo = Array.unsafe_get t.off k
-      and hi = Array.unsafe_get t.off (k + 1) - 1 in
-      (* bbox over doubled pin centers, so rounding never splits a
-         mirrored pair's demand asymmetrically *)
-      let c0 = Array.unsafe_get t.pin lo in
-      let minx = ref ((2 * x.(c0)) + w.(c0))
-      and maxx = ref ((2 * x.(c0)) + w.(c0))
-      and miny = ref ((2 * y.(c0)) + h.(c0))
-      and maxy = ref ((2 * y.(c0)) + h.(c0)) in
-      for p = lo + 1 to hi do
-        let c = Array.unsafe_get t.pin p in
-        let cx = (2 * x.(c)) + w.(c) and cy = (2 * y.(c)) + h.(c) in
-        if cx < !minx then minx := cx;
-        if cx > !maxx then maxx := cx;
-        if cy < !miny then miny := cy;
-        if cy > !maxy then maxy := cy
-      done;
-      let bx0 = float_of_int !minx /. 2.0
-      and bx1 = float_of_int !maxx /. 2.0
-      and by0 = float_of_int !miny /. 2.0
-      and by1 = float_of_int !maxy /. 2.0 in
-      (* demand: weighted HPWL, floored at one pitch so coincident
-         pins still claim a via's worth of track *)
-      let demand =
-        Array.unsafe_get t.weight k
-        *. fmax t.pitch (bx1 -. bx0 +. (by1 -. by0))
-      in
-      let ix0 = max 0 (min (t.bins_x - 1) (int_of_float (bx0 *. inv_bw)))
-      and ix1 = max 0 (min (t.bins_x - 1) (int_of_float (bx1 *. inv_bw)))
-      and iy0 = max 0 (min (t.bins_y - 1) (int_of_float (by0 *. inv_bh)))
-      and iy1 = max 0 (min (t.bins_y - 1) (int_of_float (by1 *. inv_bh))) in
-      if ix0 = ix1 && iy0 = iy1 then
-        (* short net inside one bin: all the demand lands there *)
-        add_box ix0 ix0 iy0 iy0 demand
-      else begin
-        (* spread uniformly over covered bins, proportional to
-           overlap: boundary bins get their clipped fraction, interior
-           bins share one constant fraction per axis *)
-        let ext_x = fmax 1.0 (bx1 -. bx0) and ext_y = fmax 1.0 (by1 -. by0) in
-        let inv_ext_x = 1.0 /. ext_x and inv_ext_y = 1.0 /. ext_y in
-        let frac lo hi i inv_ext step =
-          let a = fmax lo (float_of_int i *. step)
-          and b = fmin hi (float_of_int (i + 1) *. step) in
-          fmax 0.0 (fmin 1.0 ((b -. a) *. inv_ext))
+    let { Netlist.Wirelength.off; pins; weight } = t.nets in
+    for k = 0 to Array.length off - 2 do
+      let lo = Array.unsafe_get off k
+      and hi = Array.unsafe_get off (k + 1) - 1 in
+      (* nets with fewer than two pins carry no wire demand *)
+      if hi > lo then begin
+        (* bbox over doubled pin centers, so rounding never splits a
+           mirrored pair's demand asymmetrically *)
+        let c0 = Array.unsafe_get pins lo in
+        let minx = ref ((2 * x.(c0)) + w.(c0))
+        and maxx = ref ((2 * x.(c0)) + w.(c0))
+        and miny = ref ((2 * y.(c0)) + h.(c0))
+        and maxy = ref ((2 * y.(c0)) + h.(c0)) in
+        for p = lo + 1 to hi do
+          let c = Array.unsafe_get pins p in
+          let cx = (2 * x.(c)) + w.(c) and cy = (2 * y.(c)) + h.(c) in
+          if cx < !minx then minx := cx;
+          if cx > !maxx then maxx := cx;
+          if cy < !miny then miny := cy;
+          if cy > !maxy then maxy := cy
+        done;
+        let bx0 = float_of_int !minx /. 2.0
+        and bx1 = float_of_int !maxx /. 2.0
+        and by0 = float_of_int !miny /. 2.0
+        and by1 = float_of_int !maxy /. 2.0 in
+        (* demand: weighted HPWL, floored at one pitch so coincident
+           pins still claim a via's worth of track *)
+        let demand =
+          Array.unsafe_get weight k
+          *. fmax t.pitch (bx1 -. bx0 +. (by1 -. by0))
         in
-        let fx_lo, fx_mid, fx_hi =
-          if ix0 = ix1 then (1.0, 1.0, 1.0)
-          else
-            ( frac bx0 bx1 ix0 inv_ext_x bw,
-              fmin 1.0 (bw *. inv_ext_x),
-              frac bx0 bx1 ix1 inv_ext_x bw )
-        in
-        if iy0 = iy1 then emit_row ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 demand
+        let ix0 = max 0 (min (t.bins_x - 1) (int_of_float (bx0 *. inv_bw)))
+        and ix1 = max 0 (min (t.bins_x - 1) (int_of_float (bx1 *. inv_bw)))
+        and iy0 = max 0 (min (t.bins_y - 1) (int_of_float (by0 *. inv_bh)))
+        and iy1 = max 0 (min (t.bins_y - 1) (int_of_float (by1 *. inv_bh))) in
+        if ix0 = ix1 && iy0 = iy1 then
+          (* short net inside one bin: all the demand lands there *)
+          add_box ix0 ix0 iy0 iy0 demand
         else begin
-          let fy_lo = frac by0 by1 iy0 inv_ext_y bh
-          and fy_hi = frac by0 by1 iy1 inv_ext_y bh in
-          emit_row ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 (demand *. fy_lo);
-          if iy1 > iy0 + 1 then
-            emit_row ix0 ix1 fx_lo fx_mid fx_hi (iy0 + 1) (iy1 - 1)
-              (demand *. fmin 1.0 (bh *. inv_ext_y));
-          emit_row ix0 ix1 fx_lo fx_mid fx_hi iy1 iy1 (demand *. fy_hi)
+          (* spread uniformly over covered bins, proportional to
+             overlap: boundary bins get their clipped fraction, interior
+             bins share one constant fraction per axis *)
+          let ext_x = fmax 1.0 (bx1 -. bx0) and ext_y = fmax 1.0 (by1 -. by0) in
+          let inv_ext_x = 1.0 /. ext_x and inv_ext_y = 1.0 /. ext_y in
+          let frac lo hi i inv_ext step =
+            let a = fmax lo (float_of_int i *. step)
+            and b = fmin hi (float_of_int (i + 1) *. step) in
+            fmax 0.0 (fmin 1.0 ((b -. a) *. inv_ext))
+          in
+          let fx_lo, fx_mid, fx_hi =
+            if ix0 = ix1 then (1.0, 1.0, 1.0)
+            else
+              ( frac bx0 bx1 ix0 inv_ext_x bw,
+                fmin 1.0 (bw *. inv_ext_x),
+                frac bx0 bx1 ix1 inv_ext_x bw )
+          in
+          if iy0 = iy1 then emit_row ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 demand
+          else begin
+            let fy_lo = frac by0 by1 iy0 inv_ext_y bh
+            and fy_hi = frac by0 by1 iy1 inv_ext_y bh in
+            emit_row ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 (demand *. fy_lo);
+            if iy1 > iy0 + 1 then
+              emit_row ix0 ix1 fx_lo fx_mid fx_hi (iy0 + 1) (iy1 - 1)
+                (demand *. fmin 1.0 (bh *. inv_ext_y));
+            emit_row ix0 ix1 fx_lo fx_mid fx_hi iy1 iy1 (demand *. fy_hi)
+          end
         end
       end
     done;

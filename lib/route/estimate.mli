@@ -22,8 +22,10 @@ type t
 
 val create :
   ?bins:int -> ?pitch:int -> ?utilization:float -> Netlist.Circuit.t -> t
-(** Flatten the circuit's nets (single-pin nets carry no demand) and
-    allocate the [bins] x [bins] grid (default 8). [pitch] (default
+(** Take the circuit's nets as {!Netlist.Wirelength.flatten}'s CSR
+    layout (the one the annealers' HPWL reads; nets with fewer than two
+    pins stay in it and carry no demand) and allocate the [bins] x
+    [bins] grid (default 8). [pitch] (default
     20, matching {!Router.default_pitch}) and [utilization] (default
     0.5) set the per-bin supply: one horizontal and one vertical track
     per pitch, derated by [utilization]. *)

@@ -1,32 +1,12 @@
-type t = { cols : int; rows : int; used : Bytes.t }
 type point = int * int
-
-let create ~cols ~rows =
-  if cols <= 0 || rows <= 0 then invalid_arg "Grid.create: non-positive size";
-  { cols; rows; used = Bytes.make (cols * rows) '\000' }
-
-let cols t = t.cols
-let rows t = t.rows
-let idx t (c, r) = (r * t.cols) + c
-let in_bounds t (c, r) = c >= 0 && c < t.cols && r >= 0 && r < t.rows
-let blocked t p = Bytes.get t.used (idx t p) <> '\000'
-
-let block t p = if in_bounds t p then Bytes.set t.used (idx t p) '\001'
-let block_many t ps = List.iter (block t) ps
-let copy t = { t with used = Bytes.copy t.used }
 
 let snap ~pitch ~margin (x, y) =
   ((x + (pitch / 2)) / pitch + margin, (y + (pitch / 2)) / pitch + margin)
 
-let of_placement ~pitch ~margin placement =
+let size ~pitch ~margin placement =
   let w = Placer.Placement.width placement in
   let h = Placer.Placement.height placement in
-  create
-    ~cols:((w / pitch) + 1 + (2 * margin))
-    ~rows:((h / pitch) + 1 + (2 * margin))
+  ((w / pitch) + 1 + (2 * margin), (h / pitch) + 1 + (2 * margin))
 
-let occupancy t =
-  let total = t.cols * t.rows in
-  let used = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr used) t.used;
-  float_of_int !used /. float_of_int total
+let index ~cols (c, r) = (r * cols) + c
+let point ~cols i = (i mod cols, i / cols)

@@ -1,38 +1,27 @@
-(** Uniform routing grid.
+(** Uniform routing grid geometry.
 
     Routing runs on a coarse grid over the placement (one track per
     [pitch] layout units) on a single metal layer above the cells:
-    wires block each other but not the devices below. Obstacles are
-    marked cells; the blocked cells become zero-capacity cells of the
-    {!Negotiate} congestion grid. *)
-
-type t
+    wires block each other but not the devices below. A cell is a
+    (column, row) {!point} where routes enter and leave the router —
+    pins, rails, {!Router.result} — and a row-major index
+    [r * cols + c] everywhere inside it ({!Negotiate}'s arrays, the
+    router's per-net routes). Capacity and occupancy live in
+    {!Negotiate}; this module only fixes the geometry. *)
 
 type point = int * int
 (** (column, row) grid indices. *)
 
-val create : cols:int -> rows:int -> t
-(** All cells free. Raises [Invalid_argument] on non-positive sizes. *)
-
-val of_placement : pitch:int -> margin:int -> Placer.Placement.t -> t
-(** A grid covering the placement's bounding box plus [margin] tracks
-    on every side. *)
-
-val cols : t -> int
-val rows : t -> int
-val in_bounds : t -> point -> bool
-val blocked : t -> point -> bool
-
-val block : t -> point -> unit
-(** Mark a cell used. Out-of-bounds points are ignored. *)
-
-val block_many : t -> point list -> unit
-
-val copy : t -> t
+val size : pitch:int -> margin:int -> Placer.Placement.t -> int * int
+(** [(cols, rows)] of the grid covering the placement's bounding box
+    plus [margin] tracks on every side. *)
 
 val snap : pitch:int -> margin:int -> int * int -> point
-(** Layout coordinates -> nearest grid point (same transform
-    {!of_placement} uses). *)
+(** Layout coordinates -> nearest grid point (the transform {!size}
+    assumes). *)
 
-val occupancy : t -> float
-(** Fraction of blocked cells. *)
+val index : cols:int -> point -> int
+(** Row-major cell index [r * cols + c] of an in-bounds point. *)
+
+val point : cols:int -> int -> point
+(** Inverse of {!index}. *)

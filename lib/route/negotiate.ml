@@ -1,7 +1,8 @@
 (* Negotiated-congestion routing state (PathFinder).
 
-   Cells carry a capacity (how many nets may legally use them — 1 for
-   routable track, 0 for power rails and obstacles), a present-usage
+   Cells, addressed by row-major index [r * cols + c], carry a
+   capacity (how many nets may legally use them — the gcell's track
+   count for routable cells, 0 for power rails), a present-usage
    count (how many nets use them right now) and a history cost (how
    often they have been over-used in past iterations). A net's path is
    found by Dijkstra expansion where entering cell [i] costs
@@ -33,8 +34,10 @@ type t = {
   (* binary min-heap of cell indices keyed by (dist, index) *)
   heap : int array;
   mutable heap_len : int;
-  (* current net's tree cells, epoch-stamped *)
+  (* current net's tree cells and terminals, stamped with one epoch
+     per tree *)
   tree_mark : int array;
+  term_mark : int array;
   mutable tree_epoch : int;
   (* cumulative Dijkstra heap pops: a plain integer so counting it
      costs one increment, stays deterministic, and leaves this module
@@ -45,14 +48,14 @@ type t = {
 
 let base_cost = 1.0
 
-let create ~cols ~rows =
+let create ~cols ~rows ~capacity =
   if cols <= 0 || rows <= 0 then
     invalid_arg "Negotiate.create: non-positive size";
   let n = cols * rows in
   {
     cols;
     rows;
-    capacity = Array.make n 1;
+    capacity = Array.make n (max 0 capacity);
     present = Array.make n 0;
     history = Array.make n 0.0;
     dist = Array.make n infinity;
@@ -63,31 +66,18 @@ let create ~cols ~rows =
     heap = Array.make n 0;
     heap_len = 0;
     tree_mark = Array.make n 0;
+    term_mark = Array.make n 0;
     tree_epoch = 0;
     pops = 0;
   }
 
-let of_grid ?(capacity = 1) grid =
-  let t = create ~cols:(Grid.cols grid) ~rows:(Grid.rows grid) in
-  for r = 0 to t.rows - 1 do
-    for c = 0 to t.cols - 1 do
-      t.capacity.((r * t.cols) + c) <-
-        (if Grid.blocked grid (c, r) then 0 else max 0 capacity)
-    done
-  done;
-  t
+let set_capacity t i cap = t.capacity.(i) <- max 0 cap
 
-let idx t (c, r) = (r * t.cols) + c
-let in_bounds t (c, r) = c >= 0 && c < t.cols && r >= 0 && r < t.rows
+let claim t cells =
+  List.iter (fun i -> t.present.(i) <- t.present.(i) + 1) cells
 
-let set_capacity t p cap =
-  if in_bounds t p then t.capacity.(idx t p) <- max 0 cap
-
-let claim t points = List.iter (fun p -> if in_bounds t p then
-    t.present.(idx t p) <- t.present.(idx t p) + 1) points
-
-let release t points = List.iter (fun p -> if in_bounds t p then
-    t.present.(idx t p) <- max 0 (t.present.(idx t p) - 1)) points
+let release t cells =
+  List.iter (fun i -> t.present.(i) <- max 0 (t.present.(i) - 1)) cells
 
 let overflow t =
   let acc = ref 0 in
@@ -104,9 +94,7 @@ let overused_cells t =
   done;
   !acc
 
-let cell_overuse t p =
-  if in_bounds t p then max 0 (t.present.(idx t p) - t.capacity.(idx t p))
-  else 0
+let cell_overuse t i = max 0 (t.present.(i) - t.capacity.(i))
 
 let add_history t ~hfac =
   for i = 0 to Array.length t.present - 1 do
@@ -200,12 +188,7 @@ let enter_cost t ~pres_fac ~extra i =
 
 let impassable t i = t.capacity.(i) = 0
 
-let clamp t (c, r) =
-  (max 0 (min (t.cols - 1) c), max 0 (min (t.rows - 1) r))
-
-(* Mirror image of a cell index under column reflection c -> axis - c,
-   or -1 when the image falls off the grid. *)
-let mirror_idx t ~axis i =
+let reflect t ~axis i =
   let c = i mod t.cols and r = i / t.cols in
   let mc = axis - c in
   if mc < 0 || mc >= t.cols then -1 else (r * t.cols) + mc
@@ -213,15 +196,13 @@ let mirror_idx t ~axis i =
 (* One Dijkstra wave from the current tree to [target]. [mirror]
    prices (and gates) the reflected cell as well, so the path found
    for the reference net is simultaneously legal and equally costed
-   for its twin. Terminal cells of this net are always enterable, even
-   when impassable. Returns the target's parent chain or None. *)
-let search t ~pres_fac ~mirror ~terminals ~tree ~target =
+   for its twin. Terminal cells of this net ([term_mark] at the tree's
+   epoch) are always enterable, even when impassable. Returns the
+   target's parent chain or None. *)
+let search t ~pres_fac ~mirror ~tree ~target =
   t.epoch <- t.epoch + 1;
-  let ep = t.epoch in
+  let ep = t.epoch and te = t.tree_epoch in
   t.heap_len <- 0;
-  let is_terminal i =
-    List.exists (fun p -> in_bounds t p && idx t p = i) terminals
-  in
   List.iter
     (fun i ->
       if t.seen.(i) <> ep then begin
@@ -231,58 +212,47 @@ let search t ~pres_fac ~mirror ~terminals ~tree ~target =
         heap_push t i
       end)
     tree;
-  let ti = idx t target in
   let found = ref false in
   while (not !found) && t.heap_len > 0 do
     let u = heap_pop t in
-    if u = ti then found := true
+    if u = target then found := true
     else begin
       let uc = u mod t.cols and ur = u / t.cols in
-      let visit v =
-        let blocked_v =
-          impassable t v && not (is_terminal v)
-        in
-        let blocked_m =
-          match mirror with
-          | None -> false
-          | Some axis -> (
-              match mirror_idx t ~axis v with
-              | -1 -> true
-              | m -> impassable t m && not (is_terminal v))
-        in
-        if not (blocked_v || blocked_m) then begin
-          let extra_self =
-            (* a twin pair entering its own axis column uses the cell
-               twice (reference + image) *)
-            match mirror with
-            | Some axis when mirror_idx t ~axis v = v -> 1
-            | _ -> 0
-          in
-          let step = enter_cost t ~pres_fac ~extra:extra_self v in
-          let step =
-            match mirror with
-            | None -> step
-            | Some axis -> (
-                match mirror_idx t ~axis v with
-                | m when m = v -> step  (* same cell: already priced *)
-                | -1 -> step
-                | m -> step +. enter_cost t ~pres_fac ~extra:0 m)
-          in
-          let nd = t.dist.(u) +. step in
-          if t.seen.(v) <> ep then begin
-            t.seen.(v) <- ep;
-            t.dist.(v) <- nd;
-            t.parent.(v) <- u;
-            heap_push t v
-          end
-          else if
-            t.handle.(v) >= 0 && nd < t.dist.(v)
-          then begin
-            t.dist.(v) <- nd;
-            t.parent.(v) <- u;
-            heap_decrease t v
-          end
+      let relax v step =
+        let nd = t.dist.(u) +. step in
+        if t.seen.(v) <> ep then begin
+          t.seen.(v) <- ep;
+          t.dist.(v) <- nd;
+          t.parent.(v) <- u;
+          heap_push t v
         end
+        else if t.handle.(v) >= 0 && nd < t.dist.(v) then begin
+          t.dist.(v) <- nd;
+          t.parent.(v) <- u;
+          heap_decrease t v
+        end
+      in
+      let visit v =
+        (* capacity-0 cells are closed except as this net's terminals;
+           a mirrored step needs the cell and its image both open *)
+        let term = t.term_mark.(v) = te in
+        match mirror with
+        | None ->
+            if term || not (impassable t v) then
+              relax v (enter_cost t ~pres_fac ~extra:0 v)
+        | Some axis -> (
+            match reflect t ~axis v with
+            | -1 -> ()
+            | m when m = v ->
+                (* a twin pair entering its own axis column uses the
+                   cell twice (reference + image) *)
+                if term || not (impassable t v) then
+                  relax v (enter_cost t ~pres_fac ~extra:1 v)
+            | m ->
+                if term || not (impassable t v || impassable t m) then
+                  relax v
+                    (enter_cost t ~pres_fac ~extra:0 v
+                    +. enter_cost t ~pres_fac ~extra:0 m))
       in
       if uc + 1 < t.cols then visit (u + 1);
       if uc > 0 then visit (u - 1);
@@ -292,42 +262,46 @@ let search t ~pres_fac ~mirror ~terminals ~tree ~target =
   done;
   if !found then begin
     let rec walk acc i = if i = -1 then acc else walk (i :: acc) t.parent.(i) in
-    Some (walk [] ti)
+    Some (walk [] target)
   end
   else None
 
 let route_tree t ?mirror ~pres_fac ~terminals () =
-  match List.map (clamp t) terminals with
+  match terminals with
   | [] -> Some []
   | first :: rest ->
       t.tree_epoch <- t.tree_epoch + 1;
       let te = t.tree_epoch in
-      let tree_rev = ref [ idx t first ] in
-      t.tree_mark.(idx t first) <- te;
-      let ok =
-        List.for_all
-          (fun terminal ->
-            t.tree_mark.(idx t terminal) = te
-            ||
-            match
-              search t ~pres_fac ~mirror ~terminals:(first :: rest)
-                ~tree:(List.rev !tree_rev) ~target:terminal
-            with
-            | None -> false
-            | Some path ->
-                List.iter
-                  (fun i ->
-                    if t.tree_mark.(i) <> te then begin
-                      t.tree_mark.(i) <- te;
-                      tree_rev := i :: !tree_rev
-                    end)
-                  path;
-                true)
-          rest
+      List.iter (fun i -> t.term_mark.(i) <- te) terminals;
+      let tree_rev = ref [ first ] in
+      t.tree_mark.(first) <- te;
+      (* searches gate every cell they enter, but not the seed: a twin
+         tree must map its seed onto the grid as well *)
+      let seed_ok =
+        match mirror with
+        | Some axis -> reflect t ~axis first >= 0
+        | None -> true
       in
-      if not ok then None
-      else
-        Some
-          (List.rev_map
-             (fun i -> (i mod t.cols, i / t.cols))
-             !tree_rev)
+      let ok =
+        seed_ok
+        && List.for_all
+             (fun terminal ->
+               t.tree_mark.(terminal) = te
+               ||
+               match
+                 search t ~pres_fac ~mirror ~tree:(List.rev !tree_rev)
+                   ~target:terminal
+               with
+               | None -> false
+               | Some path ->
+                   List.iter
+                     (fun i ->
+                       if t.tree_mark.(i) <> te then begin
+                         t.tree_mark.(i) <- te;
+                         tree_rev := i :: !tree_rev
+                       end)
+                     path;
+                   true)
+             rest
+      in
+      if ok then Some (List.rev !tree_rev) else None

@@ -17,26 +17,24 @@
     RNG — identical inputs give byte-identical routes. *)
 
 type t
+(** Cells are addressed by their row-major index [r * cols + c]
+    (see {!Grid.index}); every function below takes and returns
+    indices, which must be in bounds. *)
 
-val create : cols:int -> rows:int -> t
-(** All cells capacity 1, no usage, no history. Raises
+val create : cols:int -> rows:int -> capacity:int -> t
+(** Every cell holds [capacity] nets (clamped at 0; the router passes
+    2, a gcell with one horizontal and one vertical track, which makes
+    orthogonal crossings legal); no usage, no history. Raises
     [Invalid_argument] on non-positive sizes. *)
 
-val of_grid : ?capacity:int -> Grid.t -> t
-(** Same extents as the grid; blocked cells become capacity 0, open
-    cells [capacity] (default 1 — a single-track cell; routers
-    modelling a gcell with one horizontal and one vertical track pass
-    2, which makes orthogonal crossings legal). *)
+val set_capacity : t -> int -> int -> unit
+(** [set_capacity t cell cap], clamped at 0. Capacity-0 cells are
+    impassable to the search except as a net's own terminals. *)
 
-val set_capacity : t -> Grid.point -> int -> unit
-(** Out-of-bounds points are ignored; capacity is clamped at 0.
-    Capacity-0 cells are impassable to the search except as a net's
-    own terminals. *)
-
-val claim : t -> Grid.point list -> unit
+val claim : t -> int list -> unit
 (** Add one present use to each cell (a routed net's tree). *)
 
-val release : t -> Grid.point list -> unit
+val release : t -> int list -> unit
 (** Undo {!claim} before rerouting a net. *)
 
 val overflow : t -> int
@@ -46,7 +44,7 @@ val overflow : t -> int
 val overused_cells : t -> int
 (** Number of cells with [present > capacity]. *)
 
-val cell_overuse : t -> Grid.point -> int
+val cell_overuse : t -> int -> int
 
 val add_history : t -> hfac:float -> unit
 (** End-of-iteration update: every over-used cell's history grows by
@@ -73,23 +71,27 @@ val snapshot : t -> Snapshot.t
     the congestion-heatmap export. Mutating the snapshot never touches
     the live router state. *)
 
+val reflect : t -> axis:int -> int -> int
+(** The cell's image under column reflection [c -> axis - c], or -1
+    when the image falls off the grid. *)
+
 val route_tree :
   t ->
   ?mirror:int ->
   pres_fac:float ->
-  terminals:Grid.point list ->
+  terminals:int list ->
   unit ->
-  Grid.point list option
-(** Grow a Steiner-ish tree connecting [terminals] (clamped in
-    bounds): route each terminal to the tree-so-far by one Dijkstra
-    wave. Returns the tree's cells (deduplicated, deterministic
-    order), [Some []] for no terminals, a singleton for one terminal,
-    or [None] when some terminal is unreachable.
+  int list option
+(** Grow a Steiner-ish tree connecting [terminals]: route each
+    terminal to the tree-so-far by one Dijkstra wave. Returns the
+    tree's cells (deduplicated, deterministic order), [Some []] for no
+    terminals, a singleton for one terminal, or [None] when some
+    terminal is unreachable.
 
-    With [~mirror:axis2_grid] every step is priced {e and} gated on
-    both the cell and its reflection under [c -> axis2_grid - c]:
-    the returned reference tree is legal and equally costed for the
-    twin's image, which is what makes mirrored pairs identical in
-    wirelength by construction. Cells on the axis column (self-mirror)
-    count their own double use. The caller claims the tree (and its
-    image) via {!claim}. *)
+    With [~mirror:axis] every step is priced {e and} gated on both
+    the cell and its {!reflect}ion: the returned reference tree is
+    legal and equally costed for the twin's image, which is what makes
+    mirrored pairs identical in wirelength by construction. Cells on
+    the axis column (self-mirror) count their own double use. A tree
+    whose first terminal reflects off the grid is [None]. The caller
+    claims the tree (and its image) via {!claim}. *)

@@ -22,8 +22,8 @@ let bbox_semi pins =
 
 let initial ~is_twin ~pins_of nets =
   List.stable_sort
-    (fun (a : Netlist.Net.t) (b : Netlist.Net.t) ->
-      let twin n = if is_twin n.Netlist.Net.name then 0 else 1 in
+    (fun a b ->
+      let twin n = if is_twin n then 0 else 1 in
       let c = Int.compare (twin a) (twin b) in
       if c <> 0 then c
       else Int.compare (bbox_semi (pins_of a)) (bbox_semi (pins_of b)))
@@ -31,7 +31,7 @@ let initial ~is_twin ~pins_of nets =
 
 let by_congestion ~overuse_of nets =
   List.stable_sort
-    (fun (a : Netlist.Net.t) (b : Netlist.Net.t) ->
+    (fun a b ->
       (* descending overuse: most contested nets reroute first *)
-      Int.compare (overuse_of b.Netlist.Net.name) (overuse_of a.Netlist.Net.name))
+      Int.compare (overuse_of b) (overuse_of a))
     nets

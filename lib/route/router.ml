@@ -28,7 +28,6 @@ type result = {
   negotiation : iteration list;
   occupancy : Negotiate.Snapshot.t;
   power : Grid.point list list;
-  grid : Grid.t;
 }
 
 let default_pitch = 20
@@ -64,13 +63,10 @@ let pin_point ~pitch ~margin placement m =
       let cx2, cy2 = Rect.center2 r in
       Some (Grid.snap ~pitch ~margin (cx2 / 2, cy2 / 2))
 
-let net_pins ~pitch ~margin placement (net : Netlist.Net.t) =
-  List.filter_map (pin_point ~pitch ~margin placement) net.Netlist.Net.pins
-
 (* Routability triage: a net either yields its grid terminals or the
-   reason it can never route. Unlike [net_pins] this refuses to drop
-   an unplaced pin silently — the net goes to [failed] with the
-   module's name instead of quietly routing a partial tree. *)
+   reason it can never route. An unplaced pin is refused, not dropped:
+   the net goes to [failed] with the module's name instead of quietly
+   routing a partial tree. *)
 let classify ~pitch ~margin placement (net : Netlist.Net.t) =
   match net.Netlist.Net.pins with
   | [] | [ _ ] -> Error Single_pin
@@ -124,33 +120,6 @@ let pins_match mirrored actual =
   in
   List.length mirrored = List.length actual && go actual mirrored
 
-let mirror_twins ~axis2 ~pitch ~margin placement =
-  let nets = placement.Placer.Placement.circuit.Netlist.Circuit.nets in
-  (* axis2 is a doubled layout coordinate: the mirror image of layout
-     point x is axis2 - x; snap the image back onto the grid *)
-  let reflect (c, r) =
-    let x = (c - margin) * pitch in
-    let gx = fst (Grid.snap ~pitch ~margin (axis2 - x, 0)) in
-    (gx, r)
-  in
-  let with_pins =
-    List.map (fun n -> (n, net_pins ~pitch ~margin placement n)) nets
-  in
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | ((n1 : Netlist.Net.t), p1) :: rest -> (
-        let mirrored = List.map reflect p1 in
-        match
-          List.find_opt (fun ((_ : Netlist.Net.t), p2) -> pins_match mirrored p2) rest
-        with
-        | Some ((n2, _) as hit) ->
-            pairs
-              ((n1.Netlist.Net.name, n2.Netlist.Net.name) :: acc)
-              (List.filter (fun x -> x != hit) rest)
-        | None -> pairs acc rest)
-  in
-  pairs [] with_pins
-
 let is_mirror_route ~axis2_grid a b =
   let reflect (c, r) = (axis2_grid - c, r) in
   let norm pts = List.sort_uniq compare pts in
@@ -171,65 +140,71 @@ let route_all ?(pitch = default_pitch) ?(margin = default_margin)
   let h_pops = Telemetry.Sink.histogram telemetry "route.iter.pops" in
   let h_pres = Telemetry.Sink.histogram telemetry "route.iter.pres_fac" in
   let t_total = Telemetry.Sink.span_begin telemetry in
-  let grid = Grid.of_placement ~pitch ~margin placement in
-  let nets = placement.Placer.Placement.circuit.Netlist.Circuit.nets in
-  (* triage: routable nets carry terminals, the rest carry reasons *)
-  let pins_tbl = Hashtbl.create 32 in
-  let pre_failed = ref [] in
+  let cols, rows = Grid.size ~pitch ~margin placement in
+  let in_bounds (c, r) = c >= 0 && c < cols && r >= 0 && r < rows in
+  (* nets are their index in the circuit's net list from here on;
+     names reappear only in the result *)
+  let nets =
+    Array.of_list placement.Placer.Placement.circuit.Netlist.Circuit.nets
+  in
+  let k = Array.length nets in
+  let name id = nets.(id).Netlist.Net.name in
+  (* triage: routable nets carry pins, the rest carry reasons *)
+  let pins = Array.make k [] and pre_failed = Array.make k None in
   let routable =
     List.filter
-      (fun (net : Netlist.Net.t) ->
-        match classify ~pitch ~margin placement net with
-        | Ok pins ->
-            Hashtbl.replace pins_tbl net.Netlist.Net.name pins;
+      (fun id ->
+        match classify ~pitch ~margin placement nets.(id) with
+        | Ok ps ->
+            pins.(id) <- ps;
             true
         | Error reason ->
-            pre_failed :=
-              { failed_net = net.Netlist.Net.name; reason } :: !pre_failed;
+            pre_failed.(id) <- Some reason;
             false)
-      nets
+      (List.init k Fun.id)
   in
-  let pins_of (net : Netlist.Net.t) =
-    Hashtbl.find pins_tbl net.Netlist.Net.name
+  (* search terminals: the pins clamped onto the grid, as cells *)
+  let terminals =
+    Array.map
+      (List.map (fun (c, r) ->
+           Grid.index ~cols
+             (max 0 (min (cols - 1) c), max 0 (min (rows - 1) r))))
+      pins
   in
-  (* twin detection per symmetry axis, first match wins, disjoint *)
+  (* twin detection per symmetry axis, first match wins, disjoint:
+     [twin.(id)] is the partner's id, [axis.(id)] the pair's doubled
+     grid axis *)
   let axes =
     List.filter_map (axis2_grid_of_group ~pitch ~margin placement) symmetric
   in
-  let twin_of = Hashtbl.create 8 in
+  let twin = Array.make k (-1) and axis = Array.make k 0 in
   List.iter
     (fun axis2_grid ->
-      let with_pins = List.map (fun n -> (n, pins_of n)) routable in
       let reflect (c, r) = (axis2_grid - c, r) in
       let rec scan = function
         | [] -> ()
-        | ((n1 : Netlist.Net.t), p1) :: rest ->
-            if not (Hashtbl.mem twin_of n1.Netlist.Net.name) then begin
-              let mirrored = List.map reflect p1 in
-              match
-                List.find_opt
-                  (fun ((n2 : Netlist.Net.t), p2) ->
-                    (not (Hashtbl.mem twin_of n2.Netlist.Net.name))
-                    && pins_match mirrored p2)
-                  rest
-              with
-              | Some ((n2 : Netlist.Net.t), _) ->
-                  Hashtbl.replace twin_of n1.Netlist.Net.name
-                    (n2.Netlist.Net.name, axis2_grid);
-                  Hashtbl.replace twin_of n2.Netlist.Net.name
-                    (n1.Netlist.Net.name, axis2_grid);
-                  scan rest
-              | None -> scan rest
-            end
-            else scan rest
+        | a :: rest ->
+            (if twin.(a) < 0 then
+               let mirrored = List.map reflect pins.(a) in
+               match
+                 List.find_opt
+                   (fun b -> twin.(b) < 0 && pins_match mirrored pins.(b))
+                   rest
+               with
+               | Some b ->
+                   twin.(a) <- b;
+                   twin.(b) <- a;
+                   axis.(a) <- axis2_grid;
+                   axis.(b) <- axis2_grid
+               | None -> ());
+            scan rest
       in
-      scan with_pins)
+      scan routable)
     axes;
   (* power before signals: the comb claims its cells at capacity 0, so
      every signal net negotiates around the rails from the start; each
      symmetry axis keeps a channel through the straps so twin pairs
      retain a self-mirror crossing *)
-  let keepout = Hashtbl.fold (fun _ pins acc -> pins @ acc) pins_tbl [] in
   let channels =
     List.sort_uniq Int.compare
       (List.concat_map
@@ -238,97 +213,99 @@ let route_all ?(pitch = default_pitch) ?(margin = default_margin)
   in
   let rails =
     if power then
-      Power.distribute ~channels ~cols:(Grid.cols grid) ~rows:(Grid.rows grid)
-        ~keepout ()
+      Power.distribute ~channels ~cols ~rows
+        ~keepout:(List.concat_map (fun id -> pins.(id)) routable)
+        ()
     else { Power.vdd = []; gnd = [] }
   in
-  let rail_points = Power.all_points rails in
-  let nego = Negotiate.of_grid ~capacity:gcell_capacity grid in
-  List.iter (fun p -> Negotiate.set_capacity nego p 0) rail_points;
+  let nego = Negotiate.create ~cols ~rows ~capacity:gcell_capacity in
+  List.iter
+    (fun p -> Negotiate.set_capacity nego (Grid.index ~cols p) 0)
+    (Power.all_points rails);
   (* a module center is one grid cell shared by every net pinning on
      that module; when more nets pin there than the gcell holds, give
      the cell exactly that much capacity so legitimate pin fan-out is
      neither negotiated against nor counted as residual overflow *)
-  let pin_demand = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun _ pins ->
+  let pin_demand = Array.make (cols * rows) 0 in
+  List.iter
+    (fun id ->
       List.iter
         (fun p ->
-          Hashtbl.replace pin_demand p
-            (1 + Option.value ~default:0 (Hashtbl.find_opt pin_demand p)))
-        (List.sort_uniq compare pins))
-    pins_tbl;
-  Hashtbl.iter
-    (fun p n -> if n > gcell_capacity then Negotiate.set_capacity nego p n)
+          if in_bounds p then begin
+            let i = Grid.index ~cols p in
+            pin_demand.(i) <- pin_demand.(i) + 1
+          end)
+        (List.sort_uniq compare pins.(id)))
+    routable;
+  Array.iteri
+    (fun i n -> if n > gcell_capacity then Negotiate.set_capacity nego i n)
     pin_demand;
   (* negotiation: rip up and reroute every net each iteration under a
-     growing present-sharing factor until no cell is over-used *)
-  let routes = Hashtbl.create 32 in
-  let mirror_ok = Hashtbl.create 8 in
-  let hard_failed = Hashtbl.create 8 in
-  let done_this_iter = Hashtbl.create 32 in
+     growing present-sharing factor until no cell is over-used.
+     [routes.(id)] holds the net's claimed cells, [led.(id)] the twin
+     a mirrored pair was routed from [id] onto, [visited.(id)] the
+     last pass that handled the net *)
+  let routes = Array.make k None in
+  let led = Array.make k (-1) in
+  let no_path = Array.make k false in
+  let visited = Array.make k (-1) in
   let iter_ripped = ref 0 in
-  let rip name =
-    match Hashtbl.find_opt routes name with
-    | Some points ->
-        Negotiate.release nego points;
-        Hashtbl.remove routes name;
+  let rip id =
+    match routes.(id) with
+    | Some cells ->
+        Negotiate.release nego cells;
+        routes.(id) <- None;
         incr iter_ripped
     | None -> ()
   in
-  let set_route name points =
-    Negotiate.claim nego points;
-    Hashtbl.replace routes name points
+  let set_route id cells =
+    Negotiate.claim nego cells;
+    routes.(id) <- Some cells
   in
-  let find_net name =
-    List.find (fun (n : Netlist.Net.t) -> n.Netlist.Net.name = name) routable
+  let route_plain pres_fac id =
+    rip id;
+    match Negotiate.route_tree nego ~pres_fac ~terminals:terminals.(id) () with
+    | Some cells -> set_route id cells
+    | None -> no_path.(id) <- true
   in
-  let route_plain pres_fac (net : Netlist.Net.t) =
-    let name = net.Netlist.Net.name in
-    rip name;
-    match
-      Negotiate.route_tree nego ~pres_fac ~terminals:(pins_of net) ()
-    with
-    | Some points -> set_route name points
-    | None -> Hashtbl.replace hard_failed name No_path
-  in
-  let process pres_fac (net : Netlist.Net.t) =
-    let name = net.Netlist.Net.name in
-    if Hashtbl.mem done_this_iter name || Hashtbl.mem hard_failed name then ()
-    else begin
-      Hashtbl.replace done_this_iter name ();
-      match Hashtbl.find_opt twin_of name with
-      | Some (twin, axis2_grid) when not (Hashtbl.mem hard_failed twin) ->
-          Hashtbl.replace done_this_iter twin ();
-          rip name;
-          rip twin;
-          (match
-             Negotiate.route_tree nego ~mirror:axis2_grid ~pres_fac
-               ~terminals:(pins_of net) ()
-           with
-          | Some tree ->
-              let image = List.map (fun (c, r) -> (axis2_grid - c, r)) tree in
-              set_route name tree;
-              set_route twin image;
-              Hashtbl.replace mirror_ok name twin;
-              (* the pair may have been led from the other side in an
-                 earlier iteration; keep exactly one direction so
-                 [mirrored_pairs] lists each pair once *)
-              Hashtbl.remove mirror_ok twin
-          | None ->
-              (* asymmetric blockage: fall back to independent routes *)
-              Hashtbl.remove mirror_ok name;
-              Hashtbl.remove mirror_ok twin;
-              route_plain pres_fac net;
-              route_plain pres_fac (find_net twin))
-      | _ -> route_plain pres_fac net
+  let process pass pres_fac id =
+    if visited.(id) <> pass && not no_path.(id) then begin
+      visited.(id) <- pass;
+      let tw = twin.(id) in
+      if tw >= 0 && not no_path.(tw) then begin
+        visited.(tw) <- pass;
+        rip id;
+        rip tw;
+        match
+          Negotiate.route_tree nego ~mirror:axis.(id) ~pres_fac
+            ~terminals:terminals.(id) ()
+        with
+        | Some tree ->
+            set_route id tree;
+            set_route tw
+              (List.map (Negotiate.reflect nego ~axis:axis.(id)) tree);
+            (* the pair may have been led from the other side in an
+               earlier iteration; keep exactly one direction so
+               [mirrored_pairs] lists each pair once *)
+            led.(id) <- tw;
+            led.(tw) <- -1
+        | None ->
+            (* asymmetric blockage: fall back to independent routes *)
+            led.(id) <- -1;
+            led.(tw) <- -1;
+            route_plain pres_fac id;
+            route_plain pres_fac tw
+      end
+      else route_plain pres_fac id
     end
   in
-  let overuse_of name =
-    match Hashtbl.find_opt routes name with
+  let overuse_of id =
+    match routes.(id) with
     | None -> 0
-    | Some points ->
-        List.fold_left (fun acc p -> acc + Negotiate.cell_overuse nego p) 0 points
+    | Some cells ->
+        List.fold_left
+          (fun acc i -> acc + Negotiate.cell_overuse nego i)
+          0 cells
   in
   let iterations = ref 0 in
   let converged = ref (routable = []) in
@@ -350,20 +327,16 @@ let route_all ?(pitch = default_pitch) ?(margin = default_margin)
     let order =
       if !iterations = 0 then
         Order.initial
-          ~is_twin:(fun n -> Hashtbl.mem twin_of n)
-          ~pins_of routable
+          ~is_twin:(fun id -> twin.(id) >= 0)
+          ~pins_of:(Array.get pins) routable
       else
         let pool =
           if !iterations mod 8 = 0 then routable
-          else
-            List.filter
-              (fun (n : Netlist.Net.t) -> overuse_of n.Netlist.Net.name > 0)
-              routable
+          else List.filter (fun id -> overuse_of id > 0) routable
         in
         Order.by_congestion ~overuse_of pool
     in
-    Hashtbl.reset done_this_iter;
-    List.iter (process pres_fac) order;
+    List.iter (process !iterations pres_fac) order;
     incr iterations;
     let ovf = Negotiate.overflow nego in
     if ovf = 0 then converged := true else Negotiate.add_history nego ~hfac;
@@ -386,34 +359,30 @@ let route_all ?(pitch = default_pitch) ?(margin = default_margin)
     Telemetry.Hist.observe h_pres pres_fac;
     Telemetry.Sink.span_end telemetry "route.iteration" t_iter
   done;
-  (* materialize, in circuit net order for determinism *)
+  (* materialize, in circuit net order for determinism; cells become
+     grid points again here and only here *)
+  let ids = List.init k Fun.id in
   let routed =
     List.filter_map
-      (fun (net : Netlist.Net.t) ->
-        match Hashtbl.find_opt routes net.Netlist.Net.name with
-        | Some points -> Some { net = net.Netlist.Net.name; points }
-        | None -> None)
-      nets
+      (fun id ->
+        Option.map
+          (fun cells ->
+            { net = name id; points = List.map (Grid.point ~cols) cells })
+          routes.(id))
+      ids
   in
   let failed =
     List.filter_map
-      (fun (net : Netlist.Net.t) ->
-        let name = net.Netlist.Net.name in
-        match Hashtbl.find_opt hard_failed name with
-        | Some reason -> Some { failed_net = name; reason }
-        | None ->
-            List.find_opt (fun f -> f.failed_net = name) !pre_failed)
-      nets
+      (fun id ->
+        let reason = if no_path.(id) then Some No_path else pre_failed.(id) in
+        Option.map (fun reason -> { failed_net = name id; reason }) reason)
+      ids
   in
   let mirrored =
     List.filter_map
-      (fun (net : Netlist.Net.t) ->
-        Hashtbl.find_opt mirror_ok net.Netlist.Net.name
-        |> Option.map (fun twin -> (net.Netlist.Net.name, twin)))
-      nets
+      (fun id -> if led.(id) >= 0 then Some (name id, name led.(id)) else None)
+      ids
   in
-  Grid.block_many grid rail_points;
-  List.iter (fun r -> Grid.block_many grid r.points) routed;
   let final_overflow = Negotiate.overflow nego in
   Telemetry.Counter.add
     (Telemetry.Sink.counter telemetry "route.iterations")
@@ -439,5 +408,4 @@ let route_all ?(pitch = default_pitch) ?(margin = default_margin)
     negotiation = List.rev !nego_log;
     occupancy = Negotiate.snapshot nego;
     power = rails.Power.vdd @ rails.Power.gnd;
-    grid;
   }

@@ -7,12 +7,21 @@
     its cells first at capacity 0; then every signal net is ripped up
     and rerouted each iteration under a growing present-sharing factor
     ({!Negotiate}), with history accumulating on over-used cells,
-    until no cell is over-used or the iteration cap is hit. Nets
-    recognized as mirror twins — their pin sets map onto each other
-    under a symmetry group's axis — are routed as a pair: one
-    mirror-priced search produces the reference tree, its reflection
-    is claimed for the twin, so both halves see {e identical}
-    wirelength and topology by construction.
+    until no cell is over-used or the iteration cap is hit.
+
+    Twin detection runs once per symmetry group that the placement
+    actually satisfies: the group's first pair (or self-symmetric
+    module) fixes a doubled grid axis, and scanning the routable nets
+    in circuit order, each net not yet paired is matched with the
+    first later unpaired net whose pins are its pins' reflection, up
+    to one grid cell of rounding. A matched pair is routed together:
+    one mirror-priced search produces the reference tree, its
+    reflection is claimed for the twin, so both halves see
+    {e identical} wirelength and topology by construction.
+
+    Internally nets are their index in the circuit's net list and
+    cells their row-major index ({!Grid.index}); names and
+    (column, row) points appear only in the {!result}.
 
     Everything is deterministic: same placement, same nets, same
     options give byte-identical routes. *)
@@ -56,7 +65,6 @@ type result = {
       (** final per-gcell capacity / occupancy / history — the
           congestion-heatmap export *)
   power : Grid.point list list;  (** claimed rail segments, VDD then GND *)
-  grid : Grid.t;  (** final occupancy: rails + signal routes *)
 }
 
 val default_pitch : int
@@ -66,15 +74,6 @@ val default_max_iterations : int
 val reason_to_string : reason -> string
 (** ["single-pin"], ["unplaced:<module>"], ["no-path"] — stable
     strings for reports and ledgers. *)
-
-val mirror_twins :
-  axis2:int ->
-  pitch:int ->
-  margin:int ->
-  Placer.Placement.t ->
-  (string * string) list
-(** Net pairs whose pin centers are mirror images about the axis
-    (doubled layout coordinate [axis2]), up to grid rounding. *)
 
 val route_all :
   ?pitch:int ->

@@ -1,16 +1,3 @@
-let test_grid_basics () =
-  let g = Route.Grid.create ~cols:10 ~rows:5 in
-  Alcotest.(check bool) "free initially" false (Route.Grid.blocked g (3, 3));
-  Route.Grid.block g (3, 3);
-  Alcotest.(check bool) "blocked after" true (Route.Grid.blocked g (3, 3));
-  Alcotest.(check bool) "bounds" false (Route.Grid.in_bounds g (10, 0));
-  Route.Grid.block g (99, 99) (* ignored *);
-  Alcotest.(check bool) "occupancy" true
-    (Route.Grid.occupancy g = 1.0 /. 50.0);
-  let copy = Route.Grid.copy g in
-  Route.Grid.block copy (0, 0);
-  Alcotest.(check bool) "copy independent" false (Route.Grid.blocked g (0, 0))
-
 let sym_placement () =
   (* a mirrored pair + an on-axis tail, nets mirroring each other *)
   let circuit =
@@ -580,7 +567,6 @@ let check_pinned (run, (wl, digest)) () =
 let () =
   Alcotest.run "route"
     [
-      ("grid", [ Alcotest.test_case "basics" `Quick test_grid_basics ]);
       ( "router",
         [
           Alcotest.test_case "mirrored routing" `Quick test_mirrored_routing;
