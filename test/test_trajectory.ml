@@ -180,8 +180,6 @@ let cases =
      (4714384024260103373L, 400, 17970, 72000));
     ("tcg", tcg, (4691247628142038221L, 366, 6464, 21960));
     ("bstar", bstar 5, (4691429836116616806L, 362, 5488, 21720));
-    ("bstar routability", bstar_routability,
-     (4692465216064757766L, 362, 5127, 21720));
     ("bstar deterministic 2 workers", bstar ~workers:2 ~chains:3 6,
      (4691366392577707213L, 370, 17040, 66300));
     ("hbstar", hbstar, (4686205900036243456L, 346, -1, -1));
@@ -200,6 +198,8 @@ let cases =
      (4691591244423574323L, 359, -1, 21549));
     ("portfolio tcg entrant", entrant Placer.Portfolio.Tcg,
      (4691333457050494566L, 364, -1, 21850));
+    ("bstar routability", bstar_routability,
+     (4692465216064757766L, 362, 5127, 21720));
   ]
 
 let check_case (run, (bits, rounds, accepted, evaluated)) () =
