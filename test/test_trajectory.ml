@@ -65,10 +65,11 @@ let sp_no_exchange () =
     Array.fold_left (fun a o -> a + o.Anneal.Sa.accepted) 0 chains,
     out.Anneal.Parallel.evaluated )
 
-let tcg () =
+let tcg ?weights ?estimator seed () =
   let sink = Telemetry.Sink.create () in
   let o =
-    Placer.Sa_tcg.place ~params ~telemetry:sink ~rng:(Prelude.Rng.create 4) cc
+    Placer.Sa_tcg.place ?weights ~params ?estimator ~telemetry:sink
+      ~rng:(Prelude.Rng.create seed) cc
   in
   ( o.Placer.Sa_tcg.cost,
     o.Placer.Sa_tcg.sa_rounds,
@@ -92,6 +93,13 @@ let bstar_routability =
   bstar
     ~weights:{ Placer.Cost.default with Placer.Cost.routability = 60.0 }
     ~estimator:(Route.Estimate.estimator cc) 5
+
+(* the TCG arm under the same routability weight: its congestion term
+   reads the per-cell geometry of every packed candidate *)
+let tcg_routability =
+  tcg
+    ~weights:{ Placer.Cost.default with Placer.Cost.routability = 60.0 }
+    ~estimator:(Route.Estimate.estimator cc) 4
 
 let hbstar () =
   let o =
@@ -178,7 +186,7 @@ let cases =
      (4714258948369992909L, 400, 18104, 67140));
     ("sp no exchange", sp_no_exchange,
      (4714384024260103373L, 400, 17970, 72000));
-    ("tcg", tcg, (4691247628142038221L, 366, 6464, 21960));
+    ("tcg", tcg 4, (4691247628142038221L, 366, 6464, 21960));
     ("bstar", bstar 5, (4691429836116616806L, 362, 5488, 21720));
     ("bstar deterministic 2 workers", bstar ~workers:2 ~chains:3 6,
      (4691366392577707213L, 370, 17040, 66300));
@@ -200,6 +208,8 @@ let cases =
      (4691333457050494566L, 364, -1, 21850));
     ("bstar routability", bstar_routability,
      (4692465216064757766L, 362, 5127, 21720));
+    ("tcg routability", tcg_routability,
+     (4692232009291635709L, 366, 5550, 21960));
   ]
 
 let check_case (run, (bits, rounds, accepted, evaluated)) () =
