@@ -1087,13 +1087,13 @@ let perf ?(smoke = false) () =
       table1
   in
   hr ();
-  (* telemetry overhead: the same arena SA move loop built with no
-     sink argument (bare), with the no-op sink and with a live sink
-     (counters + histograms + span ring). One circuit, one move seed,
-     and the three rates taken in alternating rounds, each round
-     starting one variant later so no variant always runs first; each
-     figure is the median over the rounds. The zero-cost-when-off
-     claim is the no-op column staying within noise of bare. *)
+  (* telemetry overhead: the same arena SA move loop with the null sink
+     (Eval's default, so telemetry off) and with a live sink (counters
+     + histograms + span ring). One circuit, one move seed, and the two
+     rates taken in alternating rounds, each round starting with the
+     other variant so neither always runs first; each figure is the
+     median over the rounds. The row reports what a live sink costs;
+     the null sink is the same code path as no sink at all. *)
   let b = Netlist.Benchmarks.synthetic ~label:"tel" ~n:tn ~seed:(tn + 1) in
   let c = b.Netlist.Benchmarks.circuit in
   let tel_move ?telemetry () =
@@ -1108,36 +1108,32 @@ let perf ?(smoke = false) () =
   let variants =
     [|
       (fun () -> tel_move ());
-      (fun () -> tel_move ~telemetry:Telemetry.Sink.null ());
       (fun () ->
         tel_move ~telemetry:(Telemetry.Sink.create ~trace_capacity:8192 ()) ());
     |]
   in
   let rounds = 6 in
-  let rates = Array.make_matrix 3 rounds 0.0 in
+  let rates = Array.make_matrix 2 rounds 0.0 in
   for r = 0 to rounds - 1 do
-    for j = 0 to 2 do
-      let v = (r + j) mod 3 in
+    for j = 0 to 1 do
+      let v = (r + j) mod 2 in
       rates.(v).(r) <- time_ops (variants.(v) ())
     done
   done;
   let median v = Prelude.Stats.quantile (Array.to_list rates.(v)) 0.5 in
-  let r_bare = median 0 and r_off = median 1 and r_on = median 2 in
-  let off_pct = 100.0 *. (1.0 -. (r_off /. r_bare)) in
-  let on_pct = 100.0 *. (1.0 -. (r_on /. r_bare)) in
+  let r_off = median 0 and r_on = median 1 in
+  let on_pct = 100.0 *. (1.0 -. (r_on /. r_off)) in
   Printf.printf
-    "telemetry (n=%d, median of %d rounds): bare %.0f moves/s, off %.0f \
-     moves/s (%+.1f%% vs bare), on %.0f moves/s (%+.1f%% vs bare)\n"
-    tn rounds r_bare r_off off_pct r_on on_pct;
+    "telemetry (n=%d, median of %d rounds): off %.0f moves/s, on %.0f \
+     moves/s (%+.1f%% vs off)\n"
+    tn rounds r_off r_on on_pct;
   let telemetry_overhead =
     J.Obj
       [
         ("n", J.int tn);
         ("rounds", J.int rounds);
-        ("moves_per_s_bare", num 0 r_bare);
         ("moves_per_s_off", num 0 r_off);
         ("moves_per_s_on", num 0 r_on);
-        ("off_overhead_pct", num 1 off_pct);
         ("on_overhead_pct", num 1 on_pct);
       ]
   in
@@ -1518,9 +1514,19 @@ let route_suite ?(smoke = false) () =
           Placer.Placement.make circuit r0.Shapefn.Combine.placed
         in
         let hpwl = Placer.Placement.hpwl placement in
-        let t0 = Unix.gettimeofday () in
-        let r = Route.Router.route_all ~symmetric:groups placement in
-        let route_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+        (* the first route warms up and is the one reported; route_ms
+           is the median wall time of the repeats that follow (routing
+           is deterministic, so every repeat does the same work) *)
+        let route () = Route.Router.route_all ~symmetric:groups placement in
+        let r = route () in
+        let route_ms =
+          Prelude.Stats.quantile
+            (List.init (if smoke then 3 else 7) (fun _ ->
+                 let t0 = Unix.gettimeofday () in
+                 ignore (route ());
+                 1000.0 *. (Unix.gettimeofday () -. t0)))
+            0.5
+        in
         (* the incremental estimate this full route is traded against *)
         let est = Route.Estimate.create circuit in
         let est_per_s =

@@ -380,12 +380,11 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
       (match route_result with
       | None -> write_or_die path (Placer.Plot.svg placement)
       | Some r ->
-          (* grid cell -> layout coordinates (inverse of Grid.snap) *)
+          (* route_all ran on the default grid *)
           let layout_of =
-            List.map (fun (c, rr) ->
-                ( (c - Route.Router.default_margin) * Route.Router.default_pitch,
-                  (rr - Route.Router.default_margin) * Route.Router.default_pitch
-                ))
+            List.map
+              (Route.Grid.to_layout ~pitch:Route.Grid.default_pitch
+                 ~margin:Route.Grid.default_margin)
           in
           let wires =
             List.map

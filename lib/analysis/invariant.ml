@@ -190,83 +190,6 @@ let check_flat flat =
   in
   root_errs @ List.rev !errs @ reach_errs @ leaf_errs
 
-(* ---- placement audit ---------------------------------------------- *)
-
-let audit_placed ?(groups = []) ?outline ~n placed =
-  let count = Array.make (max n 1) 0 in
-  (* two passes: the summary below must see the fully-filled [count]
-     array, and [e1 @ e2] does not promise left-to-right evaluation *)
-  let out_of_range =
-    List.concat_map
-      (fun (p : Transform.placed) ->
-        let c = p.Transform.cell in
-        if c < 0 || c >= n then
-          [
-            D.error ~code:"AL106" ~subject:"placement"
-              (Printf.sprintf "placed cell %d outside the circuit" c);
-          ]
-        else begin
-          count.(c) <- count.(c) + 1;
-          []
-        end)
-      placed
-  in
-  let multiplicity =
-    out_of_range
-    @ List.concat
-        (List.init n (fun c ->
-             if count.(c) = 1 then []
-             else
-               [
-                 D.error ~code:"AL106" ~subject:"placement"
-                   (Printf.sprintf "cell %d placed %d times" c count.(c));
-               ]))
-  in
-  let bounds =
-    List.filter_map
-      (fun (p : Transform.placed) ->
-        let r = p.Transform.rect in
-        let inside_outline =
-          match outline with
-          | None -> true
-          | Some (ow, oh) -> Rect.x_max r <= ow && Rect.y_max r <= oh
-        in
-        if r.Rect.x >= 0 && r.Rect.y >= 0 && inside_outline then None
-        else
-          Some
-            (D.error ~code:"AL107"
-               ~subject:(Printf.sprintf "cell %d" p.Transform.cell)
-               (Format.asprintf "rect %a outside the %s" Rect.pp r
-                  (match outline with
-                  | None -> "first quadrant"
-                  | Some (ow, oh) -> Printf.sprintf "%dx%d outline" ow oh))))
-      placed
-  in
-  let overlap =
-    match Constraints.Placement_check.overlap_free placed with
-    | Ok () -> []
-    | Error v ->
-        [
-          D.error ~code:"AL104" ~subject:v.Constraints.Placement_check.subject
-            v.Constraints.Placement_check.detail;
-        ]
-  in
-  let symmetry =
-    List.filter_map
-      (fun (g : G.t) ->
-        match Constraints.Placement_check.symmetry ~group:g placed with
-        | Ok _ -> None
-        | Error v ->
-            Some
-              (D.error ~code:"AL108"
-                 ~subject:
-                   ("group " ^ g.G.name ^ ": "
-                   ^ v.Constraints.Placement_check.subject)
-                 v.Constraints.Placement_check.detail))
-      groups
-  in
-  multiplicity @ bounds @ overlap @ symmetry
-
 let check_asf_island ~group (island : Bstar.Asf.island) =
   let members = List.sort_uniq Int.compare (G.members group) in
   let placed_cells =

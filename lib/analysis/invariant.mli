@@ -7,6 +7,11 @@
     diagnostic dump — at the move that broke an invariant, instead of
     returning a silently asymmetric layout.
 
+    This module checks codes, not placements: the placers' sanitizers
+    hand the packed placement of every audited state to
+    {!Verify.placement} (with the run's symmetry groups) and raise its
+    findings through {!raise_if_any}.
+
     Checks are opt-in: the placers take [?validate] (defaulting to
     {!enabled_from_env}, the [ANALOG_VALIDATE=1] environment switch)
     and install the checkers only when it is set, so the disabled mode
@@ -18,12 +23,11 @@
     - [AL102] error: sequence-pair not symmetric-feasible for a group
     - [AL103] error: B*-tree malformed (cell missing, duplicated, out
       of range, or structure cyclic)
-    - [AL104] error: packed placement has overlapping cells
+    - [AL104] error: ASF island cells overlap
     - [AL105] error: ASF island violates its mirror invariant
-    - [AL106] error: a cell is placed a number of times other than once
-    - [AL107] error: a cell lies outside the first quadrant (or given
-      outline)
-    - [AL108] error: a symmetry group is not exactly mirrored *)
+
+    [AL106]-[AL108] are retired: placement multiplicity, bounds and
+    mirror symmetry are {!Verify}'s [AL211], [AL213] and [AL214]. *)
 
 exception Violation of string * Diagnostic.t list
 (** [(context, diagnostics)]; a printer is registered, so an uncaught
@@ -59,13 +63,3 @@ val check_asf_island :
   group:Constraints.Symmetry_group.t -> Bstar.Asf.island -> Diagnostic.t list
 (** The island is overlap-free, fits its stated [width]x[height] box,
     and mirrors the group exactly about its stated axis. *)
-
-val audit_placed :
-  ?groups:Constraints.Symmetry_group.t list ->
-  ?outline:int * int ->
-  n:int ->
-  Geometry.Transform.placed list ->
-  Diagnostic.t list
-(** Full placement audit: each cell of [0..n-1] exactly once (AL106),
-    inside the first quadrant and the optional [outline] (AL107), no
-    overlaps (AL104), every group exactly mirrored (AL108). *)

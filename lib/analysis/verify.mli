@@ -1,10 +1,12 @@
-(** Independent post-placement verifier.
+(** Independent placement verifier.
 
-    The sanitizer ({!Invariant}) audits the {e representations} while
-    the annealers run; this pass re-checks a {e finished} placement —
-    fresh from an engine, or re-hydrated from a QoR ledger record —
-    against its obligations using only {!Constraints.Placement_check}
-    arithmetic. It shares no code with any packer or evaluator, so an
+    {!Invariant} checks the {e representations} (codes) while the
+    annealers run; this module checks {e placements}, and is the only
+    placement audit: the packing of every state a sanitizer audits,
+    each portfolio exchange, a finished engine result, or one
+    re-hydrated from a QoR ledger record. It uses only
+    {!Constraints.Placement_check} arithmetic and shares no code with
+    any packer or evaluator, so an
     engine bug that survives its own invariants (a wrong contour
     update, a stale mirror axis) is still caught here, the way a DRC
     deck catches a router's mistakes.

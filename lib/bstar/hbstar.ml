@@ -19,6 +19,7 @@ type state = {
   proximity_groups : int list list;  (** leaf members per proximity node *)
   halo : int;
       (** empty margin kept around proximity macros (guard-ring room) *)
+  nets : Netlist.Wirelength.flat;  (** the circuit's nets, flattened once *)
 }
 
 (* Pseudo-item ids: modules are [0, n); node j's packed macro is item
@@ -169,7 +170,15 @@ let initial ?(halo = 0) rng circuit hierarchy =
            | H.Proximity -> Some leaves
            | H.Free | H.Symmetry | H.Common_centroid -> None)
   in
-  { circuit; infos; trees; root; proximity_groups; halo }
+  {
+    circuit;
+    infos;
+    trees;
+    root;
+    proximity_groups;
+    halo;
+    nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets;
+  }
 
 let perturb rng st =
   let perturbable =
@@ -339,15 +348,17 @@ let evaluate st =
         let b = Rect.bbox_of_list rects in
         Rect.x_max b * Rect.y_max b
   in
-  let center2 m =
-    List.find_map
-      (fun (p : Transform.placed) ->
-        if p.cell = m then Some (Rect.center2 p.rect) else None)
-      placed
-  in
-  let hpwl =
-    Netlist.Wirelength.hpwl st.circuit.Netlist.Circuit.nets ~center2
-  in
+  (* every module is placed once (the hierarchy covers the circuit
+     exactly), so the flat HPWL sees every pin *)
+  let n = Netlist.Circuit.size st.circuit in
+  let cx2 = Array.make (max 1 n) 0 and cy2 = Array.make (max 1 n) 0 in
+  List.iter
+    (fun (p : Transform.placed) ->
+      let x2, y2 = Rect.center2 p.rect in
+      cx2.(p.cell) <- x2;
+      cy2.(p.cell) <- y2)
+    placed;
+  let hpwl = Netlist.Wirelength.hpwl_flat st.nets ~cx2 ~cy2 in
   let disconnected =
     List.length
       (List.filter

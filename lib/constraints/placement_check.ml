@@ -34,26 +34,6 @@ let overlap_free placements =
   in
   scan 0 1
 
-let within_outline ?outline placements =
-  let ow, oh =
-    match outline with Some (w, h) -> (w, h) | None -> (max_int, max_int)
-  in
-  let rec scan = function
-    | [] -> Ok ()
-    | (p : Transform.placed) :: rest ->
-        let r = p.Transform.rect in
-        if r.Rect.x < 0 || r.Rect.y < 0 then
-          Error
-            (violation "outline" "cell %d at %a leaves the first quadrant"
-               p.Transform.cell Rect.pp r)
-        else if Rect.x_max r > ow || Rect.y_max r > oh then
-          Error
-            (violation "outline" "cell %d at %a exceeds the %dx%d outline"
-               p.Transform.cell Rect.pp r ow oh)
-        else scan rest
-  in
-  scan placements
-
 let ( let* ) = Result.bind
 
 (* Axis from one pair: mirrored rectangles satisfy x_a + w + x_b + w =

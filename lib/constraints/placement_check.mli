@@ -29,13 +29,6 @@ val mirror_symmetric :
     pairing); used by the engine-independent verifier when only the
     member set survives, e.g. in a QoR ledger record. *)
 
-val within_outline :
-  ?outline:int * int ->
-  Geometry.Transform.placed list ->
-  (unit, violation) result
-(** Every cell sits in the first quadrant and, when [outline] is given,
-    inside the [(w, h)] box anchored at the origin. *)
-
 val proximity :
   members:int list -> Geometry.Transform.placed list -> (unit, violation) result
 (** The union of the members' rectangles is edge-connected. *)

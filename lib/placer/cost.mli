@@ -21,6 +21,10 @@ val default : weights
 (** area 1.0, wirelength 0.2, aspect 0, routability 0. *)
 
 val evaluate : weights -> Placement.t -> float
+(** The list-path reference: the cost of a materialized placement.
+    No placer calls it — every cost in [lib/] goes through the {!Eval}
+    arena — it stays as what the arena is tested against and as the
+    baseline of E17's [list_moves_per_s] rows. *)
 
 val compose : weights -> width:int -> height:int -> hpwl:float -> float
 (** The weighted sum from already-computed bounding-box extents and

@@ -22,10 +22,9 @@ let annealed = function
 (* One-shot engines hand back placed cells; cost them on the common
    scale so every ledger entry carries a comparable figure. *)
 let one_shot ~weights ?(sa_rounds = 0) circuit placed =
-  let placement = Placement.make circuit placed in
   {
-    Placement.placement;
-    cost = Cost.evaluate weights placement;
+    Placement.placement = Placement.make circuit placed;
+    cost = Eval.cost_placed (Eval.create circuit) weights placed;
     sa_rounds;
     evaluated = 0;
     workers = 1;

@@ -44,7 +44,7 @@ val run :
     argument ([groups] only reaches [Sp]) and return their placer's
     outcome unchanged. [Slicing] anneals on [rng] with [weights]. The
     one-shot engines ([Hbstar], [Esf], [Rsf]) place from [hierarchy]
-    and are costed with [Cost.evaluate weights]; [Hbstar] reports its
+    and are costed with [Eval.cost_placed weights]; [Hbstar] reports its
     own SA rounds, the shape-function enumerators 0. Engines other
     than the annealed three run one chain on one worker. *)
 

@@ -5,8 +5,10 @@
    a [Placement.t] and its cell index per move is pure garbage-collector
    traffic. The arena preallocates every buffer the evaluation needs --
    cell geometry arrays, pack scratch, flattened nets -- and computes
-   area + HPWL in one pass over them. The list-returning APIs remain
-   available for materializing the final best state. *)
+   area + HPWL in one pass over them. This is the one place placed
+   geometry becomes a cost: the annealers pack into it, and the
+   one-shot engines and list-producing packers load their placed cells
+   through [cost_placed]. *)
 
 type estimator =
   x:int array -> y:int array -> w:int array -> h:int array -> float
@@ -149,6 +151,7 @@ let cost_bstar t weights flat ~rot =
   cost
 
 let cost_placed t weights placed =
+  let t0 = Telemetry.Sink.span_begin t.tel in
   List.iter
     (fun (p : Geometry.Transform.placed) ->
       let r = p.Geometry.Transform.rect in
@@ -157,16 +160,7 @@ let cost_placed t weights placed =
       t.w.(p.Geometry.Transform.cell) <- r.Geometry.Rect.w;
       t.h.(p.Geometry.Transform.cell) <- r.Geometry.Rect.h)
     placed;
-  finish t weights
-
-let realize_seqpair t ?(groups = []) sp ~rot =
-  let dims = dims_of t rot in
-  let placed =
-    match groups with
-    | [] -> Seqpair.Pack.pack_fast sp dims
-    | _ -> (
-        match Seqpair.Symmetry.pack_symmetric sp dims groups with
-        | Ok placed -> placed
-        | Error msg -> invalid_arg ("Sa_seqpair: " ^ msg))
-  in
-  Placement.make t.circuit placed
+  let cost = finish t weights in
+  (* enclosing span: nests over eval.hpwl/eval.compose *)
+  Telemetry.Sink.span_end t.tel "eval.cost" t0;
+  cost

@@ -10,8 +10,15 @@
     coordinate arrays and area + HPWL are computed in one pass over
     them.
 
-    Costs agree bit-for-bit with the list-based
-    [Cost.evaluate (Placement.make ...)] path (tested), because both
+    This is the one code path that turns placed geometry into a cost.
+    The annealers pack straight into the arena ({!cost_seqpair},
+    {!cost_bstar}); every engine that produces a placed list instead —
+    TCG, slicing, absolute, the one-shot engines behind
+    [Engine.run], the portfolio's ESF entrant, the placement
+    service's candidate family — loads it with {!cost_placed}.
+
+    Costs agree bit-for-bit with the list-based reference
+    [Cost.evaluate (Placement.make ...)] (tested), because both
     delegate to {!Cost.compose} and the packers write identical
     coordinates.
 
@@ -72,15 +79,8 @@ val cost_bstar : t -> Cost.weights -> Bstar.Flat.t -> rot:bool array -> float
     [Cost.evaluate (Placement.make (Tree.pack ...))] (tested). *)
 
 val cost_placed : t -> Cost.weights -> Geometry.Transform.placed list -> float
-(** Cost of an externally packed placement (e.g. a B*-tree pack)
-    without building a [Placement.t]. Every cell must appear exactly
-    once. *)
-
-val realize_seqpair :
-  t ->
-  ?groups:Constraints.Symmetry_group.t list ->
-  Seqpair.Sp.t ->
-  rot:bool array ->
-  Placement.t
-(** Materialize a full [Placement.t] through the list APIs — for the
-    final best state, off the hot path. *)
+(** Cost of an externally packed placement (a TCG or slicing pack, a
+    one-shot engine's result) without building a [Placement.t]. Every
+    cell must appear exactly once. With a live sink the query records
+    an [eval.cost] span over [eval.hpwl] and [eval.compose] (no
+    [eval.pack]: the caller packed) and bumps [eval.costs]. *)

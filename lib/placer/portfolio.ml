@@ -6,10 +6,11 @@
    enumerator — is an Anneal.Parallel.lockstep entrant whose exchange
    value is the placed list: the one form every representation can
    both produce (materialize its best) and consume (re-encode as a warm
-   state). All annealing entrants cost through Cost.compose with the
-   same weights (the arena evaluators are bit-identical to the list
-   path, tested), and the enumerator's output is costed with the same
-   weights, so best costs are comparable across representations.
+   state). Every entrant costs through one Eval arena per chain with
+   the same weights — the annealers through their packers, the
+   enumerator's output through Eval.cost_placed — so best costs are
+   comparable across representations. Under validate, every barrier's
+   best is audited by Analysis.Verify with the race's groups.
 
    At each barrier the schedule materializes the globally best entrant
    and offers its placement to every entrant in order; an annealing
@@ -173,8 +174,11 @@ let chain_entrant ~engine ~params ~materialise ~of_placed tel rng problem =
   }
 
 (* The deterministic enumerator: one shot in the first slice, costed
-   under the shared weights, never adopts (it cannot restart). *)
-let esf_entrant ~weights circuit hierarchy tel =
+   under the shared weights, never adopts (it cannot restart). Its
+   placement is not guaranteed to mirror the race's symmetry groups
+   exactly; one that does not costs infinity, so it can neither win
+   nor donate. *)
+let esf_entrant ~weights ~groups circuit hierarchy tel =
   let result = ref None in
   let cost = ref infinity in
   {
@@ -188,10 +192,15 @@ let esf_entrant ~weights circuit hierarchy tel =
                 Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit
                   hierarchy)
           in
+          let placed = r.Shapefn.Combine.placed in
+          let mirrored (group : G.t) =
+            Result.is_ok (Constraints.Placement_check.symmetry ~group placed)
+          in
           cost :=
-            Cost.evaluate weights
-              (Placement.make circuit r.Shapefn.Combine.placed);
-          result := Some r.Shapefn.Combine.placed
+            if List.for_all mirrored groups then
+              Eval.cost_placed (Eval.create circuit) weights placed
+            else infinity;
+          result := Some placed
         end);
     finished = (fun () -> Option.is_some !result);
     best_cost = (fun () -> !cost);
@@ -311,16 +320,17 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
                   })
         | Esf -> (
             match hierarchy with
-            | Some h -> esf_entrant ~weights circuit h tel
+            | Some h -> esf_entrant ~weights ~groups circuit h tel
             | None ->
                 invalid_arg "Portfolio.race: Esf entrant needs ?hierarchy"))
   in
   (* under validate, the barrier's best placement is audited before any
-     entrant may adopt it *)
+     entrant may adopt it; the groups let Verify accept the symmetric
+     packer's parity pad *)
   let check =
     if validate then fun placed ->
       Analysis.Invariant.raise_if_any ~context:"Portfolio exchange"
-        (Analysis.Invariant.audit_placed ~n placed)
+        (Analysis.Verify.placement ~groups circuit placed)
     else ignore
   in
   let w = Anneal.Parallel.lockstep ?pool ~workers ~check ~telemetry entrants in

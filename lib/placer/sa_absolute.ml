@@ -103,11 +103,11 @@ let place ?(weights = Cost.default) ?(overlap_weight = 4.0) ?params ~rng
         st'.(d) <- { b with x = a.x; y = a.y });
     st'
   in
+  let arena = Eval.create circuit in
   let cost st =
-    let placement = Placement.make circuit (to_placed circuit st) in
-    Cost.evaluate weights placement
-    +. (overlap_weight
-        *. float_of_int (total_overlap placement.Placement.placed))
+    let placed = to_placed circuit st in
+    Eval.cost_placed arena weights placed
+    +. (overlap_weight *. float_of_int (total_overlap placed))
   in
   let result =
     Anneal.Sa.run ~rng params (Anneal.Sa.persistent ~init ~neighbor ~cost)

@@ -41,8 +41,9 @@ let evaluate circuit tbl st =
   let tree = Bstar.Flat.to_tree st.flat in
   Placement.make circuit (Bstar.Tree.pack tree (dims_of tbl st.rot))
 
-(* Sanitizer for ?validate mode: flat-tree well-formedness plus a full
-   audit of the contour-packed placement; see Sa_seqpair.audit. *)
+(* Sanitizer for ?validate mode: flat-tree well-formedness plus
+   Analysis.Verify over the contour-packed placement; see
+   Sa_seqpair.audit. *)
 let audit circuit tbl st =
   let n = Netlist.Circuit.size circuit in
   let len_errs =
@@ -66,7 +67,7 @@ let audit circuit tbl st =
     (len_errs @ Analysis.Invariant.check_flat st.flat);
   let tree = Bstar.Flat.to_tree st.flat in
   Analysis.Invariant.raise_if_any ~context:"Sa_bstar placement"
-    (Analysis.Invariant.audit_placed ~n
+    (Analysis.Verify.placement circuit
        (Bstar.Tree.pack tree (dims_of tbl st.rot)))
 
 let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =

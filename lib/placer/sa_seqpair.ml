@@ -30,10 +30,18 @@ let flip_rotation rng groups rot =
   | None -> flip c);
   rot
 
-(* Sanitizer for ?validate mode: representation invariants plus a full
-   audit of the exactly packed placement. Runs on the state produced by
-   every SA move and on the global best at Parallel exchanges, and
-   raises Analysis.Invariant.Violation with the diagnostic dump. *)
+(* The exact packing of a state: the symmetric packer under groups. *)
+let pack circuit groups st =
+  let dims = dims_of circuit st.rot in
+  match groups with
+  | [] -> Ok (Seqpair.Pack.pack_fast st.sp dims)
+  | _ -> Seqpair.Symmetry.pack_symmetric st.sp dims groups
+
+(* Sanitizer for ?validate mode: representation invariants plus
+   Analysis.Verify over the exactly packed placement. Runs on the state
+   produced by every SA move and on the global best at Parallel
+   exchanges, and raises Analysis.Invariant.Violation with the
+   diagnostic dump. *)
 let audit ~groups circuit st =
   let n = Netlist.Circuit.size circuit in
   let rot_len =
@@ -49,36 +57,20 @@ let audit ~groups circuit st =
     (rot_len
     @ Analysis.Invariant.check_sp ~n st.sp
     @ Analysis.Invariant.check_sf st.sp groups);
-  let dims = dims_of circuit st.rot in
-  let placed =
-    match groups with
-    | [] -> Seqpair.Pack.pack_fast st.sp dims
-    | _ -> (
-        match Seqpair.Symmetry.pack_symmetric st.sp dims groups with
-        | Ok placed -> placed
-        | Error msg ->
-            Analysis.Invariant.raise_if_any ~context:"Sa_seqpair pack"
-              [
-                Analysis.Diagnostic.error ~code:"AL102"
-                  ~subject:"symmetric pack" msg;
-              ];
-            assert false)
-  in
-  Analysis.Invariant.raise_if_any ~context:"Sa_seqpair placement"
-    (Analysis.Invariant.audit_placed ~groups ~n placed)
+  match pack circuit groups st with
+  | Ok placed ->
+      Analysis.Invariant.raise_if_any ~context:"Sa_seqpair placement"
+        (Analysis.Verify.placement ~groups circuit placed)
+  | Error msg ->
+      Analysis.Invariant.raise_if_any ~context:"Sa_seqpair pack"
+        [ Analysis.Diagnostic.error ~code:"AL102" ~subject:"symmetric pack" msg ]
 
-(* Materialization of the final best state, off the hot path. *)
+(* Materialization of a state (the final best, a portfolio donation, a
+   cached service candidate), off the hot path. *)
 let evaluate circuit groups st =
-  let dims = dims_of circuit st.rot in
-  let placed =
-    match groups with
-    | [] -> Seqpair.Pack.pack_fast st.sp dims
-    | _ -> (
-        match Seqpair.Symmetry.pack_symmetric st.sp dims groups with
-        | Ok placed -> placed
-        | Error msg -> invalid_arg ("Sa_seqpair: " ^ msg))
-  in
-  Placement.make circuit placed
+  match pack circuit groups st with
+  | Ok placed -> Placement.make circuit placed
+  | Error msg -> invalid_arg ("Sa_seqpair: " ^ msg)
 
 (* One annealing problem per chain: its own initial code drawn from the
    chain's rng, its own evaluation arena (the arena is mutable and must

@@ -49,7 +49,10 @@ val evaluate :
   Constraints.Symmetry_group.t list ->
   state ->
   Placement.t
-(** Materialize a state with the exact packer (off the hot path). *)
+(** Materialize a state with the exact packer (off the hot path) — the
+    one sequence-pair list materializer: the final best state, a
+    portfolio chain's donation and a cached service candidate all go
+    through it. *)
 
 val audit :
   groups:Constraints.Symmetry_group.t list ->
@@ -57,7 +60,8 @@ val audit :
   state ->
   unit
 (** The [?validate] sanitizer: representation invariants, symmetric
-    feasibility and a full placement audit; raises
+    feasibility and {!Analysis.Verify.placement} (with [groups]) over
+    the exactly packed placement; raises
     {!Analysis.Invariant.Violation} on the first corrupted state. *)
 
 val place :
@@ -88,8 +92,9 @@ val place :
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch,
     see {!Analysis.Invariant}) audits every SA move and every parallel
     exchange: sequence-pair consistency, symmetric-feasibility of all
-    groups, and a full audit of the exactly packed placement (overlap,
-    quadrant, mirror symmetry), raising
+    groups, and {!Analysis.Verify.placement} of the exactly packed
+    placement (identity, multiplicity, overlap, quadrant, mirror
+    symmetry), raising
     {!Analysis.Invariant.Violation} with a diagnostic dump on the
     first corrupted state. Off, the annealer runs the exact same
     closures as before — zero overhead.

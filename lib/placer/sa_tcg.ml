@@ -9,56 +9,31 @@ type outcome = Placement.outcome = {
   chains : int;
 }
 
-let evaluate circuit st =
-  let dims c =
-    let w, h = Netlist.Circuit.dims circuit c in
-    if st.rot.(c) then (h, w) else (w, h)
-  in
-  Placement.make circuit (Seqpair.Tcg.pack st.tcg dims)
+let dims_of circuit rot c =
+  let w, h = Netlist.Circuit.dims circuit c in
+  if rot.(c) then (h, w) else (w, h)
+
+let pack circuit st = Seqpair.Tcg.pack st.tcg (dims_of circuit st.rot)
+let evaluate circuit st = Placement.make circuit (pack circuit st)
 
 (* Sanitizer for ?validate mode: there is no structural TCG checker
    (closure is maintained by construction in Seqpair.Tcg), so the
-   audit packs the graph and checks the placement. *)
+   audit packs the graph and verifies the placement. *)
 let audit circuit st =
-  let n = Netlist.Circuit.size circuit in
-  let dims c =
-    let w, h = Netlist.Circuit.dims circuit c in
-    if st.rot.(c) then (h, w) else (w, h)
-  in
   Analysis.Invariant.raise_if_any ~context:"Sa_tcg placement"
-    (Analysis.Invariant.audit_placed ~n (Seqpair.Tcg.pack st.tcg dims))
+    (Analysis.Verify.placement circuit (pack circuit st))
 
 (* One annealing problem per chain, as Sa_seqpair.problem_of: private
-   initial graph drawn from the chain's rng, private telemetry sink.
-   The TCG arm evaluates through the list path; a single enclosing
-   span still puts its evaluation cost on the trace. *)
+   initial graph drawn from the chain's rng, private arena and
+   telemetry sink. The graph packs to a placed list, which the arena
+   costs. *)
 let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
   let n = Netlist.Circuit.size circuit in
-  let mv = Telemetry.Sink.register_moves telemetry [| "tcg"; "rotation" |] in
-  (* the TCG arm evaluates through the list path; with a routability
-     weight the congestion estimate reads per-cell geometry copied
-     from the materialized placement into per-chain arrays *)
-  let route_term =
-    match estimator with
-    | Some f when weights.Cost.routability <> 0.0 ->
-        let est = f () in
-        let xs = Array.make (max 1 n) 0
-        and ys = Array.make (max 1 n) 0
-        and ws = Array.make (max 1 n) 0
-        and hs = Array.make (max 1 n) 0 in
-        fun (p : Placement.t) ->
-          List.iter
-            (fun (pl : Geometry.Transform.placed) ->
-              let r = pl.Geometry.Transform.rect in
-              let c = pl.Geometry.Transform.cell in
-              xs.(c) <- r.Geometry.Rect.x;
-              ys.(c) <- r.Geometry.Rect.y;
-              ws.(c) <- r.Geometry.Rect.w;
-              hs.(c) <- r.Geometry.Rect.h)
-            p.Placement.placed;
-          est ~x:xs ~y:ys ~w:ws ~h:hs
-    | _ -> fun _ -> 0.0
+  let arena =
+    Eval.create ~telemetry ?estimator:(Option.map (fun f -> f ()) estimator)
+      circuit
   in
+  let mv = Telemetry.Sink.register_moves telemetry [| "tcg"; "rotation" |] in
   let init =
     {
       tcg = Seqpair.Tcg.of_seqpair (Seqpair.Sp.random rng n);
@@ -78,13 +53,7 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
       { st with rot }
     end
   in
-  let cost st =
-    Telemetry.Sink.time telemetry "eval.cost" (fun () ->
-        let p = evaluate circuit st in
-        let route = route_term p in
-        Cost.compose_routed weights ~route ~width:(Placement.width p)
-          ~height:(Placement.height p) ~hpwl:(Placement.hpwl p))
-  in
+  let cost st = Eval.cost_placed arena weights (pack circuit st) in
   let neighbor =
     if not validate then neighbor
     else begin

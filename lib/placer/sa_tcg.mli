@@ -25,9 +25,8 @@ val problem_of :
   state ref Anneal.Sa.problem
 (** One annealing problem for one chain; see
     {!Sa_seqpair.problem_of}, including the per-chain [estimator]
-    factory. The TCG arm evaluates through the list path, so a
-    routability-weighted query copies the materialized geometry into
-    per-chain arrays before estimating. *)
+    factory. The graph packs to a placed list, which the chain's
+    {!Eval} arena costs ({!Eval.cost_placed}). *)
 
 val evaluate : Netlist.Circuit.t -> state -> Placement.t
 (** Materialize a state through the TCG packer. *)
@@ -51,10 +50,12 @@ val place :
     directly.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch)
-    audits the packed placement after every SA move and at every
-    exchange — there is no separate structural TCG checker because
+    runs {!Analysis.Verify.placement} on the packed placement after
+    every SA move and at every exchange — there is no separate
+    structural TCG checker because
     {!Seqpair.Tcg} maintains closure by construction.
 
     [telemetry] as in {!Sa_seqpair.place}: convergence samples,
-    [sa.round] and [eval.cost] spans, and
+    [sa.round] spans, the arena's [eval.cost] spans over
+    [eval.hpwl]/[eval.compose] and its [eval.costs] counter, and
     [sa.moves.tcg.*] / [sa.moves.rotation.*] tallies. *)

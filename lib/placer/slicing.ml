@@ -60,10 +60,9 @@ let eval_shape_fn ~cap circuit tokens =
   in
   go [] tokens
 
-let evaluate ~cap circuit tokens =
-  let fn = eval_shape_fn ~cap circuit tokens in
-  let best = Shapefn.Shape_fn.min_area fn in
-  Placement.make circuit (Shapefn.Shape.realize best)
+let realize ~cap circuit tokens =
+  Shapefn.Shape.realize
+    (Shapefn.Shape_fn.min_area (eval_shape_fn ~cap circuit tokens))
 
 (* ---- Wong–Liu move set ------------------------------------------- *)
 
@@ -178,10 +177,14 @@ let place ?(weights = Cost.default) ?params ~rng circuit =
   in
   let init = initial n in
   assert (is_normalized init);
-  let cost tokens = Cost.evaluate weights (evaluate ~cap circuit tokens) in
-  let problem = Anneal.Sa.persistent ~init ~neighbor ~cost in
   let r =
     Anneal.Parallel.multi_start ~engine:"slicing" ~rng params (fun _ _ ->
-        problem)
+        let arena = Eval.create circuit in
+        let cost tokens =
+          Eval.cost_placed arena weights (realize ~cap circuit tokens)
+        in
+        Anneal.Sa.persistent ~init ~neighbor ~cost)
   in
-  Placement.outcome_of (evaluate ~cap circuit !(r.Anneal.Parallel.state)) r
+  Placement.outcome_of
+    (Placement.make circuit (realize ~cap circuit !(r.Anneal.Parallel.state)))
+    r

@@ -26,10 +26,9 @@ type t = {
 }
 
 let default_bins = 8
-let default_pitch = 20
 let default_utilization = 0.5
 
-let create ?(bins = default_bins) ?(pitch = default_pitch)
+let create ?(bins = default_bins) ?(pitch = Grid.default_pitch)
     ?(utilization = default_utilization) circuit =
   if bins < 1 then invalid_arg "Estimate.create: bins < 1";
   if pitch < 1 then invalid_arg "Estimate.create: pitch < 1";

@@ -26,7 +26,7 @@ val create :
     layout (the one the annealers' HPWL reads; nets with fewer than two
     pins stay in it and carry no demand) and allocate the [bins] x
     [bins] grid (default 8). [pitch] (default
-    20, matching {!Router.default_pitch}) and [utilization] (default
+    {!Grid.default_pitch}, the router's track pitch) and [utilization] (default
     0.5) set the per-bin supply: one horizontal and one vertical track
     per pitch, derated by [utilization]. *)
 

@@ -1,7 +1,12 @@
 type point = int * int
 
+let default_pitch = 20
+let default_margin = 4
+
 let snap ~pitch ~margin (x, y) =
   ((x + (pitch / 2)) / pitch + margin, (y + (pitch / 2)) / pitch + margin)
+
+let to_layout ~pitch ~margin (c, r) = ((c - margin) * pitch, (r - margin) * pitch)
 
 let size ~pitch ~margin placement =
   let w = Placer.Placement.width placement in

@@ -12,6 +12,14 @@
 type point = int * int
 (** (column, row) grid indices. *)
 
+val default_pitch : int
+(** Layout units per routing track: 20. The router's and the
+    congestion estimate's default. *)
+
+val default_margin : int
+(** Free tracks the router's grid adds on every side of the
+    placement: 4. *)
+
 val size : pitch:int -> margin:int -> Placer.Placement.t -> int * int
 (** [(cols, rows)] of the grid covering the placement's bounding box
     plus [margin] tracks on every side. *)
@@ -19,6 +27,11 @@ val size : pitch:int -> margin:int -> Placer.Placement.t -> int * int
 val snap : pitch:int -> margin:int -> int * int -> point
 (** Layout coordinates -> nearest grid point (the transform {!size}
     assumes). *)
+
+val to_layout : pitch:int -> margin:int -> point -> int * int
+(** Grid point -> the layout coordinates it stands for: the inverse of
+    {!snap} on multiples of [pitch] (drawing routes over a
+    placement). *)
 
 val index : cols:int -> point -> int
 (** Row-major cell index [r * cols + c] of an in-bounds point. *)

@@ -30,8 +30,8 @@ type result = {
   power : Grid.point list list;
 }
 
-let default_pitch = 20
-let default_margin = 4
+let default_pitch = Grid.default_pitch
+let default_margin = Grid.default_margin
 let default_max_iterations = 40
 let first_pres_fac = 0.5
 let pres_mult = 1.8

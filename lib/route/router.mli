@@ -68,7 +68,11 @@ type result = {
 }
 
 val default_pitch : int
+(** {!Grid.default_pitch}. *)
+
 val default_margin : int
+(** {!Grid.default_margin}. *)
+
 val default_max_iterations : int
 
 val reason_to_string : reason -> string

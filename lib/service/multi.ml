@@ -163,9 +163,9 @@ let select ?outline t =
           | Some c -> (c, true)
           | None -> (first, false)))
 
-let materialize ~arena t cand =
+let materialize t cand =
   match cand.topo with
-  | Packing rot -> Placer.Eval.realize_seqpair arena ~groups:t.groups t.sp ~rot
+  | Packing rot -> Placer.Sa_seqpair.evaluate t.circuit t.groups { sp = t.sp; rot }
   | Rigid -> (
       match
         Shapefn.Shape_fn.instantiate ~max_w:cand.width ~max_h:cand.height

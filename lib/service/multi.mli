@@ -62,8 +62,8 @@ val select : ?outline:int * int -> t -> candidate * bool
     box. The flag is [false] when nothing fits — the best candidate is
     returned anyway, flagged as an outline miss. Deterministic. *)
 
-val materialize : arena:Placer.Eval.t -> t -> candidate -> Placer.Placement.t
-(** Re-instantiate a family member: one arena pack for {!Packing}
-    candidates, {!Shapefn.Shape_fn.instantiate} for the {!Rigid}
+val materialize : t -> candidate -> Placer.Placement.t
+(** Re-instantiate a family member: one sequence-pair pack
+    ({!Placer.Sa_seqpair.evaluate}) for {!Packing} candidates, {!Shapefn.Shape_fn.instantiate} for the {!Rigid}
     point. No annealing, no large allocations beyond the placement
     being returned. *)

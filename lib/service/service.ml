@@ -196,13 +196,11 @@ let response_of_job (job : job) =
    workers. Returns Error with the verify diagnostics when the entry
    must not be served. *)
 
-let instantiate_and_verify t job multi =
+let instantiate_and_verify job multi =
   let { Netlist.Benchmarks.label; circuit; hierarchy } = job.bench in
   let outline = job.req.Request.outline in
   let cand, fit = Multi.select ?outline multi in
-  let placement =
-    with_arena t circuit (fun arena -> Multi.materialize ~arena multi cand)
-  in
+  let placement = Multi.materialize multi cand in
   let placed = placement.Placer.Placement.placed in
   (* verify exactly what the engines enforce: geometry, symmetry
      groups, and the outline when the served candidate claims to fit
@@ -348,7 +346,7 @@ let observe job name v =
    the envelope tag to use on success. *)
 let hit_job t job ~served multi () =
   let t0 = Unix.gettimeofday () in
-  match instantiate_and_verify t job multi with
+  match instantiate_and_verify job multi with
   | Ok body ->
       let t1 = Unix.gettimeofday () in
       bump job "service.instantiations";
@@ -379,7 +377,7 @@ let miss_serve t job ~served =
       let t1 = Unix.gettimeofday () in
       finish_job job ~served:"error" ~t0 ~t1 (Error (Printexc.to_string e))
   | multi -> (
-      match instantiate_and_verify t job multi with
+      match instantiate_and_verify job multi with
       | Ok body ->
           let t1 = Unix.gettimeofday () in
           bump job "service.instantiations";

@@ -384,33 +384,40 @@ let test_invariant_bstar () =
   Alcotest.(check bool) "cyclic structure reported, not looped on" true
     (has_code "AL103" (Inv.check_bstar ~n:1 cyclic))
 
+(* The placement audit every engine's sanitizer runs is
+   [Verify.placement]: identity and multiplicity, overlap, quadrant
+   and outline, and the declared symmetry groups. *)
 let test_invariant_audit_placed () =
+  let c =
+    Netlist.Circuit.make ~name:"two"
+      ~modules:
+        [
+          Netlist.Circuit.block ~name:"a" ~w:4 ~h:4;
+          Netlist.Circuit.block ~name:"b" ~w:4 ~h:4;
+        ]
+      ~nets:[]
+  in
+  let audit ?groups ?outline placed =
+    Analysis.Verify.placement ?groups ?outline c placed
+  in
   let good = [ place 0 0 0 4 4; place 1 4 0 4 4 ] in
-  Alcotest.(check (list string)) "clean audit" []
-    (D.codes (Inv.audit_placed ~n:2 good));
-  Alcotest.(check bool) "overlap AL104" true
-    (has_code "AL104"
-       (Inv.audit_placed ~n:2 [ place 0 0 0 4 4; place 1 2 0 4 4 ]));
-  Alcotest.(check bool) "duplicate cell AL106" true
-    (has_code "AL106"
-       (Inv.audit_placed ~n:2 [ place 0 0 0 4 4; place 0 8 0 4 4 ]));
-  Alcotest.(check bool) "missing cell AL106" true
-    (has_code "AL106" (Inv.audit_placed ~n:2 [ place 0 0 0 4 4 ]));
-  Alcotest.(check bool) "negative coords AL107" true
-    (has_code "AL107"
-       (Inv.audit_placed ~n:2 [ place 0 (-1) 0 4 4; place 1 4 0 4 4 ]));
-  Alcotest.(check bool) "outline AL107" true
-    (has_code "AL107"
-       (Inv.audit_placed ~outline:(6, 6) ~n:2 good));
+  Alcotest.(check (list string)) "clean audit" [] (D.codes (audit good));
+  Alcotest.(check bool) "overlap AL212" true
+    (has_code "AL212" (audit [ place 0 0 0 4 4; place 1 2 0 4 4 ]));
+  Alcotest.(check bool) "duplicate cell AL211" true
+    (has_code "AL211" (audit [ place 0 0 0 4 4; place 0 8 0 4 4 ]));
+  Alcotest.(check bool) "missing cell AL211" true
+    (has_code "AL211" (audit [ place 0 0 0 4 4 ]));
+  Alcotest.(check bool) "negative coords AL213" true
+    (has_code "AL213" (audit [ place 0 (-1) 0 4 4; place 1 4 0 4 4 ]));
+  Alcotest.(check bool) "outline AL213" true
+    (has_code "AL213" (audit ~outline:(6, 6) good));
   let g = G.make ~pairs:[ (0, 1) ] ~selfs:[] () in
   Alcotest.(check (list string)) "symmetric pair ok" []
-    (D.codes
-       (Inv.audit_placed ~groups:[ g ] ~n:2
-          [ place 0 0 0 4 4; place 1 8 0 4 4 ]));
-  Alcotest.(check bool) "asymmetric AL108" true
-    (has_code "AL108"
-       (Inv.audit_placed ~groups:[ g ] ~n:2
-          [ place 0 0 0 4 4; place 1 8 1 4 4 ]))
+    (D.codes (audit ~groups:[ g ] [ place 0 0 0 4 4; place 1 8 0 4 4 ]));
+  Alcotest.(check bool) "asymmetric AL214" true
+    (has_code "AL214"
+       (audit ~groups:[ g ] [ place 0 0 0 4 4; place 1 8 1 4 4 ]))
 
 let test_invariant_asf_island () =
   let g = G.make ~pairs:[ (0, 1); (2, 3) ] ~selfs:[ 4 ] () in

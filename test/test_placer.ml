@@ -556,6 +556,36 @@ let test_portfolio_symmetric () =
   | Ok () -> ()
   | Error m -> Alcotest.fail m
 
+(* The ESF entrant only enters a symmetric race when a hierarchy is
+   given; a short race lets its one-shot placement lead, so the winner
+   must still mirror every group exactly. *)
+let test_portfolio_esf_symmetric () =
+  let fig2 = Netlist.Benchmarks.fig2_design () in
+  let c = fig2.Netlist.Benchmarks.circuit in
+  let groups =
+    Constraints.Symmetry_group.of_hierarchy fig2.Netlist.Benchmarks.hierarchy
+  in
+  let params =
+    {
+      (Anneal.Sa.default_params ~n:(Netlist.Circuit.size c)) with
+      Anneal.Sa.max_rounds = 30;
+    }
+  in
+  List.iter
+    (fun seed ->
+      let out =
+        Placer.Portfolio.race ~params ~groups
+          ~hierarchy:fig2.Netlist.Benchmarks.hierarchy ~workers:1
+          ~rng:(Prelude.Rng.create seed) c
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d: winner verifies clean" seed)
+        []
+        (Analysis.Diagnostic.codes
+           (Analysis.Verify.placement ~groups c
+              out.Placer.Portfolio.placement.Placer.Placement.placed)))
+    [ 1; 2; 3 ]
+
 let test_portfolio_rejects_bad_configs () =
   let c = tiny_circuit () in
   Alcotest.check_raises "empty engine list"
@@ -700,6 +730,8 @@ let () =
           Alcotest.test_case "reproduces at any width" `Quick
             test_portfolio_widths;
           Alcotest.test_case "symmetric" `Quick test_portfolio_symmetric;
+          Alcotest.test_case "esf under symmetry" `Quick
+            test_portfolio_esf_symmetric;
           Alcotest.test_case "bad configs" `Quick
             test_portfolio_rejects_bad_configs;
         ] );

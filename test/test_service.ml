@@ -213,7 +213,7 @@ let test_multi_family () =
   (* every member re-instantiates to exactly its recorded geometry *)
   List.iter
     (fun (cand : Service.Multi.candidate) ->
-      let p = Service.Multi.materialize ~arena multi cand in
+      let p = Service.Multi.materialize multi cand in
       Alcotest.(check int)
         "width reproduced" cand.Service.Multi.width
         (Placer.Placement.width p);
@@ -238,12 +238,10 @@ let test_multi_family () =
 
 let test_multi_deterministic () =
   let m = dummy_multi () in
-  let b = Netlist.Benchmarks.miller () in
-  let arena = Placer.Eval.create b.Netlist.Benchmarks.circuit in
   let cand, _ = Service.Multi.select m in
-  let p1 = Service.Multi.materialize ~arena m cand in
+  let p1 = Service.Multi.materialize m cand in
   let cand2, _ = Service.Multi.select m in
-  let p2 = Service.Multi.materialize ~arena m cand2 in
+  let p2 = Service.Multi.materialize m cand2 in
   Alcotest.(check bool)
     "repeated materialization is identical" true
     (Placer.Qor.rects p1 = Placer.Qor.rects p2)
