@@ -31,7 +31,6 @@ type result = {
 }
 
 let default_pitch = Grid.default_pitch
-let default_margin = Grid.default_margin
 let default_max_iterations = 40
 let first_pres_fac = 0.5
 let pres_mult = 1.8
@@ -125,7 +124,7 @@ let is_mirror_route ~axis2_grid a b =
   let norm pts = List.sort_uniq compare pts in
   norm (List.map reflect a) = norm b
 
-let route_all ?(pitch = default_pitch) ?(margin = default_margin)
+let route_all ?(pitch = default_pitch) ?(margin = Grid.default_margin)
     ?(symmetric = []) ?(power = true)
     ?(max_iterations = default_max_iterations)
     ?(telemetry = Telemetry.Sink.null) placement =

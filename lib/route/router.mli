@@ -70,9 +70,6 @@ type result = {
 val default_pitch : int
 (** {!Grid.default_pitch}. *)
 
-val default_margin : int
-(** {!Grid.default_margin}. *)
-
 val default_max_iterations : int
 
 val reason_to_string : reason -> string
@@ -92,8 +89,8 @@ val route_all :
     centers). [symmetric] groups contribute their placement axes; twin
     nets across each axis are routed mirrored. [power] (default true)
     lays the trunk-and-strap comb before any signal net. Defaults:
-    [pitch] 20 layout units per track, [margin] 4 tracks,
-    [max_iterations] 40.
+    [pitch] {!Grid.default_pitch} (20 layout units per track),
+    [margin] {!Grid.default_margin} (4 tracks), [max_iterations] 40.
 
     [telemetry] (default {!Telemetry.Sink.null}) records
     [route.iteration] / [route.total] spans, [route.*] counters

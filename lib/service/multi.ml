@@ -5,8 +5,8 @@
    placement — plus a Pareto family of candidate packings (rotation
    vectors packed once at build time, and the winner itself as a rigid
    shape-function point). A hit for a different outline selects the
-   best-fit family member in O(k) and re-instantiates it through the
-   allocation-free arena (sequence-pair candidates) or
+   best-fit family member in O(k) and re-instantiates it with one
+   sequence-pair pack (Placer.Sa_seqpair.evaluate) or
    [Shapefn.Shape_fn.instantiate] (the rigid fallback) — microseconds,
    not an anneal.
 
@@ -165,7 +165,8 @@ let select ?outline t =
 
 let materialize t cand =
   match cand.topo with
-  | Packing rot -> Placer.Sa_seqpair.evaluate t.circuit t.groups { sp = t.sp; rot }
+  | Packing rot ->
+      Placer.Sa_seqpair.evaluate t.circuit t.groups { sp = t.sp; rot }
   | Rigid -> (
       match
         Shapefn.Shape_fn.instantiate ~max_w:cand.width ~max_h:cand.height

@@ -64,6 +64,7 @@ val select : ?outline:int * int -> t -> candidate * bool
 
 val materialize : t -> candidate -> Placer.Placement.t
 (** Re-instantiate a family member: one sequence-pair pack
-    ({!Placer.Sa_seqpair.evaluate}) for {!Packing} candidates, {!Shapefn.Shape_fn.instantiate} for the {!Rigid}
+    ({!Placer.Sa_seqpair.evaluate}) for {!Packing} candidates,
+    {!Shapefn.Shape_fn.instantiate} for the {!Rigid}
     point. No annealing, no large allocations beyond the placement
     being returned. *)

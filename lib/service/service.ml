@@ -4,8 +4,8 @@
    Anneal.Pool (domains spawned once, reused by every request — the
    miss path races Placer.Portfolio on it, the hit path runs
    instantiation jobs on it), and a pool of Placer.Eval arenas keyed
-   by circuit digest so a request draws a preallocated arena instead
-   of building one.
+   by circuit digest so building a cache entry draws a preallocated
+   arena instead of building one.
 
    A batch runs in two phases per wave of [in_flight] requests:
 
@@ -14,8 +14,8 @@
      job would drain the pool from a worker). Each unique fingerprint
      anneals once — identical in-flight requests share the entry.
    - then every request becomes one instantiation job on the pool:
-     select the best-fit family member, re-pack it through a pooled
-     arena, re-check it with Analysis.Verify. A failed re-check evicts
+     select the best-fit family member, re-pack it, re-check it with
+     Analysis.Verify. A failed re-check evicts
      the entry and marks the request; evicted requests re-anneal on
      the caller after the drain and are served from the rebuilt entry.
 

@@ -5,8 +5,7 @@
     response is (placement, QoR summary). State held across requests:
     the {!Cache} of {!Multi} structures, one shared {!Anneal.Pool}
     (domains spawned once — no per-request spawns), and a digest-keyed
-    pool of {!Placer.Eval} arenas (no per-request large allocations on
-    the hit path).
+    pool of {!Placer.Eval} arenas that cache entries are built on.
 
     Misses anneal through {!Placer.Portfolio.race} on the shared pool,
     sequentially on the caller; hits instantiate concurrently as pool

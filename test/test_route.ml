@@ -162,7 +162,7 @@ let prop_twin_mirror =
            | None -> QCheck.Test.fail_reportf "unplaced module"
            | Some r ->
                fst
-                 (Route.Grid.snap ~pitch:20 ~margin:Route.Router.default_margin
+                 (Route.Grid.snap ~pitch:20 ~margin:Route.Grid.default_margin
                     (r.Geometry.Rect.x + (r.Geometry.Rect.w / 2), 0))
          in
          let axis2_grid = gc 0 + gc 1 in
