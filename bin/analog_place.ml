@@ -227,7 +227,7 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
     trace <> None || conv <> None || metrics || ledger <> None
   in
   let telemetry =
-    if want_telemetry then Telemetry.Sink.create ~trace_capacity:65536 ()
+    if want_telemetry then Telemetry.Sink.create ()
     else Telemetry.Sink.null
   in
   let annealed = portfolio || Placer.Engine.annealed engine in
@@ -1218,7 +1218,7 @@ let run_dashboard ledger out title last netlist bench engine seed do_route
         let hierarchy = b.Netlist.Benchmarks.hierarchy in
         let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
         let rng = Prelude.Rng.create seed in
-        let telemetry = Telemetry.Sink.create ~trace_capacity:65536 () in
+        let telemetry = Telemetry.Sink.create () in
         let placement =
           (Placer.Engine.run ~groups ~telemetry ~rng engine circuit hierarchy)
             .Placer.Placement.placement

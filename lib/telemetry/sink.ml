@@ -42,7 +42,9 @@ let null =
     qors_rev = [];
   }
 
-let default_trace_capacity = 8192
+(* a bound, not an allocation: the ring grows to it only as spans
+   arrive (see {!Tracer}) *)
+let default_trace_capacity = 1 lsl 18
 
 let create ?(clock = Unix.gettimeofday) ?(trace_capacity = default_trace_capacity) () =
   {

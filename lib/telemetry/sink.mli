@@ -2,7 +2,7 @@
     through the placement pipeline.
 
     A sink owns a name-keyed registry of {!Counter.t}s and {!Hist.t}s,
-    a fixed-capacity span ring ({!Tracer}), and a convergence series
+    a bounded span ring ({!Tracer}), and a convergence series
     ({!Convergence}). The {!null} sink is dead: every operation on it
     (and on the dead handles it returns) is a single predictable branch,
     so instrumentation left in hot paths costs nothing measurable when
@@ -21,8 +21,9 @@ val null : t
 
 val create : ?clock:(unit -> float) -> ?trace_capacity:int -> unit -> t
 (** A live sink. [clock] defaults to [Unix.gettimeofday] (seconds);
-    [trace_capacity] bounds the span ring (default 8192 spans — the
-    ring overwrites oldest-first beyond that, see {!Tracer}). *)
+    [trace_capacity] bounds the span ring (default [1 lsl 18] spans).
+    The ring starts small and grows as spans arrive; only at the bound
+    does it overwrite oldest-first, see {!Tracer}. *)
 
 val live : t -> bool
 val tid : t -> int
@@ -34,7 +35,7 @@ val epoch : t -> float
 val child : t -> tid:int -> t
 (** A fresh sink tagged [tid] sharing the parent's clock and epoch but
     owning private registries and ring — safe to hand to another
-    domain. [child null ~tid] is {!null}. *)
+    domain. The child's ring has the parent's bound and starts small. [child null ~tid] is {!null}. *)
 
 val counter : t -> string -> Counter.t
 (** Find-or-create by name. Resolve once at setup; the returned handle

@@ -1,9 +1,11 @@
-(** Span tracing over a preallocated ring buffer.
+(** Span tracing over a ring buffer whose capacity is a bound, not an
+    allocation.
 
-    Recording is allocation-free (four array stores). When the ring is
-    full the {e oldest} span is overwritten — the newest spans always
-    survive — and every eviction is counted, so exporters can report
-    how much history was shed (tested). *)
+    Recording is four array stores, allocation-free amortized: the ring
+    starts small and doubles when full, up to its bound. Only when the
+    ring is full at its bound is the {e oldest} span overwritten — the
+    newest spans always survive — and every eviction is counted, so
+    exporters can report how much history was shed (tested). *)
 
 type span = {
   name : string;
@@ -15,7 +17,8 @@ type span = {
 type t
 
 val create : int -> t
-(** Ring of the given capacity (clamped to at least 1). *)
+(** Ring bounded at the given number of spans (clamped to at least 1).
+    It holds a few slots until spans arrive. *)
 
 val record : t -> name:string -> ts:float -> dur:float -> tid:int -> unit
 
@@ -23,7 +26,9 @@ val spans : t -> span list
 (** Retained spans, oldest first. *)
 
 val length : t -> int
+
 val capacity : t -> int
+(** The bound given to {!create}. *)
 
 val dropped : t -> int
 (** Spans evicted so far. *)

@@ -127,6 +127,47 @@ let test_tracer_drops_oldest () =
   T.Tracer.add_dropped r 7;
   Alcotest.(check int) "merged drop counts" 9 (T.Tracer.dropped r)
 
+(* The bound is reached by doubling from a few slots; past it the ring
+   wraps exactly as a preallocated one would. *)
+let test_tracer_grows_to_bound () =
+  let r = T.Tracer.create 100 in
+  let names () =
+    List.map (fun (s : T.Tracer.span) -> s.T.Tracer.name) (T.Tracer.spans r)
+  in
+  let record_upto lo hi =
+    for i = lo to hi do
+      T.Tracer.record r ~name:(string_of_int i) ~ts:(float_of_int i) ~dur:1.0 ~tid:0
+    done
+  in
+  record_upto 1 80;
+  Alcotest.(check (list string))
+    "growth keeps every span in order"
+    (List.init 80 (fun i -> string_of_int (1 + i)))
+    (names ());
+  Alcotest.(check int) "nothing dropped below the bound" 0 (T.Tracer.dropped r);
+  record_upto 81 250;
+  Alcotest.(check int) "capacity is the bound" 100 (T.Tracer.capacity r);
+  Alcotest.(check int) "length capped at the bound" 100 (T.Tracer.length r);
+  Alcotest.(check int) "dropped counted" 150 (T.Tracer.dropped r);
+  Alcotest.(check (list string))
+    "newest survive, oldest first"
+    (List.init 100 (fun i -> string_of_int (151 + i)))
+    (names ())
+
+(* A traced benchmark run absorbs one child sink per job into its root:
+   120 jobs of 80 stage spans must all survive under the default bound. *)
+let test_default_sink_absorbs_without_drops () =
+  let root = live_sink () in
+  for job = 1 to 120 do
+    let c = T.Sink.child root ~tid:job in
+    for _ = 1 to 80 do
+      T.Sink.span_end c "stage" (T.Sink.span_begin c)
+    done;
+    T.Sink.absorb root c
+  done;
+  Alcotest.(check int) "no span dropped" 0 (T.Sink.dropped_spans root);
+  Alcotest.(check int) "every span kept" 9600 (List.length (T.Sink.spans root))
+
 let test_sink_spans () =
   let s = live_sink ~trace_capacity:8 () in
   let t0 = T.Sink.span_begin s in
@@ -418,6 +459,10 @@ let () =
       ( "tracer",
         [
           Alcotest.test_case "ring drops oldest" `Quick test_tracer_drops_oldest;
+          Alcotest.test_case "ring grows to its bound" `Quick
+            test_tracer_grows_to_bound;
+          Alcotest.test_case "default sink absorbs 9600 spans" `Quick
+            test_default_sink_absorbs_without_drops;
           Alcotest.test_case "sink spans" `Quick test_sink_spans;
         ] );
       ( "export",
