@@ -21,6 +21,10 @@ type t
     (see {!Grid.index}); every function below takes and returns
     indices, which must be in bounds. *)
 
+val base_cost : float
+(** The [base] of the entering cost: 1.0, the price of a free cell
+    with no history. Every entered cell costs at least this much. *)
+
 val create : cols:int -> rows:int -> capacity:int -> t
 (** Every cell holds [capacity] nets (clamped at 0; the router passes
     2, a gcell with one horizontal and one vertical track, which makes

@@ -409,6 +409,169 @@ let test_route_random_circuits () =
         (result.Route.Router.wirelength > 0))
     [ 1; 2; 3 ]
 
+(* ---- search optimality against a Dijkstra oracle ------------------- *)
+
+(* The documented cost of entering cell [i]: (base + history) times
+   (1 + pres_fac * overuse), where the overuse counts this entry and
+   [extra] further uses, and base is {!Route.Negotiate.base_cost}. *)
+let oracle_enter (s : Route.Negotiate.Snapshot.t) ~pres_fac ~extra i =
+  let over =
+    s.Route.Negotiate.Snapshot.present.(i) + 1 + extra
+    - s.Route.Negotiate.Snapshot.capacity.(i)
+  in
+  let congestion =
+    if over > 0 then 1.0 +. (pres_fac *. float_of_int over) else 1.0
+  in
+  (Route.Negotiate.base_cost +. s.Route.Negotiate.Snapshot.history.(i))
+  *. congestion
+
+let oracle_reflect (s : Route.Negotiate.Snapshot.t) ~axis i =
+  let cols = s.Route.Negotiate.Snapshot.cols in
+  let mc = axis - (i mod cols) in
+  if mc < 0 || mc >= cols then -1 else (i / cols * cols) + mc
+
+(* Cost of stepping onto [v] for a net whose terminals are [terms], or
+   None when the step is closed: capacity-0 cells (and, mirrored,
+   cells whose image is capacity-0 or off the grid) admit only the
+   net's own terminals. A mirrored step prices the cell and its image;
+   a cell on the axis column is its own image and counts twice. *)
+let oracle_step (s : Route.Negotiate.Snapshot.t) ~pres_fac ~mirror ~terms v =
+  let open_cell i = s.Route.Negotiate.Snapshot.capacity.(i) > 0 in
+  let term = List.mem v terms in
+  match mirror with
+  | None ->
+      if term || open_cell v then Some (oracle_enter s ~pres_fac ~extra:0 v)
+      else None
+  | Some axis -> (
+      match oracle_reflect s ~axis v with
+      | -1 -> None
+      | m when m = v ->
+          if term || open_cell v then Some (oracle_enter s ~pres_fac ~extra:1 v)
+          else None
+      | m ->
+          if term || (open_cell v && open_cell m) then
+            Some
+              (oracle_enter s ~pres_fac ~extra:0 v
+              +. oracle_enter s ~pres_fac ~extra:0 m)
+          else None)
+
+let oracle_neighbours (s : Route.Negotiate.Snapshot.t) u =
+  let cols = s.Route.Negotiate.Snapshot.cols
+  and rows = s.Route.Negotiate.Snapshot.rows in
+  let c = u mod cols and r = u / cols in
+  List.filter_map
+    (fun (ok, v) -> if ok then Some v else None)
+    [ (c + 1 < cols, u + 1); (c > 0, u - 1); (r + 1 < rows, u + cols); (r > 0, u - cols) ]
+
+(* Plain Dijkstra from [src] to [dst] over the snapshot: the optimum a
+   two-terminal tree must cost, or None when [dst] is unreachable (or,
+   mirrored, when [src] reflects off the grid). *)
+let oracle_optimum s ~pres_fac ~mirror ~src ~dst =
+  let module Q = Set.Make (struct
+    type t = float * int
+
+    let compare = compare
+  end) in
+  let seed_ok =
+    match mirror with Some axis -> oracle_reflect s ~axis src >= 0 | None -> true
+  in
+  if not seed_ok then None
+  else begin
+    let n = Array.length s.Route.Negotiate.Snapshot.capacity in
+    let dist = Array.make n infinity and settled = Array.make n false in
+    dist.(src) <- 0.0;
+    let q = ref (Q.singleton (0.0, src)) and found = ref None in
+    while !found = None && not (Q.is_empty !q) do
+      let ((d, u) as top) = Q.min_elt !q in
+      q := Q.remove top !q;
+      if not settled.(u) then begin
+        settled.(u) <- true;
+        if u = dst then found := Some d
+        else
+          List.iter
+            (fun v ->
+              match oracle_step s ~pres_fac ~mirror ~terms:[ src; dst ] v with
+              | Some c when d +. c < dist.(v) ->
+                  dist.(v) <- d +. c;
+                  q := Q.add (dist.(v), v) !q
+              | _ -> ())
+            (oracle_neighbours s u)
+      end
+    done;
+    !found
+  end
+
+(* A random priced grid: capacity-0 cells, claimed present counts and
+   accumulated history, all derived from [seed]. *)
+let random_priced_grid seed =
+  let rng = Prelude.Rng.create (seed + 17) in
+  let cols = Prelude.Rng.int_in rng 2 12 and rows = Prelude.Rng.int_in rng 2 12 in
+  let n = cols * rows in
+  let t =
+    Route.Negotiate.create ~cols ~rows ~capacity:(Prelude.Rng.int_in rng 1 3)
+  in
+  let cell () = Prelude.Rng.int rng n in
+  for _ = 1 to Prelude.Rng.int rng (1 + (n / 5)) do
+    Route.Negotiate.set_capacity t (cell ()) 0
+  done;
+  for _ = 1 to Prelude.Rng.int_in rng 0 3 do
+    for _ = 1 to Prelude.Rng.int rng (2 * n) do
+      Route.Negotiate.claim t [ cell () ]
+    done;
+    Route.Negotiate.add_history t ~hfac:(Prelude.Rng.float rng 2.0)
+  done;
+  let pres_fac = 0.5 +. Prelude.Rng.float rng 8.0 in
+  let src = cell () in
+  let dst = (src + 1 + Prelude.Rng.int rng (n - 1)) mod n in
+  (* mostly an axis the source reflects onto, sometimes any axis *)
+  let mirror =
+    match Prelude.Rng.int rng 4 with
+    | 0 | 1 -> None
+    | 2 -> Some ((src mod cols) + Prelude.Rng.int rng cols)
+    | _ -> Some (Prelude.Rng.int rng ((2 * cols) - 1))
+  in
+  (t, pres_fac, mirror, src, dst)
+
+(* The returned path must be a legal walk from [src] to [dst]; its
+   cost is the sum of its steps. *)
+let path_cost s ~pres_fac ~mirror ~src ~dst path =
+  match path with
+  | first :: _ when first = src && List.nth path (List.length path - 1) = dst ->
+      let rec go acc = function
+        | u :: (v :: _ as rest) -> (
+            if not (List.mem v (oracle_neighbours s u)) then
+              QCheck.Test.fail_reportf "step %d -> %d is not adjacent" u v;
+            match oracle_step s ~pres_fac ~mirror ~terms:[ src; dst ] v with
+            | None -> QCheck.Test.fail_reportf "step onto closed cell %d" v
+            | Some c -> go (acc +. c) rest)
+        | _ -> acc
+      in
+      go 0.0 path
+  | _ -> QCheck.Test.fail_reportf "path does not run from %d to %d" src dst
+
+let prop_search_optimal =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400
+       ~name:"two-terminal tree costs the Dijkstra optimum"
+       QCheck.(int_range 0 99_999)
+       (fun seed ->
+         let seed = abs seed in
+         let t, pres_fac, mirror, src, dst = random_priced_grid seed in
+         let s = Route.Negotiate.snapshot t in
+         let got =
+           Route.Negotiate.route_tree t ?mirror ~pres_fac ~terminals:[ src; dst ] ()
+         in
+         match (got, oracle_optimum s ~pres_fac ~mirror ~src ~dst) with
+         | None, None -> true
+         | Some path, Some best ->
+             let c = path_cost s ~pres_fac ~mirror ~src ~dst path in
+             if Float.abs (c -. best) > 1e-9 *. Float.max 1.0 best then
+               QCheck.Test.fail_reportf "path costs %.17g, optimum %.17g" c best;
+             true
+         | Some _, None -> QCheck.Test.fail_reportf "routed an unreachable pair"
+         | None, Some best ->
+             QCheck.Test.fail_reportf "no path, optimum %.17g" best))
+
 (* ---- pinned route digests ------------------------------------------ *)
 
 (* One routing run reduced to a digest of everything it reports: each
@@ -585,6 +748,7 @@ let () =
           Alcotest.test_case "within capacity" `Quick
             test_routes_within_capacity;
           Alcotest.test_case "random circuits" `Quick test_route_random_circuits;
+          prop_search_optimal;
         ] );
       ( "pinned route digests",
         List.map
