@@ -5,7 +5,7 @@
    count for routable cells, 0 for power rails), a present-usage
    count (how many nets use them right now) and a history cost (how
    often they have been over-used in past iterations). A net's path is
-   found by Dijkstra expansion where entering cell [i] costs
+   found by A* expansion where entering cell [i] costs
 
      (base + history_i) * (1 + pres_fac * overuse_if_entered)
 
@@ -15,7 +15,19 @@
    momentarily free — the classic negotiation that converges where
    one-shot sequential routing deadlocks on net ordering.
 
-   Everything is deterministic: the heap breaks distance ties on cell
+   The A* bound is [base * Manhattan(v, target)]. History is >= 0 and
+   the congestion factor is >= 1, so every entered cell costs at least
+   [base]; a mirrored step costs at least that too (a distinct image
+   adds a second such term, a twin on its own axis column only raises
+   the overuse), so no larger bound is sound for both kinds of search.
+   One step changes the Manhattan distance by exactly 1, so the bound
+   is consistent as well as admissible: a popped cell is final, the
+   "decrease only while queued" rule loses nothing, and each search
+   returns a path of the same cost Dijkstra would. Equal-cost paths
+   may differ from Dijkstra's, since the heap visits cells in another
+   order.
+
+   Everything is deterministic: the heap breaks key ties on cell
    index, terminals are expanded in caller order, and no randomness
    enters anywhere. *)
 
@@ -25,13 +37,15 @@ type t = {
   capacity : int array;
   present : int array;
   history : float array;
-  (* Dijkstra scratch, epoch-stamped so searches never clear arrays *)
+  (* A* scratch, epoch-stamped so searches never clear arrays: [dist]
+     is the cost so far, [key] that plus the bound to the target *)
   dist : float array;
+  key : float array;
   parent : int array;
   seen : int array;
   handle : int array;  (* cell -> heap slot, -1 when not queued *)
   mutable epoch : int;
-  (* binary min-heap of cell indices keyed by (dist, index) *)
+  (* binary min-heap of cell indices keyed by (key, index) *)
   heap : int array;
   mutable heap_len : int;
   (* current net's tree cells and terminals, stamped with one epoch
@@ -39,7 +53,7 @@ type t = {
   tree_mark : int array;
   term_mark : int array;
   mutable tree_epoch : int;
-  (* cumulative Dijkstra heap pops: a plain integer so counting it
+  (* cumulative search heap pops: a plain integer so counting it
      costs one increment, stays deterministic, and leaves this module
      free of any telemetry dependency — Router snapshots deltas into
      its sink *)
@@ -59,6 +73,7 @@ let create ~cols ~rows ~capacity =
     present = Array.make n 0;
     history = Array.make n 0.0;
     dist = Array.make n infinity;
+    key = Array.make n infinity;
     parent = Array.make n (-1);
     seen = Array.make n 0;
     handle = Array.make n (-1);
@@ -125,7 +140,7 @@ let snapshot t =
 
 (* ---- heap ---------------------------------------------------------- *)
 
-let less t a b = t.dist.(a) < t.dist.(b) || (t.dist.(a) = t.dist.(b) && a < b)
+let less t a b = t.key.(a) < t.key.(b) || (t.key.(a) = t.key.(b) && a < b)
 
 let swap t i j =
   let a = t.heap.(i) and b = t.heap.(j) in
@@ -193,7 +208,7 @@ let reflect t ~axis i =
   let mc = axis - c in
   if mc < 0 || mc >= t.cols then -1 else (r * t.cols) + mc
 
-(* One Dijkstra wave from the current tree to [target]. [mirror]
+(* One A* wave from the current tree to [target]. [mirror]
    prices (and gates) the reflected cell as well, so the path found
    for the reference net is simultaneously legal and equally costed
    for its twin. Terminal cells of this net ([term_mark] at the tree's
@@ -203,11 +218,16 @@ let search t ~pres_fac ~mirror ~tree ~target =
   t.epoch <- t.epoch + 1;
   let ep = t.epoch and te = t.tree_epoch in
   t.heap_len <- 0;
+  let tc = target mod t.cols and tr = target / t.cols in
+  let bound v =
+    base_cost *. float_of_int (abs ((v mod t.cols) - tc) + abs ((v / t.cols) - tr))
+  in
   List.iter
     (fun i ->
       if t.seen.(i) <> ep then begin
         t.seen.(i) <- ep;
         t.dist.(i) <- 0.0;
+        t.key.(i) <- bound i;
         t.parent.(i) <- -1;
         heap_push t i
       end)
@@ -223,11 +243,13 @@ let search t ~pres_fac ~mirror ~tree ~target =
         if t.seen.(v) <> ep then begin
           t.seen.(v) <- ep;
           t.dist.(v) <- nd;
+          t.key.(v) <- nd +. bound v;
           t.parent.(v) <- u;
           heap_push t v
         end
         else if t.handle.(v) >= 0 && nd < t.dist.(v) then begin
           t.dist.(v) <- nd;
+          t.key.(v) <- nd +. bound v;
           t.parent.(v) <- u;
           heap_decrease t v
         end

@@ -2,7 +2,7 @@
 
     Shared substrate for the rip-up-and-reroute loop in {!Router}:
     per-cell capacity / present-usage / history arrays and a
-    deterministic Dijkstra searcher whose entering cost
+    deterministic A* searcher whose entering cost
 
     {[ (base + history) * (1 + pres_fac * overuse) ]}
 
@@ -12,7 +12,16 @@
     when they are momentarily free. This converges where one-shot
     sequential routing deadlocks on net ordering.
 
-    Determinism: the heap orders by (distance, cell index), expansion
+    The search is goal-directed: its heap key is the cost so far plus
+    [base_cost * Manhattan(cell, target)]. Every entered cell costs at
+    least {!base_cost} (history is [>= 0], congestion [>= 1]), plain
+    or mirrored — a twin stepping onto its own axis column may cost no
+    more than that — and a step moves the Manhattan distance by one, so
+    the bound is admissible and consistent. Each search therefore finds
+    a path of Dijkstra's optimal cost, popping only cells whose key is
+    at most the target's; among equal-cost paths it may pick another.
+
+    Determinism: the heap orders by (key, cell index), expansion
     visits neighbours in a fixed order, and nothing reads a clock or an
     RNG — identical inputs give byte-identical routes. *)
 
@@ -55,7 +64,7 @@ val add_history : t -> hfac:float -> unit
     [hfac * overuse]. *)
 
 val search_pops : t -> int
-(** Cumulative Dijkstra heap pops across every search this state has
+(** Cumulative A* heap pops across every search this state has
     run — the router diffs it per iteration for the
     [route.search.pops] counter. Plain integer bookkeeping: always on,
     deterministic, no telemetry dependency. *)
@@ -87,7 +96,7 @@ val route_tree :
   unit ->
   int list option
 (** Grow a Steiner-ish tree connecting [terminals]: route each
-    terminal to the tree-so-far by one Dijkstra wave. Returns the
+    terminal to the tree-so-far by one A* wave. Returns the
     tree's cells (deduplicated, deterministic order), [Some []] for no
     terminals, a singleton for one terminal, or [None] when some
     terminal is unreachable.

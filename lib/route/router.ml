@@ -44,7 +44,7 @@ let gcell_capacity = 2
 
 (* pres_fac saturates here: unbounded exponential growth reaches
    [infinity] within ~40 iterations, where every congested candidate
-   costs the same and Dijkstra degenerates into tie-breaking on cell
+   costs the same and the search degenerates into tie-breaking on cell
    index instead of actual congestion. 1e6 is already far beyond any
    finite detour on a realistic grid. *)
 let max_pres_fac = 1.0e6

@@ -41,7 +41,10 @@ type iteration = {
   it_overflow : int;  (** total over-capacity usage after the pass *)
   it_overused : int;  (** over-capacity gcells after the pass *)
   it_ripped : int;  (** previously-routed nets ripped up this pass *)
-  it_pops : int;  (** Dijkstra heap pops spent this pass *)
+  it_pops : int;
+      (** A* heap pops spent this pass: cells the goal-directed search
+          settled across every net it routed, a deterministic measure of
+          search work *)
 }
 (** One negotiation pass, always recorded (the log is at most
     [max_iterations] entries): this is what distinguishes a healthy

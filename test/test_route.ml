@@ -703,12 +703,12 @@ let pinned_routes =
           route_digest ~symmetric:groups pl),
         List.assoc b.Netlist.Benchmarks.label
           [
-            ("Miller V2", (243, "d52a8f2d724a9c8cc6551c37d8ef7136"));
-            ("Comparator V2", (110, "c64ec3c4f34bccd163f321e382e31097"));
-            ("Folded casc.", (543, "8c8a2a989f1d69fe9af76bfb7d704b5f"));
-            ("Buffer", (1277, "e961d4711131b4daaa236192b8f6a55d"));
-            ("biasynth", (2601, "d9f03c6a123e24c973229fa72f7a09a5"));
-            ("lnamixbias", (4900, "5763950de6b7f8a5b25da10a997f7051"));
+            ("Miller V2", (243, "520b5a2c44a9a0ae5e03dd5d58949ea1"));
+            ("Comparator V2", (110, "f506ce144fd8249b0dff06541e947020"));
+            ("Folded casc.", (542, "1a3fe7dbdeca5568968941b1c15e4e58"));
+            ("Buffer", (1269, "9c2896b366c097f55e164ea679f429e8"));
+            ("biasynth", (2601, "11678c4f71e87dfa7e1c1c018c5756e6"));
+            ("lnamixbias", (4894, "cc0fd1ffa2470abf081a70b71bab7642"));
           ] ))
     (Netlist.Benchmarks.table1_suite ())
   @ [
@@ -716,10 +716,10 @@ let pinned_routes =
         (fun () ->
           let pl, grp = e13_placement () in
           route_digest ~symmetric:[ grp ] pl),
-        (14, "403b2114980f2dd6f257e2433aaad65b") );
+        (14, "33b37aed9f0d8759fcb85e51e41c6c02") );
       ( "triage",
         (fun () -> route_digest (triage_placement ())),
-        (30, "605840c8b8ce472c874b14610251473a") );
+        (30, "3633506bfbb833e135b353971fbacd04") );
     ]
 
 let check_pinned (run, (wl, digest)) () =
