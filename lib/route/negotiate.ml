@@ -53,6 +53,13 @@ type t = {
   tree_mark : int array;
   term_mark : int array;
   mutable tree_epoch : int;
+  (* the running search's parameters, held here so its relax step
+     takes only ints: present-sharing factor, mirror axis (-1 for a
+     plain search) and target cell *)
+  mutable pres_fac : float;
+  mutable axis : int;
+  mutable target_col : int;
+  mutable target_row : int;
   (* cumulative search heap pops: a plain integer so counting it
      costs one increment, stays deterministic, and leaves this module
      free of any telemetry dependency — Router snapshots deltas into
@@ -83,6 +90,10 @@ let create ~cols ~rows ~capacity =
     tree_mark = Array.make n 0;
     term_mark = Array.make n 0;
     tree_epoch = 0;
+    pres_fac = 0.0;
+    axis = -1;
+    target_col = 0;
+    target_row = 0;
     pops = 0;
   }
 
@@ -193,41 +204,81 @@ let heap_pop t =
    the cell would carry *after* this entry (present + 1), so sharing a
    full cell is priced from the very first offender. [extra] is any
    additional use beyond that one (1 when a mirrored twin pair crosses
-   the symmetry axis and both images land on the same cell). *)
-let enter_cost t ~pres_fac ~extra i =
+   the symmetry axis and both images land on the same cell). Inlined
+   into [visit], so the float never leaves a register. *)
+let[@inline] enter_cost t ~extra i =
   let over = t.present.(i) + 1 + extra - t.capacity.(i) in
   let congestion =
-    if over > 0 then 1.0 +. (pres_fac *. float_of_int over) else 1.0
+    if over > 0 then 1.0 +. (t.pres_fac *. float_of_int over) else 1.0
   in
   (base_cost +. t.history.(i)) *. congestion
-
-let impassable t i = t.capacity.(i) = 0
 
 let reflect t ~axis i =
   let c = i mod t.cols and r = i / t.cols in
   let mc = axis - c in
   if mc < 0 || mc >= t.cols then -1 else (r * t.cols) + mc
 
-(* One A* wave from the current tree to [target]. [mirror]
-   prices (and gates) the reflected cell as well, so the path found
-   for the reference net is simultaneously legal and equally costed
-   for its twin. Terminal cells of this net ([term_mark] at the tree's
-   epoch) are always enterable, even when impassable. Returns the
-   target's parent chain or None. *)
+(* The A* bound from [v] to the current search's target. *)
+let[@inline] bound t v =
+  base_cost
+  *. float_of_int
+       (abs ((v mod t.cols) - t.target_col) + abs ((v / t.cols) - t.target_row))
+
+(* One relax step of the current search: price entering [v] from the
+   popped cell [u] and, when that improves a queued or unseen [v],
+   record it. Capacity-0 cells are closed except as this net's
+   terminals; a mirrored step needs the cell and its image both open,
+   prices both, and a twin pair entering its own axis column uses the
+   cell twice (reference + image). Ints in, unit out: a pop allocates
+   nothing. *)
+let visit t u v =
+  let axis = t.axis in
+  let m = if axis < 0 then v else reflect t ~axis v in
+  if
+    m >= 0
+    && (t.term_mark.(v) = t.tree_epoch
+       || (t.capacity.(v) > 0 && t.capacity.(m) > 0))
+  then begin
+    let step =
+      if axis < 0 then enter_cost t ~extra:0 v
+      else if m = v then enter_cost t ~extra:1 v
+      else enter_cost t ~extra:0 v +. enter_cost t ~extra:0 m
+    in
+    let nd = t.dist.(u) +. step in
+    if t.seen.(v) <> t.epoch then begin
+      t.seen.(v) <- t.epoch;
+      t.dist.(v) <- nd;
+      t.key.(v) <- nd +. bound t v;
+      t.parent.(v) <- u;
+      heap_push t v
+    end
+    else if t.handle.(v) >= 0 && nd < t.dist.(v) then begin
+      t.dist.(v) <- nd;
+      t.key.(v) <- nd +. bound t v;
+      t.parent.(v) <- u;
+      heap_decrease t v
+    end
+  end
+
+(* One A* wave from the current tree to [target]. [mirror] prices (and
+   gates) the reflected cell as well, so the path found for the
+   reference net is simultaneously legal and equally costed for its
+   twin. Terminal cells of this net ([term_mark] at the tree's epoch)
+   are always enterable, even when impassable. Returns the target's
+   parent chain or None. *)
 let search t ~pres_fac ~mirror ~tree ~target =
   t.epoch <- t.epoch + 1;
-  let ep = t.epoch and te = t.tree_epoch in
+  t.pres_fac <- pres_fac;
+  t.axis <- (match mirror with Some axis -> axis | None -> -1);
+  t.target_col <- target mod t.cols;
+  t.target_row <- target / t.cols;
   t.heap_len <- 0;
-  let tc = target mod t.cols and tr = target / t.cols in
-  let bound v =
-    base_cost *. float_of_int (abs ((v mod t.cols) - tc) + abs ((v / t.cols) - tr))
-  in
   List.iter
     (fun i ->
-      if t.seen.(i) <> ep then begin
-        t.seen.(i) <- ep;
+      if t.seen.(i) <> t.epoch then begin
+        t.seen.(i) <- t.epoch;
         t.dist.(i) <- 0.0;
-        t.key.(i) <- bound i;
+        t.key.(i) <- bound t i;
         t.parent.(i) <- -1;
         heap_push t i
       end)
@@ -238,48 +289,10 @@ let search t ~pres_fac ~mirror ~tree ~target =
     if u = target then found := true
     else begin
       let uc = u mod t.cols and ur = u / t.cols in
-      let relax v step =
-        let nd = t.dist.(u) +. step in
-        if t.seen.(v) <> ep then begin
-          t.seen.(v) <- ep;
-          t.dist.(v) <- nd;
-          t.key.(v) <- nd +. bound v;
-          t.parent.(v) <- u;
-          heap_push t v
-        end
-        else if t.handle.(v) >= 0 && nd < t.dist.(v) then begin
-          t.dist.(v) <- nd;
-          t.key.(v) <- nd +. bound v;
-          t.parent.(v) <- u;
-          heap_decrease t v
-        end
-      in
-      let visit v =
-        (* capacity-0 cells are closed except as this net's terminals;
-           a mirrored step needs the cell and its image both open *)
-        let term = t.term_mark.(v) = te in
-        match mirror with
-        | None ->
-            if term || not (impassable t v) then
-              relax v (enter_cost t ~pres_fac ~extra:0 v)
-        | Some axis -> (
-            match reflect t ~axis v with
-            | -1 -> ()
-            | m when m = v ->
-                (* a twin pair entering its own axis column uses the
-                   cell twice (reference + image) *)
-                if term || not (impassable t v) then
-                  relax v (enter_cost t ~pres_fac ~extra:1 v)
-            | m ->
-                if term || not (impassable t v || impassable t m) then
-                  relax v
-                    (enter_cost t ~pres_fac ~extra:0 v
-                    +. enter_cost t ~pres_fac ~extra:0 m))
-      in
-      if uc + 1 < t.cols then visit (u + 1);
-      if uc > 0 then visit (u - 1);
-      if ur + 1 < t.rows then visit (u + t.cols);
-      if ur > 0 then visit (u - t.cols)
+      if uc + 1 < t.cols then visit t u (u + 1);
+      if uc > 0 then visit t u (u - 1);
+      if ur + 1 < t.rows then visit t u (u + t.cols);
+      if ur > 0 then visit t u (u - t.cols)
     end
   done;
   if !found then begin
