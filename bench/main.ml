@@ -1497,8 +1497,8 @@ let route_suite ?(smoke = false) () =
   let suite = Netlist.Benchmarks.table1_suite () in
   let suite = if smoke then [ List.hd suite ] else suite in
   let header = provenance () in
-  Printf.printf "%-16s | %8s %9s %8s %5s %6s | %12s %12s\n" "circuit" "hpwl"
-    "routed_wl" "overflow" "fail" "iters" "route_ms" "estimate_us";
+  Printf.printf "%-16s | %8s %9s %8s %5s %6s %9s | %12s %12s\n" "circuit" "hpwl"
+    "routed_wl" "overflow" "fail" "iters" "pops" "route_ms" "estimate_us";
   hr ();
   let hpwls = ref [] and rwls = ref [] in
   let circuits =
@@ -1537,9 +1537,15 @@ let route_suite ?(smoke = false) () =
         hpwls := hpwl :: !hpwls;
         rwls := float_of_int r.Route.Router.wirelength :: !rwls;
         let failed = List.length r.Route.Router.failed in
-        Printf.printf "%-16s | %8.0f %9d %8d %5d %6d | %12.1f %12.2f\n"
+        (* search work, deterministic where route_ms is not *)
+        let pops =
+          List.fold_left
+            (fun acc (it : Route.Router.iteration) -> acc + it.Route.Router.it_pops)
+            0 r.Route.Router.negotiation
+        in
+        Printf.printf "%-16s | %8.0f %9d %8d %5d %6d %9d | %12.1f %12.2f\n"
           b.Netlist.Benchmarks.label hpwl r.Route.Router.wirelength
-          r.Route.Router.overflow failed r.Route.Router.iterations route_ms
+          r.Route.Router.overflow failed r.Route.Router.iterations pops route_ms
           estimate_us;
         J.Obj
           [
@@ -1550,6 +1556,7 @@ let route_suite ?(smoke = false) () =
             ("overflow", J.int r.Route.Router.overflow);
             ("failed", J.int failed);
             ("iterations", J.int r.Route.Router.iterations);
+            ("pops", J.int pops);
             ("route_ms", num 2 route_ms);
             ("estimate_us", num 2 estimate_us);
           ])
