@@ -35,7 +35,8 @@ val epoch : t -> float
 val child : t -> tid:int -> t
 (** A fresh sink tagged [tid] sharing the parent's clock and epoch but
     owning private registries and ring — safe to hand to another
-    domain. The child's ring has the parent's bound and starts small. [child null ~tid] is {!null}. *)
+    domain. The child's ring has the parent's bound and starts small.
+    [child null ~tid] is {!null}. *)
 
 val counter : t -> string -> Counter.t
 (** Find-or-create by name. Resolve once at setup; the returned handle
