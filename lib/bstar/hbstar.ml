@@ -204,6 +204,9 @@ let perturb rng st =
 (* ------------------------------------------------------------------ *)
 (* Packing                                                             *)
 
+(* A packed sub-circuit enters its parent's tree as a macro carrying
+   its top profile; [Tree.pack_with_profiles] lets the parent's later
+   items settle into that profile's valleys. *)
 type macro = {
   placed : Transform.placed list;  (* module placements, macro coords *)
   width : int;
@@ -223,33 +226,6 @@ let macro_of_placed placed =
         height = Rect.y_max bbox;
         top = Outline.top_profile rects;
       }
-
-(* B*-tree packing where items may carry a rectilinear top profile
-   (contour nodes): the item rests flat, but only its material columns
-   raise the skyline, letting later cells settle into its valleys.
-   Runs on the mutable contour scratch; the scratch is per invocation
-   because [lookup] can recurse into a nested macro's own pack while
-   this traversal is mid-flight. *)
-let pack_with_profiles tree lookup =
-  let out = ref [] in
-  let contour = Contour.scratch ((2 * Tree.size tree) + 1) in
-  let rec go node x =
-    let w, h, profile = lookup node.Tree.cell in
-    let y = Contour.max_height_into contour ~x0:x ~x1:(x + w) in
-    (match profile with
-    | None -> Contour.raise_into contour ~x0:x ~x1:(x + w) ~y:(y + h)
-    | Some segs ->
-        List.iter
-          (fun (s : Contour.segment) ->
-            Contour.raise_into contour ~x0:(x + s.Contour.x0)
-              ~x1:(x + s.Contour.x1) ~y:(y + s.Contour.y))
-          segs);
-    out := (node.Tree.cell, x, y) :: !out;
-    Option.iter (fun l -> go l (x + w)) node.Tree.left;
-    Option.iter (fun r -> go r x) node.Tree.right
-  in
-  go tree 0;
-  List.rev !out
 
 let pack st =
   let n = Netlist.Circuit.size st.circuit in
@@ -273,13 +249,12 @@ let pack st =
     else
       let m = macro_of (item - n) in
       (m.width, m.height, Some m.top)
-  and splice item x y =
+  and splice item (rect : Rect.t) =
     if item < n then
-      let w, h = Netlist.Circuit.dims st.circuit item in
-      [ Transform.place ~cell:item ~x ~y ~w ~h ~orient:Orientation.R0 ]
+      [ { Transform.cell = item; rect; orient = Orientation.R0 } ]
     else
       let m = macro_of (item - n) in
-      List.map (fun p -> Transform.translate p ~dx:x ~dy:y) m.placed
+      List.map (fun p -> Transform.translate p ~dx:rect.x ~dy:rect.y) m.placed
   and compute id =
     match (st.infos.(id).kind, st.trees.(id)) with
     | K_centroid { cells }, _ -> (
@@ -302,9 +277,9 @@ let pack st =
         in
         macro_of_placed placed
     | K_tree { proximity; _ }, T_tree tree ->
-        let items = pack_with_profiles tree item_lookup in
+        let items = Tree.pack_with_profiles tree item_lookup in
         let placed =
-          List.concat_map (fun (item, x, y) -> splice item x y) items
+          List.concat_map (fun (item, rect) -> splice item rect) items
         in
         let m = macro_of_placed placed in
         if proximity && st.halo > 0 then

@@ -86,13 +86,27 @@ let rec map_cells f t =
     right = Option.map (map_cells f) t.right;
   }
 
-let pack_rects t dims =
+(* Pre-order walk dropping each item onto one skyline scratch. An item
+   with a top profile rests flat but raises only its material steps,
+   so later items settle into its valleys. The scratch is per call:
+   [lookup] may pack a nested macro while this walk is mid-flight. *)
+let pack_with_profiles t lookup =
   let out = ref [] in
-  let contour = ref Contour.empty in
+  let contour = Contour.scratch ((2 * size t) + 1) in
   let rec go node x =
-    let w, h = dims node.cell in
-    let y, c' = Contour.drop !contour ~x ~w ~h in
-    contour := c';
+    let w, h, top = lookup node.cell in
+    let y =
+      match top with
+      | None -> Contour.drop_into contour ~x ~w ~h
+      | Some segs ->
+          let y = Contour.max_height_into contour ~x0:x ~x1:(x + w) in
+          List.iter
+            (fun (s : Contour.segment) ->
+              Contour.raise_into contour ~x0:(x + s.x0) ~x1:(x + s.x1)
+                ~y:(y + s.y))
+            segs;
+          y
+    in
     out := (node.cell, Rect.make ~x ~y ~w ~h) :: !out;
     Option.iter (fun l -> go l (x + w)) node.left;
     Option.iter (fun r -> go r x) node.right
@@ -100,24 +114,15 @@ let pack_rects t dims =
   go t 0;
   List.rev !out
 
+let pack_rects t dims =
+  pack_with_profiles t (fun c ->
+      let w, h = dims c in
+      (w, h, None))
+
 let pack t dims =
   List.map
     (fun (cell, rect) -> { Transform.cell; rect; orient = Orientation.R0 })
     (pack_rects t dims)
-
-(* [pack_rects] over a reusable contour scratch, writing origins
-   straight into per-cell arrays: same traversal, same drops, identical
-   coordinates (tested) — and nothing allocated. *)
-let pack_into t contour ~w ~h ~x ~y =
-  Contour.clear contour;
-  let rec go node cx =
-    let c = node.cell in
-    x.(c) <- cx;
-    y.(c) <- Contour.drop_into contour ~x:cx ~w:w.(c) ~h:h.(c);
-    Option.iter (fun l -> go l (cx + w.(c))) node.left;
-    Option.iter (fun r -> go r cx) node.right
-  in
-  go t 0
 
 let rec swap_cells t a b =
   let cell = if t.cell = a then b else if t.cell = b then a else t.cell in

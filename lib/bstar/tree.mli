@@ -6,7 +6,8 @@
     y-search, x = parent.x + parent.w); its {e right} child is the
     lowest cell above it at the same x. Packing is a pre-order
     traversal against a skyline contour, O(n) contour updates
-    amortized.
+    amortized; the same walk packs HB*-tree levels whose items are
+    macros with rectilinear tops.
 
     Trees here are immutable; perturbations (see {!Perturb}) return new
     trees. *)
@@ -39,27 +40,28 @@ val nth_cell : t -> int -> int
 
 val map_cells : (int -> int) -> t -> t
 
-val pack : t -> (int -> int * int) -> Geometry.Transform.placed list
-(** Contour packing; placements are returned in pre-order. All
-    orientations are [R0] — orientation choices belong to the caller
-    (apply them inside the dims function and relabel afterwards). *)
+val pack_with_profiles :
+  t ->
+  (int -> int * int * Geometry.Contour.segment list option) ->
+  (int * Geometry.Rect.t) list
+(** Contour packing: a pre-order walk that lands each cell on a skyline
+    ({!Geometry.Contour.scratch}), left children against their
+    parent's right edge and right children at their parent's x.
+    [lookup cell] gives the cell's width, height and optional
+    rectilinear top profile (macro coordinates, as
+    {!Geometry.Outline.top_profile} returns it). A cell without a
+    profile raises the skyline over its whole footprint; one with a
+    profile (an HB*-tree contour node) rests at the same y but raises
+    only its profile's steps, so later cells can settle into its
+    valleys. Returns [(cell, rect)] pairs in pre-order. *)
 
 val pack_rects : t -> (int -> int * int) -> (int * Geometry.Rect.t) list
-(** Like {!pack} but just [(cell, rect)] pairs. *)
+(** {!pack_with_profiles} with flat tops. *)
 
-val pack_into :
-  t ->
-  Geometry.Contour.scratch ->
-  w:int array ->
-  h:int array ->
-  x:int array ->
-  y:int array ->
-  unit
-(** Allocation-free {!pack_rects}: dimensions are read from [w]/[h] and
-    the packed origin of each cell written to [x]/[y] (all indexed by
-    cell, which therefore must lie in [\[0, Array.length w)]). Clears
-    and reuses the contour scratch. Coordinates are identical to
-    {!pack} with the same dimensions (tested). *)
+val pack : t -> (int -> int * int) -> Geometry.Transform.placed list
+(** {!pack_rects} as placements, in pre-order. All orientations are
+    [R0] — orientation choices belong to the caller (apply them inside
+    the dims function and relabel afterwards). *)
 
 val swap_cells : t -> int -> int -> t
 (** Exchange the cells at the nodes holding [a] and [b]. *)

@@ -1,88 +1,11 @@
 type segment = { x0 : int; x1 : int; y : int }
 
-(* Invariant: segments sorted by x0, pairwise disjoint, all with y > 0
-   and x1 > x0; consecutive segments that touch have different heights
-   (maximally merged). Height is 0 everywhere not covered. *)
-type t = segment list
-
-let empty = []
-
-let normalize segs =
-  let segs = List.filter (fun s -> s.y > 0 && s.x1 > s.x0) segs in
-  let segs = List.sort (fun a b -> Int.compare a.x0 b.x0) segs in
-  let rec merge = function
-    | a :: b :: rest when a.x1 = b.x0 && a.y = b.y ->
-        merge ({ x0 = a.x0; x1 = b.x1; y = a.y } :: rest)
-    | a :: rest -> a :: merge rest
-    | [] -> []
-  in
-  merge segs
-
-let of_segments segs =
-  let sorted = List.sort (fun a b -> Int.compare a.x0 b.x0) segs in
-  let rec check = function
-    | a :: (b :: _ as rest) ->
-        if a.x1 > b.x0 then invalid_arg "Contour.of_segments: overlap";
-        check rest
-    | [ _ ] | [] -> ()
-  in
-  check sorted;
-  normalize sorted
-
-let height_at c x =
-  let seg = List.find_opt (fun s -> s.x0 <= x && x < s.x1) c in
-  match seg with Some s -> s.y | None -> 0
-
-let max_height c ~x0 ~x1 =
-  if x1 <= x0 then 0
-  else
-    List.fold_left
-      (fun acc s -> if max s.x0 x0 < min s.x1 x1 then max acc s.y else acc)
-      0 c
-
-let raise_to c ~x0 ~x1 ~y =
-  if x1 <= x0 then c
-  else
-    (* Clip every existing segment against [x0, x1), then insert the new
-       plateau. *)
-    let clipped =
-      List.concat_map
-        (fun s ->
-          let left =
-            if s.x0 < x0 then [ { s with x1 = min s.x1 x0 } ] else []
-          in
-          let right =
-            if s.x1 > x1 then [ { s with x0 = max s.x0 x1 } ] else []
-          in
-          left @ right)
-        c
-    in
-    normalize ({ x0; x1; y } :: clipped)
-
-let drop c ~x ~w ~h =
-  let y = max_height c ~x0:x ~x1:(x + w) in
-  (y, raise_to c ~x0:x ~x1:(x + w) ~y:(y + h))
-
-let segments c = c
-let max_y c = List.fold_left (fun acc s -> max acc s.y) 0 c
-
-let shift c ~dx ~dy =
-  List.iter
-    (fun s ->
-      if s.x0 + dx < 0 then invalid_arg "Contour.shift: negative x")
-    c;
-  normalize
-    (List.map (fun s -> { x0 = s.x0 + dx; x1 = s.x1 + dx; y = max 0 (s.y + dy) }) c)
-
-let equal a b = a = b
-
-(* ------------------------------------------------------------------ *)
-(* Mutable scratch: a doubly-linked segment arena for the annealing
-   hot path. Segments tile [0, +inf) (zero heights included), ordered
-   by x, linked through [snext]/[sprev] with slot 0 as the head
-   sentinel. Freed slots chain through [snext]; the arrays double when
-   the free list runs dry, so one scratch serves any packing size and
-   steady-state queries allocate nothing. *)
+(* A doubly-linked segment arena. Segments tile [0, +inf) (zero
+   heights included), ordered by x, linked through [snext]/[sprev]
+   with slot 0 as the head sentinel. Freed slots chain through
+   [snext]; the arrays double when the free list runs dry, so one
+   scratch serves any packing size and steady-state queries allocate
+   nothing. *)
 
 type scratch = {
   mutable sx0 : int array;
@@ -212,9 +135,7 @@ let drop_into s ~x ~w ~h =
   y
 
 let scratch_segments s =
-  (* finite positive-height steps, maximally merged: the same normal
-     form [segments] returns, so the two representations compare
-     directly in tests *)
+  (* finite positive-height steps, maximally merged *)
   let out = ref [] in
   let i = ref s.snext.(head) in
   while !i <> nil do
@@ -229,10 +150,3 @@ let scratch_segments s =
     | [] -> []
   in
   merge (List.rev !out)
-
-let pp ppf c =
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       (fun ppf s -> Format.fprintf ppf "[%d,%d)@%d" s.x0 s.x1 s.y))
-    c

@@ -7,62 +7,14 @@
     given x lands it on top of the maximum of the profile under its
     footprint.
 
-    The contour is a sorted list of constant-height segments covering
-    [\[0, +inf)]; the implicit initial height is 0 everywhere. *)
-
-type t
+    The profile lives in a mutable scratch: a doubly-linked segment
+    arena tiling [\[0, +inf)], initially at height 0 everywhere. A
+    packer allocates one (or reuses one per evaluation arena, see
+    {!Placer.Eval}), [clear]s it before each packing and queries and
+    updates it in place, so steady-state packing allocates nothing. *)
 
 type segment = { x0 : int; x1 : int; y : int }
 (** One step of the profile: height [y] over [\[x0, x1)]. *)
-
-val empty : t
-(** The flat contour at height 0. *)
-
-val of_segments : segment list -> t
-(** Build a contour from finite segments (height 0 elsewhere). Segments
-    must be disjoint; raises [Invalid_argument] otherwise. *)
-
-val height_at : t -> int -> int
-(** Profile height at a single x-position. *)
-
-val max_height : t -> x0:int -> x1:int -> int
-(** Maximum profile height over [\[x0, x1)]; 0 for empty ranges. *)
-
-val raise_to : t -> x0:int -> x1:int -> y:int -> t
-(** [raise_to c ~x0 ~x1 ~y] sets the profile over [\[x0, x1)] to exactly
-    [y] (the new top of a placed cell). The profile outside the range is
-    unchanged. *)
-
-val drop : t -> x:int -> w:int -> h:int -> int * t
-(** [drop c ~x ~w ~h] lands a [w]x[h] cell at horizontal position [x] on
-    the contour: returns its resting [y] (the max height under its
-    footprint) and the updated contour. *)
-
-val segments : t -> segment list
-(** Finite segments of the profile in increasing x order (heights > 0
-    only, maximally merged). *)
-
-val max_y : t -> int
-(** Highest point of the profile. *)
-
-val shift : t -> dx:int -> dy:int -> t
-(** Translate the profile. Heights never drop below 0: a negative [dy]
-    clamps at 0. Raises [Invalid_argument] if [dx] would move a segment
-    to a negative x. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-
-(** {2 Mutable scratch}
-
-    The annealing hot path packs thousands of candidate B*-trees per
-    second; rebuilding a persistent segment list per placed cell is
-    pure garbage-collector traffic. The scratch is a doubly-linked
-    segment arena tiling [\[0, +inf)]: one is allocated per evaluation
-    arena (see {!Placer.Eval}), [clear]ed before each packing, and
-    queried/updated in place. Heights agree exactly with the
-    persistent operations above (tested), so packings through either
-    representation produce identical coordinates. *)
 
 type scratch
 
@@ -76,18 +28,18 @@ val clear : scratch -> unit
 (** Reset to the flat contour at height 0, recycling every segment. *)
 
 val drop_into : scratch -> x:int -> w:int -> h:int -> int
-(** In-place {!drop}: land a [w]x[h] cell at horizontal position [x],
-    return its resting y and raise the profile over its footprint. *)
+(** [drop_into s ~x ~w ~h] lands a [w]x[h] cell at horizontal position
+    [x]: returns its resting y (the maximum height under its footprint)
+    and raises the profile over the footprint to the cell's top. *)
 
 val max_height_into : scratch -> x0:int -> x1:int -> int
-(** In-place {!max_height}. *)
+(** Maximum profile height over [\[x0, x1)]; 0 for empty ranges. *)
 
 val raise_into : scratch -> x0:int -> x1:int -> y:int -> unit
-(** In-place {!raise_to}: set the profile over [\[x0, x1)] to exactly
-    [y]. Used directly by the HB*-tree packer to raise the
-    rectilinear top profile of a contour node, column by column. *)
+(** Set the profile over [\[x0, x1)] to exactly [y]; the profile
+    outside the range is unchanged. The pointer-tree packer raises the
+    rectilinear top of a contour node this way, step by step. *)
 
 val scratch_segments : scratch -> segment list
-(** Finite positive-height steps in increasing x order, maximally
-    merged — the same normal form as {!segments}, for comparison and
-    debugging (allocates; not for the hot path). *)
+(** Finite positive-height steps in increasing x order, pairwise
+    disjoint and maximally merged (allocates; not for the hot path). *)

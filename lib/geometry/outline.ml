@@ -44,38 +44,19 @@ let dead_area rects =
   | [] -> 0
   | rs -> Rect.area (bounding_box rs) - covered_area rs
 
+(* Raising each top in ascending [y_max] order leaves every column at
+   the highest top over it. *)
 let top_profile rects =
-  let rects = List.filter (fun r -> Rect.area r > 0) rects in
-  match rects with
-  | [] -> []
-  | _ ->
-      let xs =
-        List.concat_map (fun (r : Rect.t) -> [ r.x; Rect.x_max r ]) rects
-        |> List.sort_uniq Int.compare
-      in
-      let rec slabs = function
-        | x0 :: (x1 :: _ as rest) ->
-            let top =
-              List.fold_left
-                (fun acc (r : Rect.t) ->
-                  if r.x <= x0 && Rect.x_max r >= x1 then
-                    max acc (Rect.y_max r)
-                  else acc)
-                0 rects
-            in
-            { Contour.x0; x1; y = top } :: slabs rest
-        | [ _ ] | [] -> []
-      in
-      let segs = List.filter (fun (s : Contour.segment) -> s.y > 0) (slabs xs) in
-      (* merge equal-height neighbours *)
-      let rec merge = function
-        | (a : Contour.segment) :: (b : Contour.segment) :: rest
-          when a.x1 = b.x0 && a.y = b.y ->
-            merge ({ a with x1 = b.x1 } :: rest)
-        | a :: rest -> a :: merge rest
-        | [] -> []
-      in
-      merge segs
+  let rects =
+    List.filter (fun r -> Rect.area r > 0) rects
+    |> List.sort (fun a b -> Int.compare (Rect.y_max a) (Rect.y_max b))
+  in
+  let s = Contour.scratch ((2 * List.length rects) + 1) in
+  List.iter
+    (fun (r : Rect.t) ->
+      Contour.raise_into s ~x0:r.x ~x1:(Rect.x_max r) ~y:(Rect.y_max r))
+    rects;
+  Contour.scratch_segments s
 
 (* Edge-adjacency: positive-length shared boundary. Two rects share an
    edge iff they touch or overlap in one axis with positive overlap in

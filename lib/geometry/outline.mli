@@ -19,8 +19,9 @@ val dead_area : Rect.t list -> int
 
 val top_profile : Rect.t list -> Contour.segment list
 (** Height of the union's skyline measured from y = 0, as maximal
-    segments over the x extent of the set. Rectangles are assumed to sit
-    at non-negative coordinates. *)
+    segments over the x extent of the set (the normal form of
+    {!Contour.scratch_segments}); zero-area rectangles add nothing.
+    Rectangles are assumed to sit at non-negative coordinates. *)
 
 val connected : Rect.t list -> bool
 (** Is the union of the (closed) rectangles a single connected region?

@@ -47,6 +47,20 @@ let test_contour_tuck () =
   (* cell 2 spans x=0..12 over both; rests on max(10, 2) = 10 *)
   Alcotest.(check int) "rests on tallest" 10 (r 2).Geometry.Rect.y
 
+let test_profile_valley () =
+  (* a 10x6 macro that is 1 high over [0, 4) and 6 high over [4, 10):
+     its right child settles into the valley, not onto the bounding box *)
+  let t = { Tree.cell = 0; left = None; right = Some (Tree.leaf 1) } in
+  let top =
+    [ { Geometry.Contour.x0 = 0; x1 = 4; y = 1 }; { x0 = 4; x1 = 10; y = 6 } ]
+  in
+  let lookup top = function 0 -> (10, 6, top) | _ -> (3, 2, None) in
+  let y1 top =
+    (List.assoc 1 (Tree.pack_with_profiles t (lookup top))).Geometry.Rect.y
+  in
+  Alcotest.(check int) "in the valley" 1 (y1 (Some top));
+  Alcotest.(check int) "flat top" 6 (y1 None)
+
 let test_delete_insert_swap () =
   let rng = Prelude.Rng.create 2 in
   let t = Tree.random rng [ 0; 1; 2; 3; 4; 5 ] in
@@ -247,17 +261,12 @@ let prop_flat_pack_matches =
     (fun (t, d) ->
       let n = Array.length d in
       let w = Array.map fst d and h = Array.map snd d in
-      let x = Array.make n (-1) and y = Array.make n (-1) in
       let xf = Array.make n (-1) and yf = Array.make n (-1) in
       let contour = Geometry.Contour.scratch ((2 * n) + 1) in
-      Tree.pack_into t contour ~w ~h ~x ~y;
       Flat.pack_into (Flat.of_tree t) contour ~w ~h ~x:xf ~y:yf;
       List.for_all
         (fun (c, (r : Geometry.Rect.t)) ->
-          x.(c) = r.Geometry.Rect.x
-          && y.(c) = r.Geometry.Rect.y
-          && xf.(c) = r.Geometry.Rect.x
-          && yf.(c) = r.Geometry.Rect.y)
+          xf.(c) = r.Geometry.Rect.x && yf.(c) = r.Geometry.Rect.y)
         (Tree.pack_rects t (fun c -> d.(c))))
 
 let prop_flat_perturb_undo =
@@ -299,6 +308,7 @@ let () =
           Alcotest.test_case "row/column" `Quick test_row_column;
           Alcotest.test_case "children semantics" `Quick test_left_child_abuts;
           Alcotest.test_case "contour" `Quick test_contour_tuck;
+          Alcotest.test_case "profile valley" `Quick test_profile_valley;
         ] );
       ( "edit",
         [

@@ -58,48 +58,22 @@ let test_rect_bbox () =
   Alcotest.(check rect) "degenerate neutral" a
     (Rect.bbox a (Rect.make ~x:100 ~y:100 ~w:0 ~h:5))
 
-let test_contour_drop () =
-  let c = Contour.empty in
-  let y1, c = Contour.drop c ~x:0 ~w:10 ~h:5 in
-  Alcotest.(check int) "first cell on ground" 0 y1;
-  let y2, c = Contour.drop c ~x:5 ~w:10 ~h:3 in
-  Alcotest.(check int) "lands on overlap" 5 y2;
-  let y3, c = Contour.drop c ~x:10 ~w:2 ~h:1 in
-  Alcotest.(check int) "lands on second" 8 y3;
-  let y4, _ = Contour.drop c ~x:20 ~w:5 ~h:1 in
-  Alcotest.(check int) "clear ground beyond" 0 y4
-
 let test_contour_raise_to () =
-  let c = Contour.raise_to Contour.empty ~x0:0 ~x1:10 ~y:4 in
-  let c = Contour.raise_to c ~x0:3 ~x1:6 ~y:9 in
-  Alcotest.(check int) "inside" 9 (Contour.height_at c 4);
-  Alcotest.(check int) "left part" 4 (Contour.height_at c 1);
-  Alcotest.(check int) "right part" 4 (Contour.height_at c 8);
-  Alcotest.(check int) "max over range" 9 (Contour.max_height c ~x0:0 ~x1:10);
-  Alcotest.(check int) "max_y" 9 (Contour.max_y c)
-
-let test_contour_segments_invariant () =
-  let rng = Prelude.Rng.create 11 in
-  for _ = 1 to 200 do
-    let c = ref Contour.empty in
-    for _ = 1 to 20 do
-      let x = Prelude.Rng.int rng 50
-      and w = 1 + Prelude.Rng.int rng 20
-      and h = 1 + Prelude.Rng.int rng 10 in
-      let _, c' = Contour.drop !c ~x ~w ~h in
-      c := c'
-    done;
-    let segs = Contour.segments !c in
-    let rec check = function
-      | (a : Contour.segment) :: (b : Contour.segment) :: rest ->
-          Alcotest.(check bool) "sorted disjoint" true (a.x1 <= b.x0);
-          Alcotest.(check bool) "merged" true (a.x1 < b.x0 || a.y <> b.y);
-          check (b :: rest)
-      | [ s ] -> Alcotest.(check bool) "positive" true (s.y > 0 && s.x1 > s.x0)
-      | [] -> ()
-    in
-    check segs
-  done
+  let s = Contour.scratch 4 in
+  Contour.raise_into s ~x0:0 ~x1:10 ~y:4;
+  Contour.raise_into s ~x0:3 ~x1:6 ~y:9;
+  let height_at x = Contour.max_height_into s ~x0:x ~x1:(x + 1) in
+  Alcotest.(check int) "inside" 9 (height_at 4);
+  Alcotest.(check int) "left part" 4 (height_at 1);
+  Alcotest.(check int) "right part" 4 (height_at 8);
+  Alcotest.(check int) "max over range" 9
+    (Contour.max_height_into s ~x0:0 ~x1:10);
+  Alcotest.(check int) "empty range" 0 (Contour.max_height_into s ~x0:5 ~x1:5);
+  Alcotest.(check (list (triple int int int))) "steps"
+    [ (0, 3, 4); (3, 6, 9); (6, 10, 4) ]
+    (List.map
+       (fun (g : Contour.segment) -> (g.x0, g.x1, g.y))
+       (Contour.scratch_segments s))
 
 let test_contour_scratch_basics () =
   let s = Contour.scratch 4 in
@@ -119,34 +93,80 @@ let test_contour_scratch_basics () =
   Alcotest.(check int) "reusable after clear" 0
     (Contour.drop_into s ~x:3 ~w:4 ~h:2)
 
-let prop_contour_scratch_matches_persistent =
-  QCheck.Test.make
-    ~name:"contour scratch = persistent contour (drops, raises, segments)"
+(* Maximal runs of equal positive height over per-column heights: the
+   brute-force image of a skyline. Equality with a run list checks that
+   a segment list is sorted, disjoint, maximally merged and positive,
+   and that it carries the right heights. *)
+let runs cols =
+  let out = ref [] in
+  Array.iteri
+    (fun x y ->
+      match !out with
+      | (g : Contour.segment) :: rest when g.x1 = x && g.y = y ->
+          out := { g with x1 = x + 1 } :: rest
+      | _ -> if y > 0 then out := { Contour.x0 = x; x1 = x + 1; y } :: !out)
+    cols;
+  List.rev !out
+
+let prop_contour_scratch_brute_force =
+  QCheck.Test.make ~name:"contour scratch = brute-force column heights"
     ~count:200 QCheck.small_int
     (fun seed ->
       let rng = Prelude.Rng.create seed in
+      let cols = Array.make 64 0 in
+      let col_max x0 x1 =
+        let m = ref 0 in
+        for c = x0 to x1 - 1 do
+          m := max !m cols.(c)
+        done;
+        !m
+      in
+      let fill x0 x1 y = Array.fill cols x0 (x1 - x0) y in
       (* deliberately tiny capacity so the arena has to grow *)
       let s = Contour.scratch 2 in
-      let c = ref Contour.empty in
       let ok = ref true in
       for _ = 1 to 30 do
+        let x0 = Prelude.Rng.int rng 40 in
+        let x1 = x0 + 1 + Prelude.Rng.int rng 15 in
         if Prelude.Rng.int rng 4 = 0 then begin
-          let x0 = Prelude.Rng.int rng 40 in
-          let x1 = x0 + 1 + Prelude.Rng.int rng 15 in
           let y = Prelude.Rng.int rng 12 in
-          c := Contour.raise_to !c ~x0 ~x1 ~y;
-          Contour.raise_into s ~x0 ~x1 ~y
+          Contour.raise_into s ~x0 ~x1 ~y;
+          fill x0 x1 y
         end
         else begin
-          let x = Prelude.Rng.int rng 40
-          and w = 1 + Prelude.Rng.int rng 15
-          and h = 1 + Prelude.Rng.int rng 10 in
-          let y, c' = Contour.drop !c ~x ~w ~h in
-          c := c';
-          ok := !ok && Contour.drop_into s ~x ~w ~h = y
-        end
+          let h = 1 + Prelude.Rng.int rng 10 in
+          let y = col_max x0 x1 in
+          ok := !ok && Contour.drop_into s ~x:x0 ~w:(x1 - x0) ~h = y;
+          fill x0 x1 (y + h)
+        end;
+        (* a query range that may be empty *)
+        let q0 = Prelude.Rng.int rng 50 in
+        let q1 = q0 + Prelude.Rng.int rng 14 in
+        ok := !ok && Contour.max_height_into s ~x0:q0 ~x1:q1 = col_max q0 q1
       done;
-      !ok && Contour.scratch_segments s = Contour.segments !c)
+      !ok && Contour.scratch_segments s = runs cols)
+
+let prop_top_profile_brute_force =
+  QCheck.Test.make ~name:"top profile = brute-force column maxima"
+    ~count:300 QCheck.small_int
+    (fun seed ->
+      let rng = Prelude.Rng.create seed in
+      (* zero widths and heights give zero-area rects; overlaps are
+         common *)
+      let rects =
+        List.init (Prelude.Rng.int rng 12) (fun _ ->
+            Rect.make ~x:(Prelude.Rng.int rng 30) ~y:(Prelude.Rng.int rng 20)
+              ~w:(Prelude.Rng.int rng 10) ~h:(Prelude.Rng.int rng 10))
+      in
+      let cols = Array.make 64 0 in
+      List.iter
+        (fun (r : Rect.t) ->
+          if Rect.area r > 0 then
+            for c = r.x to Rect.x_max r - 1 do
+              cols.(c) <- max cols.(c) (Rect.y_max r)
+            done)
+        rects;
+      Outline.top_profile rects = runs cols)
 
 let test_outline_covered_area () =
   let rects =
@@ -336,9 +356,7 @@ let () =
         ] );
       ( "contour",
         [
-          Alcotest.test_case "drop" `Quick test_contour_drop;
           Alcotest.test_case "raise_to" `Quick test_contour_raise_to;
-          Alcotest.test_case "invariants" `Quick test_contour_segments_invariant;
           Alcotest.test_case "scratch" `Quick test_contour_scratch_basics;
         ] );
       ( "outline",
@@ -366,6 +384,7 @@ let () =
             prop_covered_le_bbox;
             prop_intersection_symmetric;
             prop_guard_ring_seals;
-            prop_contour_scratch_matches_persistent;
+            prop_contour_scratch_brute_force;
+            prop_top_profile_brute_force;
           ] );
     ]
