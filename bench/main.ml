@@ -789,9 +789,22 @@ let absolute () =
 (* ------------------------------------------------------------------ *)
 (* E11: micro-benchmarks                                               *)
 
+(* ops/second of [f]: warm up once, then repeat until enough wall time
+   has accumulated for a stable estimate. *)
+let time_ops ?(budget = 0.25) f =
+  f ();
+  let t0 = Unix.gettimeofday () in
+  let reps = ref 0 in
+  let elapsed = ref 0.0 in
+  while !elapsed < budget do
+    f ();
+    incr reps;
+    elapsed := Unix.gettimeofday () -. t0
+  done;
+  float_of_int !reps /. !elapsed
+
 let micro () =
-  section "E11: micro-benchmarks (bechamel)";
-  let open Bechamel in
+  section "E11: micro-benchmarks";
   let rng = Prelude.Rng.create 5 in
   let mk_sp n =
     let sp = Seqpair.Sp.random rng n in
@@ -813,62 +826,34 @@ let micro () =
              ~rotated:false))
   in
   let tests =
-    Test.make_grouped ~name:"analog-layout"
-      [
-        Test.make ~name:"sp-pack-naive-50" (Staged.stage (fun () ->
-             ignore (Seqpair.Pack.pack sp50 d50)));
-        Test.make ~name:"sp-pack-fast-50" (Staged.stage (fun () ->
-             ignore (Seqpair.Pack.pack_fast sp50 d50)));
-        Test.make ~name:"sp-pack-naive-300" (Staged.stage (fun () ->
-             ignore (Seqpair.Pack.pack sp300 d300)));
-        Test.make ~name:"sp-pack-fast-300" (Staged.stage (fun () ->
-             ignore (Seqpair.Pack.pack_fast sp300 d300)));
-        Test.make ~name:"bstar-pack-300" (Staged.stage (fun () ->
-             ignore (Bstar.Tree.pack tree300 d300)));
-        Test.make ~name:"rsf-add" (Staged.stage (fun () ->
-             ignore (Shapefn.Esf.rsf_hadd s1 s2)));
-        Test.make ~name:"esf-add-32cells" (Staged.stage (fun () ->
-             ignore (Shapefn.Esf.esf_hadd big1 s2)));
-        Test.make ~name:"miller-template+extract" (Staged.stage (fun () ->
-             let d = Sizing.Design.default in
-             ignore (Sizing.Extract.extract d (Sizing.Template.generate d))));
-        Test.make ~name:"miller-perf-eval" (Staged.stage (fun () ->
-             ignore (Sizing.Perf.evaluate Sizing.Perf.default_env
-                       Sizing.Design.default)));
-      ]
+    [
+      ("sp-pack-naive-50", fun () -> ignore (Seqpair.Pack.pack sp50 d50));
+      ("sp-pack-fast-50", fun () -> ignore (Seqpair.Pack.pack_fast sp50 d50));
+      ("sp-pack-naive-300", fun () -> ignore (Seqpair.Pack.pack sp300 d300));
+      ("sp-pack-fast-300", fun () -> ignore (Seqpair.Pack.pack_fast sp300 d300));
+      ("bstar-pack-300", fun () -> ignore (Bstar.Tree.pack tree300 d300));
+      ("rsf-add", fun () -> ignore (Shapefn.Esf.rsf_hadd s1 s2));
+      ("esf-add-32cells", fun () -> ignore (Shapefn.Esf.esf_hadd big1 s2));
+      ( "miller-template+extract",
+        fun () ->
+          let d = Sizing.Design.default in
+          ignore (Sizing.Extract.extract d (Sizing.Template.generate d)) );
+      ( "miller-perf-eval",
+        fun () ->
+          ignore
+            (Sizing.Perf.evaluate Sizing.Perf.default_env Sizing.Design.default)
+      );
+    ]
   in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
   Printf.printf "%-42s %14s\n" "benchmark" "ns/run";
   hr ();
   List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some [ t ] -> Printf.printf "%-42s %14.0f\n" name t
-      | Some _ | None -> Printf.printf "%-42s %14s\n" name "-")
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
+    (fun (name, f) ->
+      Printf.printf "%-42s %14.0f\n" name (1e9 /. time_ops ~budget:0.5 f))
+    tests
 
 (* ------------------------------------------------------------------ *)
 (* E17: evaluation-engine throughput and parallel annealing scaling    *)
-
-(* ops/second of [f]: warm up once, then repeat until enough wall time
-   has accumulated for a stable estimate. *)
-let time_ops ?(budget = 0.25) f =
-  f ();
-  let t0 = Unix.gettimeofday () in
-  let reps = ref 0 in
-  let elapsed = ref 0.0 in
-  while !elapsed < budget do
-    f ();
-    incr reps;
-    elapsed := Unix.gettimeofday () -. t0
-  done;
-  float_of_int !reps /. !elapsed
 
 module J = Telemetry.Json
 
