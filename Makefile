@@ -1,4 +1,4 @@
-.PHONY: all check test bench perf qor report dashboard clean
+.PHONY: all check test bench perf qor report dashboard loc clean
 
 all:
 	dune build @all
@@ -37,6 +37,10 @@ report:
 dashboard:
 	dune exec bin/analog_place.exe -- dashboard BENCH_ledger.jsonl \
 	  --out flight-recorder.html --bench miller --engine sp --route
+
+# line total of the tracked lib/ bin/ bench/ OCaml sources (.ml/.mli)
+loc:
+	@git ls-files -- lib bin bench | grep -E '\.mli?$$' | xargs cat | wc -l
 
 clean:
 	dune clean
