@@ -75,6 +75,28 @@ let test_contour_raise_to () =
        (fun (g : Contour.segment) -> (g.x0, g.x1, g.y))
        (Contour.scratch_segments s))
 
+let test_contour_segments_invariant () =
+  let rng = Prelude.Rng.create 11 in
+  let s = Contour.scratch 2 in
+  for _ = 1 to 200 do
+    Contour.clear s;
+    for _ = 1 to 20 do
+      let x = Prelude.Rng.int rng 50
+      and w = 1 + Prelude.Rng.int rng 20
+      and h = 1 + Prelude.Rng.int rng 10 in
+      ignore (Contour.drop_into s ~x ~w ~h : int)
+    done;
+    let rec check = function
+      | (a : Contour.segment) :: (b : Contour.segment) :: rest ->
+          Alcotest.(check bool) "sorted disjoint" true (a.x1 <= b.x0);
+          Alcotest.(check bool) "merged" true (a.x1 < b.x0 || a.y <> b.y);
+          check (b :: rest)
+      | [ g ] -> Alcotest.(check bool) "positive" true (g.y > 0 && g.x1 > g.x0)
+      | [] -> ()
+    in
+    check (Contour.scratch_segments s)
+  done
+
 let test_contour_scratch_basics () =
   let s = Contour.scratch 4 in
   Alcotest.(check int) "first cell on ground" 0
@@ -109,7 +131,7 @@ let runs cols =
   List.rev !out
 
 let prop_contour_scratch_brute_force =
-  QCheck.Test.make ~name:"contour scratch = brute-force column heights"
+  QCheck.Test.make ~name:"contour scratch = brute-force column"
     ~count:200 QCheck.small_int
     (fun seed ->
       let rng = Prelude.Rng.create seed in
@@ -357,6 +379,7 @@ let () =
       ( "contour",
         [
           Alcotest.test_case "raise_to" `Quick test_contour_raise_to;
+          Alcotest.test_case "invariants" `Quick test_contour_segments_invariant;
           Alcotest.test_case "scratch" `Quick test_contour_scratch_basics;
         ] );
       ( "outline",
