@@ -238,10 +238,9 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
       annealed_engines;
   let groups = Constraints.Symmetry_group.of_hierarchy hierarchy in
   (* The prover runs before any annealing; its errors are proofs, so a
-     rejected input exits 1 without burning a single SA round. The
-     portfolio path runs the same prover inside race (so library users
-     get it too) — here it gates every engine. *)
-  if infeasible_check && not portfolio then begin
+     rejected input exits 1 without burning a single SA round. It gates
+     every engine and the portfolio alike. *)
+  if infeasible_check then begin
     let diags =
       Analysis.Feasibility.check ~groups ~hierarchy ?outline circuit
     in
@@ -276,14 +275,8 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
   let o =
     if portfolio then (
       let o =
-        try
-          Placer.Portfolio.race ~weights ~groups ?workers ?chains ~hierarchy
-            ?validate ~feasibility_check:infeasible_check ?outline ?estimator
-            ~telemetry ~rng circuit
-        with Analysis.Invariant.Violation (ctx, ds) ->
-          Format.eprintf "%s:@.%a" ctx Analysis.Diagnostic.pp_list ds;
-          Printf.eprintf "input proven infeasible; not placing\n";
-          exit 1
+        Placer.Portfolio.race ~weights ~groups ?workers ?chains ~hierarchy
+          ?validate ?estimator ~telemetry ~rng circuit
       in
       Printf.printf "portfolio winner: %s (%s)\n"
         (Placer.Portfolio.engine_name o.Placer.Portfolio.winner)
@@ -1186,7 +1179,7 @@ let serve_cmd =
        ~doc:
          "Long-lived placement service on stdin/stdout: one JSONL \
           request per line in, one response per line out (same wire \
-          format as $(b,batch)). The annealing pool, arena pool and \
+          format as $(b,batch)). The annealing pool and the \
           multi-placement cache persist across requests, so repeated \
           or outline-varied requests are served in microseconds from \
           the cache.")

@@ -14,7 +14,6 @@ type estimator =
   x:int array -> y:int array -> w:int array -> h:int array -> float
 
 type t = {
-  circuit : Netlist.Circuit.t;
   n : int;
   base_w : int array;  (* unrotated module dimensions *)
   base_h : int array;
@@ -46,7 +45,6 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     base_h.(c) <- h
   done;
   {
-    circuit;
     n;
     base_w;
     base_h;
@@ -69,7 +67,6 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     last_hpwl = 0.0;
   }
 
-let circuit t = t.circuit
 let last_extents t = (t.last_w, t.last_h, t.last_hpwl)
 
 let set_rotation t rot =

@@ -8,7 +8,9 @@
     CSR-flattened nets — so a single cost query performs zero
     allocation: the sequence-pair is packed into the arena's
     coordinate arrays and area + HPWL are computed in one pass over
-    them.
+    them. The one exception is a symmetric pack, whose packer
+    ({!Seqpair.Symmetry.pack_symmetric_into}) allocates a few
+    per-pack index arrays.
 
     This is the one code path that turns placed geometry into a cost.
     The annealers pack straight into the arena ({!cost_seqpair},
@@ -50,8 +52,6 @@ val create :
     {!Seqpair.Symmetry.pack_symmetric_into}'s segregated fallback).
     All handles are resolved here, once; with the null sink each hook
     is a single predictable branch on the hot path. *)
-
-val circuit : t -> Netlist.Circuit.t
 
 val last_extents : t -> int * int * float
 (** [(width, height, hpwl)] of the most recent cost query — the

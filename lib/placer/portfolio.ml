@@ -224,8 +224,8 @@ let default_engines ~n ~groups ~hierarchy =
   sa @ (match hierarchy with Some _ when n <= 40 -> [ Esf ] | _ -> [])
 
 let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
-    ?(chains = 1) ?engines ?hierarchy ?validate ?(feasibility_check = false)
-    ?outline ?estimator ?(telemetry = Telemetry.Sink.null) ~rng circuit =
+    ?(chains = 1) ?engines ?hierarchy ?validate ?estimator
+    ?(telemetry = Telemetry.Sink.null) ~rng circuit =
   let validate =
     match validate with
     | Some v -> v
@@ -233,18 +233,6 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
   in
   let n = Netlist.Circuit.size circuit in
   if n = 0 then invalid_arg "Portfolio.race: empty circuit";
-  if feasibility_check then begin
-    (* prove infeasibility before burning any annealing rounds; the
-       prover's errors are engine-independent, so no entrant could
-       have succeeded *)
-    let proofs =
-      Analysis.Feasibility.check ~groups ?hierarchy ?outline circuit
-      |> List.filter (fun (d : Analysis.Diagnostic.t) ->
-             d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error)
-    in
-    Analysis.Invariant.raise_if_any ~context:"Portfolio.race: infeasible input"
-      proofs
-  end;
   let params =
     match params with Some p -> p | None -> Anneal.Sa.default_params ~n
   in

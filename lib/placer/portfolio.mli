@@ -73,8 +73,6 @@ val race :
   ?engines:engine list ->
   ?hierarchy:Netlist.Hierarchy.t ->
   ?validate:bool ->
-  ?feasibility_check:bool ->
-  ?outline:int * int ->
   ?estimator:(unit -> Eval.estimator) ->
   ?telemetry:Telemetry.Sink.t ->
   rng:Prelude.Rng.t ->
@@ -101,12 +99,10 @@ val race :
     Every entrant runs to freezing; the winner is the entrant that
     holds the lowest best cost at the end.
 
-    [feasibility_check] (default false) runs the {!Analysis.Feasibility}
-    prover before any entrant starts and raises
-    {!Analysis.Invariant.Violation} with the proof diagnostics when the
-    input is infeasible ([outline] is forwarded as the fixed-outline
-    obligation) — every error the prover emits is engine-independent,
-    so no entrant could have won.
+    The race runs no feasibility prover: a caller that wants one runs
+    {!Analysis.Feasibility.check} first, as the CLI's
+    [--infeasible-check] does for every engine. Its errors are
+    engine-independent, so no entrant could have won.
 
     [estimator] is the per-chain congestion-estimator factory
     ({!Eval.estimator}); under a non-zero [weights.routability] every

@@ -130,8 +130,40 @@ let axis2_of placed (g : group) =
 exception Infeasible of string
 exception Diverged
 
-(* Minimal coupled packing: longest-path lower bounds alternating with
-   per-group axis lifting, one fixpoint per axis.
+(* One longest-path pass over [order]: every [a] before [b] in [order]
+   with [a] before [b] in beta pushes [b] past [a]'s far edge. In
+   alpha order that closes the left-of graph, in reverse alpha order
+   the below graph. True if any coordinate rose. *)
+let propagate (bpos : int array) coord extent order =
+  let changed = ref false in
+  for pos = 0 to Array.length order - 1 do
+    let b = order.(pos) in
+    let bp = bpos.(b) in
+    for pos_a = 0 to pos - 1 do
+      let a = order.(pos_a) in
+      if bpos.(a) < bp then begin
+        let need = coord.(a) + extent.(a) in
+        if coord.(b) < need then begin
+          coord.(b) <- need;
+          changed := true
+        end
+      end
+    done
+  done;
+  !changed
+
+let reversed order =
+  let n = Array.length order in
+  Array.init n (fun i -> order.(n - 1 - i))
+
+let self_parity w (g : group) =
+  match g.G.selfs with [] -> None | f :: _ -> Some (w.(f) land 1)
+
+(* Coupled packing of [cells] (alpha-ordered: every cell or one group's
+   members; a sub-code keeps every relation between its cells) under
+   [oriented], each group with its pairs as (left, right): longest-path
+   lower bounds alternating with per-group axis lifting, one fixpoint
+   per axis. Writes [x]/[y] of [cells]; reads [w]/[h].
 
    Vertical: "below" edges [y_b >= y_a + h_a] form a DAG that one
    [propagate] sweep in reverse-alpha order closes; each mirrored pair
@@ -146,188 +178,94 @@ exception Diverged
    raises [Diverged] on exactly those codes.
 
    Horizontal: a group's shared axis couples all its pairs, so no exact
-   bound is claimed and the generous cap stays. The two fixpoints are
-   independent (the vertical one reads only [h]; the horizontal one
-   writes only [x] and padded [w]), so the cheap-to-refute vertical one
-   runs first. On [Diverged] the caller falls back to symmetry-island
-   segregation.
-
-   The [_into] core writes coordinates (and possibly parity-padded
-   widths) into caller buffers and returns the cells placed on the
-   right-hand side of their axis, so the annealing arena can evaluate
-   symmetric packings without materializing placement lists. *)
-let pack_coupled_into ~x ~y ~w ~h sp dims groups =
-  let n = Sp.size sp in
-  begin
-    if not (is_feasible_all sp groups) then
-      raise (Infeasible "sequence-pair is not symmetric-feasible");
-    for c = 0 to n - 1 do
-      let cw, ch = dims c in
-      w.(c) <- cw;
-      h.(c) <- ch
-    done;
-    Array.fill x 0 n 0;
-    Array.fill y 0 n 0;
-    (* Validate matched pair dimensions and orient pairs left/right. *)
-    let oriented_pairs =
-      List.map
-        (fun (g : group) ->
-          let pairs =
-            List.map
-              (fun (a, b) ->
-                if w.(a) <> w.(b) || h.(a) <> h.(b) then
-                  raise
-                    (Infeasible
-                       (Printf.sprintf "pair (%d,%d) dimension mismatch" a b));
-                match Sp.relation sp a b with
-                | Sp.Left_of -> (a, b)
-                | Sp.Right_of -> (b, a)
-                | Sp.Below | Sp.Above ->
-                    raise
-                      (Infeasible
-                         (Printf.sprintf
-                            "pair (%d,%d) vertically related; not S-F" a b)))
-              g.G.pairs
-          in
-          (g, pairs))
-        groups
-    in
-    (* Pad self-symmetric widths to a common parity per group so an
-       exact integer axis exists. *)
-    List.iter
-      (fun (g : group) ->
-        match g.G.selfs with
-        | [] -> ()
-        | first :: rest ->
-            let parity = w.(first) land 1 in
-            List.iter
-              (fun f -> if w.(f) land 1 <> parity then w.(f) <- w.(f) + 1)
-              rest)
-      groups;
-    let self_parity (g : group) =
-      match g.G.selfs with [] -> None | f :: _ -> Some (w.(f) land 1)
-    in
-    (* Precompute the left-of and below predecessor lists. *)
-    let alpha_order = Array.init n (Perm.cell_at sp.Sp.alpha) in
-    let bpos c = Perm.pos_of sp.Sp.beta c in
-    (* Longest-path pass respecting current values; true if anything
-       rose. *)
-    let propagate coord extent order =
-      let changed = ref false in
-      let len = Array.length order in
-      for pos = 0 to len - 1 do
-        let b = order.(pos) in
-        for pos_a = 0 to pos - 1 do
-          let a = order.(pos_a) in
-          if bpos a < bpos b then begin
-            let need = coord.(a) + extent.(a) in
-            if coord.(b) < need then begin
-              coord.(b) <- need;
+   bound is claimed and the generous cap [10(n + G) + 20] stays, [n]
+   the cells packed. The two fixpoints are independent (the vertical
+   one reads only [h]; the horizontal one writes only [x]), so the
+   cheap-to-refute vertical one runs first. *)
+let pack_coupled_into ~x ~y ~w ~h bpos cells oriented =
+  Array.iter
+    (fun c ->
+      x.(c) <- 0;
+      y.(c) <- 0)
+    cells;
+  let axis2 = Array.make (List.length oriented) 0 in
+  let lift_x () =
+    let changed = ref false in
+    List.iteri
+      (fun gi ((g : group), pairs) ->
+        let need = ref axis2.(gi) in
+        List.iter
+          (fun (l, r) -> need := max !need (x.(l) + x.(r) + w.(l)))
+          pairs;
+        List.iter (fun f -> need := max !need ((2 * x.(f)) + w.(f))) g.G.selfs;
+        (match self_parity w g with
+        | Some p when !need land 1 <> p -> incr need
+        | Some _ | None -> ());
+        if !need > axis2.(gi) then axis2.(gi) <- !need;
+        let a2 = axis2.(gi) in
+        List.iter
+          (fun (l, r) ->
+            let v = a2 - x.(l) - w.(l) in
+            if v <> x.(r) then begin
+              (* v >= x.(r) by construction of a2 *)
+              x.(r) <- v;
               changed := true
-            end
-          end
-        done
-      done;
-      !changed
-    in
-    let rev_alpha_order = Array.init n (fun i -> alpha_order.(n - 1 - i)) in
-    let axis2 = Array.make (List.length groups) 0 in
-    let lift_x () =
-      let changed = ref false in
-      List.iteri
-        (fun gi ((g : group), pairs) ->
-          let need = ref axis2.(gi) in
-          List.iter
-            (fun (l, r) -> need := max !need (x.(l) + x.(r) + w.(l)))
-            pairs;
-          List.iter
-            (fun f -> need := max !need ((2 * x.(f)) + w.(f)))
-            g.G.selfs;
-          (match self_parity g with
-          | Some p when !need land 1 <> p -> incr need
-          | Some _ | None -> ());
-          if !need > axis2.(gi) then axis2.(gi) <- !need;
-          let a2 = axis2.(gi) in
-          List.iter
-            (fun (l, r) ->
-              let v = a2 - x.(l) - w.(l) in
-              if v <> x.(r) then begin
-                (* v >= x.(r) by construction of a2 *)
-                x.(r) <- v;
-                changed := true
-              end)
-            pairs;
-          List.iter
-            (fun f ->
-              let v = (a2 - w.(f)) / 2 in
-              if v <> x.(f) then begin
-                x.(f) <- v;
-                changed := true
-              end)
-            g.G.selfs)
-        oriented_pairs;
-      !changed
-    in
-    let lift_y () =
-      let changed = ref false in
-      List.iter
-        (fun ((_ : group), pairs) ->
-          List.iter
-            (fun (l, r) ->
-              let m = max y.(l) y.(r) in
-              if y.(l) <> m || y.(r) <> m then begin
-                y.(l) <- m;
-                y.(r) <- m;
-                changed := true
-              end)
-            pairs)
-        oriented_pairs;
-      !changed
-    in
-    let rec fix ~cap pass iter =
-      if iter > cap then raise Diverged
-      else if pass () then fix ~cap pass (iter + 1)
-    in
-    let n_pairs =
-      List.fold_left (fun acc (_, pairs) -> acc + List.length pairs) 0
-        oriented_pairs
-    in
-    fix ~cap:(n_pairs + 1)
-      (fun () ->
-        let a = propagate y h rev_alpha_order in
-        let b = lift_y () in
-        a || b)
-      0;
-    fix
-      ~cap:((10 * (n + List.length groups)) + 20)
-      (fun () ->
-        let a = propagate x w alpha_order in
-        let b = lift_x () in
-        a || b)
-      0;
-    List.concat_map (fun (_, pairs) -> List.map snd pairs) oriented_pairs
-  end
-
-let pack_coupled sp dims groups =
-  let n = Sp.size sp in
-  let x = Array.make n 0 and y = Array.make n 0 in
-  let w = Array.make n 0 and h = Array.make n 0 in
-  let right_cells = pack_coupled_into ~x ~y ~w ~h sp dims groups in
-  List.init n (fun c ->
-      let orient =
-        if List.mem c right_cells then Orientation.MY else Orientation.R0
-      in
-      (* widths may have been padded; place with the padded size *)
-      {
-        Transform.cell = c;
-        rect = Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c);
-        orient;
-      })
+            end)
+          pairs;
+        List.iter
+          (fun f ->
+            let v = (a2 - w.(f)) / 2 in
+            if v <> x.(f) then begin
+              x.(f) <- v;
+              changed := true
+            end)
+          g.G.selfs)
+      oriented;
+    !changed
+  in
+  let lift_y () =
+    let changed = ref false in
+    List.iter
+      (fun ((_ : group), pairs) ->
+        List.iter
+          (fun (l, r) ->
+            let m = max y.(l) y.(r) in
+            if y.(l) <> m || y.(r) <> m then begin
+              y.(l) <- m;
+              y.(r) <- m;
+              changed := true
+            end)
+          pairs)
+      oriented;
+    !changed
+  in
+  let rec fix ~cap pass iter =
+    if iter > cap then raise Diverged
+    else if pass () then fix ~cap pass (iter + 1)
+  in
+  let n_pairs =
+    List.fold_left (fun acc (_, pairs) -> acc + List.length pairs) 0 oriented
+  in
+  let rev_cells = reversed cells in
+  fix ~cap:(n_pairs + 1)
+    (fun () ->
+      let a = propagate bpos y h rev_cells in
+      let b = lift_y () in
+      a || b)
+    0;
+  fix
+    ~cap:((10 * (Array.length cells + List.length oriented)) + 20)
+    (fun () ->
+      let a = propagate bpos x w cells in
+      let b = lift_x () in
+      a || b)
+    0
 
 (* Terminal fallback for one group: rows of mirrored pairs around a
-   column of self-symmetric cells — always symmetric and overlap-free,
-   never minimal. *)
-let stacked_island dims (g : group) =
+   column of self-symmetric cells, selfs padded to even widths --
+   always symmetric and overlap-free, never minimal. Writes all four
+   buffers of the group's cells. *)
+let stacked_island ~x ~y ~w ~h dims (g : group) =
   let pad w = w + (w land 1) in
   let max_self_w =
     List.fold_left (fun acc f -> max acc (pad (fst (dims f)))) 0 g.G.selfs
@@ -337,181 +275,172 @@ let stacked_island dims (g : group) =
   in
   (* axis2 is even: selfs are padded to even widths *)
   let axis = max ((max_self_w + 1) / 2) max_pair_w in
-  let y = ref 0 in
-  let pairs =
-    List.concat_map
-      (fun (l, r) ->
-        let w, h = dims l in
-        let row_y = !y in
-        y := !y + h;
-        [
-          {
-            Transform.cell = l;
-            rect = Rect.make ~x:(axis - w) ~y:row_y ~w ~h;
-            orient = Orientation.MY;
-          };
-          {
-            Transform.cell = r;
-            rect = Rect.make ~x:axis ~y:row_y ~w ~h;
-            orient = Orientation.R0;
-          };
-        ])
-      g.G.pairs
+  let row = ref 0 in
+  let put c ~x:cx ~w:cw ~h:ch =
+    x.(c) <- cx;
+    y.(c) <- !row;
+    w.(c) <- cw;
+    h.(c) <- ch
   in
-  let selfs =
-    List.map
-      (fun f ->
-        let w, h = dims f in
-        let w = pad w in
-        let row_y = !y in
-        y := !y + h;
-        {
-          Transform.cell = f;
-          rect = Rect.make ~x:(axis - (w / 2)) ~y:row_y ~w ~h;
-          orient = Orientation.R0;
-        })
-      g.G.selfs
-  in
-  pairs @ selfs
+  List.iter
+    (fun (l, r) ->
+      let cw, ch = dims l in
+      put l ~x:(axis - cw) ~w:cw ~h:ch;
+      put r ~x:axis ~w:cw ~h:ch;
+      row := !row + ch)
+    g.G.pairs;
+  List.iter
+    (fun f ->
+      let cw, ch = dims f in
+      let cw = pad cw in
+      put f ~x:(axis - (cw / 2)) ~w:cw ~h:ch;
+      row := !row + ch)
+    g.G.selfs
 
-(* Segregated fallback: each group packed as a symmetry island from its
-   own sub-sequence-pair, then the reduced sequence-pair (islands as
-   super-cells) packed normally. Loses free-cell interleaving inside
-   island bounding boxes, keeps everything else. *)
-let pack_segregated sp dims groups =
-  let n = Sp.size sp in
-  let group_of = Array.make n None in
+(* Segregated fallback: each group becomes a symmetry island -- the
+   coupled core on its members, or the stacked island if that diverges
+   too -- shifted to the origin of its bounding box. The reduced code
+   holds the free cells plus one item [n + gi] per group, at the
+   group's first occurrence in each sequence, and one [propagate] per
+   axis packs it. Loses free-cell interleaving inside island bounding
+   boxes, keeps everything else. *)
+let pack_segregated ~x ~y ~w ~h dims bpos alpha_order oriented =
+  let n = Array.length alpha_order in
+  let items = n + List.length oriented in
+  let group_of = Array.make n (-1) in
   List.iteri
-    (fun gi g -> List.iter (fun m -> group_of.(m) <- Some gi) (G.members g))
-    groups;
-  (* 1. per-group islands from the restricted sequence-pair *)
-  let islands =
-    List.map
-      (fun (g : group) ->
-        let members =
-          List.filter (fun c -> G.mem g c) (Perm.to_list sp.Sp.alpha)
-        in
-        let local_of = Hashtbl.create 8 in
-        List.iteri (fun i c -> Hashtbl.replace local_of c i) members;
-        let local c = Hashtbl.find local_of c in
-        let to_perm order =
-          Perm.of_array
-            (Array.of_list (List.map local (List.filter (G.mem g) order)))
-        in
-        let mini_sp =
-          Sp.make
-            ~alpha:(to_perm (Perm.to_list sp.Sp.alpha))
-            ~beta:(to_perm (Perm.to_list sp.Sp.beta))
-        in
-        let members_arr = Array.of_list members in
-        let mini_dims i = dims members_arr.(i) in
-        let mini_g =
-          G.make ~name:g.G.name
-            ~pairs:(List.map (fun (a, b) -> (local a, local b)) g.G.pairs)
-            ~selfs:(List.map local g.G.selfs) ()
-        in
-        let local_placed =
-          match pack_coupled mini_sp mini_dims [ mini_g ] with
-          | placed -> placed
-          | exception Diverged -> stacked_island mini_dims mini_g
-        in
-        (* back to global cell ids, normalized to the origin *)
-        let placed =
-          List.map
-            (fun (p : Transform.placed) ->
-              { p with Transform.cell = members_arr.(p.Transform.cell) })
-            local_placed
-        in
-        let bbox =
-          Rect.bbox_of_list (List.map (fun p -> p.Transform.rect) placed)
-        in
-        let placed =
-          List.map
-            (fun p ->
-              Transform.translate p ~dx:(-bbox.Rect.x) ~dy:(-bbox.Rect.y))
-            placed
-        in
-        (placed,
-         (Rect.x_max bbox - bbox.Rect.x, Rect.y_max bbox - bbox.Rect.y)))
-      groups
+    (fun gi ((g : group), _) ->
+      List.iter (fun m -> group_of.(m) <- gi) (G.members g))
+    oriented;
+  let item c = if group_of.(c) < 0 then c else n + group_of.(c) in
+  let rbpos = Array.make items max_int in
+  Array.iteri (fun c p -> rbpos.(item c) <- min rbpos.(item c) p) bpos;
+  let rw = Array.init items (fun i -> if i < n then w.(i) else 0) in
+  let rh = Array.init items (fun i -> if i < n then h.(i) else 0) in
+  List.iteri
+    (fun gi (((g : group), _) as og) ->
+      let cells =
+        Array.of_list
+          (List.filter (fun c -> group_of.(c) = gi) (Array.to_list alpha_order))
+      in
+      (match pack_coupled_into ~x ~y ~w ~h bpos cells [ og ] with
+      | () -> ()
+      | exception Diverged -> stacked_island ~x ~y ~w ~h dims g);
+      let x0 = Array.fold_left (fun m c -> min m x.(c)) max_int cells in
+      let y0 = Array.fold_left (fun m c -> min m y.(c)) max_int cells in
+      Array.iter
+        (fun c ->
+          x.(c) <- x.(c) - x0;
+          y.(c) <- y.(c) - y0;
+          rw.(n + gi) <- max rw.(n + gi) (x.(c) + w.(c));
+          rh.(n + gi) <- max rh.(n + gi) (y.(c) + h.(c)))
+        cells)
+    oriented;
+  let seen = Array.make items false in
+  let order =
+    Array.to_list alpha_order
+    |> List.filter_map (fun c ->
+           let i = item c in
+           if seen.(i) then None
+           else begin
+             seen.(i) <- true;
+             Some i
+           end)
+    |> Array.of_list
   in
-  (* 2. reduced sequence-pair: free cells + one super-cell per group,
-     positioned at the group's first occurrence in each sequence *)
-  let pseudo gi = n + gi in
-  let reduce order =
-    let seen = Array.make (List.length groups) false in
-    List.filter_map
-      (fun c ->
-        match group_of.(c) with
-        | None -> Some c
-        | Some gi ->
-            if seen.(gi) then None
-            else begin
-              seen.(gi) <- true;
-              Some (pseudo gi)
-            end)
-      order
-  in
-  let ids = reduce (Perm.to_list sp.Sp.alpha) in
-  let compact = Hashtbl.create 16 in
-  List.iteri (fun i c -> Hashtbl.replace compact c i) ids;
-  let to_perm order =
-    Perm.of_array
-      (Array.of_list (List.map (Hashtbl.find compact) (reduce order)))
-  in
-  let reduced_sp =
-    Sp.make
-      ~alpha:(to_perm (Perm.to_list sp.Sp.alpha))
-      ~beta:(to_perm (Perm.to_list sp.Sp.beta))
-  in
-  let ids_arr = Array.of_list ids in
-  let reduced_dims i =
-    let c = ids_arr.(i) in
-    if c < n then dims c else snd (List.nth islands (c - n))
-  in
-  let packed = Pack.pack_fast reduced_sp reduced_dims in
-  List.concat_map
-    (fun (p : Transform.placed) ->
-      let c = ids_arr.(p.Transform.cell) in
-      if c < n then [ { p with Transform.cell = c } ]
-      else
-        let island_placed, _ = List.nth islands (c - n) in
+  let rx = Array.make items 0 and ry = Array.make items 0 in
+  ignore (propagate rbpos rx rw order : bool);
+  ignore (propagate rbpos ry rh (reversed order) : bool);
+  for c = 0 to n - 1 do
+    let i = item c in
+    if i = c then begin
+      x.(c) <- rx.(c);
+      y.(c) <- ry.(c)
+    end
+    else begin
+      x.(c) <- x.(c) + rx.(i);
+      y.(c) <- y.(c) + ry.(i)
+    end
+  done
+
+(* Each group with its pairs as (left, right) in the code; raises
+   [Infeasible] on a pair whose cells differ in size or are related
+   vertically. *)
+let orient sp ~w ~h groups =
+  List.map
+    (fun (g : group) ->
+      ( g,
         List.map
-          (fun q ->
-            Transform.translate q ~dx:p.Transform.rect.Rect.x
-              ~dy:p.Transform.rect.Rect.y)
-          island_placed)
-    packed
+          (fun (a, b) ->
+            if w.(a) <> w.(b) || h.(a) <> h.(b) then
+              raise
+                (Infeasible
+                   (Printf.sprintf "pair (%d,%d) dimension mismatch" a b));
+            match Sp.relation sp a b with
+            | Sp.Left_of -> (a, b)
+            | Sp.Right_of -> (b, a)
+            | Sp.Below | Sp.Above ->
+                raise
+                  (Infeasible
+                     (Printf.sprintf "pair (%d,%d) vertically related; not S-F"
+                        a b)))
+          g.G.pairs ))
+    groups
 
-let pack_symmetric sp dims groups =
-  match pack_coupled sp dims groups with
-  | placed -> Ok placed
-  | exception Infeasible msg -> Error msg
-  | exception Diverged -> (
-      match pack_segregated sp dims groups with
-      | placed -> Ok placed
-      | exception Infeasible msg -> Error msg)
-
-(* Buffer variant for the annealing arena: identical coordinates to
-   {!pack_symmetric} (tested), but written into caller arrays. The
-   coupled core writes in place; only the [Diverged] fallback still
-   materializes a list, whose coordinates are then copied, and bumps
-   [tally]. *)
 let pack_symmetric_into ?(tally = Telemetry.Counter.null) ~x ~y ~w ~h sp dims
     groups =
-  match pack_coupled_into ~x ~y ~w ~h sp dims groups with
-  | (_ : int list) -> Ok ()
-  | exception Infeasible msg -> Error msg
-  | exception Diverged -> (
-      Telemetry.Counter.incr tally;
-      match pack_segregated sp dims groups with
-      | placed ->
+  if not (is_feasible_all sp groups) then
+    Error "sequence-pair is not symmetric-feasible"
+  else begin
+    let n = Sp.size sp in
+    for c = 0 to n - 1 do
+      let cw, ch = dims c in
+      w.(c) <- cw;
+      h.(c) <- ch
+    done;
+    match orient sp ~w ~h groups with
+    | exception Infeasible msg -> Error msg
+    | oriented ->
+        (* Pad self-symmetric widths to a common parity per group so an
+           exact integer axis exists. *)
+        List.iter
+          (fun (g : group) ->
+            match self_parity w g with
+            | None -> ()
+            | Some parity ->
+                List.iter
+                  (fun f -> if w.(f) land 1 <> parity then w.(f) <- w.(f) + 1)
+                  g.G.selfs)
+          groups;
+        let alpha_order = Array.init n (Perm.cell_at sp.Sp.alpha) in
+        let bpos = Array.init n (Perm.pos_of sp.Sp.beta) in
+        (match pack_coupled_into ~x ~y ~w ~h bpos alpha_order oriented with
+        | () -> ()
+        | exception Diverged ->
+            Telemetry.Counter.incr tally;
+            pack_segregated ~x ~y ~w ~h dims bpos alpha_order oriented);
+        Ok ()
+  end
+
+(* The list form: the buffer core on fresh arrays. The right cell of
+   every mirrored pair is placed [MY]. *)
+let pack_symmetric sp dims groups =
+  let n = Sp.size sp in
+  let x = Array.make n 0 and y = Array.make n 0 in
+  let w = Array.make n 0 and h = Array.make n 0 in
+  Result.map
+    (fun () ->
+      let mirrored = Array.make n false in
+      List.iter
+        (fun (g : group) ->
           List.iter
-            (fun (p : Transform.placed) ->
-              x.(p.Transform.cell) <- p.Transform.rect.Rect.x;
-              y.(p.Transform.cell) <- p.Transform.rect.Rect.y;
-              w.(p.Transform.cell) <- p.Transform.rect.Rect.w;
-              h.(p.Transform.cell) <- p.Transform.rect.Rect.h)
-            placed;
-          Ok ()
-      | exception Infeasible msg -> Error msg)
+            (fun (a, b) -> mirrored.(if x.(a) < x.(b) then b else a) <- true)
+            g.G.pairs)
+        groups;
+      List.init n (fun c ->
+          {
+            Transform.cell = c;
+            rect = Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c);
+            orient = (if mirrored.(c) then Orientation.MY else Orientation.R0);
+          }))
+    (pack_symmetric_into ~x ~y ~w ~h sp dims groups)

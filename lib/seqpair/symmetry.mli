@@ -39,12 +39,19 @@ val random_feasible : Prelude.Rng.t -> n:int -> group list -> Sp.t
 (** A uniformly random [alpha] and [beta] repaired by
     {!make_feasible}. *)
 
-val pack_symmetric :
+val pack_symmetric_into :
+  ?tally:Telemetry.Counter.t ->
+  x:int array ->
+  y:int array ->
+  w:int array ->
+  h:int array ->
   Sp.t ->
   Pack.dims ->
   group list ->
-  (Geometry.Transform.placed list, string) result
-(** Build the minimum packing that satisfies every symmetry group
+  (unit, string) result
+(** The symmetric packer: fills [w]/[h] from [dims] and writes the
+    packed coordinates into [x]/[y], all indexed by cell. It builds
+    the minimum packing that satisfies every symmetry group
     {e exactly}: symmetric pairs mirror about their group's common
     vertical axis at equal [y]; self-symmetric cells are centered on
     it. Uses a coupled constraint-graph fixpoint per axis: longest-path
@@ -58,38 +65,30 @@ val pack_symmetric :
     pairs [(a, a')] and [(b, b')]). Such codes are S-F yet have no
     coupled packing, and they are common on multi-group circuits. They
     — and any code whose horizontal fixpoint exceeds its cap — are
-    packed by segregation instead: each group becomes a symmetry island
-    packed from its own sub-code, and the islands plus the free cells
-    are packed from the reduced code. The result is still exactly
-    symmetric and overlap-free, so this path never returns [Error].
+    packed by segregation instead: each group becomes a symmetry island,
+    the same fixpoint run on the group's members alone, and the islands
+    plus the free cells are packed from the reduced code. The result is
+    still exactly symmetric and overlap-free, so this path never returns
+    [Error]. [tally] (default {!Telemetry.Counter.null}, one dead
+    branch) is bumped once per pack that takes it — {!Placer.Eval}
+    passes its [eval.sym_fallbacks] counter.
 
     Self-symmetric cells whose width parity disagrees with the group
     axis are padded by one grid unit so the axis falls on the integer
     half-grid (documented substitution; pads are visible in the
-    returned widths). Pair cells are mirrored with orientation [MY].
+    returned widths).
 
     Errors only if the code is not symmetric-feasible or a pair's cells
     differ in dimensions. *)
 
-val pack_symmetric_into :
-  ?tally:Telemetry.Counter.t ->
-  x:int array ->
-  y:int array ->
-  w:int array ->
-  h:int array ->
+val pack_symmetric :
   Sp.t ->
   Pack.dims ->
   group list ->
-  (unit, string) result
-(** Buffer variant of {!pack_symmetric} for the annealing arena: fills
-    [w]/[h] from [dims] (self-symmetric widths may come back padded, as
-    documented above) and writes the packed coordinates into [x]/[y],
-    all indexed by cell. Coordinates are identical to
-    {!pack_symmetric} (tested); per-pair mirror orientations are not
-    reported, as cost evaluation does not need them. [tally] (default
-    {!Telemetry.Counter.null}, one dead branch) is bumped once per pack
-    that takes the segregated fallback — {!Placer.Eval} passes its
-    [eval.sym_fallbacks] counter. *)
+  (Geometry.Transform.placed list, string) result
+(** {!pack_symmetric_into} on fresh buffers, as placements in
+    cell-index order. The right cell of every mirrored pair is placed
+    with orientation [MY], every other cell [R0]. *)
 
 val axis2_of : Geometry.Transform.placed list -> group -> int option
 (** The doubled axis the group actually sits on, if it is symmetric. *)

@@ -90,8 +90,9 @@ let rot_variants circuit groups base_rot =
        []
   |> List.rev
 
-let build ?(weights = Placer.Cost.default) ~arena ~groups circuit placed =
+let build ?(weights = Placer.Cost.default) ~groups circuit placed =
   let n = Netlist.Circuit.size circuit in
+  let arena = Placer.Eval.create circuit in
   let curves =
     Array.init n (fun c ->
         let w, h = Netlist.Circuit.dims circuit c in

@@ -32,16 +32,15 @@ type t
 
 val build :
   ?weights:Placer.Cost.weights ->
-  arena:Placer.Eval.t ->
   groups:Constraints.Symmetry_group.t list ->
   Netlist.Circuit.t ->
   Geometry.Transform.placed list ->
   t
 (** Build the structure from a winning placement: derive the sequence
     pair ({!Placer.Portfolio.sp_of_placed}, made symmetric-feasible
-    under [groups]), pack the rotation variants through [arena], add
-    the rigid winner point, Pareto-prune. [arena] must be an arena
-    over the same circuit. *)
+    under [groups]), pack the rotation variants through a fresh
+    {!Placer.Eval} arena over [circuit], add the rigid winner point,
+    Pareto-prune. *)
 
 val candidates : t -> candidate list
 (** The Pareto family, sorted by (cost, width, height) — selection

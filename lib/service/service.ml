@@ -1,11 +1,10 @@
 (* The placement service engine.
 
-   Long-lived state: one memoizing multi-placement cache, one shared
+   Long-lived state: one memoizing multi-placement cache and one shared
    Anneal.Pool (domains spawned once, reused by every request — the
    miss path races Placer.Portfolio on it, the hit path runs
-   instantiation jobs on it), and a pool of Placer.Eval arenas keyed
-   by circuit digest so building a cache entry draws a preallocated
-   arena instead of building one.
+   instantiation jobs on it). Building a cache entry creates its own
+   Placer.Eval arena, as each of the race's chains already does.
 
    A batch runs in two phases per wave of [in_flight] requests:
 
@@ -46,8 +45,6 @@ module G = Constraints.Symmetry_group
 type t = {
   cache : Cache.t;
   pool : Anneal.Pool.t;
-  arenas : (string, Placer.Eval.t list ref) Hashtbl.t;
-  arenas_mutex : Mutex.t;
   telemetry : Telemetry.Sink.t;
   validate : bool;
   mutable next_tid : int;
@@ -65,8 +62,6 @@ let create ?(workers = Anneal.Parallel.default_workers ())
   {
     cache = Cache.create ~capacity:cache_capacity ();
     pool = Anneal.Pool.create ~workers;
-    arenas = Hashtbl.create 16;
-    arenas_mutex = Mutex.create ();
     telemetry;
     validate;
     next_tid = 0;
@@ -86,46 +81,6 @@ let shutdown t =
 let with_service ?workers ?cache_capacity ?validate ?telemetry f =
   let t = create ?workers ?cache_capacity ?validate ?telemetry () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* ---- arena pool ----------------------------------------------------
-
-   Pooled arenas are shared across requests, so they carry no request
-   sink (a sink bound at creation would bleed one request's counters
-   into another's); request-level telemetry is recorded by the service
-   itself. *)
-
-let arena_checkout t circuit =
-  let key = Netlist.Circuit.digest circuit in
-  Mutex.lock t.arenas_mutex;
-  let free =
-    match Hashtbl.find_opt t.arenas key with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace t.arenas key r;
-        r
-  in
-  let arena =
-    match !free with
-    | a :: rest ->
-        free := rest;
-        Some a
-    | [] -> None
-  in
-  Mutex.unlock t.arenas_mutex;
-  match arena with Some a -> a | None -> Placer.Eval.create circuit
-
-let arena_checkin t arena =
-  let key = Netlist.Circuit.digest (Placer.Eval.circuit arena) in
-  Mutex.lock t.arenas_mutex;
-  (match Hashtbl.find_opt t.arenas key with
-  | Some r -> r := arena :: !r
-  | None -> Hashtbl.replace t.arenas key (ref [ arena ]));
-  Mutex.unlock t.arenas_mutex
-
-let with_arena t circuit f =
-  let arena = arena_checkout t circuit in
-  Fun.protect ~finally:(fun () -> arena_checkin t arena) (fun () -> f arena)
 
 (* ---- request plumbing ---------------------------------------------- *)
 
@@ -284,9 +239,8 @@ let anneal_entry t job =
       0 outcome.Placer.Portfolio.entrants;
   job.evaluated <- outcome.Placer.Portfolio.evaluated;
   let multi =
-    with_arena t circuit (fun arena ->
-        Multi.build ~weights:job.weights ~arena ~groups:job.groups circuit
-          outcome.Placer.Portfolio.placement.Placer.Placement.placed)
+    Multi.build ~weights:job.weights ~groups:job.groups circuit
+      outcome.Placer.Portfolio.placement.Placer.Placement.placed
   in
   Cache.insert t.cache job.fp multi;
   let t1 = Unix.gettimeofday () in

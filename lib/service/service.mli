@@ -3,9 +3,9 @@
 
     A request is (netlist, outline, constraint set, effort); a
     response is (placement, QoR summary). State held across requests:
-    the {!Cache} of {!Multi} structures, one shared {!Anneal.Pool}
-    (domains spawned once — no per-request spawns), and a digest-keyed
-    pool of {!Placer.Eval} arenas that cache entries are built on.
+    the {!Cache} of {!Multi} structures and one shared {!Anneal.Pool}
+    (domains spawned once — no per-request spawns). Each miss builds
+    its cache entry on a fresh {!Placer.Eval} arena.
 
     Misses anneal through {!Placer.Portfolio.race} on the shared pool,
     sequentially on the caller; hits instantiate concurrently as pool

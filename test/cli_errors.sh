@@ -31,4 +31,8 @@ probe 2 "error: cannot write missing/p.txt" \
 probe 2 "error: cannot read missing/requests.jsonl" \
   dashboard "$ledger" --out dashboard.html --requests missing/requests.jsonl
 probe 1 "need --netlist FILE or --bench NAME" place
+probe 1 "input proven infeasible" \
+  place --bench miller --infeasible-check --outline 10x10
+probe 1 "input proven infeasible" \
+  place --bench miller --infeasible-check --outline 10x10 --portfolio
 exit $status

@@ -219,52 +219,6 @@ let prop_pack_veb_into_agrees =
     arb_sp_dims
     (agrees_with_pack (Pack.pack_veb_into shared_scratch))
 
-let arb_sf_sp_dims =
-  let gen =
-    QCheck.Gen.(
-      int_range 4 14 >>= fun n ->
-      int_bound 1_000_000 >>= fun seed ->
-      let rng = Prelude.Rng.create seed in
-      let g =
-        Constraints.Symmetry_group.make ~pairs:[ (0, 1) ] ~selfs:[ 2 ] ()
-      in
-      let sp = Symmetry.random_feasible rng ~n [ g ] in
-      let dims =
-        Array.init n (fun _ ->
-            (1 + Prelude.Rng.int rng 20, 1 + Prelude.Rng.int rng 20))
-      in
-      (* mirror pairs must share dimensions *)
-      dims.(1) <- dims.(0);
-      return (sp, dims, g))
-  in
-  QCheck.make gen
-
-let prop_pack_symmetric_into_agrees =
-  QCheck.Test.make ~name:"pack_symmetric_into = pack_symmetric" ~count:200
-    arb_sf_sp_dims
-    (fun (sp, d, g) ->
-      let n = Array.length d in
-      let dims c = d.(c) in
-      let x = Array.make n (-1)
-      and y = Array.make n (-1)
-      and w = Array.make n (-1)
-      and h = Array.make n (-1) in
-      match
-        ( Symmetry.pack_symmetric sp dims [ g ],
-          Symmetry.pack_symmetric_into ~x ~y ~w ~h sp dims [ g ] )
-      with
-      | Ok placed, Ok () ->
-          List.for_all
-            (fun (p : Geometry.Transform.placed) ->
-              let r = p.rect in
-              x.(p.cell) = r.Geometry.Rect.x
-              && y.(p.cell) = r.Geometry.Rect.y
-              && w.(p.cell) = r.Geometry.Rect.w
-              && h.(p.cell) = r.Geometry.Rect.h)
-            placed
-      | Error a, Error b -> a = b
-      | _ -> false)
-
 let prop_moves_preserve_permutation =
   QCheck.Test.make ~name:"moves yield valid sequence-pairs" ~count:300
     QCheck.(pair (int_range 2 15) small_int)
@@ -307,7 +261,6 @@ let () =
             prop_pack_into_agrees;
             prop_pack_fast_into_agrees;
             prop_pack_veb_into_agrees;
-            prop_pack_symmetric_into_agrees;
             prop_pack_overlap_free;
             prop_pack_respects_relations;
             prop_moves_preserve_permutation;

@@ -152,13 +152,12 @@ let prop_fingerprint_group_order =
 let dummy_multi () =
   let b = Netlist.Benchmarks.miller () in
   let c = b.Netlist.Benchmarks.circuit in
-  let arena = Placer.Eval.create c in
   let placed =
     Seqpair.Pack.pack_fast
       (Seqpair.Sp.random (Prelude.Rng.create 1) (Netlist.Circuit.size c))
       (Netlist.Circuit.dims c)
   in
-  Service.Multi.build ~arena ~groups:[] c placed
+  Service.Multi.build ~groups:[] c placed
 
 let test_cache_lru () =
   let cache = Service.Cache.create ~capacity:2 () in
@@ -182,14 +181,13 @@ let test_multi_family () =
   let b = Netlist.Benchmarks.miller () in
   let c = b.Netlist.Benchmarks.circuit in
   let groups = G.of_hierarchy b.Netlist.Benchmarks.hierarchy in
-  let arena = Placer.Eval.create c in
   let rng = Prelude.Rng.create 11 in
   let outcome =
     Placer.Portfolio.race ~groups ~workers:1 ~rng
       ~hierarchy:b.Netlist.Benchmarks.hierarchy c
   in
   let multi =
-    Service.Multi.build ~arena ~groups c
+    Service.Multi.build ~groups c
       outcome.Placer.Portfolio.placement.Placer.Placement.placed
   in
   let cands = Service.Multi.candidates multi in
@@ -355,8 +353,7 @@ let test_service_verify_evicts () =
               orient = Geometry.Orientation.R0;
             })
       in
-      let arena = Placer.Eval.create c in
-      let poisoned = Service.Multi.build ~arena ~groups c overlapping in
+          let poisoned = Service.Multi.build ~groups c overlapping in
       let fp =
         Service.Fingerprint.make ~groups
           ~hierarchy:b.Netlist.Benchmarks.hierarchy

@@ -78,6 +78,25 @@ let random_group rng n =
   let pairs, selfs = split [] [] members in
   G.make ~pairs ~selfs ()
 
+(* The right cell of every mirrored pair is placed [MY], every other
+   cell [R0]. *)
+let right_cells_mirrored (g : G.t) placed =
+  let x_of c =
+    (List.find (fun (p : Geometry.Transform.placed) -> p.cell = c) placed)
+      .rect.Geometry.Rect.x
+  in
+  List.for_all
+    (fun (p : Geometry.Transform.placed) ->
+      let pair = List.find_opt (fun (a, b) -> a = p.cell || b = p.cell) in
+      let expect =
+        match pair g.G.pairs with
+        | Some (a, b) when x_of (if a = p.cell then b else a) < x_of p.cell ->
+            Geometry.Orientation.MY
+        | Some _ | None -> Geometry.Orientation.R0
+      in
+      p.orient = expect)
+    placed
+
 let test_pack_symmetric_random () =
   let rng = Prelude.Rng.create 99 in
   for _ = 1 to 300 do
@@ -102,7 +121,9 @@ let test_pack_symmetric_random () =
         | Error v -> Alcotest.failf "asymmetric: %a" Check.pp_violation v);
         (match Symmetry.axis2_of placed grp with
         | Some _ -> ()
-        | None -> Alcotest.fail "axis2_of failed")
+        | None -> Alcotest.fail "axis2_of failed");
+        Alcotest.(check bool) "right cell of each pair is MY" true
+          (right_cells_mirrored grp placed)
   done
 
 (* QCheck: make_feasible lands in the S-F subspace for ANY sp/groups,
@@ -236,13 +257,6 @@ let test_self_padding () =
    fixpoint was capped at 10(n+G)+20 passes; its exact [P + 1] cap must
    reproduce every one of them. *)
 
-let rects_of placed =
-  List.sort
-    (fun (a : Geometry.Transform.placed) b ->
-      Int.compare a.Geometry.Transform.cell b.Geometry.Transform.cell)
-    placed
-  |> List.map (fun (p : Geometry.Transform.placed) -> p.Geometry.Transform.rect)
-
 (* [pack_symmetric_into] on fresh buffers: how many packs fell back
    (0 or 1) and the packed rectangles by cell *)
 let pack_into_rects ~n sp dims groups =
@@ -289,9 +303,8 @@ let sweep_circuit rng =
   (n, groups, fun c -> base.(c))
 
 (* Per circuit, a random S-F code and the codes a walk of S-F moves
-   reaches from it. Returns the digest of every [pack_symmetric] result
-   and how many packs fell back; [pack_symmetric_into] must agree on
-   every one. *)
+   reaches from it. Returns the digest of every pack's rectangles by
+   cell (or its error) and how many packs fell back. *)
 let sweep () =
   let rng = Prelude.Rng.create 2010 in
   let buf = Buffer.create (1 lsl 16) in
@@ -303,23 +316,15 @@ let sweep () =
     let w = Array.make n 0 and h = Array.make n 0 in
     for step = 0 to 7 do
       if step > 0 then sp := Moves.random_neighbor_sf rng !sp groups;
-      let into =
+      match
         Symmetry.pack_symmetric_into ~tally:fallbacks ~x ~y ~w ~h !sp dims
           groups
-      in
-      match Symmetry.pack_symmetric !sp dims groups with
-      | Error msg ->
-          if into <> Error msg then Alcotest.failf "into disagrees: %s" msg;
-          Printf.bprintf buf "E%s;" msg
-      | Ok placed ->
-          if Result.is_error into then Alcotest.fail "into failed alone";
-          List.iteri
-            (fun c (r : Geometry.Rect.t) ->
-              if r <> Geometry.Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c)
-              then Alcotest.failf "into disagrees on cell %d" c;
-              Printf.bprintf buf "%d,%d,%d,%d;" r.Geometry.Rect.x
-                r.Geometry.Rect.y r.Geometry.Rect.w r.Geometry.Rect.h)
-            (rects_of placed);
+      with
+      | Error msg -> Printf.bprintf buf "E%s;" msg
+      | Ok () ->
+          for c = 0 to n - 1 do
+            Printf.bprintf buf "%d,%d,%d,%d;" x.(c) y.(c) w.(c) h.(c)
+          done;
           Buffer.add_char buf '|'
     done
   done;
@@ -367,14 +372,9 @@ let test_staircase () =
         let i = (c + 1) / 2 in
         Geometry.Rect.make ~x:(2 * (i - (c land 1))) ~y:(3 * i) ~w:2 ~h:3)
   in
-  (match Symmetry.pack_symmetric sp dims groups with
-  | Error msg -> Alcotest.fail msg
-  | Ok placed ->
-      Alcotest.(check bool) "coupled staircase coordinates" true
-        (rects_of placed = expected));
   let fallbacks, rects = pack_into_rects ~n sp dims groups in
   Alcotest.(check int) "no fallback" 0 fallbacks;
-  Alcotest.(check bool) "into agrees" true (rects = expected)
+  Alcotest.(check bool) "coupled staircase coordinates" true (rects = expected)
 
 (* Pairs (0,1) and (2,3) in groups of their own and a free cell 4 with
    2 below 4 below 0 and 1 below 3: through y0 = y1 and y2 = y3 the
@@ -399,19 +399,20 @@ let test_vertical_cycle () =
         make ~x:0 ~y:3 ~w:2 ~h:5 ]
   in
   Alcotest.(check bool) "S-F" true (Symmetry.is_feasible_all sp groups);
-  (match Symmetry.pack_symmetric sp dims groups with
+  let fallbacks, rects = pack_into_rects ~n:5 sp dims groups in
+  Alcotest.(check int) "one fallback" 1 fallbacks;
+  Alcotest.(check bool) "segregated-island coordinates" true (rects = expected);
+  match Symmetry.pack_symmetric sp dims groups with
   | Error msg -> Alcotest.fail msg
   | Ok placed ->
-      Alcotest.(check bool) "segregated-island coordinates" true
-        (rects_of placed = expected);
       List.iter
         (fun g ->
           Alcotest.(check bool) "symmetric" true
             (Result.is_ok (Check.symmetry ~group:g placed)))
-        groups);
-  let fallbacks, rects = pack_into_rects ~n:5 sp dims groups in
-  Alcotest.(check int) "one fallback" 1 fallbacks;
-  Alcotest.(check bool) "into agrees" true (rects = expected)
+        groups;
+      Alcotest.(check bool) "right cell of each pair is MY" true
+        (List.map (fun (p : Geometry.Transform.placed) -> p.orient) placed
+        = Geometry.Orientation.[ R0; MY; R0; MY; R0 ])
 
 let () =
   Alcotest.run "symmetry"
