@@ -31,6 +31,8 @@ type t = {
   evals : Telemetry.Counter.t;  (* pre-resolved handles; dead when off *)
   bstar_packs : Telemetry.Counter.t;
   sym_fallbacks : Telemetry.Counter.t;
+  mutable sym_groups : Constraints.Symmetry_group.t list;
+  mutable sym_plan : Seqpair.Symmetry.plan;  (* compiled [sym_groups] *)
   mutable last_w : int;  (* extents of the last evaluated packing *)
   mutable last_h : int;
   mutable last_hpwl : float;
@@ -62,6 +64,8 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     evals = Telemetry.Sink.counter telemetry "eval.costs";
     bstar_packs = Telemetry.Sink.counter telemetry "bstar.packs";
     sym_fallbacks = Telemetry.Sink.counter telemetry "eval.sym_fallbacks";
+    sym_groups = [];
+    sym_plan = Seqpair.Symmetry.plan ~n [];
     last_w = 0;
     last_h = 0;
     last_hpwl = 0.0;
@@ -81,8 +85,14 @@ let set_rotation t rot =
     end
   done
 
-let dims_of t rot c =
-  if rot.(c) then (t.base_h.(c), t.base_w.(c)) else (t.base_w.(c), t.base_h.(c))
+(* The plan of the last group list queried: an annealing chain passes
+   the same list every time, so it is compiled once. *)
+let sym_plan t groups =
+  if groups != t.sym_groups then begin
+    t.sym_plan <- Seqpair.Symmetry.plan ~n:t.n groups;
+    t.sym_groups <- groups
+  end;
+  t.sym_plan
 
 (* One pass over the coordinate arrays: bounding-box extents (anchored
    at the origin, as [Placement.bbox]) and doubled centers. *)
@@ -119,14 +129,13 @@ let finish t weights =
 
 let cost_seqpair t weights ?(groups = []) sp ~rot =
   let t0 = Telemetry.Sink.span_begin t.tel in
+  set_rotation t rot;
   (match groups with
-  | [] ->
-      set_rotation t rot;
-      Seqpair.Pack.pack_fast_into t.scratch sp ~w:t.w ~h:t.h ~x:t.x ~y:t.y
+  | [] -> Seqpair.Pack.pack_fast_into t.scratch sp ~w:t.w ~h:t.h ~x:t.x ~y:t.y
   | _ -> (
       match
-        Seqpair.Symmetry.pack_symmetric_into ~tally:t.sym_fallbacks ~x:t.x
-          ~y:t.y ~w:t.w ~h:t.h sp (dims_of t rot) groups
+        Seqpair.Symmetry.pack_into ~tally:t.sym_fallbacks (sym_plan t groups)
+          ~x:t.x ~y:t.y ~w:t.w ~h:t.h sp
       with
       | Ok () -> ()
       | Error msg -> invalid_arg ("Sa_seqpair: " ^ msg)));

@@ -8,9 +8,9 @@
     CSR-flattened nets — so a single cost query performs zero
     allocation: the sequence-pair is packed into the arena's
     coordinate arrays and area + HPWL are computed in one pass over
-    them. The one exception is a symmetric pack, whose packer
-    ({!Seqpair.Symmetry.pack_symmetric_into}) allocates a few
-    per-pack index arrays.
+    them. A symmetric pack reads a {!Seqpair.Symmetry.plan} compiled
+    on the first query of a group list and kept for as long as the
+    queries pass that same list.
 
     This is the one code path that turns placed geometry into a cost.
     The annealers pack straight into the arena ({!cost_seqpair},
@@ -49,7 +49,7 @@ val create :
     [eval.hpwl] and [eval.compose] — and bumps [eval.costs] plus the
     packer counters ([seqpair.packs]/[seqpair.cells] or [bstar.packs];
     [eval.sym_fallbacks] counts symmetric packs that took
-    {!Seqpair.Symmetry.pack_symmetric_into}'s segregated fallback).
+    {!Seqpair.Symmetry.pack_into}'s segregated fallback).
     All handles are resolved here, once; with the null sink each hook
     is a single predictable branch on the hot path. *)
 
@@ -69,7 +69,8 @@ val cost_seqpair :
   float
 (** Pack the sequence-pair (with per-cell rotations; symmetric packing
     when [groups] is non-empty) into the arena and return its cost.
-    Raises [Invalid_argument] if a symmetric pack is requested for a
+    Zero allocation for a group list physically equal to the previous
+    query's; a different list compiles its plan once. Raises [Invalid_argument] if a symmetric pack is requested for a
     non-symmetric-feasible code, like the list path it replaces. *)
 
 val cost_bstar : t -> Cost.weights -> Bstar.Flat.t -> rot:bool array -> float

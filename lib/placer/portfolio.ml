@@ -274,7 +274,7 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
               (Sa_seqpair.problem_of ~validate ?estimator ~weights ~groups
                  circuit)
               ~materialise:(fun st ->
-                (Sa_seqpair.evaluate circuit groups !st).Placement.placed)
+                (Sa_seqpair.evaluate circuit groups st).Placement.placed)
               ~of_placed:(fun placed ->
                 let sp = sp_of_placed n placed in
                 let sp =
@@ -283,7 +283,7 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
                   | _ -> Seqpair.Symmetry.make_feasible sp groups
                 in
                 let rot = harmonize_rot groups (rot_of_placed circuit placed) in
-                ref { Sa_seqpair.sp; rot })
+                { Sa_seqpair.sp; rot })
         | Bstar ->
             chain
               (Sa_bstar.problem_of ~validate ?estimator ~weights circuit)

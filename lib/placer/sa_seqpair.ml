@@ -1,4 +1,3 @@
-module G = Constraints.Symmetry_group
 
 type state = { sp : Seqpair.Sp.t; rot : bool array }
 
@@ -15,20 +14,12 @@ let dims_of circuit rot c =
   let w, h = Netlist.Circuit.dims circuit c in
   if rot.(c) then (h, w) else (w, h)
 
-let flip_rotation rng groups rot =
-  let n = Array.length rot in
-  let c = Prelude.Rng.int rng n in
-  let rot = Array.copy rot in
-  let flip c = rot.(c) <- not rot.(c) in
-  (match List.find_opt (fun g -> G.mem g c) groups with
-  | Some g -> (
-      match G.sym g c with
-      | Some partner when partner <> c ->
-          flip c;
-          flip partner
-      | Some _ | None -> flip c)
-  | None -> flip c);
-  rot
+(* Flip cell [c]'s rotation, and its mirror partner's with it: pairs
+   rotate together. Its own inverse. *)
+let flip plan rot c =
+  rot.(c) <- not rot.(c);
+  let partner = Seqpair.Symmetry.counterpart plan c in
+  if partner >= 0 && partner <> c then rot.(partner) <- not rot.(partner)
 
 (* The exact packing of a state: the symmetric packer under groups. *)
 let pack circuit groups st =
@@ -74,8 +65,10 @@ let evaluate circuit groups st =
 
 (* One annealing problem per chain: its own initial code drawn from the
    chain's rng, its own evaluation arena (the arena is mutable and must
-   never be shared across domains) and its own telemetry sink (ditto —
-   Parallel hands each chain a private child). *)
+   never be shared across domains) and its own telemetry sink (ditto --
+   Parallel hands each chain a private child). The working code is
+   moved and reverted in place: companion exchanges and repair through
+   the chain's own symmetry plan, rotations flipped back. *)
 let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
     rng =
   let n = Netlist.Circuit.size circuit in
@@ -83,42 +76,57 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
      closure (they carry mutable scratch and chains cross domains) *)
   let arena = Eval.create ~telemetry ?estimator:(Option.map (fun f -> f ()) estimator) circuit in
   let mv = Telemetry.Sink.register_moves telemetry [| "seqpair"; "rotation" |] in
-  let init_sp =
-    match groups with
-    | [] -> Seqpair.Sp.random rng n
-    | _ -> Seqpair.Symmetry.random_feasible rng ~n groups
+  let plan = Seqpair.Symmetry.plan ~n groups in
+  let log = Seqpair.Moves.undo_log n in
+  let state =
+    {
+      sp =
+        (match groups with
+        | [] -> Seqpair.Sp.random rng n
+        | _ -> Seqpair.Symmetry.random_feasible rng ~n groups);
+      rot = Array.make n false;
+    }
   in
-  let init = { sp = init_sp; rot = Array.make n false } in
-  let neighbor rng st =
+  (* the rotated cell of the last move, -1 after a code move *)
+  let flipped = ref (-1) in
+  let propose rng st =
     if Prelude.Rng.int rng 10 < 8 then begin
-      (* labels only — Moves.set draws nothing, trajectories unchanged *)
+      (* labels only -- Moves.set draws nothing, trajectories unchanged *)
       Telemetry.Moves.set mv 0;
-      let sp =
-        match groups with
-        | [] -> Seqpair.Moves.random_neighbor rng st.sp
-        | _ -> Seqpair.Moves.random_neighbor_sf rng st.sp groups
-      in
-      { st with sp }
+      flipped := -1;
+      match groups with
+      | [] -> Seqpair.Moves.propose rng st.sp log
+      | _ -> Seqpair.Moves.propose_sf rng plan st.sp log
     end
     else begin
       Telemetry.Moves.set mv 1;
-      { st with rot = flip_rotation rng groups st.rot }
+      let c = Prelude.Rng.int rng n in
+      flip plan st.rot c;
+      flipped := c
     end
+  in
+  let undo st =
+    if !flipped >= 0 then flip plan st.rot !flipped
+    else Seqpair.Moves.undo st.sp log;
+    flipped := -1
   in
   let cost st = Eval.cost_seqpair arena weights ~groups st.sp ~rot:st.rot in
-  let neighbor =
-    if not validate then neighbor
-    else begin
-      (* Debug mode: audit the initial state and the result of every
-         move. When off, the closures above run untouched. *)
-      audit ~groups circuit init;
-      fun rng st ->
-        let st' = neighbor rng st in
-        audit ~groups circuit st';
-        st'
-    end
+  let copy st = { sp = Seqpair.Sp.copy st.sp; rot = Array.copy st.rot } in
+  let blit ~src ~dst =
+    Seqpair.Sp.blit ~src:src.sp ~dst:dst.sp;
+    Array.blit src.rot 0 dst.rot 0 n
   in
-  Anneal.Sa.persistent ~init ~neighbor ~cost
+  if not validate then { Anneal.Sa.state; propose; undo; cost; copy; blit }
+  else begin
+    (* Debug mode: audit the initial state and the result of every
+       move. When off, the closures above run untouched. *)
+    audit ~groups circuit state;
+    let propose rng st =
+      propose rng st;
+      audit ~groups circuit st
+    in
+    { Anneal.Sa.state; propose; undo; cost; copy; blit }
+  end
 
 let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
     ?validate ?estimator ?telemetry ~rng circuit =
@@ -130,11 +138,11 @@ let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
       ~default:(Anneal.Sa.default_params ~n:(Netlist.Circuit.size circuit))
   in
   let check =
-    if validate then Some (fun st -> audit ~groups circuit !st) else None
+    if validate then Some (audit ~groups circuit) else None
   in
   let r =
     Anneal.Parallel.multi_start ?workers ?chains ?check ?telemetry
       ~engine:"sp" ~rng params
       (problem_of ~validate ?estimator ~weights ~groups circuit)
   in
-  Placement.outcome_of (evaluate circuit groups !(r.Anneal.Parallel.state)) r
+  Placement.outcome_of (evaluate circuit groups r.Anneal.Parallel.state) r

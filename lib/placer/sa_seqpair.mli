@@ -32,11 +32,15 @@ val problem_of :
   Netlist.Circuit.t ->
   Telemetry.Sink.t ->
   Prelude.Rng.t ->
-  state ref Anneal.Sa.problem
+  state Anneal.Sa.problem
 (** One annealing problem for one chain: its own initial code drawn
     from [rng], its own {!Eval} arena, its own move tallies in the
-    given sink. Moves are persistent, so the problem is built with
-    {!Anneal.Sa.persistent}. This is what {!place} hands to
+    given sink. Moves work in place ({!Seqpair.Moves.propose_sf} under
+    the chain's own {!Seqpair.Symmetry.plan}) and a rejected one is
+    reverted from its undo log, so neither a move nor a cost query
+    allocates; the state's code is owned by the problem and mutated.
+    The walk draws the same numbers as the persistent
+    {!Seqpair.Moves.random_neighbor_sf}. This is what {!place} hands to
     {!Anneal.Parallel}; {!Portfolio} uses it to enter sequence-pair
     chains in a race.
     [estimator] is a factory for per-chain congestion estimators

@@ -48,6 +48,37 @@ let create ?(bins = default_bins) ?(pitch = Grid.default_pitch)
 let[@inline] fmin (a : float) b = if a < b then a else b
 let[@inline] fmax (a : float) b = if a > b then a else b
 
+(* One constant-value rectangle [ax..bx] x [ay..by] of the difference
+   array: four corner updates; bx+1 <= bins_x and by+1 <= bins_y fit
+   the (+1) pad. Top-level and inlined, like the two below, so the
+   floats they take stay unboxed: a local closure would box each one
+   on every call. *)
+let[@inline] add_box diff stride ax bx ay by v =
+  let tl = (ay * stride) + ax in
+  let tr = (ay * stride) + bx + 1 in
+  let bl = ((by + 1) * stride) + ax in
+  let br = ((by + 1) * stride) + bx + 1 in
+  Array.unsafe_set diff tl (Array.unsafe_get diff tl +. v);
+  Array.unsafe_set diff tr (Array.unsafe_get diff tr -. v);
+  Array.unsafe_set diff bl (Array.unsafe_get diff bl -. v);
+  Array.unsafe_set diff br (Array.unsafe_get diff br +. v)
+
+(* one row of the 3x3 decomposition at vertical weight [vy] *)
+let[@inline] emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi ay by vy =
+  if ix0 = ix1 then add_box diff stride ix0 ix0 ay by vy
+  else begin
+    add_box diff stride ix0 ix0 ay by (vy *. fx_lo);
+    if ix1 > ix0 + 1 then
+      add_box diff stride (ix0 + 1) (ix1 - 1) ay by (vy *. fx_mid);
+    add_box diff stride ix1 ix1 ay by (vy *. fx_hi)
+  end
+
+(* the share of [lo .. hi] that bin [i] of width [step] covers *)
+let[@inline] frac lo hi i inv_ext step =
+  let a = fmax lo (float_of_int i *. step)
+  and b = fmin hi (float_of_int (i + 1) *. step) in
+  fmax 0.0 (fmin 1.0 ((b -. a) *. inv_ext))
+
 (* The congestion score of the placement currently held in the
    per-cell geometry arrays. Allocation-free and O(pins + bins): a
    net's uniform spread [demand * fx(ix) * fy(iy)] has constant
@@ -72,27 +103,6 @@ let score t ~x ~y ~w ~h =
     let stride = t.bins_x + 1 in
     let diff = t.diff in
     Array.fill diff 0 (Array.length diff) 0.0;
-    (* one constant-value rectangle [ax..bx] x [ay..by]: four corner
-       updates; bx+1 <= bins_x and by+1 <= bins_y fit the (+1) pad *)
-    let add_box ax bx ay by v =
-      let tl = (ay * stride) + ax in
-      let tr = (ay * stride) + bx + 1 in
-      let bl = ((by + 1) * stride) + ax in
-      let br = ((by + 1) * stride) + bx + 1 in
-      Array.unsafe_set diff tl (Array.unsafe_get diff tl +. v);
-      Array.unsafe_set diff tr (Array.unsafe_get diff tr -. v);
-      Array.unsafe_set diff bl (Array.unsafe_get diff bl -. v);
-      Array.unsafe_set diff br (Array.unsafe_get diff br +. v)
-    in
-    (* one row of the 3x3 decomposition at vertical weight [vy] *)
-    let emit_row ix0 ix1 fx_lo fx_mid fx_hi ay by vy =
-      if ix0 = ix1 then add_box ix0 ix0 ay by vy
-      else begin
-        add_box ix0 ix0 ay by (vy *. fx_lo);
-        if ix1 > ix0 + 1 then add_box (ix0 + 1) (ix1 - 1) ay by (vy *. fx_mid);
-        add_box ix1 ix1 ay by (vy *. fx_hi)
-      end
-    in
     let { Netlist.Wirelength.off; pins; weight } = t.nets in
     for k = 0 to Array.length off - 2 do
       let lo = Array.unsafe_get off k
@@ -130,34 +140,30 @@ let score t ~x ~y ~w ~h =
         and iy1 = max 0 (min (t.bins_y - 1) (int_of_float (by1 *. inv_bh))) in
         if ix0 = ix1 && iy0 = iy1 then
           (* short net inside one bin: all the demand lands there *)
-          add_box ix0 ix0 iy0 iy0 demand
+          add_box diff stride ix0 ix0 iy0 iy0 demand
         else begin
           (* spread uniformly over covered bins, proportional to
              overlap: boundary bins get their clipped fraction, interior
              bins share one constant fraction per axis *)
           let ext_x = fmax 1.0 (bx1 -. bx0) and ext_y = fmax 1.0 (by1 -. by0) in
           let inv_ext_x = 1.0 /. ext_x and inv_ext_y = 1.0 /. ext_y in
-          let frac lo hi i inv_ext step =
-            let a = fmax lo (float_of_int i *. step)
-            and b = fmin hi (float_of_int (i + 1) *. step) in
-            fmax 0.0 (fmin 1.0 ((b -. a) *. inv_ext))
-          in
-          let fx_lo, fx_mid, fx_hi =
-            if ix0 = ix1 then (1.0, 1.0, 1.0)
-            else
-              ( frac bx0 bx1 ix0 inv_ext_x bw,
-                fmin 1.0 (bw *. inv_ext_x),
-                frac bx0 bx1 ix1 inv_ext_x bw )
-          in
-          if iy0 = iy1 then emit_row ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 demand
+          let one_bin = ix0 = ix1 in
+          let fx_lo = if one_bin then 1.0 else frac bx0 bx1 ix0 inv_ext_x bw
+          and fx_mid = if one_bin then 1.0 else fmin 1.0 (bw *. inv_ext_x)
+          and fx_hi = if one_bin then 1.0 else frac bx0 bx1 ix1 inv_ext_x bw in
+          if iy0 = iy1 then
+            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 demand
           else begin
             let fy_lo = frac by0 by1 iy0 inv_ext_y bh
             and fy_hi = frac by0 by1 iy1 inv_ext_y bh in
-            emit_row ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 (demand *. fy_lo);
+            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0
+              (demand *. fy_lo);
             if iy1 > iy0 + 1 then
-              emit_row ix0 ix1 fx_lo fx_mid fx_hi (iy0 + 1) (iy1 - 1)
+              emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi (iy0 + 1)
+                (iy1 - 1)
                 (demand *. fmin 1.0 (bh *. inv_ext_y));
-            emit_row ix0 ix1 fx_lo fx_mid fx_hi iy1 iy1 (demand *. fy_hi)
+            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy1 iy1
+              (demand *. fy_hi)
           end
         end
       end

@@ -18,6 +18,14 @@ let update t i v =
     i := !i + (!i land - !i)
   done
 
+let reset t i =
+  let tree = t.tree and n = t.n in
+  let i = ref (i + 1) in
+  while !i <= n do
+    Array.unsafe_set tree !i 0;
+    i := !i + (!i land - !i)
+  done
+
 let prefix_max t i =
   if i < 0 then 0
   else begin

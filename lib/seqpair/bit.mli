@@ -14,6 +14,11 @@ val clear : t -> unit
 (** Reset every value to 0 without reallocating, so one tree can serve
     many packs (the evaluation arena reuses a single scratch tree). *)
 
+val reset : t -> int -> unit
+(** [reset t i] zeroes every node [update t i] touches, O(log n): after
+    a sweep that updated only indices [I], resetting each of [I] clears
+    the tree without an O(n) {!clear}. *)
+
 val update : t -> int -> int -> unit
 (** [update t i v] raises the value at [i] to [max current v]. *)
 

@@ -33,6 +33,21 @@ let swap_positions p i j =
 
 let swap_cells p a b = swap_positions p p.inv.(a) p.inv.(b)
 
+let copy p = { order = Array.copy p.order; inv = Array.copy p.inv }
+
+let blit ~src ~dst =
+  let n = Array.length src.order in
+  if Array.length dst.order <> n then invalid_arg "Perm.blit: size mismatch";
+  Array.blit src.order 0 dst.order 0 n;
+  Array.blit src.inv 0 dst.inv 0 n
+
+let exchange p a b =
+  let pa = p.inv.(a) and pb = p.inv.(b) in
+  p.order.(pa) <- b;
+  p.order.(pb) <- a;
+  p.inv.(a) <- pb;
+  p.inv.(b) <- pa
+
 let insert p ~cell ~at =
   let n = size p in
   if at < 0 || at >= n then invalid_arg "Perm.insert: position out of range";

@@ -35,6 +35,23 @@ val reorder_cells : t -> cells:int list -> order:int list -> t
     [cells]) in increasing-position order. Used to force the relative
     order of a symmetry group. *)
 
+(** {2 In place}
+
+    A working permutation that one annealing chain owns and mutates
+    instead of rebuilding per move. Nothing else may hold it: the pure
+    operations above never mutate, so copy before sharing. *)
+
+val copy : t -> t
+(** A fresh permutation equal to the argument. *)
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst] with [src]; raises [Invalid_argument] on a size
+    mismatch. *)
+
+val exchange : t -> int -> int -> unit
+(** Exchange the positions of two cells in place, O(1): the mutating
+    {!swap_cells}. *)
+
 val to_list : t -> int list
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -36,6 +36,12 @@ let of_strings ~alpha ~beta =
   let perm_of cs = Perm.of_array (Array.of_list (List.map idx cs)) in
   (make ~alpha:(perm_of ca) ~beta:(perm_of cb), mapping)
 
+let copy sp = { alpha = Perm.copy sp.alpha; beta = Perm.copy sp.beta }
+
+let blit ~src ~dst =
+  Perm.blit ~src:src.alpha ~dst:dst.alpha;
+  Perm.blit ~src:src.beta ~dst:dst.beta
+
 let equal a b = Perm.equal a.alpha b.alpha && Perm.equal a.beta b.beta
 
 let pp ppf sp =

@@ -37,5 +37,12 @@ val of_strings : alpha:string -> beta:string -> t * (char * int) list
     0,1,..; returns the mapping. Raises [Invalid_argument] if [beta] is
     not a permutation of [alpha]'s characters. *)
 
+val copy : t -> t
+(** Fresh copies of both sequences: a code the caller may mutate in
+    place ({!Perm.exchange}, {!Moves.propose}). *)
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite both sequences of [dst] with those of [src]. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -4,21 +4,181 @@ type group = Constraints.Symmetry_group.t
 
 module G = Constraints.Symmetry_group
 
-let is_feasible sp (g : group) =
-  let members = G.members g in
-  let apos c = Perm.pos_of sp.Sp.alpha c in
-  let bpos c = Perm.pos_of sp.Sp.beta c in
-  let sym c = Option.get (G.sym g c) in
-  List.for_all
-    (fun x ->
-      List.for_all
-        (fun y ->
-          x = y || Bool.equal (apos x < apos y) (bpos (sym y) < bpos (sym x)))
-        members)
-    members
+(* ------------------------------------------------------------------ *)
+(* The plan: a group list compiled once into flat arrays, with every
+   scratch buffer the S-F check, the repair and the packer need. Pairs
+   and selfs sit group after group; group [g]'s pairs are indices
+   [pair_off.(g) .. pair_off.(g + 1) - 1], likewise its selfs, and its
+   members [2 * pair_off.(g) + self_off.(g)] onwards in [want]. *)
 
-let is_feasible_all sp groups = List.for_all (is_feasible sp) groups
+type plan = {
+  n : int;
+  ng : int;
+  sym : int array;  (* counterpart: partner, the cell itself, -1 if free *)
+  group_of : int array;  (* -1 for a free cell *)
+  pa : int array;  (* every pair as listed *)
+  pb : int array;
+  pair_off : int array;
+  selfs : int array;
+  self_off : int array;
+  (* per-call scratch *)
+  last : int array;  (* S-F sweep: beta position last seen, per group *)
+  slot : int array;  (* repair: next member slot, per group *)
+  want : int array;  (* repair: members in the beta order (1) dictates *)
+  self_w : int array;  (* self widths before parity padding *)
+  pl : int array;  (* pair [k] oriented (left, right) in the code *)
+  pr : int array;
+  axis2 : int array;  (* doubled axis, per group *)
+  bit : Bit.t;  (* prefix maxima over beta positions *)
+  alpha_order : int array;
+  bpos : int array;
+  cells : int array;  (* one group's members in alpha order *)
+  cidx : int array;  (* position of a cell among the cells packed *)
+  node : int array;  (* contracted vertical node: a pair's left cell *)
+  mate : int array;  (* a pair node's right cell, else -1 *)
+  index : int array;  (* Tarjan visit order, -1 unvisited *)
+  low : int array;
+  on_stack : bool array;
+  stack : int array;
+  mutable top : int;
+  mutable visits : int;
+  (* the segregated fallback's reduced code: the cells plus one item
+     [n + g] per group *)
+  rbpos : int array;
+  rw : int array;
+  rh : int array;
+  rx : int array;
+  ry : int array;
+  seen : bool array;
+  order : int array;
+}
 
+let plan ~n groups =
+  let ng = List.length groups in
+  let count f = List.fold_left (fun acc (g : group) -> acc + f g) 0 groups in
+  let np = count (fun g -> List.length g.G.pairs)
+  and ns = count (fun g -> List.length g.G.selfs) in
+  let sym = Array.make n (-1) and group_of = Array.make n (-1) in
+  let pa = Array.make np 0 and pb = Array.make np 0 in
+  let selfs = Array.make ns 0 in
+  let pair_off = Array.make (ng + 1) 0 and self_off = Array.make (ng + 1) 0 in
+  List.iteri
+    (fun gi (g : group) ->
+      let k = ref pair_off.(gi) in
+      List.iter
+        (fun (a, b) ->
+          pa.(!k) <- a;
+          pb.(!k) <- b;
+          sym.(a) <- b;
+          sym.(b) <- a;
+          group_of.(a) <- gi;
+          group_of.(b) <- gi;
+          incr k)
+        g.G.pairs;
+      pair_off.(gi + 1) <- !k;
+      let k = ref self_off.(gi) in
+      List.iter
+        (fun f ->
+          selfs.(!k) <- f;
+          sym.(f) <- f;
+          group_of.(f) <- gi;
+          incr k)
+        g.G.selfs;
+      self_off.(gi + 1) <- !k)
+    groups;
+  let cells () = Array.make n 0 and items () = Array.make (n + ng) 0 in
+  {
+    n;
+    ng;
+    sym;
+    group_of;
+    pa;
+    pb;
+    pair_off;
+    selfs;
+    self_off;
+    last = Array.make ng 0;
+    slot = Array.make ng 0;
+    want = Array.make ((2 * np) + ns) 0;
+    self_w = Array.make ns 0;
+    pl = Array.make np 0;
+    pr = Array.make np 0;
+    axis2 = Array.make ng 0;
+    bit = Bit.create n;
+    alpha_order = cells ();
+    bpos = cells ();
+    cells = cells ();
+    cidx = cells ();
+    node = cells ();
+    mate = cells ();
+    index = cells ();
+    low = cells ();
+    on_stack = Array.make n false;
+    stack = cells ();
+    top = 0;
+    visits = 0;
+    rbpos = items ();
+    rw = items ();
+    rh = items ();
+    rx = items ();
+    ry = items ();
+    seen = Array.make (n + ng) false;
+    order = items ();
+  }
+
+let counterpart p c = p.sym.(c)
+
+(* Property (1) for every group in one alpha sweep: a group's members,
+   read in alpha order, must meet their counterparts in strictly
+   decreasing beta position. *)
+let feasible p sp =
+  Array.fill p.last 0 p.ng max_int;
+  let ok = ref true and pos = ref 0 in
+  while !ok && !pos < p.n do
+    let c = Perm.cell_at sp.Sp.alpha !pos in
+    let g = p.group_of.(c) in
+    if g >= 0 then begin
+      let b = Perm.pos_of sp.Sp.beta p.sym.(c) in
+      if b > p.last.(g) then ok := false else p.last.(g) <- b
+    end;
+    incr pos
+  done;
+  !ok
+
+let is_feasible_all sp groups = feasible (plan ~n:(Sp.size sp) groups) sp
+let is_feasible sp g = is_feasible_all sp [ g ]
+
+(* Property (1) says: in beta, the group members appear exactly in
+   decreasing alpha-position of their symmetric counterparts. Collect
+   that order per group from one reverse alpha sweep, then refill each
+   group's beta positions with it, front to back, by exchanges. *)
+let first_slots p =
+  for g = 0 to p.ng - 1 do
+    p.slot.(g) <- (2 * p.pair_off.(g)) + p.self_off.(g)
+  done
+
+let repair p sp =
+  first_slots p;
+  for pos = p.n - 1 downto 0 do
+    let s = Perm.cell_at sp.Sp.alpha pos in
+    let g = p.group_of.(s) in
+    if g >= 0 then begin
+      p.want.(p.slot.(g)) <- p.sym.(s);
+      p.slot.(g) <- p.slot.(g) + 1
+    end
+  done;
+  first_slots p;
+  for pos = 0 to p.n - 1 do
+    let c = Perm.cell_at sp.Sp.beta pos in
+    let g = p.group_of.(c) in
+    if g >= 0 then begin
+      let d = p.want.(p.slot.(g)) in
+      p.slot.(g) <- p.slot.(g) + 1;
+      (* [d] sits at a later slot of its group: the earlier ones
+         already hold their cells *)
+      if d <> c then Perm.exchange sp.Sp.beta c d
+    end
+  done
 let factorial n =
   let rec go acc k =
     if k <= 1 then acc
@@ -63,42 +223,29 @@ let all_perms n =
 
 let count_exhaustive ~n groups =
   let perms = all_perms n |> List.map Perm.of_array |> Array.of_list in
+  let p = plan ~n groups in
   let count = ref 0 in
   Array.iter
     (fun alpha ->
       Array.iter
         (fun beta ->
           let sp = Sp.make ~alpha ~beta in
-          if is_feasible_all sp groups then incr count)
+          if feasible p sp then incr count)
         perms)
     perms;
   !count
 
-(* Property (1) says: in beta, the group members appear exactly in
-   decreasing alpha-position of their symmetric counterparts. *)
 let make_feasible sp groups =
-  let beta =
-    List.fold_left
-      (fun beta (g : group) ->
-        let members = G.members g in
-        let order =
-          List.sort
-            (fun u v ->
-              Int.compare
-                (Perm.pos_of sp.Sp.alpha (Option.get (G.sym g v)))
-                (Perm.pos_of sp.Sp.alpha (Option.get (G.sym g u))))
-            members
-        in
-        Perm.reorder_cells beta ~cells:members ~order)
-      sp.Sp.beta groups
-  in
-  Sp.make ~alpha:sp.Sp.alpha ~beta
+  let sp = Sp.copy sp in
+  repair (plan ~n:(Sp.size sp) groups) sp;
+  sp
 
 let random_feasible rng ~n groups =
   make_feasible (Sp.random rng n) groups
 
 (* ------------------------------------------------------------------ *)
-(* Symmetric packing: coupled constraint-graph fixpoint.               *)
+(* Symmetric packing: an exact vertical pass, a coupled horizontal    *)
+(* fixpoint, and segregation when either has no solution.             *)
 
 let axis2_of placed (g : group) =
   let rect c =
@@ -127,20 +274,20 @@ let axis2_of placed (g : group) =
   | Some a :: rest when List.for_all (fun x -> x = Some a) rest -> Some a
   | [] | Some _ :: _ | None :: _ -> None
 
-exception Infeasible of string
 exception Diverged
 
-(* One longest-path pass over [order]: every [a] before [b] in [order]
-   with [a] before [b] in beta pushes [b] past [a]'s far edge. In
-   alpha order that closes the left-of graph, in reverse alpha order
-   the below graph. True if any coordinate rose. *)
-let propagate (bpos : int array) coord extent order =
+(* One longest-path pass over [order.(0 .. m - 1)], front to back or
+   ([rev]) back to front: every [a] before [b] in that order with [a]
+   before [b] in beta pushes [b] past [a]'s far edge. In alpha order
+   that closes the left-of graph, in reverse alpha order the below
+   graph. True if any coordinate rose. *)
+let propagate (bpos : int array) coord extent order m rev =
   let changed = ref false in
-  for pos = 0 to Array.length order - 1 do
-    let b = order.(pos) in
+  for i = 0 to m - 1 do
+    let b = order.(if rev then m - 1 - i else i) in
     let bp = bpos.(b) in
-    for pos_a = 0 to pos - 1 do
-      let a = order.(pos_a) in
+    for j = 0 to i - 1 do
+      let a = order.(if rev then m - 1 - j else j) in
       if bpos.(a) < bp then begin
         let need = coord.(a) + extent.(a) in
         if coord.(b) < need then begin
@@ -152,275 +299,364 @@ let propagate (bpos : int array) coord extent order =
   done;
   !changed
 
-let reversed order =
-  let n = Array.length order in
-  Array.init n (fun i -> order.(n - 1 - i))
+(* One left-of pass over [cells.(0 .. m - 1)] in alpha order, as
+   {!propagate} computes it but in O(m log n): the predecessors of [b]
+   are the cells before it in alpha and in beta, so its bound is a
+   prefix maximum over beta positions (FAST-SP's recurrence, survey
+   ref [26]). The tree starts and ends empty: each cell's path is
+   reset after the pass. *)
+let propagate_x p ~x ~w cells m =
+  let changed = ref false in
+  for i = 0 to m - 1 do
+    let b = cells.(i) in
+    let bp = p.bpos.(b) in
+    let need = Bit.prefix_max p.bit (bp - 1) in
+    if x.(b) < need then begin
+      x.(b) <- need;
+      changed := true
+    end;
+    Bit.update p.bit bp (x.(b) + w.(b))
+  done;
+  for i = 0 to m - 1 do
+    Bit.reset p.bit p.bpos.(cells.(i))
+  done;
+  !changed
 
-let self_parity w (g : group) =
-  match g.G.selfs with [] -> None | f :: _ -> Some (w.(f) land 1)
+(* The vertical system: below-edges [y_b >= y_a + h_a] plus one
+   equality per mirrored pair. Contracting each pair into one node (its
+   left cell, [mate] its right) leaves a graph whose longest paths are
+   the least solution, if it has no positive cycle. [visit] is Tarjan's
+   strongly-connected-component walk over it, pulling from
+   predecessors: a member [b] of node [v] has below it exactly the
+   cells after [b] in alpha order and before it in beta. A node's
+   longest path is final once its component is complete, and a
+   predecessor still on the stack belongs to [v]'s own component, so
+   only finished predecessors count. A component of several nodes is a
+   cycle: positive, and so [Diverged], unless every cell on it has
+   height 0, when its nodes share the largest value pulled in from
+   outside. *)
+let rec visit p cells m ~y ~h v =
+  let idx = p.visits in
+  p.visits <- idx + 1;
+  p.index.(v) <- idx;
+  p.low.(v) <- idx;
+  let at = p.top in
+  p.stack.(at) <- v;
+  p.top <- at + 1;
+  p.on_stack.(v) <- true;
+  let acc = ref 0 and b = ref v and members = ref true in
+  while !members do
+    let bp = p.bpos.(!b) in
+    for j = p.cidx.(!b) + 1 to m - 1 do
+      let a = cells.(j) in
+      if p.bpos.(a) < bp then begin
+        let u = p.node.(a) in
+        if p.index.(u) < 0 then begin
+          visit p cells m ~y ~h u;
+          if p.low.(u) < p.low.(v) then p.low.(v) <- p.low.(u)
+        end
+        else if p.on_stack.(u) && p.index.(u) < p.low.(v) then
+          p.low.(v) <- p.index.(u);
+        if not p.on_stack.(u) then begin
+          let need = y.(u) + h.(a) in
+          if need > !acc then acc := need
+        end
+      end
+    done;
+    let r = p.mate.(v) in
+    if !b = v && r >= 0 then b := r else members := false
+  done;
+  y.(v) <- !acc;
+  if p.low.(v) = p.index.(v) then begin
+    (* [v] roots a component: everything above it on the stack *)
+    let cyclic = p.top > at + 1 and top = ref 0 in
+    for k = at to p.top - 1 do
+      let u = p.stack.(k) in
+      if cyclic && h.(u) > 0 then raise Diverged;
+      if y.(u) > !top then top := y.(u)
+    done;
+    for k = at to p.top - 1 do
+      let u = p.stack.(k) in
+      p.on_stack.(u) <- false;
+      y.(u) <- !top;
+      let r = p.mate.(u) in
+      if r >= 0 then y.(r) <- !top
+    done;
+    p.top <- at
+  end
 
-(* Coupled packing of [cells] (alpha-ordered: every cell or one group's
-   members; a sub-code keeps every relation between its cells) under
-   [oriented], each group with its pairs as (left, right): longest-path
-   lower bounds alternating with per-group axis lifting, one fixpoint
-   per axis. Writes [x]/[y] of [cells]; reads [w]/[h].
+let vertical p cells m ~y ~h =
+  for j = 0 to m - 1 do
+    let c = cells.(j) in
+    p.cidx.(c) <- j;
+    p.index.(c) <- -1;
+    p.on_stack.(c) <- false
+  done;
+  p.top <- 0;
+  p.visits <- 0;
+  for j = 0 to m - 1 do
+    let v = p.node.(cells.(j)) in
+    if p.index.(v) < 0 then visit p cells m ~y ~h v
+  done
 
-   Vertical: "below" edges [y_b >= y_a + h_a] form a DAG that one
-   [propagate] sweep in reverse-alpha order closes; each mirrored pair
-   adds a zero-weight equality, and one [lift_y] closes one hop of each
-   (pairs are disjoint). The least solution is a longest path. Without
-   a positive cycle that path can be taken simple, so it crosses each
-   of the [P] pairs at most once: pass [P] is the last that can change
-   anything and pass [P + 1] reports no change. A positive cycle --
-   below-edges that, joined through pair equalities, climb from a cell
-   back above itself, as when [b] is below [a'] and [a] below [b'] for
-   pairs [(a, a')] and [(b, b')] -- never settles, so the cap [P + 1]
-   raises [Diverged] on exactly those codes.
+(* Lift every group in [g0 .. g1 - 1] onto one shared axis: the
+   smallest doubled axis no pair or self needs to cross, never below
+   the last one; right cells and selfs move onto it. True if any [x]
+   moved. *)
+let lift_x p ~x ~w g0 g1 =
+  let changed = ref false in
+  for g = g0 to g1 - 1 do
+    let need = ref p.axis2.(g) in
+    for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
+      let l = p.pl.(k) in
+      let v = x.(l) + x.(p.pr.(k)) + w.(l) in
+      if v > !need then need := v
+    done;
+    let s0 = p.self_off.(g) and s1 = p.self_off.(g + 1) in
+    for k = s0 to s1 - 1 do
+      let f = p.selfs.(k) in
+      let v = (2 * x.(f)) + w.(f) in
+      if v > !need then need := v
+    done;
+    (* selfs share one width parity: the axis must match it *)
+    if s1 > s0 && !need land 1 <> w.(p.selfs.(s0)) land 1 then incr need;
+    if !need > p.axis2.(g) then p.axis2.(g) <- !need;
+    let a2 = p.axis2.(g) in
+    for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
+      let l = p.pl.(k) and r = p.pr.(k) in
+      let v = a2 - x.(l) - w.(l) in
+      if v <> x.(r) then begin
+        (* v >= x.(r) by construction of a2 *)
+        x.(r) <- v;
+        changed := true
+      end
+    done;
+    for k = s0 to s1 - 1 do
+      let f = p.selfs.(k) in
+      let v = (a2 - w.(f)) / 2 in
+      if v <> x.(f) then begin
+        x.(f) <- v;
+        changed := true
+      end
+    done
+  done;
+  !changed
 
-   Horizontal: a group's shared axis couples all its pairs, so no exact
-   bound is claimed and the generous cap [10(n + G) + 20] stays, [n]
-   the cells packed. The two fixpoints are independent (the vertical
-   one reads only [h]; the horizontal one writes only [x]), so the
-   cheap-to-refute vertical one runs first. *)
-let pack_coupled_into ~x ~y ~w ~h bpos cells oriented =
-  Array.iter
-    (fun c ->
-      x.(c) <- 0;
-      y.(c) <- 0)
-    cells;
-  let axis2 = Array.make (List.length oriented) 0 in
-  let lift_x () =
-    let changed = ref false in
-    List.iteri
-      (fun gi ((g : group), pairs) ->
-        let need = ref axis2.(gi) in
-        List.iter
-          (fun (l, r) -> need := max !need (x.(l) + x.(r) + w.(l)))
-          pairs;
-        List.iter (fun f -> need := max !need ((2 * x.(f)) + w.(f))) g.G.selfs;
-        (match self_parity w g with
-        | Some p when !need land 1 <> p -> incr need
-        | Some _ | None -> ());
-        if !need > axis2.(gi) then axis2.(gi) <- !need;
-        let a2 = axis2.(gi) in
-        List.iter
-          (fun (l, r) ->
-            let v = a2 - x.(l) - w.(l) in
-            if v <> x.(r) then begin
-              (* v >= x.(r) by construction of a2 *)
-              x.(r) <- v;
-              changed := true
-            end)
-          pairs;
-        List.iter
-          (fun f ->
-            let v = (a2 - w.(f)) / 2 in
-            if v <> x.(f) then begin
-              x.(f) <- v;
-              changed := true
-            end)
-          g.G.selfs)
-      oriented;
-    !changed
-  in
-  let lift_y () =
-    let changed = ref false in
-    List.iter
-      (fun ((_ : group), pairs) ->
-        List.iter
-          (fun (l, r) ->
-            let m = max y.(l) y.(r) in
-            if y.(l) <> m || y.(r) <> m then begin
-              y.(l) <- m;
-              y.(r) <- m;
-              changed := true
-            end)
-          pairs)
-      oriented;
-    !changed
-  in
-  let rec fix ~cap pass iter =
-    if iter > cap then raise Diverged
-    else if pass () then fix ~cap pass (iter + 1)
-  in
-  let n_pairs =
-    List.fold_left (fun acc (_, pairs) -> acc + List.length pairs) 0 oriented
-  in
-  let rev_cells = reversed cells in
-  fix ~cap:(n_pairs + 1)
-    (fun () ->
-      let a = propagate bpos y h rev_cells in
-      let b = lift_y () in
-      a || b)
-    0;
-  fix
-    ~cap:((10 * (Array.length cells + List.length oriented)) + 20)
-    (fun () ->
-      let a = propagate bpos x w cells in
-      let b = lift_x () in
-      a || b)
-    0
+(* Coupled packing of [cells.(0 .. m - 1)] (alpha-ordered: every cell
+   or one group's members; a sub-code keeps every relation between its
+   cells) under groups [g0 .. g1 - 1], pairs oriented. Writes [x]/[y]
+   of the cells; reads [w]/[h].
 
-(* Terminal fallback for one group: rows of mirrored pairs around a
+   Vertical: exact, one {!vertical} walk; [Diverged] on a positive
+   cycle -- below-edges that, joined through pair equalities, climb
+   from a cell back above itself, as when [b] is below [a'] and [a]
+   below [b'] for pairs [(a, a')] and [(b, b')].
+
+   Horizontal: a group's shared axis couples all its pairs, so
+   longest-path passes alternate with {!lift_x} under the generous cap
+   [10(m + G) + 20] passes. One pass in alpha order closes the left-of
+   graph, so a lift that moves nothing ends the fixpoint: the next
+   pass could not change anything either. The cap counts that pass as
+   if it ran, as a loop that waited for a quiet pass would. The two
+   systems are independent (the vertical one reads only [h]; the
+   horizontal one writes only [x]), so the cheap-to-refute vertical
+   one runs first. *)
+let pack_coupled p ~x ~y ~w ~h cells m g0 g1 =
+  vertical p cells m ~y ~h;
+  for j = 0 to m - 1 do
+    x.(cells.(j)) <- 0
+  done;
+  Array.fill p.axis2 g0 (g1 - g0) 0;
+  let cap = (10 * (m + g1 - g0)) + 20 in
+  let passes = ref 0 and quiet = ref false in
+  while not !quiet do
+    let moved = propagate_x p ~x ~w cells m in
+    let lifted = lift_x p ~x ~w g0 g1 in
+    if moved || lifted then begin
+      incr passes;
+      if !passes > cap then raise Diverged
+    end;
+    quiet := not lifted
+  done
+
+(* Terminal fallback for group [g]: rows of mirrored pairs around a
    column of self-symmetric cells, selfs padded to even widths --
    always symmetric and overlap-free, never minimal. Writes all four
    buffers of the group's cells. *)
-let stacked_island ~x ~y ~w ~h dims (g : group) =
+let stacked_island p ~x ~y ~w ~h g =
   let pad w = w + (w land 1) in
-  let max_self_w =
-    List.fold_left (fun acc f -> max acc (pad (fst (dims f)))) 0 g.G.selfs
-  in
-  let max_pair_w =
-    List.fold_left (fun acc (a, _) -> max acc (fst (dims a))) 0 g.G.pairs
-  in
+  let max_self_w = ref 0 and max_pair_w = ref 0 in
+  for k = p.self_off.(g) to p.self_off.(g + 1) - 1 do
+    max_self_w := max !max_self_w (pad p.self_w.(k))
+  done;
+  for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
+    max_pair_w := max !max_pair_w w.(p.pa.(k))
+  done;
   (* axis2 is even: selfs are padded to even widths *)
-  let axis = max ((max_self_w + 1) / 2) max_pair_w in
+  let axis = max ((!max_self_w + 1) / 2) !max_pair_w in
   let row = ref 0 in
-  let put c ~x:cx ~w:cw ~h:ch =
-    x.(c) <- cx;
-    y.(c) <- !row;
-    w.(c) <- cw;
-    h.(c) <- ch
-  in
-  List.iter
-    (fun (l, r) ->
-      let cw, ch = dims l in
-      put l ~x:(axis - cw) ~w:cw ~h:ch;
-      put r ~x:axis ~w:cw ~h:ch;
-      row := !row + ch)
-    g.G.pairs;
-  List.iter
-    (fun f ->
-      let cw, ch = dims f in
-      let cw = pad cw in
-      put f ~x:(axis - (cw / 2)) ~w:cw ~h:ch;
-      row := !row + ch)
-    g.G.selfs
+  for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
+    let l = p.pa.(k) and r = p.pb.(k) in
+    let cw = w.(l) and ch = h.(l) in
+    x.(l) <- axis - cw;
+    y.(l) <- !row;
+    x.(r) <- axis;
+    y.(r) <- !row;
+    w.(r) <- cw;
+    h.(r) <- ch;
+    row := !row + ch
+  done;
+  for k = p.self_off.(g) to p.self_off.(g + 1) - 1 do
+    let f = p.selfs.(k) in
+    let cw = pad p.self_w.(k) in
+    x.(f) <- axis - (cw / 2);
+    y.(f) <- !row;
+    w.(f) <- cw;
+    row := !row + h.(f)
+  done
+
+let item p c = if p.group_of.(c) < 0 then c else p.n + p.group_of.(c)
 
 (* Segregated fallback: each group becomes a symmetry island -- the
    coupled core on its members, or the stacked island if that diverges
    too -- shifted to the origin of its bounding box. The reduced code
-   holds the free cells plus one item [n + gi] per group, at the
-   group's first occurrence in each sequence, and one [propagate] per
-   axis packs it. Loses free-cell interleaving inside island bounding
-   boxes, keeps everything else. *)
-let pack_segregated ~x ~y ~w ~h dims bpos alpha_order oriented =
-  let n = Array.length alpha_order in
-  let items = n + List.length oriented in
-  let group_of = Array.make n (-1) in
-  List.iteri
-    (fun gi ((g : group), _) ->
-      List.iter (fun m -> group_of.(m) <- gi) (G.members g))
-    oriented;
-  let item c = if group_of.(c) < 0 then c else n + group_of.(c) in
-  let rbpos = Array.make items max_int in
-  Array.iteri (fun c p -> rbpos.(item c) <- min rbpos.(item c) p) bpos;
-  let rw = Array.init items (fun i -> if i < n then w.(i) else 0) in
-  let rh = Array.init items (fun i -> if i < n then h.(i) else 0) in
-  List.iteri
-    (fun gi (((g : group), _) as og) ->
-      let cells =
-        Array.of_list
-          (List.filter (fun c -> group_of.(c) = gi) (Array.to_list alpha_order))
-      in
-      (match pack_coupled_into ~x ~y ~w ~h bpos cells [ og ] with
-      | () -> ()
-      | exception Diverged -> stacked_island ~x ~y ~w ~h dims g);
-      let x0 = Array.fold_left (fun m c -> min m x.(c)) max_int cells in
-      let y0 = Array.fold_left (fun m c -> min m y.(c)) max_int cells in
-      Array.iter
-        (fun c ->
-          x.(c) <- x.(c) - x0;
-          y.(c) <- y.(c) - y0;
-          rw.(n + gi) <- max rw.(n + gi) (x.(c) + w.(c));
-          rh.(n + gi) <- max rh.(n + gi) (y.(c) + h.(c)))
-        cells)
-    oriented;
-  let seen = Array.make items false in
-  let order =
-    Array.to_list alpha_order
-    |> List.filter_map (fun c ->
-           let i = item c in
-           if seen.(i) then None
-           else begin
-             seen.(i) <- true;
-             Some i
-           end)
-    |> Array.of_list
-  in
-  let rx = Array.make items 0 and ry = Array.make items 0 in
-  ignore (propagate rbpos rx rw order : bool);
-  ignore (propagate rbpos ry rh (reversed order) : bool);
+   holds the free cells plus one item [n + g] per group, at the group's
+   first occurrence in each sequence, and one {!propagate} per axis
+   packs it. Loses free-cell interleaving inside island bounding boxes,
+   keeps everything else. *)
+let pack_segregated p ~x ~y ~w ~h =
+  let n = p.n in
+  for i = 0 to n + p.ng - 1 do
+    p.rbpos.(i) <- max_int;
+    p.rw.(i) <- (if i < n then w.(i) else 0);
+    p.rh.(i) <- (if i < n then h.(i) else 0);
+    p.rx.(i) <- 0;
+    p.ry.(i) <- 0;
+    p.seen.(i) <- false
+  done;
   for c = 0 to n - 1 do
-    let i = item c in
+    let i = item p c in
+    if p.bpos.(c) < p.rbpos.(i) then p.rbpos.(i) <- p.bpos.(c)
+  done;
+  for g = 0 to p.ng - 1 do
+    let m = ref 0 in
+    for pos = 0 to n - 1 do
+      let c = p.alpha_order.(pos) in
+      if p.group_of.(c) = g then begin
+        p.cells.(!m) <- c;
+        incr m
+      end
+    done;
+    let m = !m in
+    (match pack_coupled p ~x ~y ~w ~h p.cells m g (g + 1) with
+    | () -> ()
+    | exception Diverged -> stacked_island p ~x ~y ~w ~h g);
+    let x0 = ref max_int and y0 = ref max_int in
+    for j = 0 to m - 1 do
+      let c = p.cells.(j) in
+      x0 := min !x0 x.(c);
+      y0 := min !y0 y.(c)
+    done;
+    let i = n + g in
+    for j = 0 to m - 1 do
+      let c = p.cells.(j) in
+      x.(c) <- x.(c) - !x0;
+      y.(c) <- y.(c) - !y0;
+      p.rw.(i) <- max p.rw.(i) (x.(c) + w.(c));
+      p.rh.(i) <- max p.rh.(i) (y.(c) + h.(c))
+    done
+  done;
+  let items = ref 0 in
+  for pos = 0 to n - 1 do
+    let i = item p p.alpha_order.(pos) in
+    if not p.seen.(i) then begin
+      p.seen.(i) <- true;
+      p.order.(!items) <- i;
+      incr items
+    end
+  done;
+  ignore (propagate p.rbpos p.rx p.rw p.order !items false : bool);
+  ignore (propagate p.rbpos p.ry p.rh p.order !items true : bool);
+  for c = 0 to n - 1 do
+    let i = item p c in
     if i = c then begin
-      x.(c) <- rx.(c);
-      y.(c) <- ry.(c)
+      x.(c) <- p.rx.(c);
+      y.(c) <- p.ry.(c)
     end
     else begin
-      x.(c) <- x.(c) + rx.(i);
-      y.(c) <- y.(c) + ry.(i)
+      x.(c) <- x.(c) + p.rx.(i);
+      y.(c) <- y.(c) + p.ry.(i)
     end
   done
 
-(* Each group with its pairs as (left, right) in the code; raises
-   [Infeasible] on a pair whose cells differ in size or are related
-   vertically. *)
-let orient sp ~w ~h groups =
-  List.map
-    (fun (g : group) ->
-      ( g,
-        List.map
-          (fun (a, b) ->
-            if w.(a) <> w.(b) || h.(a) <> h.(b) then
-              raise
-                (Infeasible
-                   (Printf.sprintf "pair (%d,%d) dimension mismatch" a b));
-            match Sp.relation sp a b with
-            | Sp.Left_of -> (a, b)
-            | Sp.Right_of -> (b, a)
-            | Sp.Below | Sp.Above ->
-                raise
-                  (Infeasible
-                     (Printf.sprintf "pair (%d,%d) vertically related; not S-F"
-                        a b)))
-          g.G.pairs ))
-    groups
-
-let pack_symmetric_into ?(tally = Telemetry.Counter.null) ~x ~y ~w ~h sp dims
-    groups =
-  if not (is_feasible_all sp groups) then
-    Error "sequence-pair is not symmetric-feasible"
+(* Orient pair [k] onward as (left, right) in the code and contract
+   each into its vertical node; the first pair whose cells differ in
+   size or are related vertically is the error. *)
+let rec orient p sp ~w ~h k =
+  if k = Array.length p.pa then None
   else begin
-    let n = Sp.size sp in
-    for c = 0 to n - 1 do
-      let cw, ch = dims c in
-      w.(c) <- cw;
-      h.(c) <- ch
+    let a = p.pa.(k) and b = p.pb.(k) in
+    if w.(a) <> w.(b) || h.(a) <> h.(b) then
+      Some (Printf.sprintf "pair (%d,%d) dimension mismatch" a b)
+    else begin
+      let first_alpha = Perm.pos_of sp.Sp.alpha a < Perm.pos_of sp.Sp.alpha b
+      and first_beta = Perm.pos_of sp.Sp.beta a < Perm.pos_of sp.Sp.beta b in
+      if first_alpha <> first_beta then
+        Some (Printf.sprintf "pair (%d,%d) vertically related; not S-F" a b)
+      else begin
+        let l = if first_alpha then a else b
+        and r = if first_alpha then b else a in
+        p.pl.(k) <- l;
+        p.pr.(k) <- r;
+        p.node.(r) <- l;
+        p.mate.(l) <- r;
+        orient p sp ~w ~h (k + 1)
+      end
+    end
+  end
+
+let pack_into ~tally p ~x ~y ~w ~h sp =
+  if not (feasible p sp) then Error "sequence-pair is not symmetric-feasible"
+  else begin
+    for c = 0 to p.n - 1 do
+      p.node.(c) <- c;
+      p.mate.(c) <- -1
     done;
-    match orient sp ~w ~h groups with
-    | exception Infeasible msg -> Error msg
-    | oriented ->
+    match orient p sp ~w ~h 0 with
+    | Some msg -> Error msg
+    | None ->
         (* Pad self-symmetric widths to a common parity per group so an
            exact integer axis exists. *)
-        List.iter
-          (fun (g : group) ->
-            match self_parity w g with
-            | None -> ()
-            | Some parity ->
-                List.iter
-                  (fun f -> if w.(f) land 1 <> parity then w.(f) <- w.(f) + 1)
-                  g.G.selfs)
-          groups;
-        let alpha_order = Array.init n (Perm.cell_at sp.Sp.alpha) in
-        let bpos = Array.init n (Perm.pos_of sp.Sp.beta) in
-        (match pack_coupled_into ~x ~y ~w ~h bpos alpha_order oriented with
+        for g = 0 to p.ng - 1 do
+          let s0 = p.self_off.(g) in
+          for k = s0 to p.self_off.(g + 1) - 1 do
+            let f = p.selfs.(k) in
+            p.self_w.(k) <- w.(f);
+            if w.(f) land 1 <> w.(p.selfs.(s0)) land 1 then w.(f) <- w.(f) + 1
+          done
+        done;
+        for pos = 0 to p.n - 1 do
+          let c = Perm.cell_at sp.Sp.alpha pos in
+          p.alpha_order.(pos) <- c;
+          p.bpos.(c) <- Perm.pos_of sp.Sp.beta c
+        done;
+        (match pack_coupled p ~x ~y ~w ~h p.alpha_order p.n 0 p.ng with
         | () -> ()
         | exception Diverged ->
             Telemetry.Counter.incr tally;
-            pack_segregated ~x ~y ~w ~h dims bpos alpha_order oriented);
+            pack_segregated p ~x ~y ~w ~h);
         Ok ()
   end
+
+let pack_symmetric_into ?(tally = Telemetry.Counter.null) ~x ~y ~w ~h sp dims
+    groups =
+  let n = Sp.size sp in
+  for c = 0 to n - 1 do
+    let cw, ch = dims c in
+    w.(c) <- cw;
+    h.(c) <- ch
+  done;
+  pack_into ~tally (plan ~n groups) ~x ~y ~w ~h sp
 
 (* The list form: the buffer core on fresh arrays. The right cell of
    every mirrored pair is placed [MY]. *)

@@ -326,6 +326,57 @@ let test_eval_cost_parity_symmetric () =
       "symmetric arena = list cost" reference arena_cost
   done
 
+(* Minor words per cost query on the arena's two heaviest paths: a
+   B*-tree pack scored with the RUDY estimate under a non-zero
+   routability weight, and a symmetric sequence-pair pack. Both stay at
+   a small constant whatever the circuit size -- the boxed cost and the
+   optional-argument wrappers, never a per-cell or per-net buffer. *)
+let test_eval_allocation () =
+  let per_query f =
+    ignore (f () : float);
+    let k = 50 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (f ()) : float)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int k
+  in
+  List.iter
+    (fun n ->
+      let b = Netlist.Benchmarks.synthetic ~label:"alloc" ~n ~seed:7 in
+      let c = b.Netlist.Benchmarks.circuit in
+      let rng = Prelude.Rng.create n in
+      let rot = Array.make n false in
+      let routed =
+        let arena =
+          Placer.Eval.create ~estimator:(Route.Estimate.estimator c ()) c
+        in
+        let weights =
+          { Placer.Cost.default with Placer.Cost.routability = 60.0 }
+        in
+        let flat =
+          Bstar.Flat.of_tree (Bstar.Tree.random rng (List.init n Fun.id))
+        in
+        per_query (fun () -> Placer.Eval.cost_bstar arena weights flat ~rot)
+      in
+      let groups =
+        Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
+      in
+      Alcotest.(check bool) "the circuit has symmetry groups" true (groups <> []);
+      let symmetric =
+        let arena = Placer.Eval.create c in
+        let sp = Seqpair.Symmetry.random_feasible rng ~n groups in
+        per_query (fun () ->
+            Placer.Eval.cost_seqpair arena Placer.Cost.default ~groups sp ~rot)
+      in
+      List.iter
+        (fun (what, words) ->
+          if words > 32.0 then
+            Alcotest.failf "%s query at n=%d allocates %.0f minor words" what n
+              words)
+        [ ("routed cost_bstar", routed); ("symmetric cost_seqpair", symmetric) ])
+    [ 12; 30; 38 ]
+
 let test_eval_cost_placed_parity () =
   let b = Netlist.Benchmarks.synthetic ~label:"p" ~n:12 ~seed:33 in
   let c = b.Netlist.Benchmarks.circuit in
@@ -707,6 +758,8 @@ let () =
           Alcotest.test_case "seqpair cost parity" `Quick test_eval_cost_parity;
           Alcotest.test_case "symmetric cost parity" `Quick
             test_eval_cost_parity_symmetric;
+          Alcotest.test_case "allocation per query" `Quick
+            test_eval_allocation;
           Alcotest.test_case "placed cost parity" `Quick
             test_eval_cost_placed_parity;
           Alcotest.test_case "bstar cost parity" `Quick

@@ -254,8 +254,8 @@ let test_self_padding () =
 (* ---- pinned packer outputs -------------------------------------- *)
 
 (* The pinned values come from the packer as it was when the vertical
-   fixpoint was capped at 10(n+G)+20 passes; its exact [P + 1] cap must
-   reproduce every one of them. *)
+   system was a fixpoint capped at 10(n+G)+20 passes; the one-pass
+   contracted walk must reproduce every one of them. *)
 
 (* [pack_symmetric_into] on fresh buffers: how many packs fell back
    (0 or 1) and the packed rectangles by cell *)
@@ -337,14 +337,99 @@ let test_pack_digest () =
     "digest of every result" "bd2f3a89ec65798efdb75f2e5e51ef87" digest;
   Alcotest.(check int) "packs that fell back" 155 fallbacks
 
+(* Independent oracle for the vertical system: Bellman-Ford over the
+   below-edges [y_b >= y_a + h_a] and both directions of every pair
+   equality, from [y = 0] everywhere. [Some y] is the least solution;
+   [None] means a relaxation still succeeds after [n] rounds, i.e. a
+   positive cycle. O(n^3), and it knows nothing of contraction. *)
+let oracle_y sp ~h groups =
+  let n = Sp.size sp in
+  let y = Array.make n 0 in
+  let relax () =
+    let changed = ref false in
+    let raise_to b v =
+      if y.(b) < v then begin
+        y.(b) <- v;
+        changed := true
+      end
+    in
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if a <> b && Sp.below sp a b then raise_to b (y.(a) + h.(a))
+      done
+    done;
+    List.iter
+      (fun (g : G.t) ->
+        List.iter
+          (fun (a, b) ->
+            raise_to a y.(b);
+            raise_to b y.(a))
+          g.G.pairs)
+      groups;
+    !changed
+  in
+  let rec rounds k = if not (relax ()) then Some y else if k = 0 then None else rounds (k - 1) in
+  rounds n
+
+(* The packer against the oracle on [sweep_circuit]'s circuits, a
+   random S-F code and a few S-F moves from it. The horizontal system
+   can diverge on its own (a group's shared axis couples its pairs), so
+   the code is packed twice: as drawn, and with every width 0, which
+   leaves the horizontal system nothing to push (every [x] stays 0) and
+   makes a fallback of that pack the vertical system's alone. That pack
+   falls back exactly when the oracle finds a positive cycle and
+   otherwise has the oracle's [y]; the pack as drawn has the same [y]
+   unless it fell back. Half the cases zero the height of a random
+   third of the cells (both cells of a pair together, so pairs still
+   match): a cycle through zero-height cells only has weight 0, so it
+   must not fall back, and its cells share one [y]. With heights >= 1
+   every cycle that uses a below-edge is positive. *)
+let prop_vertical_oracle =
+  let print (seed, zero) = Printf.sprintf "seed=%d zero-heights=%b" seed zero in
+  QCheck.Test.make ~name:"vertical pass = Bellman-Ford" ~count:2000
+    (QCheck.make ~print QCheck.Gen.(pair int bool))
+    (fun (seed, zero) ->
+      let rng = Prelude.Rng.create seed in
+      let n, groups, dims = sweep_circuit rng in
+      let flat = Array.make n false in
+      if zero then begin
+        for c = 0 to n - 1 do
+          if Prelude.Rng.int rng 3 = 0 then flat.(c) <- true
+        done;
+        List.iter
+          (fun (g : G.t) -> List.iter (fun (a, b) -> flat.(b) <- flat.(a)) g.G.pairs)
+          groups
+      end;
+      let dims c = if flat.(c) then (fst (dims c), 0) else dims c in
+      let sp = ref (Symmetry.random_feasible rng ~n groups) in
+      for _ = 1 to Prelude.Rng.int rng 4 do
+        sp := Moves.random_neighbor_sf rng !sp groups
+      done;
+      let pack dims =
+        let fallbacks = Telemetry.Counter.make "fallbacks" in
+        let x = Array.make n 0 and y = Array.make n 0 in
+        let w = Array.make n 0 and h = Array.make n 0 in
+        Result.map
+          (fun () -> (Telemetry.Counter.value fallbacks = 1, y, h))
+          (Symmetry.pack_symmetric_into ~tally:fallbacks ~x ~y ~w ~h !sp dims
+             groups)
+      in
+      match (pack dims, pack (fun c -> (0, snd (dims c)))) with
+      | Error _, _ -> true (* a mismatched pair: nothing to pack *)
+      | Ok (fell_back, y, h), Ok (vertical_fell_back, vy, _) -> (
+          match oracle_y !sp ~h groups with
+          | None -> vertical_fell_back
+          | Some oy -> (not vertical_fell_back) && vy = oy && (fell_back || y = oy))
+      | Ok _, Error _ -> false)
+
 (* [p] single-pair groups arranged as a staircase of columns: column
    [c] holds [r_(c-1)] below [l_c], with a free cell [f0] as [r_0] and
    another [f1] as [l_(p+1)]; cell [2i - 1] is [l_i] and cell [2i] is
    [r_i]. The only vertical path climbs f0, l_1 =
-   r_1, l_2 = r_2, ..., r_p, f1, and each pair equality costs one pass,
-   so the fixpoint changes on passes 0..p: exactly [p + 1] of them. A
-   bound one pass shorter would fall back and lose the coupled
-   packing. *)
+   r_1, l_2 = r_2, ..., r_p, f1, crossing every pair equality: a
+   fixpoint that closes one equality per pass changes on passes 0..p,
+   and one capped a pass short of [p + 1] would fall back and lose the
+   coupled packing. *)
 let test_staircase () =
   let p = 6 in
   let n = (2 * p) + 2 in
@@ -447,6 +532,7 @@ let () =
             test_staircase;
           Alcotest.test_case "vertical cycle falls back" `Quick
             test_vertical_cycle;
+          QCheck_alcotest.to_alcotest prop_vertical_oracle;
         ] );
       ( "moves",
         [ Alcotest.test_case "stay S-F" `Quick test_sf_moves_preserve ] );
