@@ -69,8 +69,9 @@ val cost_seqpair :
   float
 (** Pack the sequence-pair (with per-cell rotations; symmetric packing
     when [groups] is non-empty) into the arena and return its cost.
-    Zero allocation for a group list physically equal to the previous
-    query's; a different list compiles its plan once. Raises [Invalid_argument] if a symmetric pack is requested for a
+    Allocation-free for a group list physically equal to the previous
+    query's; a different list compiles its plan once. Raises
+    [Invalid_argument] if a symmetric pack is requested for a
     non-symmetric-feasible code, like the list path it replaces. *)
 
 val cost_bstar : t -> Cost.weights -> Bstar.Flat.t -> rot:bool array -> float

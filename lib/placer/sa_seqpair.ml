@@ -1,4 +1,3 @@
-
 type state = { sp : Seqpair.Sp.t; rot : bool array }
 
 type outcome = Placement.outcome = {
@@ -65,7 +64,7 @@ let evaluate circuit groups st =
 
 (* One annealing problem per chain: its own initial code drawn from the
    chain's rng, its own evaluation arena (the arena is mutable and must
-   never be shared across domains) and its own telemetry sink (ditto --
+   never be shared across domains) and its own telemetry sink (ditto —
    Parallel hands each chain a private child). The working code is
    moved and reverted in place: companion exchanges and repair through
    the chain's own symmetry plan, rotations flipped back. *)
@@ -91,7 +90,7 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
   let flipped = ref (-1) in
   let propose rng st =
     if Prelude.Rng.int rng 10 < 8 then begin
-      (* labels only -- Moves.set draws nothing, trajectories unchanged *)
+      (* labels only — Moves.set draws nothing, trajectories unchanged *)
       Telemetry.Moves.set mv 0;
       flipped := -1;
       match groups with

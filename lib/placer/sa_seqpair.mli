@@ -37,8 +37,8 @@ val problem_of :
     from [rng], its own {!Eval} arena, its own move tallies in the
     given sink. Moves work in place ({!Seqpair.Moves.propose_sf} under
     the chain's own {!Seqpair.Symmetry.plan}) and a rejected one is
-    reverted from its undo log, so neither a move nor a cost query
-    allocates; the state's code is owned by the problem and mutated.
+    reverted from its undo log: the state's code is owned by the
+    problem and mutated, never copied per move.
     The walk draws the same numbers as the persistent
     {!Seqpair.Moves.random_neighbor_sf}. This is what {!place} hands to
     {!Anneal.Parallel}; {!Portfolio} uses it to enter sequence-pair

@@ -12,8 +12,9 @@
     The moves work in place on a code the caller owns (see
     {!Sp.copy}): O(1) exchanges, the S-F check and repair of a
     {!Symmetry.plan}, and an undo log that reverts the last move.
-    Nothing on that path allocates. The persistent forms are thin
-    wrappers that copy the code first and draw the same numbers. *)
+    Nothing on that path allocates beyond the random draws. The
+    persistent forms are thin wrappers that copy the code first and
+    draw the same numbers. *)
 
 type t = Sp.t
 

@@ -60,16 +60,6 @@ let insert p ~cell ~at =
   Array.blit without at order (at + 1) (n - at - 1);
   { order; inv = compute_inv order }
 
-let reorder_cells p ~cells ~order:new_order =
-  let positions =
-    List.map (fun c -> p.inv.(c)) cells |> List.sort Int.compare
-  in
-  if List.length positions <> List.length new_order then
-    invalid_arg "Perm.reorder_cells: length mismatch";
-  let order = Array.copy p.order in
-  List.iter2 (fun pos cell -> order.(pos) <- cell) positions new_order;
-  of_array order
-
 let to_list p = Array.to_list p.order
 let equal a b = a.order = b.order
 

@@ -29,12 +29,6 @@ val swap_cells : t -> int -> int -> t
 val insert : t -> cell:int -> at:int -> t
 (** Remove [cell] and re-insert it so that it ends at position [at]. *)
 
-val reorder_cells : t -> cells:int list -> order:int list -> t
-(** [reorder_cells p ~cells ~order]: the positions currently holding
-    [cells] are refilled with the cells of [order] (a permutation of
-    [cells]) in increasing-position order. Used to force the relative
-    order of a symmetry group. *)
-
 (** {2 In place}
 
     A working permutation that one annealing chain owns and mutates

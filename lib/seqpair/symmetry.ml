@@ -26,8 +26,6 @@ type plan = {
   slot : int array;  (* repair: next member slot, per group *)
   want : int array;  (* repair: members in the beta order (1) dictates *)
   self_w : int array;  (* self widths before parity padding *)
-  pl : int array;  (* pair [k] oriented (left, right) in the code *)
-  pr : int array;
   axis2 : int array;  (* doubled axis, per group *)
   bit : Bit.t;  (* prefix maxima over beta positions *)
   alpha_order : int array;
@@ -35,7 +33,8 @@ type plan = {
   cells : int array;  (* one group's members in alpha order *)
   cidx : int array;  (* position of a cell among the cells packed *)
   node : int array;  (* contracted vertical node: a pair's left cell *)
-  mate : int array;  (* a pair node's right cell, else -1 *)
+  mate : int array;  (* a pair node's right cell, else -1: the pair
+                        oriented (left, right) in the code *)
   index : int array;  (* Tarjan visit order, -1 unvisited *)
   low : int array;
   on_stack : bool array;
@@ -101,8 +100,6 @@ let plan ~n groups =
     slot = Array.make ng 0;
     want = Array.make ((2 * np) + ns) 0;
     self_w = Array.make ns 0;
-    pl = Array.make np 0;
-    pr = Array.make np 0;
     axis2 = Array.make ng 0;
     bit = Bit.create n;
     alpha_order = cells ();
@@ -408,8 +405,8 @@ let lift_x p ~x ~w g0 g1 =
   for g = g0 to g1 - 1 do
     let need = ref p.axis2.(g) in
     for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
-      let l = p.pl.(k) in
-      let v = x.(l) + x.(p.pr.(k)) + w.(l) in
+      let l = p.node.(p.pa.(k)) in
+      let v = x.(l) + x.(p.mate.(l)) + w.(l) in
       if v > !need then need := v
     done;
     let s0 = p.self_off.(g) and s1 = p.self_off.(g + 1) in
@@ -423,7 +420,8 @@ let lift_x p ~x ~w g0 g1 =
     if !need > p.axis2.(g) then p.axis2.(g) <- !need;
     let a2 = p.axis2.(g) in
     for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
-      let l = p.pl.(k) and r = p.pr.(k) in
+      let l = p.node.(p.pa.(k)) in
+      let r = p.mate.(l) in
       let v = a2 - x.(l) - w.(l) in
       if v <> x.(r) then begin
         (* v >= x.(r) by construction of a2 *)
@@ -606,8 +604,6 @@ let rec orient p sp ~w ~h k =
       else begin
         let l = if first_alpha then a else b
         and r = if first_alpha then b else a in
-        p.pl.(k) <- l;
-        p.pr.(k) <- r;
         p.node.(r) <- l;
         p.mate.(l) <- r;
         orient p sp ~w ~h (k + 1)

@@ -20,11 +20,21 @@ let test_perm_insert () =
   let q = Perm.insert p ~cell:3 ~at:0 in
   Alcotest.(check (list int)) "insert front" [ 3; 0; 1; 2 ] (Perm.to_list q)
 
-let test_perm_reorder () =
+(* The in-place operations agree with the pure ones and leave copies
+   alone. *)
+let test_perm_in_place () =
   let p = Perm.of_array [| 4; 1; 3; 0; 2 |] in
-  (* cells 1,3,2 occupy positions 1,2,4; refill in order 2,3,1 *)
-  let q = Perm.reorder_cells p ~cells:[ 1; 3; 2 ] ~order:[ 2; 3; 1 ] in
-  Alcotest.(check (list int)) "reordered" [ 4; 2; 3; 0; 1 ] (Perm.to_list q)
+  let q = Perm.copy p in
+  Perm.exchange q 1 2;
+  Alcotest.(check (list int)) "exchange = swap_cells"
+    (Perm.to_list (Perm.swap_cells p 1 2))
+    (Perm.to_list q);
+  Alcotest.(check int) "inverse kept" 4 (Perm.pos_of q 1);
+  Alcotest.(check (list int)) "the copy's source untouched" [ 4; 1; 3; 0; 2 ]
+    (Perm.to_list p);
+  Perm.blit ~src:p ~dst:q;
+  Alcotest.(check bool) "blit restores" true (Perm.equal p q);
+  Alcotest.(check int) "with its inverse" 1 (Perm.pos_of q 1)
 
 let test_relations_paper_example () =
   let sp, mapping = Sp.of_strings ~alpha:"EBAFCDG" ~beta:"EBCDFAG" in
@@ -240,7 +250,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_perm_basics;
           Alcotest.test_case "swap" `Quick test_perm_swap;
           Alcotest.test_case "insert" `Quick test_perm_insert;
-          Alcotest.test_case "reorder" `Quick test_perm_reorder;
+          Alcotest.test_case "in place" `Quick test_perm_in_place;
         ] );
       ( "relations",
         [
