@@ -31,8 +31,6 @@ type t = {
   evals : Telemetry.Counter.t;  (* pre-resolved handles; dead when off *)
   bstar_packs : Telemetry.Counter.t;
   sym_fallbacks : Telemetry.Counter.t;
-  mutable sym_groups : Constraints.Symmetry_group.t list;
-  mutable sym_plan : Seqpair.Symmetry.plan;  (* compiled [sym_groups] *)
   mutable last_w : int;  (* extents of the last evaluated packing *)
   mutable last_h : int;
   mutable last_hpwl : float;
@@ -64,8 +62,6 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     evals = Telemetry.Sink.counter telemetry "eval.costs";
     bstar_packs = Telemetry.Sink.counter telemetry "bstar.packs";
     sym_fallbacks = Telemetry.Sink.counter telemetry "eval.sym_fallbacks";
-    sym_groups = [];
-    sym_plan = Seqpair.Symmetry.plan ~n [];
     last_w = 0;
     last_h = 0;
     last_hpwl = 0.0;
@@ -84,15 +80,6 @@ let set_rotation t rot =
       t.h.(c) <- t.base_h.(c)
     end
   done
-
-(* The plan of the last group list queried: an annealing chain passes
-   the same list every time, so it is compiled once. *)
-let sym_plan t groups =
-  if groups != t.sym_groups then begin
-    t.sym_plan <- Seqpair.Symmetry.plan ~n:t.n groups;
-    t.sym_groups <- groups
-  end;
-  t.sym_plan
 
 (* One pass over the coordinate arrays: bounding-box extents (anchored
    at the origin, as [Placement.bbox]) and doubled centers. *)
@@ -127,15 +114,15 @@ let finish t weights =
   Telemetry.Sink.span_end t.tel "eval.compose" t1;
   cost
 
-let cost_seqpair t weights ?(groups = []) sp ~rot =
+let cost_seqpair t weights ?plan sp ~rot =
   let t0 = Telemetry.Sink.span_begin t.tel in
   set_rotation t rot;
-  (match groups with
-  | [] -> Seqpair.Pack.pack_fast_into t.scratch sp ~w:t.w ~h:t.h ~x:t.x ~y:t.y
-  | _ -> (
+  (match plan with
+  | None -> Seqpair.Pack.pack_fast_into t.scratch sp ~w:t.w ~h:t.h ~x:t.x ~y:t.y
+  | Some plan -> (
       match
-        Seqpair.Symmetry.pack_into ~tally:t.sym_fallbacks (sym_plan t groups)
-          ~x:t.x ~y:t.y ~w:t.w ~h:t.h sp
+        Seqpair.Symmetry.pack_into ~tally:t.sym_fallbacks plan ~x:t.x ~y:t.y
+          ~w:t.w ~h:t.h sp
       with
       | Ok () -> ()
       | Error msg -> invalid_arg ("Sa_seqpair: " ^ msg)));

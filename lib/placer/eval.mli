@@ -8,9 +8,8 @@
     CSR-flattened nets — so a single cost query performs zero
     allocation: the sequence-pair is packed into the arena's
     coordinate arrays and area + HPWL are computed in one pass over
-    them. A symmetric pack reads a {!Seqpair.Symmetry.plan} compiled
-    on the first query of a group list and kept for as long as the
-    queries pass that same list.
+    them. A symmetric pack reads the {!Seqpair.Symmetry.plan} its
+    caller compiled once for the group list.
 
     This is the one code path that turns placed geometry into a cost.
     The annealers pack straight into the arena ({!cost_seqpair},
@@ -63,14 +62,15 @@ val last_extents : t -> int * int * float
 val cost_seqpair :
   t ->
   Cost.weights ->
-  ?groups:Constraints.Symmetry_group.t list ->
+  ?plan:Seqpair.Symmetry.plan ->
   Seqpair.Sp.t ->
   rot:bool array ->
   float
-(** Pack the sequence-pair (with per-cell rotations; symmetric packing
-    when [groups] is non-empty) into the arena and return its cost.
-    Allocation-free for a group list physically equal to the previous
-    query's; a different list compiles its plan once. Raises
+(** Pack the sequence-pair (with per-cell rotations; with [plan], the
+    symmetric packing under its groups) into the arena and return its
+    cost. Allocation-free; pass the plan as a preallocated option
+    ([?plan]) to keep the call site so too. The plan is the caller's
+    scratch as well: one per chain, like the arena. Raises
     [Invalid_argument] if a symmetric pack is requested for a
     non-symmetric-feasible code, like the list path it replaces. *)
 

@@ -67,7 +67,8 @@ let evaluate circuit groups st =
    never be shared across domains) and its own telemetry sink (ditto —
    Parallel hands each chain a private child). The working code is
    moved and reverted in place: companion exchanges and repair through
-   the chain's own symmetry plan, rotations flipped back. *)
+   the chain's own symmetry plan, rotations flipped back. The arena
+   packs through that same plan. *)
 let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
     rng =
   let n = Netlist.Circuit.size circuit in
@@ -109,7 +110,8 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
     else Seqpair.Moves.undo st.sp log;
     flipped := -1
   in
-  let cost st = Eval.cost_seqpair arena weights ~groups st.sp ~rot:st.rot in
+  let sym = match groups with [] -> None | _ -> Some plan in
+  let cost st = Eval.cost_seqpair arena weights ?plan:sym st.sp ~rot:st.rot in
   let copy st = { sp = Seqpair.Sp.copy st.sp; rot = Array.copy st.rot } in
   let blit ~src ~dst =
     Seqpair.Sp.blit ~src:src.sp ~dst:dst.sp;

@@ -68,9 +68,10 @@ let propose_sf rng plan sp u =
     if not (Symmetry.feasible plan sp) then undo sp u
   end
 
+(* [propose] never repairs, so a log with no room for beta does *)
 let random_neighbor rng sp =
   let sp = Sp.copy sp in
-  propose rng sp (undo_log (Sp.size sp));
+  propose rng sp (undo_log 0);
   sp
 
 let random_neighbor_sf rng sp groups =

@@ -277,45 +277,26 @@ exception Diverged
    ([rev]) back to front: every [a] before [b] in that order with [a]
    before [b] in beta pushes [b] past [a]'s far edge. In alpha order
    that closes the left-of graph, in reverse alpha order the below
-   graph. True if any coordinate rose. *)
-let propagate (bpos : int array) coord extent order m rev =
+   graph. The predecessors of [b] are the items already swept with a
+   smaller beta position, so its bound is a prefix maximum over beta
+   positions, O(m log n) (FAST-SP's recurrence, survey ref [26]);
+   [bpos] must hold distinct positions in [0, n). The tree starts and
+   ends empty: each item's path is reset after the pass. True if any
+   coordinate rose. *)
+let propagate p bpos coord extent order m rev =
   let changed = ref false in
   for i = 0 to m - 1 do
     let b = order.(if rev then m - 1 - i else i) in
     let bp = bpos.(b) in
-    for j = 0 to i - 1 do
-      let a = order.(if rev then m - 1 - j else j) in
-      if bpos.(a) < bp then begin
-        let need = coord.(a) + extent.(a) in
-        if coord.(b) < need then begin
-          coord.(b) <- need;
-          changed := true
-        end
-      end
-    done
-  done;
-  !changed
-
-(* One left-of pass over [cells.(0 .. m - 1)] in alpha order, as
-   {!propagate} computes it but in O(m log n): the predecessors of [b]
-   are the cells before it in alpha and in beta, so its bound is a
-   prefix maximum over beta positions (FAST-SP's recurrence, survey
-   ref [26]). The tree starts and ends empty: each cell's path is
-   reset after the pass. *)
-let propagate_x p ~x ~w cells m =
-  let changed = ref false in
-  for i = 0 to m - 1 do
-    let b = cells.(i) in
-    let bp = p.bpos.(b) in
     let need = Bit.prefix_max p.bit (bp - 1) in
-    if x.(b) < need then begin
-      x.(b) <- need;
+    if coord.(b) < need then begin
+      coord.(b) <- need;
       changed := true
     end;
-    Bit.update p.bit bp (x.(b) + w.(b))
+    Bit.update p.bit bp (coord.(b) + extent.(b))
   done;
   for i = 0 to m - 1 do
-    Bit.reset p.bit p.bpos.(cells.(i))
+    Bit.reset p.bit bpos.(order.(i))
   done;
   !changed
 
@@ -468,7 +449,7 @@ let pack_coupled p ~x ~y ~w ~h cells m g0 g1 =
   let cap = (10 * (m + g1 - g0)) + 20 in
   let passes = ref 0 and quiet = ref false in
   while not !quiet do
-    let moved = propagate_x p ~x ~w cells m in
+    let moved = propagate p p.bpos x w cells m false in
     let lifted = lift_x p ~x ~w g0 g1 in
     if moved || lifted then begin
       incr passes;
@@ -573,8 +554,8 @@ let pack_segregated p ~x ~y ~w ~h =
       incr items
     end
   done;
-  ignore (propagate p.rbpos p.rx p.rw p.order !items false : bool);
-  ignore (propagate p.rbpos p.ry p.rh p.order !items true : bool);
+  ignore (propagate p p.rbpos p.rx p.rw p.order !items false : bool);
+  ignore (propagate p p.rbpos p.ry p.rh p.order !items true : bool);
   for c = 0 to n - 1 do
     let i = item p c in
     if i = c then begin

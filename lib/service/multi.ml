@@ -93,6 +93,11 @@ let rot_variants circuit groups base_rot =
 let build ?(weights = Placer.Cost.default) ~groups circuit placed =
   let n = Netlist.Circuit.size circuit in
   let arena = Placer.Eval.create circuit in
+  let plan =
+    match groups with
+    | [] -> None
+    | _ -> Some (Seqpair.Symmetry.plan ~n groups)
+  in
   let curves =
     Array.init n (fun c ->
         let w, h = Netlist.Circuit.dims circuit c in
@@ -116,7 +121,7 @@ let build ?(weights = Placer.Cost.default) ~groups circuit placed =
   let packed =
     rot_variants circuit groups base_rot
     |> List.filter_map (fun rot ->
-           match Placer.Eval.cost_seqpair arena weights ~groups sp ~rot with
+           match Placer.Eval.cost_seqpair arena weights ?plan sp ~rot with
            | cost ->
                let width, height, hpwl = Placer.Eval.last_extents arena in
                Some { topo = Packing rot; width; height; hpwl; cost }

@@ -306,11 +306,12 @@ let test_eval_cost_parity_symmetric () =
   let weights = Placer.Cost.default in
   let rng = Prelude.Rng.create 10 in
   let n = Netlist.Circuit.size c in
+  let plan = Seqpair.Symmetry.plan ~n [ grp ] in
   for _ = 1 to 50 do
     let sp = Seqpair.Symmetry.random_feasible rng ~n [ grp ] in
     let rot = Array.make n false in
     let arena_cost =
-      Placer.Eval.cost_seqpair arena weights ~groups:[ grp ] sp ~rot
+      Placer.Eval.cost_seqpair arena weights ~plan sp ~rot
     in
     let placed =
       match
@@ -365,9 +366,10 @@ let test_eval_allocation () =
       Alcotest.(check bool) "the circuit has symmetry groups" true (groups <> []);
       let symmetric =
         let arena = Placer.Eval.create c in
+        let plan = Some (Seqpair.Symmetry.plan ~n groups) in
         let sp = Seqpair.Symmetry.random_feasible rng ~n groups in
         per_query (fun () ->
-            Placer.Eval.cost_seqpair arena Placer.Cost.default ~groups sp ~rot)
+            Placer.Eval.cost_seqpair arena Placer.Cost.default ?plan sp ~rot)
       in
       List.iter
         (fun (what, words) ->
