@@ -267,14 +267,14 @@ let hier () =
   section "E7 (Figs. 2,4,5): HB*-tree placement of the hierarchical design";
   let b = Netlist.Benchmarks.fig2_design () in
   let rng = Prelude.Rng.create 2026 in
-  let out = Bstar.Hbstar.place ~rng b.circuit b.hierarchy in
+  let out = Placer.Sa_hbstar.place ~rng b.circuit b.hierarchy in
   Format.printf "hierarchy: %a@." Netlist.Hierarchy.pp b.hierarchy;
-  let p = Placer.Placement.make b.circuit out.Bstar.Hbstar.placed in
+  let p = out.Placer.Sa_hbstar.placement in
   print_string (Placer.Plot.ascii ~width:64 p);
   Printf.printf "area %d  hpwl %.0f  dead space %d  SA rounds %d\n"
-    out.Bstar.Hbstar.area out.Bstar.Hbstar.hpwl (Placer.Placement.dead_space p)
-    out.Bstar.Hbstar.sa_rounds;
-  let placed = out.Bstar.Hbstar.placed in
+    (Placer.Placement.area p) (Placer.Placement.hpwl p)
+    (Placer.Placement.dead_space p) out.Placer.Sa_hbstar.sa_rounds;
+  let placed = p.Placer.Placement.placed in
   let groups = Constraints.Symmetry_group.of_hierarchy b.hierarchy in
   List.iter
     (fun g ->
@@ -293,12 +293,11 @@ let hier () =
   print_endline "Fig. 6 Miller op amp (hierarchy from structure recognition):";
   let m = Netlist.Benchmarks.miller () in
   Format.printf "  %a@." Netlist.Hierarchy.pp m.hierarchy;
-  let out = Bstar.Hbstar.place ~rng m.circuit m.hierarchy in
-  let p = Placer.Placement.make m.circuit out.Bstar.Hbstar.placed in
+  let p = (Placer.Sa_hbstar.place ~rng m.circuit m.hierarchy).placement in
   print_string
     (Placer.Plot.ascii ~width:64 ~labels:(Placer.Plot.device_labels p) p);
-  Printf.printf "area %d  hpwl %.0f  valid: %b\n" out.Bstar.Hbstar.area
-    out.Bstar.Hbstar.hpwl
+  Printf.printf "area %d  hpwl %.0f  valid: %b\n" (Placer.Placement.area p)
+    (Placer.Placement.hpwl p)
     (Result.is_ok (Placer.Placement.validate p));
   (* unit-decomposed common centroid of the 1:2:2 bias mirror (P5:P6:P7
      = 10u:20u:20u -> 1:2:2 fingers of 10u) *)
@@ -446,10 +445,7 @@ let ablation () =
       let tc = Placer.Sa_tcg.place ~weights ~params:(params n) ~rng c in
       let bt = Placer.Sa_bstar.place ~weights ~params:(params n) ~rng c in
       let hb =
-        Bstar.Hbstar.place
-          ~weights:
-            { Bstar.Hbstar.default_weights with Bstar.Hbstar.wirelength = 0.0 }
-          ~params:(params n) ~rng c b.hierarchy
+        Placer.Sa_hbstar.place ~weights ~params:(params n) ~rng c b.hierarchy
       in
       let det = Shapefn.Combine.place ~mode:Shapefn.Combine.Esf c b.hierarchy in
       let row =
@@ -458,7 +454,7 @@ let ablation () =
           usage c (Placer.Placement.area sp.Placer.Sa_seqpair.placement);
           usage c (Placer.Placement.area tc.Placer.Sa_tcg.placement);
           usage c (Placer.Placement.area bt.Placer.Sa_bstar.placement);
-          usage c hb.Bstar.Hbstar.area;
+          usage c (Placer.Placement.area hb.Placer.Sa_hbstar.placement);
           det.Shapefn.Combine.area_usage;
         ]
       in

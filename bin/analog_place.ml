@@ -174,7 +174,7 @@ let engine_conv =
   Arg.conv (parse, print)
 
 (* The engines that take the annealing-only flags, for help and notes:
-   "sp, bstar, tcg". *)
+   "sp, bstar, tcg, hbstar". *)
 let annealed_engines =
   String.concat ", "
     (List.map Placer.Engine.name

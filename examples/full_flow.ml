@@ -14,10 +14,12 @@ let () =
 
   (* 1. place, reserving room around the proximity group *)
   let halo = 35 in
-  let out = Bstar.Hbstar.place ~halo ~rng circuit hierarchy in
-  let placement = Placer.Placement.make circuit out.Bstar.Hbstar.placed in
-  Printf.printf "placed: area %d, HPWL %.0f\n" out.Bstar.Hbstar.area
-    out.Bstar.Hbstar.hpwl;
+  let placement =
+    (Placer.Sa_hbstar.place ~halo ~rng circuit hierarchy).Placer.Sa_hbstar
+      .placement
+  in
+  Printf.printf "placed: area %d, HPWL %.0f\n" (Placer.Placement.area placement)
+    (Placer.Placement.hpwl placement);
 
   (* 2. guard rings around proximity groups *)
   let rings =

@@ -14,15 +14,17 @@ let () =
     hierarchy;
 
   let rng = Prelude.Rng.create 7 in
-  let out = Bstar.Hbstar.place ~rng circuit hierarchy in
-  let placement = Placer.Placement.make circuit out.Bstar.Hbstar.placed in
+  let placement =
+    (Placer.Sa_hbstar.place ~rng circuit hierarchy).Placer.Sa_hbstar.placement
+  in
   print_string (Placer.Plot.ascii ~width:64 placement);
-  Printf.printf "\narea %d   HPWL %.0f   dead space %d\n" out.Bstar.Hbstar.area
-    out.Bstar.Hbstar.hpwl
+  Printf.printf "\narea %d   HPWL %.0f   dead space %d\n"
+    (Placer.Placement.area placement)
+    (Placer.Placement.hpwl placement)
     (Placer.Placement.dead_space placement);
 
   (* verify every constraint the hierarchy declares *)
-  let placed = out.Bstar.Hbstar.placed in
+  let placed = placement.Placer.Placement.placed in
   List.iter
     (fun (name, kind, members) ->
       match kind with

@@ -24,10 +24,12 @@ let () =
 
   (* annealed HB*-tree placement (survey SIII) *)
   let rng = Prelude.Rng.create 11 in
-  let hb = Bstar.Hbstar.place ~rng circuit hierarchy in
-  let hb_placement = Placer.Placement.make circuit hb.Bstar.Hbstar.placed in
+  let hb = Placer.Sa_hbstar.place ~rng circuit hierarchy in
+  let hb_placement = hb.Placer.Sa_hbstar.placement in
   Printf.printf "\nHB*-tree placement: area %d, HPWL %.0f, %d SA rounds\n"
-    hb.Bstar.Hbstar.area hb.Bstar.Hbstar.hpwl hb.Bstar.Hbstar.sa_rounds;
+    (Placer.Placement.area hb_placement)
+    (Placer.Placement.hpwl hb_placement)
+    hb.Placer.Sa_hbstar.sa_rounds;
   print_string (Placer.Plot.ascii ~width:60
        ~labels:(Placer.Plot.device_labels hb_placement) hb_placement);
   Placer.Plot.write_svg ~path:"miller_hbstar.svg" hb_placement;
@@ -43,6 +45,6 @@ let () =
               det.Shapefn.Combine.placed))
         (Result.is_ok
            (Constraints.Placement_check.symmetry ~group:g
-              hb.Bstar.Hbstar.placed)))
+              hb_placement.Placer.Placement.placed)))
     groups;
   print_endline "wrote miller_esf.svg and miller_hbstar.svg"

@@ -1,4 +1,3 @@
-open Geometry
 module G = Constraints.Symmetry_group
 module D = Diagnostic
 
@@ -66,46 +65,6 @@ let check_sf sp groups =
              ~hint:"a move escaped the S-F subspace; repair with \
                     Symmetry.make_feasible"))
     groups
-
-let check_bstar ~n tree =
-  (* Budgeted traversal: a corrupted (shared or [let rec]-cyclic)
-     structure must be reported, not looped on. *)
-  let budget = ref (n + 1) in
-  let count = Array.make (max n 1) 0 in
-  let out_of_range = ref [] in
-  let rec go t =
-    if !budget > 0 then begin
-      decr budget;
-      let c = t.Bstar.Tree.cell in
-      if c < 0 || c >= n then
-        out_of_range :=
-          D.error ~code:"AL103" ~subject:"b*-tree"
-            (Printf.sprintf "node cell %d out of range [0, %d)" c n)
-          :: !out_of_range
-      else count.(c) <- count.(c) + 1;
-      Option.iter go t.Bstar.Tree.left;
-      Option.iter go t.Bstar.Tree.right
-    end
-  in
-  go tree;
-  if !budget = 0 then
-    [
-      D.error ~code:"AL103" ~subject:"b*-tree"
-        (Printf.sprintf
-           "traversal exceeded %d nodes: structure is cyclic or holds \
-            duplicated subtrees"
-           n);
-    ]
-  else
-    List.rev !out_of_range
-    @ List.concat
-        (List.init n (fun c ->
-             if count.(c) = 1 then []
-             else
-               [
-                 D.error ~code:"AL103" ~subject:"b*-tree"
-                   (Printf.sprintf "cell %d occurs %d times" c count.(c));
-               ]))
 
 let check_flat flat =
   let module F = Bstar.Flat in
@@ -189,64 +148,3 @@ let check_flat flat =
     else []
   in
   root_errs @ List.rev !errs @ reach_errs @ leaf_errs
-
-let check_asf_island ~group (island : Bstar.Asf.island) =
-  let members = List.sort_uniq Int.compare (G.members group) in
-  let placed_cells =
-    List.sort Int.compare
-      (List.map (fun (p : Transform.placed) -> p.Transform.cell)
-         island.Bstar.Asf.placed)
-  in
-  let membership =
-    if placed_cells = members then []
-    else
-      [
-        D.error ~code:"AL105" ~subject:"asf island"
-          "island cells differ from the group members";
-      ]
-  in
-  let bounds =
-    List.filter_map
-      (fun (p : Transform.placed) ->
-        let r = p.Transform.rect in
-        if
-          r.Rect.x >= 0 && r.Rect.y >= 0
-          && Rect.x_max r <= island.Bstar.Asf.width
-          && Rect.y_max r <= island.Bstar.Asf.height
-        then None
-        else
-          Some
-            (D.error ~code:"AL105"
-               ~subject:(Printf.sprintf "cell %d" p.Transform.cell)
-               (Format.asprintf "rect %a outside the island box %dx%d"
-                  Rect.pp r island.Bstar.Asf.width island.Bstar.Asf.height)))
-      island.Bstar.Asf.placed
-  in
-  let overlap =
-    match Constraints.Placement_check.overlap_free island.Bstar.Asf.placed with
-    | Ok () -> []
-    | Error v ->
-        [
-          D.error ~code:"AL104" ~subject:v.Constraints.Placement_check.subject
-            v.Constraints.Placement_check.detail;
-        ]
-  in
-  let mirror =
-    match
-      Constraints.Placement_check.symmetry ~group island.Bstar.Asf.placed
-    with
-    | Ok axis2 when axis2 = island.Bstar.Asf.axis2 -> []
-    | Ok axis2 ->
-        [
-          D.error ~code:"AL105" ~subject:"asf island"
-            (Printf.sprintf "island axis2 %d but cells mirror about %d"
-               island.Bstar.Asf.axis2 axis2);
-        ]
-    | Error v ->
-        [
-          D.error ~code:"AL105"
-            ~subject:("asf island: " ^ v.Constraints.Placement_check.subject)
-            v.Constraints.Placement_check.detail;
-        ]
-  in
-  membership @ bounds @ overlap @ mirror

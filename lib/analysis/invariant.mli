@@ -21,13 +21,12 @@
 
     - [AL101] error: sequence-pair permutations inconsistent
     - [AL102] error: sequence-pair not symmetric-feasible for a group
-    - [AL103] error: B*-tree malformed (cell missing, duplicated, out
-      of range, or structure cyclic)
-    - [AL104] error: ASF island cells overlap
-    - [AL105] error: ASF island violates its mirror invariant
+    - [AL103] error: flat B*-tree malformed (size, labeling, links,
+      reachability or leaf set)
 
-    [AL106]-[AL108] are retired: placement multiplicity, bounds and
-    mirror symmetry are {!Verify}'s [AL211], [AL213] and [AL214]. *)
+    [AL104]-[AL108] are retired: island overlap, island mirror,
+    placement multiplicity, bounds and mirror symmetry are {!Verify}'s
+    [AL212], [AL214], [AL211], [AL213] and [AL214]. *)
 
 exception Violation of string * Diagnostic.t list
 (** [(context, diagnostics)]; a printer is registered, so an uncaught
@@ -47,19 +46,10 @@ val check_sf :
   Seqpair.Sp.t -> Constraints.Symmetry_group.t list -> Diagnostic.t list
 (** Symmetric-feasibility (survey property (1)) of every group. *)
 
-val check_bstar : n:int -> Bstar.Tree.t -> Diagnostic.t list
-(** The tree holds each cell of [0..n-1] exactly once. The traversal is
-    budgeted, so a (deliberately corrupted) cyclic structure is
-    reported rather than looped on. *)
-
 val check_flat : Bstar.Flat.t -> Diagnostic.t list
 (** Well-formedness of a flat-array B*-tree (AL103): the cell/node
     labelings are mutually inverse, child and parent links agree, every
-    node is reachable from the (single) root — budgeted, as
-    {!check_bstar} — and the O(1)-draw leaf set lists exactly the
-    current leaves. *)
-
-val check_asf_island :
-  group:Constraints.Symmetry_group.t -> Bstar.Asf.island -> Diagnostic.t list
-(** The island is overlap-free, fits its stated [width]x[height] box,
-    and mirrors the group exactly about its stated axis. *)
+    node is reachable from the (single) root — the traversal is
+    budgeted, so a (deliberately corrupted) cyclic structure is
+    reported rather than looped on — and the O(1)-draw leaf set lists
+    exactly the current leaves. *)

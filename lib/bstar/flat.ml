@@ -37,9 +37,7 @@ type undo =
   | U_move of {
       leaf : int;  (* the node that moved *)
       src : int;  (* its original parent *)
-      src_side : side;
-      dst : int;  (* where it went *)
-      dst_side : side;
+      src_side : side;  (* the slot it left *)
     }
 
 let nil = -1
@@ -198,18 +196,10 @@ let attach_leaf t l dst side =
   set_child t dst side l;
   t.parent.(l) <- dst
 
-let move_leaf t ~leaf ~dst ~dst_side =
-  if not (is_leaf t leaf) then invalid_arg "Flat.move_leaf: not a leaf";
-  if leaf = t.root then invalid_arg "Flat.move_leaf: root";
-  if dst = leaf then invalid_arg "Flat.move_leaf: onto itself";
-  let src, src_side = detach_leaf t leaf in
-  attach_leaf t leaf dst dst_side;
-  U_move { leaf; src; src_side; dst; dst_side }
-
 let undo t = function
   | U_nothing -> ()
   | U_swap (a, b) -> ignore (swap_cells t a b)
-  | U_move { leaf; src; src_side; dst = _; dst_side = _ } ->
+  | U_move { leaf; src; src_side } ->
       let _ = detach_leaf t leaf in
       attach_leaf t leaf src src_side
 
@@ -239,7 +229,7 @@ let perturb rng t =
       end
     done;
     attach_leaf t leaf !dst !dst_side;
-    U_move { leaf; src; src_side; dst = !dst; dst_side = !dst_side }
+    U_move { leaf; src; src_side }
   end
 
 (* ---- allocation-free packing -------------------------------------- *)

@@ -26,13 +26,8 @@ type side = L | R
 type undo =
   | U_nothing
   | U_swap of int * int
-  | U_move of {
-      leaf : int;
-      src : int;
-      src_side : side;
-      dst : int;
-      dst_side : side;
-    }
+  | U_move of { leaf : int; src : int; src_side : side }
+      (** leaf [leaf] moved away from the [src_side] slot of [src] *)
 
 val of_tree : Tree.t -> t
 (** Pre-order node numbering. Raises [Invalid_argument] unless the
@@ -56,11 +51,6 @@ val equal : t -> t -> bool
 
 val swap_cells : t -> int -> int -> undo
 (** Exchange the cells held by two nodes — O(1), structure untouched. *)
-
-val move_leaf : t -> leaf:int -> dst:int -> dst_side:side -> undo
-(** Detach leaf node [leaf] and re-attach it as the [dst_side] child
-    of node [dst] — O(1). Raises [Invalid_argument] when [leaf] is not
-    a leaf, is the root, equals [dst], or the slot is occupied. *)
 
 val perturb : Prelude.Rng.t -> t -> undo
 (** A uniform choice of cell swap or leaf relocation (the target

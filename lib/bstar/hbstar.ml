@@ -16,10 +16,8 @@ type state = {
   infos : node_info array;
   trees : tree_state array;
   root : int;
-  proximity_groups : int list list;  (** leaf members per proximity node *)
   halo : int;
       (** empty margin kept around proximity macros (guard-ring room) *)
-  nets : Netlist.Wirelength.flat;  (** the circuit's nets, flattened once *)
 }
 
 (* Pseudo-item ids: modules are [0, n); node j's packed macro is item
@@ -163,22 +161,7 @@ let initial ?(halo = 0) rng circuit hierarchy =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hbstar.initial: " ^ msg));
   let infos, trees, root = build rng circuit hierarchy in
-  let proximity_groups =
-    H.constraint_nodes hierarchy
-    |> List.filter_map (fun (_, kind, leaves) ->
-           match kind with
-           | H.Proximity -> Some leaves
-           | H.Free | H.Symmetry | H.Common_centroid -> None)
-  in
-  {
-    circuit;
-    infos;
-    trees;
-    root;
-    proximity_groups;
-    halo;
-    nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets;
-  }
+  { circuit; infos; trees; root; halo }
 
 let perturb rng st =
   let perturbable =
@@ -300,81 +283,3 @@ let pack st =
         invalid_arg "Hbstar.pack: state/kind mismatch"
   in
   (macro_of st.root).placed
-
-(* ------------------------------------------------------------------ *)
-(* Cost and annealing                                                  *)
-
-type weights = {
-  area : float;
-  wirelength : float;
-  proximity_penalty : float;
-}
-
-let default_weights =
-  { area = 1.0; wirelength = 0.2; proximity_penalty = 1e7 }
-
-let evaluate st =
-  let placed = pack st in
-  let rects = List.map (fun p -> p.Transform.rect) placed in
-  let area =
-    match rects with
-    | [] -> 0
-    | _ ->
-        let b = Rect.bbox_of_list rects in
-        Rect.x_max b * Rect.y_max b
-  in
-  (* every module is placed once (the hierarchy covers the circuit
-     exactly), so the flat HPWL sees every pin *)
-  let n = Netlist.Circuit.size st.circuit in
-  let cx2 = Array.make (max 1 n) 0 and cy2 = Array.make (max 1 n) 0 in
-  List.iter
-    (fun (p : Transform.placed) ->
-      let x2, y2 = Rect.center2 p.rect in
-      cx2.(p.cell) <- x2;
-      cy2.(p.cell) <- y2)
-    placed;
-  let hpwl = Netlist.Wirelength.hpwl_flat st.nets ~cx2 ~cy2 in
-  let disconnected =
-    List.length
-      (List.filter
-         (fun members ->
-           Result.is_error
-             (Constraints.Placement_check.proximity ~members placed))
-         st.proximity_groups)
-  in
-  (placed, area, hpwl, disconnected)
-
-let cost weights st =
-  let _, area, hpwl, disconnected = evaluate st in
-  (weights.area *. float_of_int area)
-  +. (weights.wirelength *. hpwl)
-  +. (weights.proximity_penalty *. float_of_int disconnected)
-
-type outcome = {
-  placed : Transform.placed list;
-  area : int;
-  hpwl : float;
-  state : state;
-  sa_rounds : int;
-}
-
-let place ?(weights = default_weights) ?params ?halo ~rng circuit hierarchy =
-  let init = initial ?halo rng circuit hierarchy in
-  let params =
-    match params with
-    | Some p -> p
-    | None -> Anneal.Sa.default_params ~n:(Netlist.Circuit.size circuit)
-  in
-  let problem =
-    Anneal.Sa.persistent ~init ~neighbor:perturb ~cost:(cost weights)
-  in
-  let result = Anneal.Sa.run ~rng params problem in
-  let state = !(result.Anneal.Sa.best) in
-  let placed, area, hpwl, _ = evaluate state in
-  {
-    placed;
-    area;
-    hpwl;
-    state;
-    sa_rounds = result.Anneal.Sa.rounds;
-  }

@@ -15,12 +15,15 @@
       B*-tree (documented substitution — true unit-decomposed
       common-centroid needs device splitting);
     - proximity and free nodes by plain B*-trees; proximity
-      connectivity is enforced through the annealing cost.
+      connectivity is enforced by the annealer's cost
+      ([Placer.Sa_hbstar] penalizes every disconnected proximity
+      group).
 
-    Annealing perturbs {e one} of the trees per move and repacks the
-    whole design — the "simultaneous optimization of all hierarchy
-    levels" the survey describes, as opposed to frozen bottom-up
-    integration. *)
+    This module is the representation only — state, move and packer;
+    it knows no cost. [Placer.Sa_hbstar] anneals it: each move
+    perturbs {e one} of the trees and repacks the whole design — the
+    "simultaneous optimization of all hierarchy levels" the survey
+    describes, as opposed to frozen bottom-up integration. *)
 
 type state
 (** All per-node trees for one design. *)
@@ -38,32 +41,3 @@ val perturb : Prelude.Rng.t -> state -> state
 val pack : state -> Geometry.Transform.placed list
 (** Deterministic bottom-up packing of the current trees; absolute
     coordinates for every module, overlap-free by construction. *)
-
-type weights = {
-  area : float;
-  wirelength : float;
-  proximity_penalty : float;
-      (** added once per disconnected proximity group *)
-}
-
-val default_weights : weights
-
-val cost : weights -> state -> float
-
-type outcome = {
-  placed : Geometry.Transform.placed list;
-  area : int;  (** bounding-box area *)
-  hpwl : float;
-  state : state;
-  sa_rounds : int;
-}
-
-val place :
-  ?weights:weights ->
-  ?params:Anneal.Sa.params ->
-  ?halo:int ->
-  rng:Prelude.Rng.t ->
-  Netlist.Circuit.t ->
-  Netlist.Hierarchy.t ->
-  outcome
-(** Simulated-annealing placement over the HB*-tree state space. *)

@@ -179,11 +179,6 @@ let rec insert_at t ~cell ~target ~side =
       right = Option.map (fun r -> insert_at r ~cell ~target ~side) t.right;
     }
 
-let insert_random rng t ~cell =
-  let target = Prelude.Rng.choose rng (cells t) in
-  let side = if Prelude.Rng.bool rng then `Left else `Right in
-  insert_at t ~cell ~target ~side
-
 let rec equal a b =
   a.cell = b.cell
   && Option.equal equal a.left b.left

@@ -78,7 +78,5 @@ val insert_at :
     holding [target]; an existing child moves down to the same side of
     the new node. *)
 
-val insert_random : Prelude.Rng.t -> t -> cell:int -> t
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

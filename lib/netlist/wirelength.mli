@@ -23,8 +23,7 @@ type flat = {
     included), so hot paths walk every net allocation-free. This is
     the one net -> pin layout. Its readers: {!hpwl_flat}, the HPWL
     term; [Placer.Eval], which builds one per annealing chain and
-    scores every move through {!hpwl_flat}; [Bstar.Hbstar], which
-    flattens once per anneal for the same term; and [Route.Estimate],
+    scores every move through {!hpwl_flat}; and [Route.Estimate],
     the RUDY congestion score, which skips nets of fewer than two
     pins. *)
 

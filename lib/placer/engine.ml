@@ -16,16 +16,16 @@ let of_string = function
   | s -> List.find_opt (fun e -> String.equal (name e) s) all
 
 let annealed = function
-  | Sp | Bstar | Tcg -> true
-  | Hbstar | Esf | Rsf | Slicing -> false
+  | Sp | Bstar | Tcg | Hbstar -> true
+  | Esf | Rsf | Slicing -> false
 
 (* One-shot engines hand back placed cells; cost them on the common
    scale so every ledger entry carries a comparable figure. *)
-let one_shot ~weights ?(sa_rounds = 0) circuit placed =
+let one_shot ~weights circuit placed =
   {
     Placement.placement = Placement.make circuit placed;
     cost = Eval.cost_placed (Eval.create circuit) weights placed;
-    sa_rounds;
+    sa_rounds = 0;
     evaluated = 0;
     workers = 1;
     chains = 1;
@@ -45,9 +45,8 @@ let run ?(weights = Cost.default) ?(groups = []) ?workers ?chains ?validate
         ~rng circuit
   | Slicing -> Slicing.place ~weights ~rng circuit
   | Hbstar ->
-      let o = Bstar.Hbstar.place ~rng circuit hierarchy in
-      one_shot ~weights ~sa_rounds:o.Bstar.Hbstar.sa_rounds circuit
-        o.Bstar.Hbstar.placed
+      Sa_hbstar.place ~weights ?workers ?chains ?validate ?estimator
+        ?telemetry ~rng circuit hierarchy
   | Esf ->
       one_shot ~weights circuit
         (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy)

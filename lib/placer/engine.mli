@@ -6,7 +6,7 @@ type t =
   | Sp  (** annealed symmetric-feasible sequence pair ({!Sa_seqpair}) *)
   | Bstar  (** annealed flat B*-tree ({!Sa_bstar}) *)
   | Tcg  (** annealed transitive closure graph ({!Sa_tcg}) *)
-  | Hbstar  (** hierarchical B*-tree with constraints ({!Bstar.Hbstar}) *)
+  | Hbstar  (** annealed hierarchical B*-tree with constraints ({!Sa_hbstar}) *)
   | Esf  (** enhanced shape functions ({!Shapefn.Combine}) *)
   | Rsf  (** restricted shape functions ({!Shapefn.Combine}) *)
   | Slicing  (** slicing-floorplan baseline ({!Slicing}) *)
@@ -23,7 +23,7 @@ val of_string : string -> t option
 
 val annealed : t -> bool
 (** The engines that anneal on {!Anneal.Parallel.multi_start} with the
-    full argument set — [Sp], [Bstar], [Tcg]: only they take
+    full argument set — [Sp], [Bstar], [Tcg], [Hbstar]: only they take
     [workers]/[chains]/[validate]/[estimator] and record
     annealing telemetry. *)
 
@@ -41,12 +41,13 @@ val run :
   Netlist.Hierarchy.t ->
   Placement.outcome
 (** Place [circuit] with one engine. The annealed engines get every
-    argument ([groups] only reaches [Sp]) and return their placer's
-    outcome unchanged. [Slicing] anneals on [rng] with [weights]. The
-    one-shot engines ([Hbstar], [Esf], [Rsf]) place from [hierarchy]
-    and are costed with [Eval.cost_placed weights]; [Hbstar] reports its
-    own SA rounds, the shape-function enumerators 0. Engines other
-    than the annealed three run one chain on one worker. *)
+    argument ([groups] only reaches [Sp]; [Hbstar] takes its symmetry
+    groups from [hierarchy]) and return their placer's outcome
+    unchanged. [Slicing] anneals on [rng] with [weights]. The
+    shape-function enumerators ([Esf], [Rsf]) place from [hierarchy]
+    in one shot, are costed with [Eval.cost_placed weights] and report
+    0 SA rounds. Engines other than the annealed four run one chain on
+    one worker. *)
 
 val entry :
   ?routed_wl:int ->

@@ -7,7 +7,7 @@
 
     Rings are legal ([clear = true]) when they avoid every cell outside
     the group — guaranteed when the placement reserved room, e.g.
-    {!Bstar.Hbstar.place} with [~halo >= clearance + thickness]. *)
+    {!Sa_hbstar.place} with [~halo >= clearance + thickness]. *)
 
 type ring = {
   node : string;  (** hierarchy node name *)

@@ -78,15 +78,9 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
   let mv = Telemetry.Sink.register_moves telemetry [| "seqpair"; "rotation" |] in
   let plan = Seqpair.Symmetry.plan ~n groups in
   let log = Seqpair.Moves.undo_log n in
-  let state =
-    {
-      sp =
-        (match groups with
-        | [] -> Seqpair.Sp.random rng n
-        | _ -> Seqpair.Symmetry.random_feasible rng ~n groups);
-      rot = Array.make n false;
-    }
-  in
+  let sp = Seqpair.Sp.random rng n in
+  Seqpair.Symmetry.repair plan sp;
+  let state = { sp; rot = Array.make n false } in
   (* the rotated cell of the last move, -1 after a code move *)
   let flipped = ref (-1) in
   let propose rng st =

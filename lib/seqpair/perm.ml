@@ -48,18 +48,6 @@ let exchange p a b =
   p.inv.(a) <- pb;
   p.inv.(b) <- pa
 
-let insert p ~cell ~at =
-  let n = size p in
-  if at < 0 || at >= n then invalid_arg "Perm.insert: position out of range";
-  let without =
-    Array.of_list (List.filter (fun c -> c <> cell) (Array.to_list p.order))
-  in
-  let order = Array.make n 0 in
-  Array.blit without 0 order 0 at;
-  order.(at) <- cell;
-  Array.blit without at order (at + 1) (n - at - 1);
-  { order; inv = compute_inv order }
-
 let to_list p = Array.to_list p.order
 let equal a b = a.order = b.order
 

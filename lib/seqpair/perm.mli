@@ -26,8 +26,6 @@ val swap_positions : t -> int -> int -> t
 val swap_cells : t -> int -> int -> t
 (** Exchange the positions of two cells (pure). *)
 
-val insert : t -> cell:int -> at:int -> t
-(** Remove [cell] and re-insert it so that it ends at position [at]. *)
 
 (** {2 In place}
 

@@ -108,12 +108,8 @@ let build ?(weights = Placer.Cost.default) ~groups circuit placed =
         in
         Shapefn.Shape_fn.of_shapes shapes)
   in
-  let sp0 = Placer.Portfolio.sp_of_placed n placed in
-  let sp =
-    match groups with
-    | [] -> sp0
-    | _ -> Seqpair.Symmetry.make_feasible sp0 groups
-  in
+  let sp = Placer.Portfolio.sp_of_placed n placed in
+  Option.iter (fun plan -> Seqpair.Symmetry.repair plan sp) plan;
   let base_rot =
     Placer.Portfolio.harmonize_rot groups
       (Placer.Portfolio.rot_of_placed circuit placed)

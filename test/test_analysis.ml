@@ -363,27 +363,6 @@ let test_invariant_corrupted_sp () =
     | () -> false
     | exception Inv.Violation ("test", _ :: _) -> true)
 
-let test_invariant_bstar () =
-  let rng = Prelude.Rng.create 5 in
-  let good = Bstar.Tree.random rng (List.init 6 Fun.id) in
-  Alcotest.(check (list string)) "good tree" []
-    (D.codes (Inv.check_bstar ~n:6 good));
-  let dup =
-    {
-      Bstar.Tree.cell = 0;
-      left = Some (Bstar.Tree.leaf 1);
-      right = Some (Bstar.Tree.leaf 1);
-    }
-  in
-  Alcotest.(check bool) "duplicate + missing caught" true
-    (has_code "AL103" (Inv.check_bstar ~n:3 dup));
-  let oob = Bstar.Tree.leaf 7 in
-  Alcotest.(check bool) "out of range caught" true
-    (has_code "AL103" (Inv.check_bstar ~n:2 oob));
-  let rec cyclic = { Bstar.Tree.cell = 0; left = Some cyclic; right = None } in
-  Alcotest.(check bool) "cyclic structure reported, not looped on" true
-    (has_code "AL103" (Inv.check_bstar ~n:1 cyclic))
-
 (* The placement audit every engine's sanitizer runs is
    [Verify.placement]: identity and multiplicity, overlap, quadrant
    and outline, and the declared symmetry groups. *)
@@ -418,31 +397,6 @@ let test_invariant_audit_placed () =
   Alcotest.(check bool) "asymmetric AL214" true
     (has_code "AL214"
        (audit ~groups:[ g ] [ place 0 0 0 4 4; place 1 8 1 4 4 ]))
-
-let test_invariant_asf_island () =
-  let g = G.make ~pairs:[ (0, 1); (2, 3) ] ~selfs:[ 4 ] () in
-  let rng = Prelude.Rng.create 11 in
-  let asf = Bstar.Asf.make rng g in
-  let dims c = if c = 4 then (6, 4) else (5, 3) in
-  let island = Bstar.Asf.pack asf dims in
-  Alcotest.(check (list string)) "packed island clean" []
-    (D.codes (Inv.check_asf_island ~group:g island));
-  let skewed = { island with Bstar.Asf.axis2 = island.Bstar.Asf.axis2 + 2 } in
-  Alcotest.(check bool) "tampered axis AL105" true
-    (has_code "AL105" (Inv.check_asf_island ~group:g skewed));
-  let shifted =
-    {
-      island with
-      Bstar.Asf.placed =
-        List.map
-          (fun (p : Transform.placed) ->
-            if p.Transform.cell = 4 then Transform.translate p ~dx:1 ~dy:0
-            else p)
-          island.Bstar.Asf.placed;
-    }
-  in
-  Alcotest.(check bool) "shifted self caught" true
-    (Inv.check_asf_island ~group:g shifted <> [])
 
 let test_env_switch () =
   Unix.putenv "ANALOG_VALIDATE" "";
@@ -1000,10 +954,8 @@ let () =
           Alcotest.test_case "sequence-pair" `Quick test_invariant_sp;
           Alcotest.test_case "corrupted sp caught" `Quick
             test_invariant_corrupted_sp;
-          Alcotest.test_case "b*-tree" `Quick test_invariant_bstar;
           Alcotest.test_case "placement audit" `Quick
             test_invariant_audit_placed;
-          Alcotest.test_case "asf island" `Quick test_invariant_asf_island;
           Alcotest.test_case "env switch" `Quick test_env_switch;
         ] );
       ( "sanitizer",

@@ -66,7 +66,7 @@ let test_delete_insert_swap () =
   let t = Tree.random rng [ 0; 1; 2; 3; 4; 5 ] in
   let t' = Option.get (Tree.delete t 3) in
   Alcotest.(check (list int)) "delete removes" [ 0; 1; 2; 4; 5 ] (sorted_cells t');
-  let t'' = Tree.insert_random rng t' ~cell:3 in
+  let t'' = Tree.insert_at t' ~cell:3 ~target:0 ~side:`Left in
   Alcotest.(check (list int)) "insert restores" [ 0; 1; 2; 3; 4; 5 ]
     (sorted_cells t'');
   let s = Tree.swap_cells t 0 5 in

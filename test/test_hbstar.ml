@@ -11,14 +11,17 @@ let small_params =
     max_rounds = 40;
   }
 
+let placed_of (o : Placer.Sa_hbstar.outcome) =
+  o.Placer.Sa_hbstar.placement.Placer.Placement.placed
+
 let test_fig2_constraints () =
   let b = Netlist.Benchmarks.fig2_design () in
   let rng = Prelude.Rng.create 42 in
-  let out =
-    Bstar.Hbstar.place ~params:small_params ~rng b.Netlist.Benchmarks.circuit
-      b.Netlist.Benchmarks.hierarchy
+  let placed =
+    placed_of
+      (Placer.Sa_hbstar.place ~params:small_params ~rng
+         b.Netlist.Benchmarks.circuit b.Netlist.Benchmarks.hierarchy)
   in
-  let placed = out.Bstar.Hbstar.placed in
   (match Check.overlap_free placed with
   | Ok () -> ()
   | Error v -> Alcotest.failf "overlap: %a" Check.pp_violation v);
@@ -70,13 +73,14 @@ let test_perturb_keeps_validity () =
 let test_miller_place () =
   let b = Netlist.Benchmarks.miller () in
   let rng = Prelude.Rng.create 3 in
-  let out =
-    Bstar.Hbstar.place ~params:small_params ~rng b.Netlist.Benchmarks.circuit
-      b.Netlist.Benchmarks.hierarchy
+  let placed =
+    placed_of
+      (Placer.Sa_hbstar.place ~params:small_params ~rng
+         b.Netlist.Benchmarks.circuit b.Netlist.Benchmarks.hierarchy)
   in
-  Alcotest.(check int) "9 modules" 9 (List.length out.Bstar.Hbstar.placed);
+  Alcotest.(check int) "9 modules" 9 (List.length placed);
   Alcotest.(check bool) "overlap-free" true
-    (Result.is_ok (Check.overlap_free out.Bstar.Hbstar.placed));
+    (Result.is_ok (Check.overlap_free placed));
   (* DP symmetry from recognition must hold in the placement *)
   let groups =
     Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
@@ -84,7 +88,7 @@ let test_miller_place () =
   Alcotest.(check bool) "at least one group" true (groups <> []);
   List.iter
     (fun g ->
-      match Check.symmetry ~group:g out.Bstar.Hbstar.placed with
+      match Check.symmetry ~group:g placed with
       | Ok _ -> ()
       | Error v -> Alcotest.failf "miller symmetry: %a" Check.pp_violation v)
     groups
@@ -130,12 +134,10 @@ let test_invalid_hierarchy_rejected () =
 let test_halo_makes_rings_clear () =
   let b = Netlist.Benchmarks.fig2_design () in
   let rng = Prelude.Rng.create 21 in
-  let out =
-    Bstar.Hbstar.place ~params:small_params ~halo:40 ~rng
-      b.Netlist.Benchmarks.circuit b.Netlist.Benchmarks.hierarchy
-  in
   let placement =
-    Placer.Placement.make b.Netlist.Benchmarks.circuit out.Bstar.Hbstar.placed
+    (Placer.Sa_hbstar.place ~params:small_params ~halo:40 ~rng
+       b.Netlist.Benchmarks.circuit b.Netlist.Benchmarks.hierarchy)
+      .Placer.Sa_hbstar.placement
   in
   (match Placer.Placement.validate placement with
   | Ok () -> ()

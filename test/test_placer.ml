@@ -689,8 +689,7 @@ let test_engine_run () =
     | Tcg -> of_outcome (Placer.Sa_tcg.place ~rng:(rng ()) circuit)
     | Slicing -> of_outcome (Placer.Slicing.place ~rng:(rng ()) circuit)
     | Hbstar ->
-        one_shot
-          (Bstar.Hbstar.place ~rng:(rng ()) circuit hierarchy).Bstar.Hbstar.placed
+        of_outcome (Placer.Sa_hbstar.place ~rng:(rng ()) circuit hierarchy)
     | Esf ->
         one_shot
           (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy)
@@ -713,10 +712,55 @@ let test_engine_run () =
       Alcotest.(check int64) (name ^ " same cost bits")
         (Int64.bits_of_float cost) (Int64.bits_of_float cost'))
     Placer.Engine.all;
+  (* the HB* anneal minimizes the common cost: its best equals the
+     list-path reference (miller declares no proximity group, so no
+     penalty applies) *)
+  let placed, cost = direct Placer.Engine.Hbstar in
+  Alcotest.(check int64) "hbstar cost is Cost.evaluate"
+    (Int64.bits_of_float cost)
+    (Int64.bits_of_float (snd (one_shot placed)));
   Alcotest.(check bool) "seqpair alias" true
     (Placer.Engine.of_string "seqpair" = Some Placer.Engine.Sp);
   Alcotest.(check bool) "unknown engine" true
     (Placer.Engine.of_string "anneal" = None)
+
+(* HB* through the engine runner records the annealing telemetry of
+   every other annealed engine. *)
+let test_hbstar_telemetry () =
+  let b = Netlist.Benchmarks.fig2_design () in
+  let telemetry = Telemetry.Sink.create () in
+  let o =
+    Placer.Engine.run ~telemetry ~rng:(Prelude.Rng.create 3)
+      Placer.Engine.Hbstar b.Netlist.Benchmarks.circuit
+      b.Netlist.Benchmarks.hierarchy
+  in
+  Alcotest.(check bool) "annealed" true
+    (Placer.Engine.annealed Placer.Engine.Hbstar);
+  let rounds =
+    List.length
+      (List.filter
+         (fun (sp : Telemetry.Tracer.span) ->
+           String.equal sp.Telemetry.Tracer.name "sa.round")
+         (Telemetry.Sink.spans telemetry))
+  in
+  Alcotest.(check bool) "sa.round spans" true (rounds > 0);
+  (* the arena also costs the temperature probe, which [evaluated]
+     leaves out *)
+  let costs = List.assoc "eval.costs" (Telemetry.Sink.counters telemetry) in
+  Alcotest.(check bool) "every evaluation through the arena" true
+    (o.Placer.Placement.evaluated > 0 && costs >= o.Placer.Placement.evaluated)
+
+(* Every HB* move and the final state pass the Verify audit. *)
+let test_hbstar_validate () =
+  List.iter
+    (fun (b : Netlist.Benchmarks.bench) ->
+      let o =
+        Placer.Sa_hbstar.place ~params:small_params ~validate:true
+          ~rng:(Prelude.Rng.create 4) b.Netlist.Benchmarks.circuit
+          b.Netlist.Benchmarks.hierarchy
+      in
+      Alcotest.(check bool) "annealed" true (o.Placer.Sa_hbstar.sa_rounds > 0))
+    [ Netlist.Benchmarks.fig2_design (); Netlist.Benchmarks.miller () ]
 
 (* The (workers, chains) multi_start reports: the width that ran, not
    the width asked for. *)
@@ -798,6 +842,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "run matches each placer" `Quick test_engine_run;
+          Alcotest.test_case "hbstar telemetry" `Quick test_hbstar_telemetry;
+          Alcotest.test_case "hbstar validate" `Quick test_hbstar_validate;
           Alcotest.test_case "multi-start geometry" `Quick
             test_multi_start_geometry;
         ] );

@@ -15,11 +15,6 @@ let test_perm_swap () =
   let r = Perm.swap_positions p 0 4 in
   Alcotest.(check (list int)) "swap positions" [ 4; 1; 2; 3; 0 ] (Perm.to_list r)
 
-let test_perm_insert () =
-  let p = Perm.of_array [| 0; 1; 2; 3 |] in
-  let q = Perm.insert p ~cell:3 ~at:0 in
-  Alcotest.(check (list int)) "insert front" [ 3; 0; 1; 2 ] (Perm.to_list q)
-
 (* The in-place operations agree with the pure ones and leave copies
    alone. *)
 let test_perm_in_place () =
@@ -249,7 +244,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_perm_basics;
           Alcotest.test_case "swap" `Quick test_perm_swap;
-          Alcotest.test_case "insert" `Quick test_perm_insert;
           Alcotest.test_case "in place" `Quick test_perm_in_place;
         ] );
       ( "relations",

@@ -101,28 +101,27 @@ let tcg_routability =
     ~weights:{ Placer.Cost.default with Placer.Cost.routability = 60.0 }
     ~estimator:(Route.Estimate.estimator cc) 4
 
-let hbstar () =
+let hbstar ?workers ?chains seed () =
+  let sink = Telemetry.Sink.create () in
   let o =
-    Bstar.Hbstar.place ~params ~rng:(Prelude.Rng.create 7)
-      fig2.Netlist.Benchmarks.circuit fig2.Netlist.Benchmarks.hierarchy
-  in
-  ( Bstar.Hbstar.cost Bstar.Hbstar.default_weights o.Bstar.Hbstar.state,
-    o.Bstar.Hbstar.sa_rounds,
-    -1,
-    -1 )
-
-(* Hbstar.place's own problem, rebuilt from its public pieces so the
-   engine's acceptance and evaluation counts are visible *)
-let hbstar_engine () =
-  let rng = Prelude.Rng.create 7 in
-  let init =
-    Bstar.Hbstar.initial rng fig2.Netlist.Benchmarks.circuit
+    Placer.Sa_hbstar.place ~params ?workers ?chains ~telemetry:sink
+      ~rng:(Prelude.Rng.create seed) fig2.Netlist.Benchmarks.circuit
       fig2.Netlist.Benchmarks.hierarchy
   in
+  ( o.Placer.Sa_hbstar.cost,
+    o.Placer.Sa_hbstar.sa_rounds,
+    accepted_of sink,
+    o.Placer.Sa_hbstar.evaluated )
+
+(* Sa_hbstar's problem run straight on the engine, so its acceptance
+   count is read from the outcome rather than from move tallies *)
+let hbstar_engine () =
+  let rng = Prelude.Rng.create 7 in
   let r =
     Anneal.Sa.run ~rng params
-      (Anneal.Sa.persistent ~init ~neighbor:Bstar.Hbstar.perturb
-         ~cost:(Bstar.Hbstar.cost Bstar.Hbstar.default_weights))
+      (Placer.Sa_hbstar.problem_of ~weights:Placer.Cost.default
+         fig2.Netlist.Benchmarks.circuit fig2.Netlist.Benchmarks.hierarchy
+         Telemetry.Sink.null rng)
   in
   (r.Anneal.Sa.best_cost, r.Anneal.Sa.rounds, r.Anneal.Sa.accepted,
    r.Anneal.Sa.evaluated)
@@ -190,9 +189,14 @@ let cases =
     ("bstar", bstar 5, (4691429836116616806L, 362, 5488, 21720));
     ("bstar deterministic 2 workers", bstar ~workers:2 ~chains:3 6,
      (4691366392577707213L, 370, 17040, 66300));
-    ("hbstar", hbstar, (4686205900036243456L, 346, -1, -1));
+    ("hbstar", hbstar 7, (4686205900036243456L, 346, 10059, 20760));
     ("hbstar engine", hbstar_engine,
      (4686205900036243456L, 346, 10059, 20760));
+    (* recorded when HB* moved onto multi_start: any width, one result *)
+    ("hbstar deterministic 1 worker", hbstar ~workers:1 ~chains:3 8,
+     (4686205900036243456L, 353, 31915, 63300));
+    ("hbstar deterministic 2 workers", hbstar ~workers:2 ~chains:3 8,
+     (4686205900036243456L, 353, 31915, 63300));
     ("slicing", slicing, (4691653538629235507L, 356, -1, 21360));
     ("absolute", absolute, (4691533236595274547L, 372, -1, 22320));
     ("sizing layout-aware", sizing Sizing.Flow.Layout_aware,
