@@ -1145,15 +1145,22 @@ let perf ?(smoke = false) () =
       ]
   in
   hr ();
-  (* routability estimate overhead: the same arena SA move loop with
-     the RUDY congestion estimator folded into the cost (non-zero
-     routability weight) against the plain three-term cost. The
-     routed-query budget is 2x the plain query — the contract that
-     lets anneals run routability-driven. *)
+  (* routability estimate overhead, per engine: the same arena move
+     loop with the RUDY congestion estimator folded into the cost
+     (non-zero routability weight) against the plain three-term cost,
+     on the sequence-pair path and on the B*-tree path that flow-route
+     anneals. The two rates are taken in alternating rounds, each round
+     starting with the other variant, and the slowdown is the median of
+     the rounds' plain/routed ratios, so one noisy sample cannot move
+     it. The routed-query budget is 2x the plain query -- the contract
+     that lets anneals run routability-driven; perf exits non-zero
+     above it. *)
   let routed_weights =
     { weights with Placer.Cost.routability = 1.0 }
   in
-  let est_move weights estimator =
+  let est_rounds = if smoke then 5 else 7 in
+  let est_budget = 2.0 in
+  let sp_move weights estimator =
     let arena = Placer.Eval.create ?estimator c in
     let rng = Prelude.Rng.create 45 in
     let sp = ref (Seqpair.Sp.random rng tn) in
@@ -1162,24 +1169,56 @@ let perf ?(smoke = false) () =
       sp := Seqpair.Moves.random_neighbor rng !sp;
       ignore (Placer.Eval.cost_seqpair arena weights !sp ~rot)
   in
-  let r_plain = time_ops (est_move weights None) in
-  let r_routed =
-    time_ops (est_move routed_weights (Some (Route.Estimate.estimator c ())))
+  let bstar_move weights estimator =
+    let arena = Placer.Eval.create ?estimator c in
+    let rng = Prelude.Rng.create 45 in
+    let flat =
+      Bstar.Flat.of_tree (Bstar.Tree.random rng (List.init tn Fun.id))
+    in
+    let rot = Array.make tn false in
+    fun () ->
+      ignore (Bstar.Flat.perturb rng flat);
+      ignore (Placer.Eval.cost_bstar arena weights flat ~rot)
   in
-  let slowdown = r_plain /. max 1.0 r_routed in
-  Printf.printf
-    "route estimate (n=%d): plain %.0f moves/s, routed %.0f moves/s \
-     (%.2fx the plain query; budget 2x)\n"
-    tn r_plain r_routed slowdown;
   let route_estimate =
-    J.Obj
-      [
-        ("n", J.int tn);
-        ("moves_per_s_plain", num 0 r_plain);
-        ("moves_per_s_routed", num 0 r_routed);
-        ("slowdown", num 2 slowdown);
-        ("budget", J.float 2.0);
-      ]
+    List.map
+      (fun (engine, move) ->
+        let plain = Array.make est_rounds 0.0
+        and routed = Array.make est_rounds 0.0 in
+        for r = 0 to est_rounds - 1 do
+          let time_plain () = plain.(r) <- time_ops (move weights None)
+          and time_routed () =
+            routed.(r) <-
+              time_ops
+                (move routed_weights (Some (Route.Estimate.estimator c ())))
+          in
+          if r mod 2 = 0 then (time_plain (); time_routed ())
+          else (time_routed (); time_plain ())
+        done;
+        let median a = Prelude.Stats.quantile (Array.to_list a) 0.5 in
+        let slowdown =
+          median
+            (Array.init est_rounds (fun r ->
+                 plain.(r) /. Float.max 1.0 routed.(r)))
+        in
+        Printf.printf
+          "route estimate %-5s (n=%d, median of %d rounds): plain %.0f \
+           moves/s, routed %.0f moves/s (%.2fx the plain query; budget \
+           %.0fx)\n"
+          engine tn est_rounds (median plain) (median routed) slowdown
+          est_budget;
+        ( slowdown,
+          J.Obj
+            [
+              ("engine", J.str engine);
+              ("n", J.int tn);
+              ("rounds", J.int est_rounds);
+              ("moves_per_s_plain", num 0 (median plain));
+              ("moves_per_s_routed", num 0 (median routed));
+              ("slowdown", num 2 slowdown);
+              ("budget", J.float est_budget);
+            ] ))
+      [ ("sp", sp_move); ("bstar", bstar_move) ]
   in
   hr ();
   (* parallel multi-start on the persistent pool: 4 chains spread over
@@ -1254,7 +1293,7 @@ let perf ?(smoke = false) () =
             ("sym_moves", J.Arr sym_moves);
             ("telemetry_overhead", telemetry_overhead);
             ("sa_move_latency_us", sa_move_latency_us);
-            ("route_estimate", route_estimate);
+            ("route_estimate", J.Arr (List.map snd route_estimate));
             ("parallel", J.Arr parallel);
           ])
     in
@@ -1262,6 +1301,12 @@ let perf ?(smoke = false) () =
     output_string oc (J.emit doc ^ "\n");
     close_out oc;
     print_endline "wrote BENCH_perf.json"
+  end;
+  if List.exists (fun (slowdown, _) -> slowdown > est_budget) route_estimate
+  then begin
+    Printf.eprintf "route estimate: a routed query is over %.0fx the plain one\n"
+      est_budget;
+    exit 1
   end
 
 (* E18: append QoR ledger entries for a fixed set of deterministic

@@ -27,6 +27,7 @@ type t = {
   leaf_pos : int array;
   mutable n_leaves : int;
   stack : int array;  (* pre-order traversal scratch for [pack_into] *)
+  slot : int array;  (* node -> its top's contour segment, per pack *)
 }
 
 type side = L | R
@@ -96,6 +97,7 @@ let of_tree tree =
       leaf_pos = Array.make n nil;
       n_leaves = 0;
       stack = Array.make n 0;
+      slot = Array.make n 0;
     }
   in
   (* pre-order node numbering; cells must be a permutation of [0, n) *)
@@ -140,6 +142,7 @@ let copy t =
     leaf_pos = Array.copy t.leaf_pos;
     n_leaves = t.n_leaves;
     stack = Array.make t.n 0;
+    slot = Array.make t.n 0;
   }
 
 let blit ~src ~dst =
@@ -238,7 +241,12 @@ let perturb rng t =
    order of [Tree.pack] (node, left subtree, right subtree), so the
    contour sees identical drops and the coordinates match the pointer
    path bit for bit (tested). [w]/[h] are read and [x]/[y] written per
-   cell. *)
+   cell. Each drop scans from its parent's top segment instead of the
+   contour's head: a left child lands at that segment's right edge,
+   the node right after its parent; a right child lands at its left
+   edge, after the parent's left subtree, which lies right of the
+   parent and never touches it. A scan then only walks segments the
+   drop covers, so a pack is amortised O(n) instead of O(n^2). *)
 let pack_into ?(tally = Telemetry.Counter.null) t contour ~w ~h ~x ~y =
   Telemetry.Counter.incr tally;
   Geometry.Contour.clear contour;
@@ -250,15 +258,16 @@ let pack_into ?(tally = Telemetry.Counter.null) t contour ~w ~h ~x ~y =
     decr top;
     let m = stack.(!top) in
     let c = t.cell.(m) in
+    let p = t.parent.(m) in
     let cx =
-      if m = t.root then 0
+      if p = nil then 0
       else
-        let p = t.parent.(m) in
         let pc = t.cell.(p) in
         if t.left.(p) = m then x.(pc) + w.(pc) else x.(pc)
-    in
+    and from = if p = nil then Geometry.Contour.head else t.slot.(p) in
     x.(c) <- cx;
-    y.(c) <- Geometry.Contour.drop_into contour ~x:cx ~w:w.(c) ~h:h.(c);
+    y.(c) <- Geometry.Contour.drop_from contour ~from ~x:cx ~w:w.(c) ~h:h.(c);
+    t.slot.(m) <- Geometry.Contour.last_slot contour;
     (* push right first so the left subtree is packed first *)
     if t.right.(m) <> nil then begin
       stack.(!top) <- t.right.(m);

@@ -30,7 +30,30 @@ val clear : scratch -> unit
 val drop_into : scratch -> x:int -> w:int -> h:int -> int
 (** [drop_into s ~x ~w ~h] lands a [w]x[h] cell at horizontal position
     [x]: returns its resting y (the maximum height under its footprint)
-    and raises the profile over the footprint to the cell's top. *)
+    and raises the profile over the footprint to the cell's top. A
+    cell of width 0 rests at 0 and leaves the profile as it was. *)
+
+type slot = int
+(** A segment of the profile, named by its arena slot. *)
+
+val head : slot
+(** The head sentinel: a valid [from] for any drop. *)
+
+val drop_from : scratch -> from:slot -> x:int -> w:int -> h:int -> int
+(** {!drop_into} with its scan started at [from] instead of the head:
+    the same result, in time proportional to the segments between
+    [from] and the footprint's end. [from] must be {!head} or a
+    segment still in the profile (no later drop or raise has covered
+    or trimmed it) whose left edge is at most [x]. [drop_into] is
+    [drop_from ~from:head]. *)
+
+val last_slot : scratch -> slot
+(** The segment the last drop raised — the cell's top, from its
+    x to its right edge — or {!head} if it raised none (width 0).
+    A B*-tree packer anchors each child's drop at its parent's top:
+    a left child starts at the parent's right edge, a right child at
+    the parent's left edge, and the parent's left subtree never
+    touches [\[x, x + w)] of the parent. *)
 
 val max_height_into : scratch -> x0:int -> x1:int -> int
 (** Maximum profile height over [\[x0, x1)]; 0 for empty ranges. *)

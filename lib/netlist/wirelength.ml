@@ -23,9 +23,27 @@ let flatten nets =
     nets_arr;
   { off; pins; weight }
 
+type boxes = {
+  min_x2 : int array;
+  max_x2 : int array;
+  min_y2 : int array;
+  max_y2 : int array;
+}
+
+let boxes t =
+  let k = max 1 (Array.length t.off - 1) in
+  {
+    min_x2 = Array.make k 0;
+    max_x2 = Array.make k 0;
+    min_y2 = Array.make k 0;
+    max_y2 = Array.make k 0;
+  }
+
 (* Same accumulation order and arithmetic as [hpwl] below, so the two
-   agree to the last bit when every pin is placed (tested). *)
-let hpwl_flat t ~cx2 ~cy2 =
+   agree to the last bit when every pin is placed (tested). The one
+   pin walk of a cost query: each net's box is kept for the congestion
+   estimate, which reads it instead of walking the pins again. *)
+let hpwl_flat t ~cx2 ~cy2 ~boxes =
   let acc = ref 0.0 in
   let k = Array.length t.off - 1 in
   for i = 0 to k - 1 do
@@ -44,6 +62,10 @@ let hpwl_flat t ~cx2 ~cy2 =
         if y < !min_y then min_y := y;
         if y > !max_y then max_y := y
       done;
+      boxes.min_x2.(i) <- !min_x;
+      boxes.max_x2.(i) <- !max_x;
+      boxes.min_y2.(i) <- !min_y;
+      boxes.max_y2.(i) <- !max_y;
       acc :=
         !acc
         +. (t.weight.(i)

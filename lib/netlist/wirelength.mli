@@ -22,14 +22,31 @@ type flat = {
     per net of the list in order (single-pin and pinless nets
     included), so hot paths walk every net allocation-free. This is
     the one net -> pin layout. Its readers: {!hpwl_flat}, the HPWL
-    term; [Placer.Eval], which builds one per annealing chain and
-    scores every move through {!hpwl_flat}; and [Route.Estimate],
-    the RUDY congestion score, which skips nets of fewer than two
-    pins. *)
+    term and the only pin walk of an annealing cost query; and
+    [Placer.Eval], which builds one per annealing chain and scores
+    every move through {!hpwl_flat}. [Route.Estimate], the RUDY
+    congestion score, keeps one too, for the net weights and to skip
+    nets of fewer than two pins. *)
 
 val flatten : Net.t list -> flat
 
-val hpwl_flat : flat -> cx2:int array -> cy2:int array -> float
+type boxes = {
+  min_x2 : int array;
+  max_x2 : int array;
+  min_y2 : int array;
+  max_y2 : int array;
+}
+(** Per-net bounding boxes over doubled pin centres, indexed like the
+    nets of a {!flat}. {!hpwl_flat} writes the box of every net of two
+    or more pins and leaves the other slots as they were. *)
+
+val boxes : flat -> boxes
+(** Zeroed box arrays sized to the nets of a {!flat}. *)
+
+val hpwl_flat :
+  flat -> cx2:int array -> cy2:int array -> boxes:boxes -> float
 (** HPWL over flattened nets; [cx2]/[cy2] hold each module's doubled
     center, indexed by cell. Every pin must be placed. Agrees exactly
-    with {!hpwl} in that case (tested). *)
+    with {!hpwl} in that case (tested). Writes each net's box into
+    [boxes] on the way, so a congestion estimate can read the boxes
+    without a second pin walk. Allocation-free. *)

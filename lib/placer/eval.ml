@@ -10,8 +10,7 @@
    one-shot engines and list-producing packers load their placed cells
    through [cost_placed]. *)
 
-type estimator =
-  x:int array -> y:int array -> w:int array -> h:int array -> float
+type estimator = Netlist.Wirelength.boxes -> width:int -> height:int -> float
 
 type t = {
   n : int;
@@ -26,6 +25,7 @@ type t = {
   scratch : Seqpair.Pack.scratch;
   contour : Geometry.Contour.scratch;  (* B*-tree packing profile *)
   nets : Netlist.Wirelength.flat;
+  boxes : Netlist.Wirelength.boxes;  (* per-net boxes of the last query *)
   estimator : estimator option;  (* congestion term for [finish] *)
   tel : Telemetry.Sink.t;
   evals : Telemetry.Counter.t;  (* pre-resolved handles; dead when off *)
@@ -38,7 +38,8 @@ type t = {
 
 let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
   let n = Netlist.Circuit.size circuit in
-  let base_w = Array.make (max 1 n) 0 and base_h = Array.make (max 1 n) 0 in
+  let nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets in
+  let base_w = Array.make (Int.max 1 n) 0 and base_h = Array.make (Int.max 1 n) 0 in
   for c = 0 to n - 1 do
     let w, h = Netlist.Circuit.dims circuit c in
     base_w.(c) <- w;
@@ -48,15 +49,16 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     n;
     base_w;
     base_h;
-    w = Array.make (max 1 n) 0;
-    h = Array.make (max 1 n) 0;
-    x = Array.make (max 1 n) 0;
-    y = Array.make (max 1 n) 0;
-    cx2 = Array.make (max 1 n) 0;
-    cy2 = Array.make (max 1 n) 0;
-    scratch = Seqpair.Pack.scratch ~telemetry (max 1 n);
-    contour = Geometry.Contour.scratch ((2 * max 1 n) + 1);
-    nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets;
+    w = Array.make (Int.max 1 n) 0;
+    h = Array.make (Int.max 1 n) 0;
+    x = Array.make (Int.max 1 n) 0;
+    y = Array.make (Int.max 1 n) 0;
+    cx2 = Array.make (Int.max 1 n) 0;
+    cy2 = Array.make (Int.max 1 n) 0;
+    scratch = Seqpair.Pack.scratch ~telemetry (Int.max 1 n);
+    contour = Geometry.Contour.scratch ((2 * Int.max 1 n) + 1);
+    nets;
+    boxes = Netlist.Wirelength.boxes nets;
     estimator;
     tel = telemetry;
     evals = Telemetry.Sink.counter telemetry "eval.costs";
@@ -82,7 +84,10 @@ let set_rotation t rot =
   done
 
 (* One pass over the coordinate arrays: bounding-box extents (anchored
-   at the origin, as [Placement.bbox]) and doubled centers. *)
+   at the origin, as [Placement.bbox]) and doubled centers. Then one
+   pass over the nets: HPWL, with each net's box left in [t.boxes] for
+   the congestion estimate, which reads those boxes and the extents
+   instead of walking the pins and the cells again. *)
 let finish t weights =
   Telemetry.Counter.incr t.evals;
   let t0 = Telemetry.Sink.span_begin t.tel in
@@ -94,7 +99,9 @@ let finish t weights =
     t.cx2.(c) <- (2 * t.x.(c)) + t.w.(c);
     t.cy2.(c) <- (2 * t.y.(c)) + t.h.(c)
   done;
-  let hpwl = Netlist.Wirelength.hpwl_flat t.nets ~cx2:t.cx2 ~cy2:t.cy2 in
+  let hpwl =
+    Netlist.Wirelength.hpwl_flat t.nets ~cx2:t.cx2 ~cy2:t.cy2 ~boxes:t.boxes
+  in
   t.last_w <- !width;
   t.last_h <- !height;
   t.last_hpwl <- hpwl;
@@ -105,7 +112,7 @@ let finish t weights =
   let route =
     match t.estimator with
     | Some f when weights.Cost.routability <> 0.0 ->
-        f ~x:t.x ~y:t.y ~w:t.w ~h:t.h
+        f t.boxes ~width:!width ~height:!height
     | _ -> 0.0
   in
   let cost =

@@ -28,14 +28,18 @@
 
 type t
 
-type estimator =
-  x:int array -> y:int array -> w:int array -> h:int array -> float
-(** A routing-congestion estimate over the arena's per-cell geometry
-    arrays (indexed by cell, lengths [max 1 n]). Called on every cost
-    query whose weights carry a non-zero [routability], so
-    implementations must be allocation-light and may keep private
-    mutable scratch — one closure per arena, never shared across
-    domains. [Route.Estimate.estimator] is the canonical producer. *)
+type estimator = Netlist.Wirelength.boxes -> width:int -> height:int -> float
+(** A routing-congestion estimate over the query's net boxes and die.
+    The arena walks the pins once per query: that walk sums the HPWL
+    and leaves each net's bounding box over doubled pin centres in the
+    boxes ({!Netlist.Wirelength.hpwl_flat}, indexed like the circuit's
+    nets; nets of fewer than two pins hold stale values). [width] and
+    [height] are the placement's extents from the origin, the ones
+    the cost's area term reads. Called on every cost query whose
+    weights carry a non-zero [routability], so implementations must
+    be allocation-light and may keep private mutable scratch — one
+    closure per arena, never shared across domains.
+    [Route.Estimate.estimator] is the canonical producer. *)
 
 val create :
   ?telemetry:Telemetry.Sink.t -> ?estimator:estimator -> Netlist.Circuit.t -> t

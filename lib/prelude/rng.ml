@@ -1,19 +1,28 @@
 (* splitmix64: fast, well-distributed, trivially seedable. State is a
-   single 64-bit counter advanced by the golden gamma. *)
-type t = { mutable state : int64 }
+   single 64-bit counter advanced by the golden gamma. It lives in an
+   8-byte buffer rather than a [mutable int64] field: a field would
+   hold a boxed Int64, so every draw would allocate a fresh box, while
+   the buffer's 64-bit loads and stores stay unboxed. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* inlined into each draw, so the int64s never leave registers *)
+let[@inline] next t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next t }
+let split t = of_state (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";

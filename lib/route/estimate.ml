@@ -15,6 +15,7 @@ type t = {
   (* every net of the circuit, flattened; demand scale is the net
      weight *)
   nets : Netlist.Wirelength.flat;
+  live : int array;  (* the nets of two or more pins, in net order *)
   bins_x : int;
   bins_y : int;
   (* private scratch: 2D difference array, (bins_x+1) * (bins_y+1).
@@ -33,9 +34,16 @@ let create ?(bins = default_bins) ?(pitch = Grid.default_pitch)
   if bins < 1 then invalid_arg "Estimate.create: bins < 1";
   if pitch < 1 then invalid_arg "Estimate.create: pitch < 1";
   let n = Netlist.Circuit.size circuit in
+  let nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets in
+  let off = nets.Netlist.Wirelength.off in
+  let live =
+    List.filter (fun k -> off.(k + 1) - off.(k) >= 2)
+      (List.init (Array.length off - 1) Fun.id)
+  in
   {
     n;
-    nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets;
+    nets;
+    live = Array.of_list live;
     bins_x = bins;
     bins_y = bins;
     diff = Array.make ((bins + 1) * (bins + 1)) 0.0;
@@ -47,6 +55,9 @@ let create ?(bins = default_bins) ?(pitch = Grid.default_pitch)
    beat Float.min/max (which pay for NaN propagation) in this loop. *)
 let[@inline] fmin (a : float) b = if a < b then a else b
 let[@inline] fmax (a : float) b = if a > b then a else b
+
+(* a bin index clamped to [0, top] *)
+let[@inline] clamp top i = Int.max 0 (Int.min top i)
 
 (* One constant-value rectangle [ax..bx] x [ay..by] of the difference
    array: four corner updates; bx+1 <= bins_x and by+1 <= bins_y fit
@@ -79,92 +90,72 @@ let[@inline] frac lo hi i inv_ext step =
   and b = fmin hi (float_of_int (i + 1) *. step) in
   fmax 0.0 (fmin 1.0 ((b -. a) *. inv_ext))
 
-(* The congestion score of the placement currently held in the
-   per-cell geometry arrays. Allocation-free and O(pins + bins): a
-   net's uniform spread [demand * fx(ix) * fy(iy)] has constant
-   per-axis fractions except at the two boundary bins, so its whole
-   footprint decomposes into at most 3x3 constant-value rectangles,
-   each a 4-corner update on the difference array — no per-bin loop
-   per net. One prefix-sum pass at the end recovers bin usage. This
-   runs on the annealers' move path (the E17 2x-budget row), hence
-   the unsafe accesses into [t]'s own invariant-sized arrays. *)
-let score t ~x ~y ~w ~h =
-  let die_w = ref 0 and die_h = ref 0 in
-  for c = 0 to t.n - 1 do
-    let xe = x.(c) + w.(c) and ye = y.(c) + h.(c) in
-    if xe > !die_w then die_w := xe;
-    if ye > !die_h then die_h := ye
-  done;
-  if !die_w = 0 || !die_h = 0 then 0.0
+(* The congestion score of one placement, read from its net boxes
+   (over doubled pin centres, as [Wirelength.hpwl_flat] leaves them)
+   and its die extents. Allocation-free and O(nets + bins): a net's
+   uniform spread [demand * fx(ix) * fy(iy)] has constant per-axis
+   fractions except at the two boundary bins, so its whole footprint
+   decomposes into at most 3x3 constant-value rectangles, each a
+   4-corner update on the difference array — no per-bin loop per net.
+   One prefix-sum pass at the end recovers bin usage. This runs on the
+   annealers' move path (the E17 2x-budget row), hence the unsafe
+   accesses into [t]'s own invariant-sized arrays and the int-typed
+   clamps, which compile to plain compares where the polymorphic
+   [min]/[max] would call out of line. *)
+let score t (b : Netlist.Wirelength.boxes) ~width ~height =
+  if width = 0 || height = 0 then 0.0
   else begin
-    let bw = float_of_int !die_w /. float_of_int t.bins_x in
-    let bh = float_of_int !die_h /. float_of_int t.bins_y in
+    let bw = float_of_int width /. float_of_int t.bins_x in
+    let bh = float_of_int height /. float_of_int t.bins_y in
     let inv_bw = 1.0 /. bw and inv_bh = 1.0 /. bh in
     let stride = t.bins_x + 1 in
     let diff = t.diff in
     Array.fill diff 0 (Array.length diff) 0.0;
-    let { Netlist.Wirelength.off; pins; weight } = t.nets in
-    for k = 0 to Array.length off - 2 do
-      let lo = Array.unsafe_get off k
-      and hi = Array.unsafe_get off (k + 1) - 1 in
-      (* nets with fewer than two pins carry no wire demand *)
-      if hi > lo then begin
-        (* bbox over doubled pin centers, so rounding never splits a
-           mirrored pair's demand asymmetrically *)
-        let c0 = Array.unsafe_get pins lo in
-        let minx = ref ((2 * x.(c0)) + w.(c0))
-        and maxx = ref ((2 * x.(c0)) + w.(c0))
-        and miny = ref ((2 * y.(c0)) + h.(c0))
-        and maxy = ref ((2 * y.(c0)) + h.(c0)) in
-        for p = lo + 1 to hi do
-          let c = Array.unsafe_get pins p in
-          let cx = (2 * x.(c)) + w.(c) and cy = (2 * y.(c)) + h.(c) in
-          if cx < !minx then minx := cx;
-          if cx > !maxx then maxx := cx;
-          if cy < !miny then miny := cy;
-          if cy > !maxy then maxy := cy
-        done;
-        let bx0 = float_of_int !minx /. 2.0
-        and bx1 = float_of_int !maxx /. 2.0
-        and by0 = float_of_int !miny /. 2.0
-        and by1 = float_of_int !maxy /. 2.0 in
-        (* demand: weighted HPWL, floored at one pitch so coincident
-           pins still claim a via's worth of track *)
-        let demand =
-          Array.unsafe_get weight k
-          *. fmax t.pitch (bx1 -. bx0 +. (by1 -. by0))
-        in
-        let ix0 = max 0 (min (t.bins_x - 1) (int_of_float (bx0 *. inv_bw)))
-        and ix1 = max 0 (min (t.bins_x - 1) (int_of_float (bx1 *. inv_bw)))
-        and iy0 = max 0 (min (t.bins_y - 1) (int_of_float (by0 *. inv_bh)))
-        and iy1 = max 0 (min (t.bins_y - 1) (int_of_float (by1 *. inv_bh))) in
-        if ix0 = ix1 && iy0 = iy1 then
-          (* short net inside one bin: all the demand lands there *)
-          add_box diff stride ix0 ix0 iy0 iy0 demand
+    let weight = t.nets.Netlist.Wirelength.weight in
+    for j = 0 to Array.length t.live - 1 do
+      let k = Array.unsafe_get t.live j in
+      (* the box is over doubled pin centers, so rounding never
+         splits a mirrored pair's demand asymmetrically *)
+      let bx0 = float_of_int b.min_x2.(k) /. 2.0
+      and bx1 = float_of_int b.max_x2.(k) /. 2.0
+      and by0 = float_of_int b.min_y2.(k) /. 2.0
+      and by1 = float_of_int b.max_y2.(k) /. 2.0 in
+      (* demand: weighted HPWL, floored at one pitch so coincident
+         pins still claim a via's worth of track *)
+      let demand =
+        Array.unsafe_get weight k
+        *. fmax t.pitch (bx1 -. bx0 +. (by1 -. by0))
+      in
+      let ix0 = clamp (t.bins_x - 1) (int_of_float (bx0 *. inv_bw))
+      and ix1 = clamp (t.bins_x - 1) (int_of_float (bx1 *. inv_bw))
+      and iy0 = clamp (t.bins_y - 1) (int_of_float (by0 *. inv_bh))
+      and iy1 = clamp (t.bins_y - 1) (int_of_float (by1 *. inv_bh)) in
+      if ix0 = ix1 && iy0 = iy1 then
+        (* short net inside one bin: all the demand lands there *)
+        add_box diff stride ix0 ix0 iy0 iy0 demand
+      else begin
+        (* spread uniformly over covered bins, proportional to
+           overlap: boundary bins get their clipped fraction, interior
+           bins share one constant fraction per axis *)
+        let ext_x = fmax 1.0 (bx1 -. bx0) and ext_y = fmax 1.0 (by1 -. by0) in
+        let inv_ext_x = 1.0 /. ext_x and inv_ext_y = 1.0 /. ext_y in
+        let one_bin = ix0 = ix1 in
+        let fx_lo = if one_bin then 1.0 else frac bx0 bx1 ix0 inv_ext_x bw
+        and fx_mid = if one_bin then 1.0 else fmin 1.0 (bw *. inv_ext_x)
+        and fx_hi = if one_bin then 1.0 else frac bx0 bx1 ix1 inv_ext_x bw in
+        if iy0 = iy1 then
+          emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 demand
         else begin
-          (* spread uniformly over covered bins, proportional to
-             overlap: boundary bins get their clipped fraction, interior
-             bins share one constant fraction per axis *)
-          let ext_x = fmax 1.0 (bx1 -. bx0) and ext_y = fmax 1.0 (by1 -. by0) in
-          let inv_ext_x = 1.0 /. ext_x and inv_ext_y = 1.0 /. ext_y in
-          let one_bin = ix0 = ix1 in
-          let fx_lo = if one_bin then 1.0 else frac bx0 bx1 ix0 inv_ext_x bw
-          and fx_mid = if one_bin then 1.0 else fmin 1.0 (bw *. inv_ext_x)
-          and fx_hi = if one_bin then 1.0 else frac bx0 bx1 ix1 inv_ext_x bw in
-          if iy0 = iy1 then
-            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0 demand
-          else begin
-            let fy_lo = frac by0 by1 iy0 inv_ext_y bh
-            and fy_hi = frac by0 by1 iy1 inv_ext_y bh in
-            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0
-              (demand *. fy_lo);
-            if iy1 > iy0 + 1 then
-              emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi (iy0 + 1)
-                (iy1 - 1)
-                (demand *. fmin 1.0 (bh *. inv_ext_y));
-            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy1 iy1
-              (demand *. fy_hi)
-          end
+          let fy_lo = frac by0 by1 iy0 inv_ext_y bh
+          and fy_hi = frac by0 by1 iy1 inv_ext_y bh in
+          emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy0 iy0
+            (demand *. fy_lo);
+          if iy1 > iy0 + 1 then
+            emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi (iy0 + 1)
+              (iy1 - 1)
+              (demand *. fmin 1.0 (bh *. inv_ext_y));
+          emit_row diff stride ix0 ix1 fx_lo fx_mid fx_hi iy1 iy1
+            (demand *. fy_hi)
         end
       end
     done;
@@ -206,21 +197,24 @@ let score t ~x ~y ~w ~h =
    the factory shape every placer engine expects. *)
 let estimator ?bins ?pitch ?utilization circuit () =
   let t = create ?bins ?pitch ?utilization circuit in
-  fun ~x ~y ~w ~h -> score t ~x ~y ~w ~h
+  fun boxes ~width ~height -> score t boxes ~width ~height
 
+(* The arena's query on a materialized placement: the same HPWL walk
+   fills the boxes, the same extents bound the die. *)
 let score_placement t (p : Placer.Placement.t) =
   let n = t.n in
-  let xs = Array.make (max 1 n) 0
-  and ys = Array.make (max 1 n) 0
-  and ws = Array.make (max 1 n) 0
-  and hs = Array.make (max 1 n) 0 in
+  let cx2 = Array.make (Int.max 1 n) 0 and cy2 = Array.make (Int.max 1 n) 0 in
+  let width = ref 0 and height = ref 0 in
   for c = 0 to n - 1 do
     match Placer.Placement.rect_of p c with
     | None -> ()
     | Some r ->
-        xs.(c) <- r.Geometry.Rect.x;
-        ys.(c) <- r.Geometry.Rect.y;
-        ws.(c) <- r.Geometry.Rect.w;
-        hs.(c) <- r.Geometry.Rect.h
+        let { Geometry.Rect.x; y; w; h } = r in
+        width := Int.max !width (x + w);
+        height := Int.max !height (y + h);
+        cx2.(c) <- (2 * x) + w;
+        cy2.(c) <- (2 * y) + h
   done;
-  score t ~x:xs ~y:ys ~w:ws ~h:hs
+  let boxes = Netlist.Wirelength.boxes t.nets in
+  ignore (Netlist.Wirelength.hpwl_flat t.nets ~cx2 ~cy2 ~boxes : float);
+  score t boxes ~width:!width ~height:!height

@@ -4,10 +4,12 @@
     grid and compared against per-bin track supply).
 
     This is the [Route.estimate] term the annealers fold into
-    {!Placer.Cost} behind the [routability] weight: a cost query with
-    the estimate stays within ~2x of the plain arena query (gated by
-    the E17 bench row), because the estimate is one pass over the nets
-    and a fixed 8x8 bin grid — no maze expansion.
+    {!Placer.Cost} behind the [routability] weight. A cost query with
+    the estimate costs about 1.5x the plain arena query (the E17
+    [route_estimate] rows; [perf --smoke] fails above 2x), because the
+    estimate walks no pins: it reads the per-net boxes the arena's
+    HPWL pass already wrote, then does one pass over the nets and a
+    fixed 8x8 bin grid — no maze expansion.
 
     The score is {e smooth}: quadratic in per-bin density (sum of
     [usage^2 / capacity] over bins), so the annealer sees a gradient
@@ -31,10 +33,11 @@ val create :
     per pitch, derated by [utilization]. *)
 
 val score :
-  t -> x:int array -> y:int array -> w:int array -> h:int array -> float
-(** The congestion score of the placement currently held in the
-    per-cell geometry arrays (indexed by cell, as {!Placer.Eval}'s
-    arena). Allocation-free and deterministic. *)
+  t -> Netlist.Wirelength.boxes -> width:int -> height:int -> float
+(** The congestion score of a placement given its net boxes (as
+    {!Netlist.Wirelength.hpwl_flat} writes them for this circuit's
+    nets) and its extents from the origin, which set the die the bins
+    divide. Allocation-free and deterministic. *)
 
 val estimator :
   ?bins:int ->
@@ -49,4 +52,6 @@ val estimator :
 
 val score_placement : t -> Placer.Placement.t -> float
 (** Convenience for benches and reports: score a materialized
-    placement (allocates the geometry arrays). *)
+    placement (allocates the centre and box arrays). The same HPWL
+    walk and {!score} as an arena query, so it equals the estimate an
+    annealer saw for that placement bit for bit (tested). *)

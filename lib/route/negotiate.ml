@@ -76,7 +76,7 @@ let create ~cols ~rows ~capacity =
   {
     cols;
     rows;
-    capacity = Array.make n (max 0 capacity);
+    capacity = Array.make n (Int.max 0 capacity);
     present = Array.make n 0;
     history = Array.make n 0.0;
     dist = Array.make n infinity;
@@ -97,13 +97,13 @@ let create ~cols ~rows ~capacity =
     pops = 0;
   }
 
-let set_capacity t i cap = t.capacity.(i) <- max 0 cap
+let set_capacity t i cap = t.capacity.(i) <- Int.max 0 cap
 
 let claim t cells =
   List.iter (fun i -> t.present.(i) <- t.present.(i) + 1) cells
 
 let release t cells =
-  List.iter (fun i -> t.present.(i) <- max 0 (t.present.(i) - 1)) cells
+  List.iter (fun i -> t.present.(i) <- Int.max 0 (t.present.(i) - 1)) cells
 
 let overflow t =
   let acc = ref 0 in
@@ -120,7 +120,7 @@ let overused_cells t =
   done;
   !acc
 
-let cell_overuse t i = max 0 (t.present.(i) - t.capacity.(i))
+let cell_overuse t i = Int.max 0 (t.present.(i) - t.capacity.(i))
 
 let add_history t ~hfac =
   for i = 0 to Array.length t.present - 1 do

@@ -15,7 +15,7 @@ let bbox_semi pins =
       let minc, maxc, minr, maxr =
         List.fold_left
           (fun (a, b, c, d) (pc, pr) ->
-            (min a pc, max b pc, min c pr, max d pr))
+            (Int.min a pc, Int.max b pc, Int.min c pr, Int.max d pr))
           (c0, c0, r0, r0) rest
       in
       maxc - minc + maxr - minr

@@ -167,7 +167,7 @@ let route_all ?(pitch = default_pitch) ?(margin = Grid.default_margin)
     Array.map
       (List.map (fun (c, r) ->
            Grid.index ~cols
-             (max 0 (min (cols - 1) c), max 0 (min (rows - 1) r))))
+             (Int.max 0 (Int.min (cols - 1) c), Int.max 0 (Int.min (rows - 1) r))))
       pins
   in
   (* twin detection per symmetry axis, first match wins, disjoint:

@@ -30,7 +30,7 @@ let prefix_max t i =
   if i < 0 then 0
   else begin
     let tree = t.tree in
-    let i = ref (min (i + 1) t.n) and acc = ref 0 in
+    let i = ref (Int.min (i + 1) t.n) and acc = ref 0 in
     while !i > 0 do
       let v = Array.unsafe_get tree !i in
       if v > !acc then acc := v;

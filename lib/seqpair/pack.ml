@@ -16,7 +16,7 @@ type scratch = {
 }
 
 let scratch ?(telemetry = Telemetry.Sink.null) capacity =
-  let capacity = max 1 capacity in
+  let capacity = Int.max 1 capacity in
   {
     capacity;
     bit = Bit.create capacity;
@@ -55,7 +55,7 @@ let pack_into sp ~w ~h ~x ~y =
     for pos_a = 0 to pos - 1 do
       let a = Perm.cell_at sp.Sp.alpha pos_a in
       if Perm.pos_of sp.Sp.beta a < Perm.pos_of sp.Sp.beta b then
-        x.(b) <- max x.(b) (x.(a) + w.(a))
+        x.(b) <- Int.max x.(b) (x.(a) + w.(a))
     done
   done;
   (* y: a is below b iff a follows b in alpha and precedes it in beta;
@@ -65,7 +65,7 @@ let pack_into sp ~w ~h ~x ~y =
     for pos_a = pos + 1 to n - 1 do
       let a = Perm.cell_at sp.Sp.alpha pos_a in
       if Perm.pos_of sp.Sp.beta a < Perm.pos_of sp.Sp.beta b then
-        y.(b) <- max y.(b) (y.(a) + h.(a))
+        y.(b) <- Int.max y.(b) (y.(a) + h.(a))
     done
   done
 

@@ -466,13 +466,13 @@ let stacked_island p ~x ~y ~w ~h g =
   let pad w = w + (w land 1) in
   let max_self_w = ref 0 and max_pair_w = ref 0 in
   for k = p.self_off.(g) to p.self_off.(g + 1) - 1 do
-    max_self_w := max !max_self_w (pad p.self_w.(k))
+    max_self_w := Int.max !max_self_w (pad p.self_w.(k))
   done;
   for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
-    max_pair_w := max !max_pair_w w.(p.pa.(k))
+    max_pair_w := Int.max !max_pair_w w.(p.pa.(k))
   done;
   (* axis2 is even: selfs are padded to even widths *)
-  let axis = max ((!max_self_w + 1) / 2) !max_pair_w in
+  let axis = Int.max ((!max_self_w + 1) / 2) !max_pair_w in
   let row = ref 0 in
   for k = p.pair_off.(g) to p.pair_off.(g + 1) - 1 do
     let l = p.pa.(k) and r = p.pb.(k) in
@@ -533,16 +533,16 @@ let pack_segregated p ~x ~y ~w ~h =
     let x0 = ref max_int and y0 = ref max_int in
     for j = 0 to m - 1 do
       let c = p.cells.(j) in
-      x0 := min !x0 x.(c);
-      y0 := min !y0 y.(c)
+      x0 := Int.min !x0 x.(c);
+      y0 := Int.min !y0 y.(c)
     done;
     let i = n + g in
     for j = 0 to m - 1 do
       let c = p.cells.(j) in
       x.(c) <- x.(c) - !x0;
       y.(c) <- y.(c) - !y0;
-      p.rw.(i) <- max p.rw.(i) (x.(c) + w.(c));
-      p.rh.(i) <- max p.rh.(i) (y.(c) + h.(c))
+      p.rw.(i) <- Int.max p.rw.(i) (x.(c) + w.(c));
+      p.rh.(i) <- Int.max p.rh.(i) (y.(c) + h.(c))
     done
   done;
   let items = ref 0 in

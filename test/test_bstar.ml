@@ -269,6 +269,64 @@ let prop_flat_pack_matches =
           xf.(c) = r.Geometry.Rect.x && yf.(c) = r.Geometry.Rect.y)
         (Tree.pack_rects t (fun c -> d.(c))))
 
+(* An O(n^2) skyline that shares no code with the contour: walk the
+   tree in pre-order (node, left subtree, right subtree), place each
+   cell at its B*-tree x (the root at 0, a left child at its parent's
+   right edge, a right child at its parent's x) and rest it on the
+   highest top among the cells dropped before it whose x-interval
+   overlaps its own (an empty interval, width 0, overlaps nothing). *)
+let skyline_oracle flat ~w ~h =
+  let n = Flat.size flat in
+  let x = Array.make n 0 and y = Array.make n 0 in
+  let dropped = ref [] in
+  let rec visit m cx =
+    let c = Flat.cell_at flat m in
+    let rest =
+      List.fold_left
+        (fun acc d ->
+          let overlaps =
+            w.(c) > 0 && w.(d) > 0 && cx < x.(d) + w.(d) && x.(d) < cx + w.(c)
+          in
+          if overlaps then Int.max acc (y.(d) + h.(d)) else acc)
+        0 !dropped
+    in
+    x.(c) <- cx;
+    y.(c) <- rest;
+    dropped := c :: !dropped;
+    let l = Flat.left_of flat m and r = Flat.right_of flat m in
+    if l >= 0 then visit l (cx + w.(c));
+    if r >= 0 then visit r cx
+  in
+  visit (Flat.root flat) 0;
+  (x, y)
+
+let prop_flat_pack_skyline =
+  QCheck.Test.make ~name:"pack_into coordinates = brute-force skyline"
+    ~count:200
+    QCheck.(triple (int_range 1 120) small_int bool)
+    (fun (n, seed, zeros) ->
+      let rng = Prelude.Rng.create seed in
+      let flat = Flat.of_tree (Tree.random rng (List.init n Fun.id)) in
+      (* with [zeros], about one cell in eight has width or height 0 *)
+      let dim () =
+        if zeros && Prelude.Rng.int rng 8 = 0 then 0 else 1 + Prelude.Rng.int rng 20
+      in
+      let w = Array.init n (fun _ -> dim ()) and h = Array.init n (fun _ -> dim ()) in
+      let x = Array.make n (-1) and y = Array.make n (-1) in
+      let contour = Geometry.Contour.scratch 4 in
+      let ok = ref true in
+      (* perturbed trees number their nodes out of pre-order, and the
+         scratch is reused across packs *)
+      for _ = 1 to 5 do
+        for _ = 1 to 10 do
+          ignore (Flat.perturb rng flat)
+        done;
+        Flat.pack_into flat contour ~w ~h ~x ~y;
+        let xo, yo = skyline_oracle flat ~w ~h in
+        if x <> xo || y <> yo then ok := false
+      done;
+      !ok)
+
 let prop_flat_perturb_undo =
   QCheck.Test.make ~name:"perturb+undo restores the flat tree exactly"
     ~count:300
@@ -336,6 +394,7 @@ let () =
             prop_perturb_preserves_cells;
             prop_flat_roundtrip;
             prop_flat_pack_matches;
+            prop_flat_pack_skyline;
             prop_flat_perturb_undo;
             prop_flat_perturb_well_formed;
           ] );

@@ -14,6 +14,68 @@ let test_split_independent () =
   let sb = List.init 50 (fun _ -> Prelude.Rng.int b 1000) in
   Alcotest.(check bool) "split stream differs" true (sa <> sb)
 
+(* The first 1,000 draws of each kind from a fresh generator, printed
+   one per line (ints at bound [max_int], so all 62 bits show; floats
+   as their IEEE bits; bools as 0/1), and the MD5 of that table. The
+   digests were taken from the boxed-Int64 generator this one
+   replaced: any change to the splitmix stream changes them. *)
+let draw_table seed kind =
+  let r = Prelude.Rng.create seed in
+  let b = Buffer.create 20_000 in
+  for _ = 1 to 1000 do
+    match kind with
+    | `Int -> Printf.bprintf b "%d\n" (Prelude.Rng.int r max_int)
+    | `Float ->
+        Printf.bprintf b "%Lx\n" (Int64.bits_of_float (Prelude.Rng.float r 1.0))
+    | `Bool -> Buffer.add_char b (if Prelude.Rng.bool r then '1' else '0')
+  done;
+  Buffer.contents b
+
+let test_pinned_streams () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (seed, kind, name, digest, head) ->
+      let table = draw_table seed kind in
+      let label = Printf.sprintf "seed %d %s" seed name in
+      Alcotest.(check string) (label ^ " head") head
+        (String.sub table 0 (String.length head));
+      Alcotest.(check string) (label ^ " md5") digest (md5 table))
+    [
+      (0, `Int, "int", "c1ef6a50a2167c6c84b59df5a097c005", "4073552104164651883\n");
+      (0, `Float, "float", "3e50f8f756eb0a3e6916a520a4cea389", "3fec4415072f63b9\n");
+      (0, `Bool, "bool", "02d3280dc59306bb37d5b74cf7f1e434", "1010101010");
+      (1, `Int, "int", "4d2b31cc7415f78a86644c2802cdb4cb", "2612804094800205616\n");
+      (1, `Float, "float", "10d3f08f39e07d31a89418ec2e082b49", "3fe22145bd91204b\n");
+      (1, `Bool, "bool", "80c5d0730c439816a5205d0061c1a56f", "1101101100");
+      (2009, `Int, "int", "a441c02e5dcc5a7199d0f1bb2ce06ba1", "349532157138952150\n");
+      (2009, `Float, "float", "377a4513ef2819be604867480009e2f6", "3fb36726947f5f78\n");
+      (2009, `Bool, "bool", "871998d781e95962fb41f2baf345cfaa", "0010001000");
+    ];
+  (* a split child and its parent, drawn alternately *)
+  let r = Prelude.Rng.create 2009 in
+  let c = Prelude.Rng.split r in
+  let b = Buffer.create 40_000 in
+  for _ = 1 to 1000 do
+    Printf.bprintf b "%d\n" (Prelude.Rng.int c max_int);
+    Printf.bprintf b "%d\n" (Prelude.Rng.int r max_int)
+  done;
+  Alcotest.(check string) "seed 2009 split md5" "e97bcdfe76ba6a9d220b5e0ae778295e"
+    (md5 (Buffer.contents b))
+
+let test_draws_allocate_nothing () =
+  let r = Prelude.Rng.create 3 in
+  let acc = ref 0 and hits = ref 0 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Prelude.Rng.int r 1000;
+    if Prelude.Rng.bool r then incr hits
+  done;
+  let words = Gc.minor_words () -. m0 in
+  (* a float draw still boxes its result at a call from another
+     module, which cannot inline it *)
+  Alcotest.(check (float 0.0)) "minor words for 1,000 int + bool draws" 0.0 words;
+  Alcotest.(check bool) "draws used" true (!acc > 0 && !hits > 0)
+
 let test_int_bounds () =
   let rng = Prelude.Rng.create 3 in
   for _ = 1 to 10_000 do
@@ -145,6 +207,9 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "split" `Quick test_split_independent;
+          Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int_in" `Quick test_int_in;
           Alcotest.test_case "permutation" `Quick test_permutation;

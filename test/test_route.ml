@@ -383,6 +383,167 @@ let test_estimate_properties () =
     (Route.Estimate.score_placement e0
        (Placer.Placement.make lonely [ place 0 0 0 50 50 ]))
 
+(* The RUDY estimate as it was computed before the arena shared its
+   net boxes: a walk over every net's pins from the placement's own
+   rectangles, the die from the same rectangles, and the 8x8
+   difference-array spread with polymorphic clamps. It shares no code
+   with [Route.Estimate] or [Netlist.Wirelength], and does the float
+   operations in the same order, so it must agree bit for bit. *)
+let reference_rudy (circuit : Netlist.Circuit.t) placement =
+  let bins = 8 and utilization = 0.5 in
+  let pitch = float_of_int Route.Grid.default_pitch in
+  let fmin (a : float) b = if a < b then a else b
+  and fmax (a : float) b = if a > b then a else b in
+  let n = Netlist.Circuit.size circuit in
+  let rect c =
+    match Placer.Placement.rect_of placement c with
+    | Some r -> r
+    | None -> { Geometry.Rect.x = 0; y = 0; w = 0; h = 0 }
+  in
+  let die_w = ref 0 and die_h = ref 0 in
+  for c = 0 to n - 1 do
+    let r = rect c in
+    die_w := max !die_w (r.Geometry.Rect.x + r.Geometry.Rect.w);
+    die_h := max !die_h (r.Geometry.Rect.y + r.Geometry.Rect.h)
+  done;
+  if !die_w = 0 || !die_h = 0 then 0.0
+  else begin
+    let bw = float_of_int !die_w /. float_of_int bins
+    and bh = float_of_int !die_h /. float_of_int bins in
+    let inv_bw = 1.0 /. bw and inv_bh = 1.0 /. bh in
+    let stride = bins + 1 in
+    let diff = Array.make (stride * stride) 0.0 in
+    let add ax bx ay by v =
+      let at i d = diff.(i) <- diff.(i) +. d in
+      at ((ay * stride) + ax) v;
+      at ((ay * stride) + bx + 1) (-.v);
+      at (((by + 1) * stride) + ax) (-.v);
+      at (((by + 1) * stride) + bx + 1) v
+    in
+    let row ix0 ix1 fx_lo fx_mid fx_hi ay by vy =
+      if ix0 = ix1 then add ix0 ix0 ay by vy
+      else begin
+        add ix0 ix0 ay by (vy *. fx_lo);
+        if ix1 > ix0 + 1 then add (ix0 + 1) (ix1 - 1) ay by (vy *. fx_mid);
+        add ix1 ix1 ay by (vy *. fx_hi)
+      end
+    in
+    let frac lo hi i inv_ext step =
+      let a = fmax lo (float_of_int i *. step)
+      and b = fmin hi (float_of_int (i + 1) *. step) in
+      fmax 0.0 (fmin 1.0 ((b -. a) *. inv_ext))
+    in
+    let bin top v = max 0 (min top (int_of_float v)) in
+    List.iter
+      (fun (net : Netlist.Net.t) ->
+        match net.Netlist.Net.pins with
+        | [] | [ _ ] -> ()
+        | pins ->
+            let centre c =
+              let r = rect c in
+              ( (2 * r.Geometry.Rect.x) + r.Geometry.Rect.w,
+                (2 * r.Geometry.Rect.y) + r.Geometry.Rect.h )
+            in
+            let xs = List.map (fun c -> fst (centre c)) pins
+            and ys = List.map (fun c -> snd (centre c)) pins in
+            let lo l = float_of_int (List.fold_left min max_int l) /. 2.0
+            and hi l = float_of_int (List.fold_left max min_int l) /. 2.0 in
+            let bx0 = lo xs and bx1 = hi xs and by0 = lo ys and by1 = hi ys in
+            let demand =
+              net.Netlist.Net.weight *. fmax pitch (bx1 -. bx0 +. (by1 -. by0))
+            in
+            let ix0 = bin (bins - 1) (bx0 *. inv_bw)
+            and ix1 = bin (bins - 1) (bx1 *. inv_bw)
+            and iy0 = bin (bins - 1) (by0 *. inv_bh)
+            and iy1 = bin (bins - 1) (by1 *. inv_bh) in
+            if ix0 = ix1 && iy0 = iy1 then add ix0 ix0 iy0 iy0 demand
+            else begin
+              let inv_ext_x = 1.0 /. fmax 1.0 (bx1 -. bx0)
+              and inv_ext_y = 1.0 /. fmax 1.0 (by1 -. by0) in
+              let one = ix0 = ix1 in
+              let fx_lo = if one then 1.0 else frac bx0 bx1 ix0 inv_ext_x bw
+              and fx_mid = if one then 1.0 else fmin 1.0 (bw *. inv_ext_x)
+              and fx_hi = if one then 1.0 else frac bx0 bx1 ix1 inv_ext_x bw in
+              let row = row ix0 ix1 fx_lo fx_mid fx_hi in
+              if iy0 = iy1 then row iy0 iy0 demand
+              else begin
+                row iy0 iy0 (demand *. frac by0 by1 iy0 inv_ext_y bh);
+                if iy1 > iy0 + 1 then
+                  row (iy0 + 1) (iy1 - 1) (demand *. fmin 1.0 (bh *. inv_ext_y));
+                row iy1 iy1 (demand *. frac by0 by1 iy1 inv_ext_y bh)
+              end
+            end)
+      circuit.Netlist.Circuit.nets;
+    let cap = utilization *. 2.0 *. bw *. bh /. pitch in
+    if cap <= 0.0 then 0.0
+    else begin
+      for iy = 0 to bins - 1 do
+        for ix = 1 to bins - 1 do
+          let i = (iy * stride) + ix in
+          diff.(i) <- diff.(i) +. diff.(i - 1)
+        done
+      done;
+      let acc = ref 0.0 in
+      for iy = 0 to bins - 1 do
+        for ix = 0 to bins - 1 do
+          let i = (iy * stride) + ix in
+          if iy > 0 then diff.(i) <- diff.(i) +. diff.(i - stride);
+          acc := !acc +. (diff.(i) *. diff.(i))
+        done
+      done;
+      !acc *. (1.0 /. cap)
+    end
+  end
+
+(* The estimate an annealer sees reads the net boxes its arena's HPWL
+   pass wrote. Over B*-tree walks with rotations it must equal both
+   [score_placement] of the materialized placement and the reference
+   above, bit for bit. *)
+let test_estimate_shared_boxes () =
+  List.iter
+    (fun n ->
+      let b = Netlist.Benchmarks.synthetic ~label:"rudy" ~n ~seed:3 in
+      let c = b.Netlist.Benchmarks.circuit in
+      let seen = ref nan in
+      let estimator =
+        let f = Route.Estimate.estimator c () in
+        fun boxes ~width ~height ->
+          let v = f boxes ~width ~height in
+          seen := v;
+          v
+      in
+      let arena = Placer.Eval.create ~estimator c in
+      let weights = { Placer.Cost.default with Placer.Cost.routability = 1.0 } in
+      let est = Route.Estimate.create c in
+      let rng = Prelude.Rng.create n in
+      let flat = Bstar.Flat.of_tree (Bstar.Tree.random rng (List.init n Fun.id)) in
+      let rot = Array.make n false in
+      let bits = Int64.bits_of_float in
+      for move = 1 to 2000 do
+        if Prelude.Rng.bool rng then ignore (Bstar.Flat.perturb rng flat)
+        else begin
+          let k = Prelude.Rng.int rng n in
+          rot.(k) <- not rot.(k)
+        end;
+        ignore (Placer.Eval.cost_bstar arena weights flat ~rot : float);
+        let dims cell =
+          let w, h = Netlist.Circuit.dims c cell in
+          if rot.(cell) then (h, w) else (w, h)
+        in
+        let placement =
+          Placer.Placement.make c (Bstar.Tree.pack (Bstar.Flat.to_tree flat) dims)
+        in
+        let expect = reference_rudy c placement in
+        if bits !seen <> bits expect then
+          Alcotest.failf "n=%d move %d: arena estimate %h, reference %h" n move
+            !seen expect;
+        let placed = Route.Estimate.score_placement est placement in
+        if bits placed <> bits expect then
+          Alcotest.failf "n=%d move %d: score_placement %h, reference %h" n move
+            placed expect
+      done)
+    [ 12; 38; 110 ]
+
 let test_route_random_circuits () =
   let rng = Prelude.Rng.create 4 in
   List.iter
@@ -745,6 +906,8 @@ let () =
             test_negotiation_converges;
           Alcotest.test_case "estimate properties" `Quick
             test_estimate_properties;
+          Alcotest.test_case "estimate over shared boxes" `Quick
+            test_estimate_shared_boxes;
           Alcotest.test_case "within capacity" `Quick
             test_routes_within_capacity;
           Alcotest.test_case "random circuits" `Quick test_route_random_circuits;
