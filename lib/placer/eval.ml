@@ -39,7 +39,8 @@ type t = {
 let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
   let n = Netlist.Circuit.size circuit in
   let nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets in
-  let base_w = Array.make (Int.max 1 n) 0 and base_h = Array.make (Int.max 1 n) 0 in
+  let cells = Int.max 1 n in
+  let base_w = Array.make cells 0 and base_h = Array.make cells 0 in
   for c = 0 to n - 1 do
     let w, h = Netlist.Circuit.dims circuit c in
     base_w.(c) <- w;
@@ -49,14 +50,14 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     n;
     base_w;
     base_h;
-    w = Array.make (Int.max 1 n) 0;
-    h = Array.make (Int.max 1 n) 0;
-    x = Array.make (Int.max 1 n) 0;
-    y = Array.make (Int.max 1 n) 0;
-    cx2 = Array.make (Int.max 1 n) 0;
-    cy2 = Array.make (Int.max 1 n) 0;
-    scratch = Seqpair.Pack.scratch ~telemetry (Int.max 1 n);
-    contour = Geometry.Contour.scratch ((2 * Int.max 1 n) + 1);
+    w = Array.make cells 0;
+    h = Array.make cells 0;
+    x = Array.make cells 0;
+    y = Array.make cells 0;
+    cx2 = Array.make cells 0;
+    cy2 = Array.make cells 0;
+    scratch = Seqpair.Pack.scratch ~telemetry cells;
+    contour = Geometry.Contour.scratch ((2 * cells) + 1);
     nets;
     boxes = Netlist.Wirelength.boxes nets;
     estimator;

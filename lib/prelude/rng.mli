@@ -6,6 +6,8 @@
     run-to-run and independent of the global [Random] state. *)
 
 type t
+(** Mutable generator state. Drawing an [int] or a [bool] allocates
+    nothing. *)
 
 val create : int -> t
 (** [create seed] — equal seeds yield equal streams. *)
