@@ -8,7 +8,8 @@
 
    `perf --smoke` runs E17 at tiny sizes with a short timing budget and
    leaves BENCH_perf.json untouched -- a CI sanity check, not a
-   measurement.
+   measurement. Both modes exit 1 when a routed cost query is over
+   its 2x budget against the plain one (E17 `route_estimate`).
 
    `qor` appends run-ledger entries (QoR records) for a fixed set of
    deterministic configurations to BENCH_ledger.jsonl (override with
