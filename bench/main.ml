@@ -867,6 +867,20 @@ let provenance () =
     ("generated_at", J.str (Telemetry.Ledger.timestamp ()));
   ]
 
+(* The rate of each variant, measured by [time] in alternating rounds,
+   each round starting with the next variant so none always runs
+   first; returns each variant's median over the rounds. *)
+let alternated_medians ~rounds time variants =
+  let k = Array.length variants in
+  let rates = Array.make_matrix k rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    for j = 0 to k - 1 do
+      let v = (r + j) mod k in
+      rates.(v).(r) <- time variants.(v)
+    done
+  done;
+  Array.map (fun a -> Prelude.Stats.quantile (Array.to_list a) 0.5) rates
+
 let perf ?(smoke = false) () =
   section
     (if smoke then
@@ -1095,15 +1109,10 @@ let perf ?(smoke = false) () =
     |]
   in
   let rounds = 6 in
-  let rates = Array.make_matrix 2 rounds 0.0 in
-  for r = 0 to rounds - 1 do
-    for j = 0 to 1 do
-      let v = (r + j) mod 2 in
-      rates.(v).(r) <- time_ops (variants.(v) ())
-    done
-  done;
-  let median v = Prelude.Stats.quantile (Array.to_list rates.(v)) 0.5 in
-  let r_off = median 0 and r_on = median 1 in
+  let medians =
+    alternated_medians ~rounds (fun v -> time_ops (v ())) variants
+  in
+  let r_off = medians.(0) and r_on = medians.(1) in
   let on_pct = 100.0 *. (1.0 -. (r_on /. r_off)) in
   Printf.printf
     "telemetry (n=%d, median of %d rounds): off %.0f moves/s, on %.0f \
@@ -1222,6 +1231,45 @@ let perf ?(smoke = false) () =
       [ ("sp", sp_move); ("bstar", bstar_move) ]
   in
   hr ();
+  (* basic-set enumeration: one fixed 5-cell set with every cell
+     rotatable, 5! x catalan 5 x 2^5 (tree, rotation) packs per call,
+     as a free set and as a proximity set (which also tests the
+     front candidates for edge connectivity), in alternating rounds *)
+  let enum_rounds = if smoke then 2 else 5 in
+  let enum_dims = [| (3, 5); (4, 7); (6, 2); (5, 8); (9, 4) |] in
+  let enum_cells = List.init 5 Fun.id in
+  let packs_per_call = Bstar.Count.count_placements 5 * 32 in
+  let enum_kinds =
+    [|
+      (fun () ->
+        ignore
+          (Shapefn.Enumerate.free_set ~dims:(Array.get enum_dims) enum_cells));
+      (fun () ->
+        ignore
+          (Shapefn.Enumerate.proximity_set ~dims:(Array.get enum_dims)
+             enum_cells));
+    |]
+  in
+  let enum_rates =
+    alternated_medians ~rounds:enum_rounds
+      (fun f -> float_of_int packs_per_call *. time_ops f)
+      enum_kinds
+  in
+  Printf.printf
+    "enumerate (5 cells, %d packs per set, median of %d rounds): free %.0f \
+     packs/s, proximity %.0f packs/s\n"
+    packs_per_call enum_rounds enum_rates.(0) enum_rates.(1);
+  let enumerate =
+    J.Obj
+      [
+        ("cells", J.int 5);
+        ("packs_per_set", J.int packs_per_call);
+        ("rounds", J.int enum_rounds);
+        ("packs_per_s_free", num 0 enum_rates.(0));
+        ("packs_per_s_proximity", num 0 enum_rates.(1));
+      ]
+  in
+  hr ();
   (* parallel multi-start on the persistent pool: 4 chains spread over
      1/2/4 domains, for both annealing-instrumented engines. Each row
      must produce the same best cost at every worker count, and on a
@@ -1295,6 +1343,7 @@ let perf ?(smoke = false) () =
             ("telemetry_overhead", telemetry_overhead);
             ("sa_move_latency_us", sa_move_latency_us);
             ("route_estimate", J.Arr (List.map snd route_estimate));
+            ("enumerate", enumerate);
             ("parallel", J.Arr parallel);
           ])
     in
@@ -1335,7 +1384,12 @@ let qor () =
     (* the shape-function engines are deterministic: the seed only
        labels their rows *)
     let o =
-      Placer.Engine.run ~groups ?chains ~telemetry ~rng engine circuit hierarchy
+      match
+        Placer.Engine.run ~groups ?chains ~telemetry ~rng engine circuit
+          hierarchy
+      with
+      | Ok o -> o
+      | Error d -> failwith (Analysis.Diagnostic.(d.message))
     in
     let wall_s = Unix.gettimeofday () -. w0 in
     (* routed entries carry the router's QoR so the regression gate

@@ -76,6 +76,14 @@ let try_load_netlist path =
           | { Netlist.Recognize.hierarchy; _ } ->
               Ok { Netlist.Benchmarks.label = name; circuit; hierarchy }))
 
+(* An engine that cannot represent the circuit rejects it with one
+   diagnostic line and exit 2, like an unusable flag. *)
+let engine_outcome = function
+  | Ok o -> o
+  | Error d ->
+      Format.eprintf "%a@." Analysis.Diagnostic.pp d;
+      exit 2
+
 let load_netlist path =
   match try_load_netlist path with
   | Ok b -> b
@@ -300,8 +308,9 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
         chains = Option.value chains ~default:1;
       })
     else
-      Placer.Engine.run ~weights ~groups ?workers ?chains ?validate
-        ?estimator ~telemetry ~rng engine circuit hierarchy
+      engine_outcome
+        (Placer.Engine.run ~weights ~groups ?workers ?chains ?validate
+           ?estimator ~telemetry ~rng engine circuit hierarchy)
   in
   Telemetry.Sink.span_end telemetry "place.total" t_total;
   let seconds = Sys.time () -. t0 in
@@ -1213,7 +1222,9 @@ let run_dashboard ledger out title last netlist bench engine seed do_route
         let rng = Prelude.Rng.create seed in
         let telemetry = Telemetry.Sink.create () in
         let placement =
-          (Placer.Engine.run ~groups ~telemetry ~rng engine circuit hierarchy)
+          (engine_outcome
+             (Placer.Engine.run ~groups ~telemetry ~rng engine circuit
+                hierarchy))
             .Placer.Placement.placement
         in
         let route_iters, heatmaps =

@@ -19,6 +19,10 @@ val enumerate_shapes : int -> Tree.t list
     assigned in pre-order. [catalan n] trees; exponential — intended
     for n <= 8. *)
 
+val permutations : int list -> int list list
+(** Every ordering of the list: the first element varies slowest, in
+    list order. [n!] lists. *)
+
 val enumerate_trees : int list -> Tree.t list
 (** All labelled B*-trees over the given cells: every shape times every
     assignment of cells to nodes. [n! * catalan n] trees; intended for

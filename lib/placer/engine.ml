@@ -31,30 +31,45 @@ let one_shot ~weights circuit placed =
     chains = 1;
   }
 
+(* An engine whose representation cannot hold the circuit rejects it
+   before placing: TCG closure rows are one machine word. *)
 let run ?(weights = Cost.default) ?(groups = []) ?workers ?chains ?validate
     ?estimator ?telemetry ~rng engine circuit hierarchy =
-  match engine with
-  | Sp ->
-      Sa_seqpair.place ~weights ~groups ?workers ?chains ?validate ?estimator
-        ?telemetry ~rng circuit
-  | Bstar ->
-      Sa_bstar.place ~weights ?workers ?chains ?validate ?estimator ?telemetry
-        ~rng circuit
-  | Tcg ->
-      Sa_tcg.place ~weights ?workers ?chains ?validate ?estimator ?telemetry
-        ~rng circuit
-  | Slicing -> Slicing.place ~weights ~rng circuit
-  | Hbstar ->
-      Sa_hbstar.place ~weights ?workers ?chains ?validate ?estimator
-        ?telemetry ~rng circuit hierarchy
-  | Esf ->
-      one_shot ~weights circuit
-        (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit hierarchy)
-          .Shapefn.Combine.placed
-  | Rsf ->
-      one_shot ~weights circuit
-        (Shapefn.Combine.place ~mode:Shapefn.Combine.Rsf circuit hierarchy)
-          .Shapefn.Combine.placed
+  let n = Netlist.Circuit.size circuit in
+  if engine = Tcg && n > Seqpair.Tcg.max_cells then
+    Error
+      (Analysis.Diagnostic.error ~code:"AL013" ~subject:"engine tcg"
+         ~hint:"use -e sp or -e bstar"
+         (Printf.sprintf
+            "the transitive closure graph holds at most %d modules; the \
+             circuit has %d"
+            Seqpair.Tcg.max_cells n))
+  else
+    Ok
+      (match engine with
+      | Sp ->
+          Sa_seqpair.place ~weights ~groups ?workers ?chains ?validate
+            ?estimator ?telemetry ~rng circuit
+      | Bstar ->
+          Sa_bstar.place ~weights ?workers ?chains ?validate ?estimator
+            ?telemetry ~rng circuit
+      | Tcg ->
+          Sa_tcg.place ~weights ?workers ?chains ?validate ?estimator
+            ?telemetry ~rng circuit
+      | Slicing -> Slicing.place ~weights ~rng circuit
+      | Hbstar ->
+          Sa_hbstar.place ~weights ?workers ?chains ?validate ?estimator
+            ?telemetry ~rng circuit hierarchy
+      | Esf ->
+          one_shot ~weights circuit
+            (Shapefn.Combine.place ~mode:Shapefn.Combine.Esf circuit
+               hierarchy)
+              .Shapefn.Combine.placed
+      | Rsf ->
+          one_shot ~weights circuit
+            (Shapefn.Combine.place ~mode:Shapefn.Combine.Rsf circuit
+               hierarchy)
+              .Shapefn.Combine.placed)
 
 let entry ?routed_wl ?route_overflow ?route_failed ?route_iterations ~groups
     ~hierarchy ~telemetry ~label ~engine ~seed ~wall_s (o : Placement.outcome)

@@ -39,8 +39,10 @@ val run :
   t ->
   Netlist.Circuit.t ->
   Netlist.Hierarchy.t ->
-  Placement.outcome
-(** Place [circuit] with one engine. The annealed engines get every
+  (Placement.outcome, Analysis.Diagnostic.t) result
+(** Place [circuit] with one engine, or reject it with an [AL013]
+    error when the engine's representation cannot hold it ([Tcg]
+    beyond {!Seqpair.Tcg.max_cells} modules). The annealed engines get every
     argument ([groups] only reaches [Sp]; [Hbstar] takes its symmetry
     groups from [hierarchy]) and return their placer's outcome
     unchanged. [Slicing] anneals on [rng] with [weights]. The

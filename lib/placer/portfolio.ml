@@ -214,7 +214,7 @@ let esf_entrant ~weights ~groups circuit hierarchy tel =
 let default_engines ~n ~groups ~hierarchy =
   let sa =
     match groups with
-    | [] -> Sp :: Bstar :: (if n <= 62 then [ Tcg ] else [])
+    | [] -> Sp :: Bstar :: (if n <= Seqpair.Tcg.max_cells then [ Tcg ] else [])
     | _ ->
         (* only the sequence-pair arm explores the symmetric-feasible
            subspace; racing unconstrained engines against it would

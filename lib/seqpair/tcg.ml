@@ -17,9 +17,11 @@ let relation t a b =
   else if mem t.hor.(b) a then Some (Hor, `Backward)
   else Some (Ver, `Backward)
 
+let max_cells = 62
+
 let of_seqpair sp =
   let n = Sp.size sp in
-  if n > 62 then invalid_arg "Tcg.of_seqpair: more than 62 cells";
+  if n > max_cells then invalid_arg "Tcg.of_seqpair: more than 62 cells";
   let hor = Array.make n 0 and ver = Array.make n 0 in
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do

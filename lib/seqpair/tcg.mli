@@ -28,8 +28,12 @@ val relation : t -> int -> int -> (kind * [ `Forward | `Backward ]) option
     [Some (k, `Forward)] for [a -> b], [`Backward] for [b -> a];
     [None] only when [a = b]. *)
 
+val max_cells : int
+(** 62: a closure row is one machine-word bitset. *)
+
 val of_seqpair : Sp.t -> t
-(** Always valid. Raises [Invalid_argument] beyond 62 cells. *)
+(** Always valid. Raises [Invalid_argument] beyond {!max_cells}
+    cells. *)
 
 val to_seqpair : t -> Sp.t
 (** The canonical sequence-pair with the same relations. *)

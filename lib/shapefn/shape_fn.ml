@@ -1,16 +1,43 @@
 type t = Shape.t list (* sorted by w increasing, h strictly decreasing *)
 
-let prune_sorted sorted =
-  (* sorted by (w asc, h asc): keep a shape iff its height is strictly
-     below every kept shape so far (those have smaller-or-equal
-     width). *)
-  let rec go best_h acc = function
-    | [] -> List.rev acc
-    | (s : Shape.t) :: rest ->
-        if s.Shape.h < best_h then go s.Shape.h (s :: acc) rest
-        else go best_h acc rest
-  in
-  go max_int [] sorted
+(* The one front rule. A builder holds the Pareto front of the shapes
+   offered so far, sorted like [t]. A shape enters iff no kept shape
+   weakly dominates it, and evicts the kept shapes it dominates; so
+   at every (w, h) of the final front the first-offered shape
+   survives. A list is enough: fronts hold tens of points, and a
+   dominated shape, by far the common case, leaves after a scan that
+   allocates nothing. *)
+type builder = { mutable front : Shape.t list }
+
+let builder () = { front = [] }
+let is_empty b = b.front = []
+
+(* The kept shapes of width <= w have heights decreasing with width,
+   so the scan stops at the first one as low as [h]. Top-level, so a
+   test builds no closure. *)
+let rec dominated_in front w h =
+  match front with
+  | (s : Shape.t) :: rest when s.Shape.w <= w ->
+      s.Shape.h <= h || dominated_in rest w h
+  | _ -> false
+
+let dominated b ~w ~h = dominated_in b.front w h
+
+let add b (s : Shape.t) =
+  if not (dominated b ~w:s.Shape.w ~h:s.Shape.h) then begin
+    (* kept shapes narrower than [s] are higher (it is not dominated);
+       of the rest, those as high as [s] are a prefix, and [s]
+       dominates them *)
+    let rec evict = function
+      | (p : Shape.t) :: rest when p.Shape.h >= s.Shape.h -> evict rest
+      | rest -> rest
+    in
+    let rec insert = function
+      | (p : Shape.t) :: rest when p.Shape.w < s.Shape.w -> p :: insert rest
+      | rest -> s :: evict rest
+    in
+    b.front <- insert b.front
+  end
 
 let thin cap front =
   let n = List.length front in
@@ -35,17 +62,16 @@ let thin cap front =
     in
     List.map (fun i -> arr.(i)) picked
 
+let of_builder ?cap b =
+  match (b.front, cap) with
+  | [], _ -> invalid_arg "Shape_fn.of_builder: empty"
+  | front, Some c -> thin c front
+  | front, None -> front
+
 let of_shapes ?cap shapes =
-  if shapes = [] then invalid_arg "Shape_fn.of_shapes: empty";
-  let sorted =
-    List.sort
-      (fun (a : Shape.t) (b : Shape.t) ->
-        let c = Int.compare a.Shape.w b.Shape.w in
-        if c <> 0 then c else Int.compare a.Shape.h b.Shape.h)
-      shapes
-  in
-  let front = prune_sorted sorted in
-  match cap with Some c -> thin c front | None -> front
+  let b = builder () in
+  List.iter (add b) shapes;
+  of_builder ?cap b
 
 let shapes t = t
 let cardinal = List.length

@@ -11,9 +11,39 @@
 
 type t
 
+(** {2 Building a front}
+
+    A front is built incrementally: shapes are offered one at a time
+    and only the Pareto-minimal ones are kept. A shape is dropped when
+    some kept shape is no larger in either dimension (so of several
+    shapes with the same [(w, h)] the first offered is kept) and
+    evicts every kept shape it dominates. The result depends only on
+    the offered sequence, not on when the front is read. *)
+
+type builder
+
+val builder : unit -> builder
+(** An empty front. *)
+
+val dominated : builder -> w:int -> h:int -> bool
+(** Would a [w] x [h] shape be dropped? A scan of the kept shapes that
+    allocates nothing: enumerators test each candidate box with it and
+    build a shape's payload only when it is [false]. *)
+
+val add : builder -> Shape.t -> unit
+(** Offer a shape: kept unless {!dominated}. *)
+
+val is_empty : builder -> bool
+
+val of_builder : ?cap:int -> builder -> t
+(** The front built so far, thinned to [cap] points when given
+    (default unlimited). Raises [Invalid_argument] when no shape was
+    offered. *)
+
 val of_shapes : ?cap:int -> Shape.t list -> t
-(** Prune dominated and duplicate shapes; raises [Invalid_argument] on
-    the empty list. Default [cap] is unlimited. *)
+(** {!add} every shape in list order, then {!of_builder}: dominated
+    and duplicate shapes are pruned, the first of equal shapes kept.
+    Raises [Invalid_argument] on the empty list. *)
 
 val shapes : t -> Shape.t list
 (** Increasing width, decreasing height. *)

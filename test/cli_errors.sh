@@ -1,7 +1,8 @@
 #!/bin/sh
 # CLI error probes: each command must exit with the given status and
 # exactly one stderr line matching the given text -- never an uncaught
-# exception. Run by `dune runtest`:
+# exception. An engine that cannot represent the circuit (TCG past 62
+# modules) is rejected with AL013 before it places anything. Run by `dune runtest`:
 #   sh cli_errors.sh path/to/analog_place.exe path/to/ledger.jsonl
 ap=$1
 ledger=$2
@@ -35,4 +36,7 @@ probe 1 "input proven infeasible" \
   place --bench miller --infeasible-check --outline 10x10
 probe 1 "input proven infeasible" \
   place --bench miller --infeasible-check --outline 10x10 --portfolio
+probe 2 "AL013 error engine tcg" place --bench lnamixbias -e tcg
+probe 2 "AL013 error engine tcg" \
+  dashboard "$ledger" --out dashboard.html --bench biasynth -e tcg
 exit $status

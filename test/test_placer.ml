@@ -706,7 +706,9 @@ let test_engine_run () =
         (Placer.Engine.of_string name = Some e);
       let placed, cost = direct e in
       let placed', cost' =
-        of_outcome (Placer.Engine.run ~groups ~rng:(rng ()) e circuit hierarchy)
+        of_outcome
+          (Result.get_ok
+             (Placer.Engine.run ~groups ~rng:(rng ()) e circuit hierarchy))
       in
       Alcotest.(check bool) (name ^ " same placed list") true (placed = placed');
       Alcotest.(check int64) (name ^ " same cost bits")
@@ -721,6 +723,16 @@ let test_engine_run () =
     (Int64.bits_of_float (snd (one_shot placed)));
   Alcotest.(check bool) "seqpair alias" true
     (Placer.Engine.of_string "seqpair" = Some Placer.Engine.Sp);
+  (* TCG closure rows are one machine word: past 62 modules the runner
+     rejects the circuit with AL013 instead of raising, and the other
+     engines' limits do not apply *)
+  let big = Netlist.Benchmarks.synthetic ~label:"big" ~n:63 ~seed:1 in
+  (match
+     Placer.Engine.run ~rng:(rng ()) Placer.Engine.Tcg
+       big.Netlist.Benchmarks.circuit big.Netlist.Benchmarks.hierarchy
+   with
+  | Error d -> Alcotest.(check string) "tcg past 62" "AL013" d.Analysis.Diagnostic.code
+  | Ok _ -> Alcotest.fail "tcg placed 63 modules");
   Alcotest.(check bool) "unknown engine" true
     (Placer.Engine.of_string "anneal" = None)
 
@@ -730,9 +742,10 @@ let test_hbstar_telemetry () =
   let b = Netlist.Benchmarks.fig2_design () in
   let telemetry = Telemetry.Sink.create () in
   let o =
-    Placer.Engine.run ~telemetry ~rng:(Prelude.Rng.create 3)
-      Placer.Engine.Hbstar b.Netlist.Benchmarks.circuit
-      b.Netlist.Benchmarks.hierarchy
+    Result.get_ok
+      (Placer.Engine.run ~telemetry ~rng:(Prelude.Rng.create 3)
+         Placer.Engine.Hbstar b.Netlist.Benchmarks.circuit
+         b.Netlist.Benchmarks.hierarchy)
   in
   Alcotest.(check bool) "annealed" true
     (Placer.Engine.annealed Placer.Engine.Hbstar);

@@ -173,6 +173,208 @@ let test_enumerate_proximity_connected () =
       Alcotest.(check bool) "connected" true (Geometry.Outline.connected rects))
     (Shape_fn.shapes fn)
 
+(* ---- streamed enumeration against the list enumeration ---- *)
+
+(* The free/proximity enumeration as it ran on lists: every labelled
+   tree ([Count.enumerate_trees]) times every subset of the rotatable
+   cells (bit i of the mask rotates the i-th cell, in list order,
+   whose dimensions change under rotation), each packed by the
+   pointer-tree walk with its box from [Rect.bbox_of_list], then the
+   whole list stably sorted by (w, h) and pruned to the strictly
+   falling heights. Returns the free front and the front of the
+   edge-connected packings (possibly empty), both unthinned. [trees]
+   replaces the exhaustive tree list. *)
+let list_fronts ?trees ~dims cells =
+  let rotatable =
+    List.filter (fun c -> let w, h = dims c in w <> h) cells
+  in
+  let masks =
+    List.init (1 lsl List.length rotatable) (fun mask ->
+        List.filteri (fun i _ -> mask land (1 lsl i) <> 0) rotatable)
+  in
+  let candidates =
+    List.concat_map
+      (fun tree ->
+        List.map
+          (fun rotated ->
+            let d c =
+              let w, h = dims c in
+              if List.mem c rotated then (h, w) else (w, h)
+            in
+            let rects = List.map snd (Bstar.Tree.pack_rects tree d) in
+            let box = Geometry.Rect.bbox_of_list rects in
+            ( Geometry.Outline.connected rects,
+              {
+                Shape.w = Geometry.Rect.x_max box;
+                h = Geometry.Rect.y_max box;
+                payload =
+                  Shape.Btree
+                    {
+                      tree;
+                      dims = List.map (fun c -> (c, d c)) cells;
+                      rigid = [];
+                    };
+              } ))
+          masks)
+      (Option.value trees ~default:(Bstar.Count.enumerate_trees cells))
+  in
+  let prune shapes =
+    let sorted =
+      List.stable_sort
+        (fun (a : Shape.t) (b : Shape.t) ->
+          let c = Int.compare a.Shape.w b.Shape.w in
+          if c <> 0 then c else Int.compare a.Shape.h b.Shape.h)
+        shapes
+    in
+    let rec go best_h = function
+      | [] -> []
+      | (s : Shape.t) :: rest ->
+          if s.Shape.h < best_h then s :: go s.Shape.h rest else go best_h rest
+    in
+    go max_int sorted
+  in
+  ( prune (List.map snd candidates),
+    prune (List.filter_map (fun (ok, s) -> if ok then Some s else None) candidates) )
+
+let same_shapes (a : Shape.t list) (b : Shape.t list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Shape.t) (y : Shape.t) ->
+         x.Shape.w = y.Shape.w && x.Shape.h = y.Shape.h
+         &&
+         match (x.Shape.payload, y.Shape.payload) with
+         | Shape.Btree p, Shape.Btree q ->
+             Bstar.Tree.equal p.tree q.tree && p.dims = q.dims
+             && p.rigid = [] && q.rigid = []
+         | _ -> false)
+       a b
+
+(* 1-5 distinct cell ids out of 0..19 with dims in 1..9; about one
+   cell in three is square, so rotation masks skip it. *)
+let arb_basic_set =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 5 >>= fun k ->
+      shuffle_l (List.init 20 Fun.id) >>= fun ids ->
+      let cells = List.filteri (fun i _ -> i < k) ids in
+      list_repeat k
+        (pair (int_range 1 9) (int_range 0 2) >>= fun (w, square) ->
+         if square = 0 then return (w, w)
+         else map (fun h -> (w, h)) (int_range 1 9))
+      >|= fun dims -> (cells, dims))
+  in
+  QCheck.make
+    ~print:(fun (cells, dims) ->
+      String.concat " "
+        (List.map2 (fun c (w, h) -> Printf.sprintf "%d:%dx%d" c w h) cells dims))
+    gen
+
+let prop_stream_matches_lists =
+  QCheck.Test.make ~name:"streamed free/proximity fronts = list enumeration"
+    ~count:30 arb_basic_set (fun (cells, dl) ->
+      let dims c = List.assoc c (List.combine cells dl) in
+      let free, near = list_fronts ~dims cells in
+      let near = if near = [] then free else near in
+      List.for_all
+        (fun cap ->
+          (* the oracle's fronts are already pruned, so [of_shapes]
+             only applies the thinning rule to them *)
+          let want front = Shape_fn.shapes (Shape_fn.of_shapes ?cap front) in
+          same_shapes (Shape_fn.shapes (Enumerate.free_set ?cap ~dims cells))
+            (want free)
+          && same_shapes
+               (Shape_fn.shapes (Enumerate.proximity_set ?cap ~dims cells))
+               (want near))
+        [ None; Some 32; Some 4 ])
+
+(* Above [max_exhaustive] cells both enumerators pack the same seeded
+   sample of 20,000 random trees. *)
+let test_enumerate_sampled () =
+  let cells = [ 11; 3; 7; 0; 19; 5; 8 ] in
+  let dims c = if c = 3 || c = 19 then (c + 2, 4) else (c mod 5 + 2, c mod 5 + 2) in
+  let rng = Prelude.Rng.create (17 * 7) in
+  let trees = List.init 20_000 (fun _ -> Bstar.Tree.random rng cells) in
+  let free, near = list_fronts ~trees ~dims cells in
+  Alcotest.(check bool) "free front" true
+    (same_shapes (Shape_fn.shapes (Enumerate.free_set ~dims cells)) free);
+  Alcotest.(check bool) "proximity front" true
+    (near <> []
+    && same_shapes (Shape_fn.shapes (Enumerate.proximity_set ~dims cells)) near)
+
+(* A 5-cell set with every cell rotatable is 5! x catalan 5 x 2^5 =
+   161,280 packs. On lists it allocated about 76 M minor words; on the
+   flat arena only front candidates cost allocation. *)
+let test_enumerate_allocation () =
+  let d = [| (3, 5); (4, 7); (6, 2); (5, 8); (9, 4) |] in
+  let dims c = d.(c) in
+  let cells = List.init 5 Fun.id in
+  let w0 = Gc.minor_words () in
+  let fn = Enumerate.free_set ~dims cells in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "front" true (Shape_fn.cardinal fn > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= 2,000,000" words)
+    true (words <= 2_000_000.)
+
+(* MD5 of [Combine.place ~mode:Esf]'s realized placement (cell, x, y,
+   w, h, orientation per placed cell, in order) on the Table-I
+   circuits, fig2 and the twelve designs of perfbench's service
+   catalogue, recorded on the list enumerator. *)
+let esf_digest (b : Netlist.Benchmarks.bench) =
+  let r =
+    Combine.place ~mode:Combine.Esf b.Netlist.Benchmarks.circuit
+      b.Netlist.Benchmarks.hierarchy
+  in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun (p : Geometry.Transform.placed) ->
+      let q = p.Geometry.Transform.rect in
+      Printf.bprintf buf "%d %d %d %d %d %s\n" p.Geometry.Transform.cell
+        q.Geometry.Rect.x q.Geometry.Rect.y q.Geometry.Rect.w q.Geometry.Rect.h
+        (Geometry.Orientation.to_string p.Geometry.Transform.orient))
+    r.Combine.placed;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_esf_pins () =
+  let catalogue =
+    let rng = Prelude.Rng.create 2009 in
+    Array.to_list
+      (Array.map
+         (fun n ->
+           let seed = Prelude.Rng.int rng 1_000_000_000 in
+           Netlist.Benchmarks.synthetic ~label:"src" ~n ~seed)
+         [| 9; 12; 7; 10; 8; 11; 6; 9; 12; 7; 10; 8 |])
+  in
+  let benches =
+    Netlist.Benchmarks.table1_suite ()
+    @ (Netlist.Benchmarks.fig2_design () :: catalogue)
+  in
+  List.iter2
+    (fun (b : Netlist.Benchmarks.bench) want ->
+      Alcotest.(check string) b.Netlist.Benchmarks.label want (esf_digest b))
+    benches
+    [
+      "b34997bef9d8fffa215a91f5a446bf7c";
+      "c54b54e01a907ce017e46b1bf746e6b9";
+      "9d1eaa25da24d4ae0a202d6de637f1bb";
+      "24a36c462449fb0d47397b0b8b01dd92";
+      "99d3db1456a8902e867c49816087bdda";
+      "1119b79ad8e077a951864bc1bcb6eaee";
+      "0d7e8677051e8020e54668a8c73fdf86";
+      "0d27cc114b9c628d3772ff3226abb563";
+      "52d3d9142f305ec4574ce353947d35a8";
+      "56403a6a9de7d94f3afe7a16a6f915ff";
+      "b62ca88e0e7ebe112e305f73a4676f76";
+      "1a7d6ada3c65d608d9834e644899223e";
+      "5ea191a2039466dbbbe3924927dd6dce";
+      "40ace08ccbb8db4d1384656c9c8ceb21";
+      "8006e609bd3e96e79be639cce0f9beb7";
+      "8b9f785dbc87f575ecb341c42cea09e6";
+      "30d113dee2478151180a42711a16060a";
+      "ff96f170a1871d663dbceb3f2c9a9c4a";
+      "86910fc609e6b49a32e7fc676808e752";
+    ]
+
 let check_place mode (b : Netlist.Benchmarks.bench) =
   let r = Combine.place ~mode b.circuit b.hierarchy in
   let placement = Placer.Placement.make b.circuit r.Combine.placed in
@@ -258,6 +460,11 @@ let () =
           Alcotest.test_case "symmetric islands" `Quick test_enumerate_symmetric;
           Alcotest.test_case "proximity connected" `Quick
             test_enumerate_proximity_connected;
+          QCheck_alcotest.to_alcotest prop_stream_matches_lists;
+          Alcotest.test_case "sampled 7-cell set" `Quick test_enumerate_sampled;
+          Alcotest.test_case "5-cell allocation bound" `Quick
+            test_enumerate_allocation;
+          Alcotest.test_case "esf placement pins" `Quick test_esf_pins;
         ] );
       ( "combine",
         [
